@@ -340,7 +340,9 @@ func OpSub(n int) Op { return Op{Kind: acl.Sub, Width: n} }
 func OpMul(n int) Op { return Op{Kind: acl.Mul, Width: n} }
 
 // BuildLibrary generates, characterizes and deduplicates approximate
-// circuits for every spec (deterministic in seed).
+// circuits for every spec (deterministic in seed).  Characterization fans
+// out over runtime.GOMAXPROCS goroutines; the library is bit-identical at
+// any parallelism.
 func BuildLibrary(specs []LibrarySpec, seed int64) (*Library, error) {
 	return acl.Build(specs, seed, acl.Options{Seed: seed})
 }

@@ -173,6 +173,24 @@ func BenchmarkCharacterize(b *testing.B) {
 	}
 }
 
+// BenchmarkLibraryBuild measures a whole library build on the end-to-end
+// benchmark's library-cold mix (add8:16, add9:12, sub10:8): generation,
+// characterization fanned out over GOMAXPROCS, and deduplication.  Unlike
+// BenchmarkCharacterize's single 8-bit adder it includes the 9- and 10-bit
+// sweeps, 4× and 16× larger.
+func BenchmarkLibraryBuild(b *testing.B) {
+	specs := []acl.BuildSpec{
+		{Op: acl.Op{Kind: acl.Add, Width: 8}, Count: 16},
+		{Op: acl.Op{Kind: acl.Add, Width: 9}, Count: 12},
+		{Op: acl.Op{Kind: acl.Sub, Width: 10}, Count: 8},
+	}
+	for b.Loop() {
+		if _, err := acl.Build(specs, 1, acl.Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPreciseEvaluation measures one full precise configuration
 // analysis (flatten, synthesize, simulate over images, SSIM) — the paper's
 // "10 s per configuration" step, here on the Sobel detector.

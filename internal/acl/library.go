@@ -7,9 +7,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"autoax/internal/approxgen"
+	"autoax/internal/obs"
 )
 
 // Library groups characterized circuits per operation instance (e.g. all
@@ -99,14 +103,24 @@ type BuildSpec struct {
 
 // Build generates, characterizes, deduplicates and collects circuits for
 // every spec.  Generation and characterization are deterministic in seed.
+// Characterization fans out over runtime.GOMAXPROCS goroutines; the
+// library is assembled in generation order, so its content and serialized
+// bytes are identical at any parallelism.
 func Build(specs []BuildSpec, seed int64, opts Options) (*Library, error) {
 	return BuildContext(context.Background(), specs, seed, opts)
 }
 
 // BuildContext is Build with cancellation: the context is checked before
 // every circuit characterization (the dominant cost), so a cancelled build
-// stops within one circuit instead of finishing the whole library.
+// stops within one circuit per worker instead of finishing the library.
+//
+// Specs are processed one after another, each spec's circuits in parallel
+// (see characterizeAll), which bounds peak memory to one spec's variants.
+// Deduplication runs in generation order after each spec completes, so it
+// sees exactly the sequence a one-at-a-time build would.
 func BuildContext(ctx context.Context, specs []BuildSpec, seed int64, opts Options) (*Library, error) {
+	span := obs.Default().StartSpanIn(buildSpans)
+	defer span.Finish()
 	lib := NewLibrary()
 	for _, spec := range specs {
 		var vs []approxgen.Variant
@@ -120,19 +134,85 @@ func BuildContext(ctx context.Context, specs []BuildSpec, seed int64, opts Optio
 		default:
 			return nil, fmt.Errorf("acl: unsupported op kind %v", spec.Op.Kind)
 		}
-		for _, v := range vs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			c, err := Characterize(v.N, spec.Op, v.Family, opts)
-			if err != nil {
-				return nil, fmt.Errorf("acl: characterize %s: %w", v.N.Name, err)
-			}
-			lib.Add(c)
+		cs, err := characterizeAll(ctx, len(vs), func(i int) (*Circuit, error) {
+			return characterizeVariant(spec.Op, vs[i], opts)
+		})
+		if err != nil {
+			return nil, err
 		}
+		lib.Add(cs...)
 	}
 	lib.SortByArea()
 	return lib, nil
+}
+
+// characterizeVariant characterizes one generated variant of op.
+func characterizeVariant(op Op, v approxgen.Variant, opts Options) (*Circuit, error) {
+	c, err := Characterize(v.N, op, v.Family, opts)
+	if err != nil {
+		return nil, fmt.Errorf("acl: characterize %s: %w", v.N.Name, err)
+	}
+	return c, nil
+}
+
+// characterizeAll runs characterize(i) for every i in [0, n) on
+// min(GOMAXPROCS, n) goroutines that claim indices in order from a shared
+// counter, and returns the circuits in index order.  The first failure
+// cancels the siblings.  The error returned is the lowest-index one, the
+// one a sequential loop would hit first: workers check for cancellation
+// only before claiming, so every index below a failing one was claimed
+// earlier and still runs to completion.  A panic becomes that circuit's
+// error instead of killing the process.  No goroutine outlives the call.
+func characterizeAll(ctx context.Context, n int, characterize func(i int) (*Circuit, error)) ([]*Circuit, error) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	out := make([]*Circuit, n)
+	errs := make([]error, n)
+	var (
+		next atomic.Int64 // next index to claim
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for wctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				out[i], errs[i] = characterizeRecovered(characterize, i)
+				if errs[i] != nil {
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	// No circuit failed; if the workers still stopped short of n it was
+	// the caller's context, reported bare.
+	if int(next.Load()) < n {
+		return nil, ctx.Err()
+	}
+	return out, nil
+}
+
+// characterizeRecovered calls characterize(i), reporting a panic as
+// circuit i's error.
+func characterizeRecovered(characterize func(i int) (*Circuit, error), i int) (c *Circuit, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			c, err = nil, fmt.Errorf("acl: characterize circuit %d: panic: %v", i, r)
+		}
+	}()
+	return characterize(i)
 }
 
 // Save writes the library as JSON.

@@ -1,6 +1,7 @@
 package approxgen
 
 import (
+	"fmt"
 	"testing"
 
 	"autoax/internal/arith"
@@ -242,6 +243,51 @@ func TestSubtractorVariantsBudget(t *testing.T) {
 	for _, v := range vs {
 		if v.N.NumInputs != 20 || len(v.N.Outputs) != 11 {
 			t.Fatalf("%s: wrong interface", v.N.Name)
+		}
+	}
+}
+
+// TestVariantsNegativeSeeds fills budgets past the named families (68 for
+// add8, 54 for sub10) so mutants are needed: negative seeds used to index
+// the mutant bases at -1.  Non-negative seeds keep the historical int
+// residues, so existing libraries and their cache keys do not change.
+func TestVariantsNegativeSeeds(t *testing.T) {
+	const count = 300
+	gens := []struct {
+		name  string
+		gen   func(n, count int, seed int64) []Variant
+		width int
+		bases []string
+	}{
+		{"adder", AdderVariants, 8, []string{arith.NewRippleCarryAdder(8).Name, arith.NewKoggeStoneAdder(8).Name}},
+		{"subtractor", SubtractorVariants, 10, []string{arith.NewSubtractor(10).Name}},
+	}
+	for _, g := range gens {
+		for _, seed := range []int64{-4, -3, 3} {
+			vs := g.gen(g.width, count, seed)
+			if len(vs) != count {
+				t.Fatalf("%s seed %d: got %d variants, want %d", g.name, seed, len(vs), count)
+			}
+			s := seed
+			for _, v := range vs {
+				if err := v.N.Validate(); err != nil {
+					t.Fatalf("%s seed %d: %s: %v", g.name, seed, v.N.Name, err)
+				}
+				if v.Family != "mutant" {
+					continue
+				}
+				base, ops := uint64(s)%uint64(len(g.bases)), 1+uint64(s)%6
+				if s >= 0 {
+					base, ops = uint64(int(s)%len(g.bases)), uint64(1+int(s)%6)
+				}
+				if want := fmt.Sprintf("%s_mut%d_s%d", g.bases[base], ops, s); v.N.Name != want {
+					t.Fatalf("%s seed %d: mutant %q, want %q", g.name, seed, v.N.Name, want)
+				}
+				s++
+			}
+			if s == seed {
+				t.Fatalf("%s seed %d: no mutants at count %d", g.name, seed, count)
+			}
 		}
 	}
 }

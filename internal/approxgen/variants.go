@@ -187,7 +187,9 @@ func MultiplierVariants(n, count int, seed int64) []Variant {
 }
 
 // fillMutants appends seeded mutants of the provided base generators until
-// *vs reaches count.
+// *vs reaches count.  The base and move-count residues are taken through
+// uint64 so negative seeds stay in range; for non-negative seeds they equal
+// the plain int residues.
 func fillMutants(vs *[]Variant, count int, seed int64, bases ...func() *netlist.Netlist) {
 	if len(bases) == 0 {
 		return
@@ -198,8 +200,8 @@ func fillMutants(vs *[]Variant, count int, seed int64, bases ...func() *netlist.
 	}
 	s := seed
 	for len(*vs) < count {
-		base := built[int(s)%len(built)]
-		ops := 1 + int(s)%6
+		base := built[uint64(s)%uint64(len(built))]
+		ops := 1 + int(uint64(s)%6)
 		*vs = append(*vs, Variant{N: Mutate(base, ops, s), Family: "mutant"})
 		s++
 	}

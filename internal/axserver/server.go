@@ -59,7 +59,11 @@ type Options struct {
 	// jobs whose request leaves Parallelism unset.  0 divides the cores
 	// across the worker pool (GOMAXPROCS/Workers, at least 1) so the
 	// default configuration cannot oversubscribe; set it explicitly to
-	// trade per-job latency against cross-job throughput.
+	// trade per-job latency against cross-job throughput.  Library builds
+	// do not use it: acl.BuildContext characterizes over GOMAXPROCS
+	// goroutines (bit-identical output at any parallelism), since its
+	// per-circuit scratch is small and the runtime already caps running
+	// goroutines at GOMAXPROCS.
 	EvalParallelism int
 	// MemCacheBytes bounds the in-memory artifact cache: beyond this many
 	// bytes, least-recently-used entries are evicted (they remain

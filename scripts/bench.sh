@@ -22,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEval|BenchmarkNetlistEvalBlock|BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
+FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEval|BenchmarkNetlistEvalBlock|BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
 COUNT=${BENCH_COUNT:-3}
 
 # ./internal/ml carries the forest-walker benchmarks (PredictVaried,
