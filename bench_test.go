@@ -456,6 +456,66 @@ func BenchmarkRandomForestFit(b *testing.B) {
 	}
 }
 
+// BenchmarkMLPFit measures fitting the Table 3 MLP engine (one hidden
+// layer of 100 units, 200 epochs) on a bake-off-sized problem: 140 rows,
+// the 70% fit split of 200 training samples, by 15 hardware features.
+func BenchmarkMLPFit(b *testing.B) {
+	x := make([][]float64, 140)
+	y := make([]float64, len(x))
+	rng := uint64(3)
+	next := func() float64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return float64(rng>>40) / float64(1<<24)
+	}
+	for i := range x {
+		row := make([]float64, 15)
+		s := 0.0
+		for j := range row {
+			row[j] = next() * 100
+			s += row[j]
+		}
+		x[i] = row
+		y[i] = s / 15
+	}
+	for b.Loop() {
+		if err := ml.NewMLP([]int{100}, 200, 1).Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAutoEngineTrain measures the train stage of an AutoEngine
+// pipeline on the end-to-end benchmark's pipeline-auto shape: Sobel over
+// an 85-circuit add8/add9/sub10 library, 200/100 train/test samples.  The
+// precise samples are generated once; each iteration runs the 13-engine
+// bake-off plus the final fit.
+func BenchmarkAutoEngineTrain(b *testing.B) {
+	lib, err := acl.Build([]acl.BuildSpec{
+		{Op: acl.Op{Kind: acl.Add, Width: 8}, Count: 30},
+		{Op: acl.Op{Kind: acl.Add, Width: 9}, Count: 30},
+		{Op: acl.Op{Kind: acl.Sub, Width: 10}, Count: 25},
+	}, 1, acl.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := autoax.DefaultConfig()
+	cfg.TrainConfigs, cfg.TestConfigs = 200, 100
+	cfg.AutoEngine = true
+	p, err := autoax.NewPipeline(apps.Sobel(), lib, imagedata.BenchmarkSet(2, 64, 48, 1), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := p.GenerateSamples(); err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		p.Models = nil
+		if err := p.Train(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompiledForestPredict measures one flattened-arena forest
 // query — the substrate under BenchmarkModelEstimate's two model calls.
 func BenchmarkCompiledForestPredict(b *testing.B) {

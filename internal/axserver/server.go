@@ -60,10 +60,11 @@ type Options struct {
 	// across the worker pool (GOMAXPROCS/Workers, at least 1) so the
 	// default configuration cannot oversubscribe; set it explicitly to
 	// trade per-job latency against cross-job throughput.  Library builds
-	// do not use it: acl.BuildContext characterizes over GOMAXPROCS
-	// goroutines (bit-identical output at any parallelism), since its
-	// per-circuit scratch is small and the runtime already caps running
-	// goroutines at GOMAXPROCS.
+	// and train-stage fits do not use it: acl.BuildContext characterizes,
+	// and the forest trees, the QoR/HW model pair and the AutoEngine
+	// bake-off fit, over GOMAXPROCS goroutines (bit-identical output at
+	// any parallelism), since their scratch is small and the runtime
+	// already caps running goroutines at GOMAXPROCS.
 	EvalParallelism int
 	// MemCacheBytes bounds the in-memory artifact cache: beyond this many
 	// bytes, least-recently-used entries are evicted (they remain

@@ -28,6 +28,7 @@ import (
 	"autoax/internal/dse"
 	"autoax/internal/imagedata"
 	"autoax/internal/ml"
+	"autoax/internal/par"
 	"autoax/internal/pareto"
 	"autoax/internal/pmf"
 )
@@ -62,7 +63,10 @@ type Config struct {
 	// Parallelism bounds the per-shard evaluator workers used for the
 	// precise-evaluation batches (Step 2 sample generation and Step 3
 	// re-evaluation).  0 means runtime.GOMAXPROCS, 1 forces the
-	// sequential path; results are identical either way.
+	// sequential path; results are identical either way.  The train
+	// stage does not use it: like library builds, its model fits (forest
+	// trees, the QoR/HW pair, the AutoEngine bake-off) run on GOMAXPROCS
+	// goroutines with bit-identical results.
 	Parallelism int
 	// ProgramCache configures the persistent compiled-program tier of
 	// the precise evaluator.  A zero value (no Dir) keeps the in-memory
@@ -205,7 +209,7 @@ func (p *Pipeline) GenerateSamplesContext(ctx context.Context) error {
 // and records test fidelities.
 func (p *Pipeline) Train() error { return p.TrainContext(context.Background()) }
 
-// TrainContext is Train with cancellation, checked between engine fits.
+// TrainContext is Train with cancellation, checked before each engine fit.
 func (p *Pipeline) TrainContext(ctx context.Context) error {
 	if p.TrainRes == nil {
 		if err := p.GenerateSamplesContext(ctx); err != nil {
@@ -246,6 +250,10 @@ func (p *Pipeline) TrainContext(ctx context.Context) error {
 
 // selectEngine runs the engine bake-off on a 70/30 split of the training
 // samples and returns the engine with the best mean validation fidelity.
+// The engines are fitted concurrently on up to GOMAXPROCS goroutines, each
+// with its own seed; scores are collected by engine index and the winner
+// is chosen in registry order, so the selection is the same at any
+// parallelism.  An engine whose fit fails or panics loses the bake-off.
 func (p *Pipeline) selectEngine(ctx context.Context, r *stageRun) (ml.EngineSpec, error) {
 	cut := len(p.TrainCfgs) * 7 / 10
 	if cut < 2 || len(p.TrainCfgs)-cut < 2 {
@@ -254,20 +262,25 @@ func (p *Pipeline) selectEngine(ctx context.Context, r *stageRun) (ml.EngineSpec
 	fitCfgs, valCfgs := p.TrainCfgs[:cut], p.TrainCfgs[cut:]
 	fitRes, valRes := p.TrainRes[:cut], p.TrainRes[cut:]
 	xqV, yqV, xhV, yhV := dse.BuildTrainingData(p.Space, valCfgs, valRes)
-	best := ml.EngineSpec{}
-	bestScore := -1.0
-	for _, spec := range ml.Engines() {
-		if err := ctx.Err(); err != nil {
-			return p.Opt.Engine, err
-		}
-		m, err := dse.TrainModels(spec, p.Opt.Seed, p.Space, fitCfgs, fitRes)
+	engines := ml.Engines()
+	scores := make([]float64, len(engines))
+	errs := par.Each(ctx, len(engines), func(i int) error {
+		m, err := dse.TrainModels(engines[i], p.Opt.Seed, p.Space, fitCfgs, fitRes)
 		r.step(1)
 		if err != nil {
-			continue // an engine failing to fit simply loses the bake-off
+			return err
 		}
-		score := (dse.ModelFidelity(m.QoR, xqV, yqV) + dse.ModelFidelity(m.HW, xhV, yhV)) / 2
-		if score > bestScore {
-			bestScore, best = score, spec
+		scores[i] = (dse.ModelFidelity(m.QoR, xqV, yqV) + dse.ModelFidelity(m.HW, xhV, yhV)) / 2
+		return nil
+	})
+	if err := ctx.Err(); err != nil {
+		return p.Opt.Engine, err
+	}
+	best := ml.EngineSpec{}
+	bestScore := -1.0
+	for i, spec := range engines {
+		if errs[i] == nil && scores[i] > bestScore {
+			bestScore, best = scores[i], spec
 		}
 	}
 	if best.New == nil {

@@ -1,11 +1,13 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"autoax/internal/accel"
 	"autoax/internal/ml"
+	"autoax/internal/par"
 )
 
 // Estimator predicts (QoR, hardware cost) of a configuration without
@@ -136,18 +138,29 @@ func BuildTrainingData(s Space, cfgs [][]int, res []accel.Result) (xq [][]float6
 	return
 }
 
-// TrainModels fits one engine type to both estimation problems.
+// TrainModels fits one engine type to both estimation problems, the QoR
+// and HW models concurrently (each has its own seed, so the models do not
+// depend on the order the fits finish).  A panic inside a fit is returned
+// as that fit's error.
 func TrainModels(spec ml.EngineSpec, seed int64, s Space, cfgs [][]int, res []accel.Result) (*Models, error) {
 	xq, yq, xh, yh := BuildTrainingData(s, cfgs, res)
-	qor := spec.New(seed)
-	if err := qor.Fit(xq, yq); err != nil {
-		return nil, fmt.Errorf("dse: fitting QoR model (%s): %w", spec.Name, err)
+	fits := [2]struct {
+		what string
+		x    [][]float64
+		y    []float64
+		r    ml.Regressor
+	}{{what: "QoR", x: xq, y: yq}, {what: "HW", x: xh, y: yh}}
+	errs := par.Each(context.TODO(), len(fits), func(i int) error {
+		f := &fits[i]
+		f.r = spec.New(seed + int64(i))
+		return f.r.Fit(f.x, f.y)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("dse: fitting %s model (%s): %w", fits[i].what, spec.Name, err)
+		}
 	}
-	hw := spec.New(seed + 1)
-	if err := hw.Fit(xh, yh); err != nil {
-		return nil, fmt.Errorf("dse: fitting HW model (%s): %w", spec.Name, err)
-	}
-	return &Models{QoR: qor, HW: hw, Space: s}, nil
+	return &Models{QoR: fits[0].r, HW: fits[1].r, Space: s}, nil
 }
 
 // NaiveSSIM is the paper's naïve QoR model: M_SSIM(C) = −Σ WMED_k(c).

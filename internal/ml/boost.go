@@ -36,6 +36,7 @@ func (a *AdaBoostR2) Fit(x [][]float64, y []float64) error {
 	}
 	a.trees = a.trees[:0]
 	a.weights = a.weights[:0]
+	r := rankFeatures(x)
 	errs := make([]float64, n)
 	for m := 0; m < a.NEstimators; m++ {
 		// Weighted bootstrap sample.
@@ -45,21 +46,20 @@ func (a *AdaBoostR2) Fit(x [][]float64, y []float64) error {
 			s += v
 			cum[i] = s
 		}
+		src := make([]int32, n)
 		bx := make([][]float64, n)
 		by := make([]float64, n)
 		for i := 0; i < n; i++ {
-			r := rng.Float64() * s
-			j := sort.SearchFloat64s(cum, r)
+			j := sort.SearchFloat64s(cum, rng.Float64()*s)
 			if j >= n {
 				j = n - 1
 			}
+			src[i] = int32(j)
 			bx[i] = x[j]
 			by[i] = y[j]
 		}
 		tr := NewDecisionTree(a.MaxDepth, 2)
-		if err := tr.Fit(bx, by); err != nil {
-			return err
-		}
+		tr.fitRanked(bx, by, nil, r.subset(src))
 		// Linear loss normalized by the max error.
 		maxErr := 0.0
 		for i := range x {
@@ -160,11 +160,10 @@ func (g *GradientBoosting) Fit(x [][]float64, y []float64) error {
 		resid[i] = y[i] - g.init
 	}
 	g.trees = g.trees[:0]
+	r := rankFeatures(x) // every stage fits the same rows
 	for m := 0; m < g.NStages; m++ {
 		tr := NewDecisionTree(g.MaxDepth, 2)
-		if err := tr.Fit(x, resid); err != nil {
-			return err
-		}
+		tr.fitRanked(x, resid, nil, r)
 		g.trees = append(g.trees, tr)
 		done := true
 		for i := range resid {

@@ -1,13 +1,14 @@
 package ml
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"unsafe"
+
+	"autoax/internal/par"
 )
 
 // cnode is one node of a compiled forest: 16 bytes, so a cache line
@@ -504,80 +505,48 @@ func (cf *CompiledForest) predictBatchDirect(x []float64, n int, out []float64) 
 
 // Fit implements Regressor: it bootstrap-trains NTrees CART trees across
 // GOMAXPROCS goroutines.  Every tree's bootstrap sample and private seed
-// are pre-derived from the root RNG in tree order, so the result is
-// bit-identical to the historical sequential fit at any parallelism.
+// are pre-derived from the root RNG in tree order, and the features are
+// ranked once for all trees, so the result is bit-identical to the
+// historical sequential fit at any parallelism.  A panic while fitting a
+// tree is returned as an error.
 func (f *RandomForest) Fit(x [][]float64, y []float64) error {
 	if err := checkXY(x, y); err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(f.seed))
-	f.trees = make([]*DecisionTree, f.NTrees)
 	n := len(x)
 	type boot struct {
-		bx   [][]float64
-		by   []float64
+		src  []int32 // row i of the sample is row src[i] of x
 		seed int64
 	}
 	boots := make([]boot, f.NTrees)
 	for k := range boots {
+		src := make([]int32, n)
+		for i := range src {
+			src[i] = int32(rng.Intn(n))
+		}
+		boots[k] = boot{src, rng.Int63()}
+	}
+	r := rankFeatures(x)
+	trees := make([]*DecisionTree, f.NTrees)
+	errs := par.Each(context.TODO(), len(boots), func(k int) error {
+		b := boots[k]
 		bx := make([][]float64, n)
 		by := make([]float64, n)
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			bx[i] = x[j]
-			by[i] = y[j]
+		for i, j := range b.src {
+			bx[i], by[i] = x[j], y[j]
 		}
-		boots[k] = boot{bx, by, rng.Int63()}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > f.NTrees {
-		workers = f.NTrees
-	}
-	if workers <= 1 {
-		for k := range boots {
-			if err := f.fitTree(k, boots[k].bx, boots[k].by, boots[k].seed); err != nil {
-				return err
-			}
-		}
+		tr := NewDecisionTree(0, 2)
+		tr.rng = rand.New(rand.NewSource(b.seed))
+		tr.fitRanked(bx, by, nil, r.subset(b.src))
+		trees[k] = tr
 		return nil
+	})
+	for k, err := range errs {
+		if err != nil {
+			return fmt.Errorf("ml: random forest tree %d: %w", k, err)
+		}
 	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstEr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(boots) {
-					return
-				}
-				if err := f.fitTree(k, boots[k].bx, boots[k].by, boots[k].seed); err != nil {
-					mu.Lock()
-					if firstEr == nil {
-						firstEr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstEr
-}
-
-// fitTree trains tree k on its pre-derived bootstrap sample.
-func (f *RandomForest) fitTree(k int, bx [][]float64, by []float64, seed int64) error {
-	tr := NewDecisionTree(0, 2)
-	tr.rng = rand.New(rand.NewSource(seed))
-	if err := tr.Fit(bx, by); err != nil {
-		return err
-	}
-	f.trees[k] = tr
+	f.trees = trees
 	return nil
 }

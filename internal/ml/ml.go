@@ -29,10 +29,12 @@ type Regressor interface {
 	Predict(x []float64) float64
 }
 
-// ErrNoData is returned by Fit when the training set is empty or ragged.
+// ErrNoData is returned by Fit when the training set is empty, ragged or
+// holds a NaN.
 var ErrNoData = errors.New("ml: empty or inconsistent training data")
 
-// checkXY validates training data shape.
+// checkXY validates training data shape and rejects NaN, which has no
+// place in the < ordering the tree engines split on.
 func checkXY(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return ErrNoData
@@ -41,9 +43,14 @@ func checkXY(x [][]float64, y []float64) error {
 	if d == 0 {
 		return ErrNoData
 	}
-	for _, r := range x {
-		if len(r) != d {
+	for i, r := range x {
+		if len(r) != d || math.IsNaN(y[i]) {
 			return ErrNoData
+		}
+		for _, v := range r {
+			if math.IsNaN(v) {
+				return ErrNoData
+			}
 		}
 	}
 	return nil

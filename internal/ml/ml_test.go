@@ -412,3 +412,27 @@ func TestEnginesRejectEmptyData(t *testing.T) {
 		}
 	}
 }
+
+// TestEnginesRejectNaN: a NaN anywhere in x or y is refused by every
+// engine, so no split search ever sees a value outside the < ordering.
+func TestEnginesRejectNaN(t *testing.T) {
+	x, y := synthNonlinear(40, 9)
+	nan := math.NaN()
+	for _, where := range []string{"x", "y"} {
+		for _, e := range Engines() {
+			xs := make([][]float64, len(x))
+			for i, r := range x {
+				xs[i] = append([]float64(nil), r...)
+			}
+			ys := append([]float64(nil), y...)
+			if where == "x" {
+				xs[17][1] = nan
+			} else {
+				ys[23] = nan
+			}
+			if err := e.New(1).Fit(xs, ys); err != ErrNoData {
+				t.Errorf("%s with NaN in %s: err = %v, want ErrNoData", e.Name, where, err)
+			}
+		}
+	}
+}
