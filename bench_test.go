@@ -160,6 +160,27 @@ func BenchmarkSimplify(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthesize measures accelerator-level synthesis of one fixed
+// Gaussian-filter configuration (nine exact 8-bit multipliers, eight
+// exact 16-bit adders): Flatten plus Simplify, the step every precise
+// evaluation that misses the program cache runs.
+func BenchmarkSynthesize(b *testing.B) {
+	app := apps.GenericGF(apps.GenericGFKernels(2))
+	cfg, err := accel.ExactConfiguration(app.Graph, acl.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flat, err := accel.Flatten(app.Graph, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		netlist.Simplify(flat)
+	}
+}
+
 // BenchmarkCharacterize measures full exhaustive characterization of one
 // 8-bit approximate adder (error metrics + synthesis + activity energy).
 func BenchmarkCharacterize(b *testing.B) {

@@ -192,7 +192,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	cacheDir := fs.String("cache-dir", "", "directory for the content-addressed artifact cache (empty = memory only)")
-	evalParallel := fs.Int("eval-parallel", 0, "default per-job precise-evaluation workers for requests that leave parallelism unset (0 = divide cores across the worker pool)")
+	evalParallel := fs.Int("eval-parallel", 0, "default per-job precise-evaluation workers for requests that leave parallelism unset (0 = all cores)")
 	cacheMemMB := fs.Int64("cache-mem-mb", 0, "in-memory artifact cache budget in MiB; LRU entries are evicted beyond it (0 = unbounded)")
 	cacheDiskMB := fs.Int64("cache-disk-mb", 0, "on-disk artifact cache budget in MiB; least-recently-used files are deleted beyond it (0 = unbounded; needs -cache-dir)")
 	cacheDiskTTL := fs.Duration("cache-disk-ttl", 0, "on-disk artifact expiry: cache files idle longer than this are deleted (0 = never; needs -cache-dir)")

@@ -45,6 +45,11 @@ func Flatten(g *Graph, cfg Configuration) (*netlist.Netlist, error) {
 		totalIn += g.Nodes[id].Width
 	}
 	b := netlist.NewBuilder(g.Name, totalIn)
+	gates := 0
+	for _, c := range cfg {
+		gates += len(c.Netlist.Gates)
+	}
+	b.Grow(gates)
 	buses := make([]arith.Bus, len(g.Nodes))
 	nextBit := 0
 	opIdx := 0

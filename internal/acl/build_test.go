@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,6 +140,32 @@ func TestBuildErrorIsLowestIndex(t *testing.T) {
 		t.Fatalf("error = %v, want circuit %d's (bad_k)", err, k)
 	}
 	waitGoroutines(t, base)
+}
+
+// TestBuildFailureCancelsSiblings: the first failure stops the build —
+// circuits not yet claimed are never characterized.
+func TestBuildFailureCancelsSiblings(t *testing.T) {
+	const n = 200
+	for _, p := range []int{1, 4} {
+		var ran atomic.Int32
+		var err error
+		withGOMAXPROCS(p, func() {
+			_, err = characterizeAll(context.Background(), n, func(i int) (*Circuit, error) {
+				if i == 0 {
+					return nil, errors.New("circuit 0 failed")
+				}
+				ran.Add(1)
+				time.Sleep(time.Millisecond)
+				return &Circuit{}, nil
+			})
+		})
+		if err == nil || err.Error() != "circuit 0 failed" {
+			t.Fatalf("GOMAXPROCS %d: error = %v, want circuit 0's", p, err)
+		}
+		if r := ran.Load(); r >= n/2 {
+			t.Fatalf("GOMAXPROCS %d: %d of %d siblings ran after the first failure", p, r, n-1)
+		}
+	}
 }
 
 // TestBuildPanicBecomesError plants a nil netlist, which panics inside

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"autoax/internal/approxgen"
 	"autoax/internal/obs"
+	"autoax/internal/par"
 )
 
 // Library groups characterized circuits per operation instance (e.g. all
@@ -155,64 +153,47 @@ func characterizeVariant(op Op, v approxgen.Variant, opts Options) (*Circuit, er
 	return c, nil
 }
 
-// characterizeAll runs characterize(i) for every i in [0, n) on
-// min(GOMAXPROCS, n) goroutines that claim indices in order from a shared
-// counter, and returns the circuits in index order.  The first failure
+// characterizeAll runs characterize(i) for every i in [0, n) through
+// par.Each and returns the circuits in index order.  The first failure
 // cancels the siblings.  The error returned is the lowest-index one, the
-// one a sequential loop would hit first: workers check for cancellation
+// one a sequential loop would hit first: par.Each checks for cancellation
 // only before claiming, so every index below a failing one was claimed
 // earlier and still runs to completion.  A panic becomes that circuit's
-// error instead of killing the process.  No goroutine outlives the call.
+// error instead of killing the process.  Cancelled by the caller, it
+// returns the bare ctx.Err().
 func characterizeAll(ctx context.Context, n int, characterize func(i int) (*Circuit, error)) ([]*Circuit, error) {
-	workers := min(runtime.GOMAXPROCS(0), n)
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	out := make([]*Circuit, n)
-	errs := make([]error, n)
-	var (
-		next atomic.Int64 // next index to claim
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for wctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i], errs[i] = characterizeRecovered(characterize, i)
-				if errs[i] != nil {
-					cancel()
-					return
-				}
+	errs := par.Each(wctx, n, func(i int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("acl: characterize circuit %d: panic: %v", i, r)
+			}
+			if err != nil {
+				cancel()
 			}
 		}()
-	}
-	wg.Wait()
+		out[i], err = characterize(i)
+		return err
+	})
+	// Indices left unstarted report wctx.Err(): the cancellation a
+	// failure derived, or the caller's own.
+	stopped := wctx.Err()
+	var cancelled error
 	for _, err := range errs {
-		if err != nil {
+		switch {
+		case err == nil:
+		case err == stopped:
+			cancelled = err
+		default:
 			return nil, err
 		}
 	}
-	// No circuit failed; if the workers still stopped short of n it was
-	// the caller's context, reported bare.
-	if int(next.Load()) < n {
-		return nil, ctx.Err()
+	if cancelled != nil {
+		return nil, cancelled
 	}
 	return out, nil
-}
-
-// characterizeRecovered calls characterize(i), reporting a panic as
-// circuit i's error.
-func characterizeRecovered(characterize func(i int) (*Circuit, error), i int) (c *Circuit, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, err = nil, fmt.Errorf("acl: characterize circuit %d: panic: %v", i, r)
-		}
-	}()
-	return characterize(i)
 }
 
 // Save writes the library as JSON.

@@ -56,15 +56,14 @@ type Options struct {
 	// DefaultJobRetention); queued and running jobs are never evicted.
 	JobRetention int
 	// EvalParallelism is the default per-shard evaluator worker count for
-	// jobs whose request leaves Parallelism unset.  0 divides the cores
-	// across the worker pool (GOMAXPROCS/Workers, at least 1) so the
-	// default configuration cannot oversubscribe; set it explicitly to
-	// trade per-job latency against cross-job throughput.  Library builds
-	// and train-stage fits do not use it: acl.BuildContext characterizes,
-	// and the forest trees, the QoR/HW model pair and the AutoEngine
-	// bake-off fit, over GOMAXPROCS goroutines (bit-identical output at
-	// any parallelism), since their scratch is small and the runtime
-	// already caps running goroutines at GOMAXPROCS.
+	// jobs whose request leaves Parallelism unset.  0 means all cores
+	// (GOMAXPROCS), like library builds and train-stage fits:
+	// acl.BuildContext characterizes, and the forest trees, the QoR/HW
+	// model pair and the AutoEngine bake-off fit, over GOMAXPROCS
+	// goroutines.  Results are bit-identical at any parallelism, and the
+	// runtime caps running goroutines at GOMAXPROCS however many jobs run
+	// at once; set it explicitly to bound the evaluator clones (and their
+	// scratch) each job holds.
 	EvalParallelism int
 	// MemCacheBytes bounds the in-memory artifact cache: beyond this many
 	// bytes, least-recently-used entries are evicted (they remain
@@ -478,10 +477,9 @@ func validateParallelism(p int) error {
 
 // evalParallelism resolves a request's Parallelism against the server
 // default: an explicit request value wins, then Options.EvalParallelism.
-// With both unset the cores are shared across the worker pool
-// (GOMAXPROCS/Workers, at least 1) so a fully loaded default-configured
-// server runs ~GOMAXPROCS evaluation goroutines total instead of
-// oversubscribing quadratically.
+// With both unset a job evaluates on every core (GOMAXPROCS), so a lone
+// job does not leave cores idle; concurrent jobs share the cores through
+// the runtime scheduler.
 func (s *Server) evalParallelism(req int) int {
 	if req > 0 {
 		return req
@@ -489,10 +487,7 @@ func (s *Server) evalParallelism(req int) int {
 	if s.opts.EvalParallelism > 0 {
 		return s.opts.EvalParallelism
 	}
-	if p := runtime.GOMAXPROCS(0) / s.opts.Workers; p > 1 {
-		return p
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // normalized applies the execution path's defaulting so equivalent

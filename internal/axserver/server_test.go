@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -421,6 +422,56 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 	if string(rerun.Result) != string(final.Result) {
 		t.Errorf("cached evaluation differs from the original")
+	}
+}
+
+// TestEvalParallelismResultsIdentical: a default-configured server
+// evaluates each job on every core, and its evaluate and pipeline answers
+// are byte-identical to a server pinned to one evaluation goroutine.
+func TestEvalParallelismResultsIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	eval := EvaluateRequest{
+		App:     "sobel",
+		Library: tinyLibrary(1),
+		Images:  ImageSpec{Count: 2, Width: 32, Height: 24, Seed: 5},
+		Configs: [][]int{
+			{0, 0, 0, 0, 0}, {1, 0, 1, 0, 1}, {2, 1, 2, 1, 2}, {3, 2, 3, 2, 3},
+			{4, 3, 0, 1, 4}, {5, 4, 1, 0, 5}, {6, 5, 2, 3, 0}, {7, 6, 3, 4, 1},
+		},
+	}
+	answers := func(opts Options) (evaluate, pipeline []byte) {
+		s, ts := testServer(t, opts)
+		want := runtime.GOMAXPROCS(0)
+		if opts.EvalParallelism > 0 {
+			want = opts.EvalParallelism
+		}
+		if got := s.evalParallelism(0); got != want {
+			t.Fatalf("EvalParallelism %d: default evaluation parallelism %d, want %d", opts.EvalParallelism, got, want)
+		}
+		var out [2][]byte
+		for i, sub := range []struct {
+			path string
+			body any
+		}{{"/v1/evaluate", eval}, {"/v1/pipelines", tinyPipeline(11)}} {
+			var job JobInfo
+			if code := postJSON(t, ts.URL+sub.path, sub.body, &job); code != http.StatusAccepted {
+				t.Fatalf("submit %s: status %d", sub.path, code)
+			}
+			final := waitJob(t, ts.URL, job.ID)
+			if final.State != JobSucceeded {
+				t.Fatalf("%s: state %s, error %q", sub.path, final.State, final.Error)
+			}
+			out[i] = final.Result
+		}
+		return out[0], out[1]
+	}
+	eAll, pAll := answers(Options{})
+	eOne, pOne := answers(Options{EvalParallelism: 1})
+	if !bytes.Equal(eAll, eOne) {
+		t.Errorf("evaluate results differ:\nall cores %s\none       %s", eAll, eOne)
+	}
+	if !bytes.Equal(pAll, pOne) {
+		t.Errorf("pipeline results differ:\nall cores %s\none       %s", pAll, pOne)
 	}
 }
 

@@ -62,8 +62,8 @@ type Config struct {
 	SearchSeed int64
 	// Parallelism bounds the per-shard evaluator workers used for the
 	// precise-evaluation batches (Step 2 sample generation and Step 3
-	// re-evaluation).  0 means runtime.GOMAXPROCS, 1 forces the
-	// sequential path; results are identical either way.  The train
+	// re-evaluation).  0 means all cores (runtime.GOMAXPROCS), 1 forces
+	// the sequential path; results are identical either way.  The train
 	// stage does not use it: like library builds, its model fits (forest
 	// trees, the QoR/HW pair, the AutoEngine bake-off) run on GOMAXPROCS
 	// goroutines with bit-identical results.

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"math/bits"
 
 	"autoax/internal/cell"
 )
@@ -11,24 +12,84 @@ import (
 // written naively; the heavier Simplify pass performs the full
 // synthesis-style cleanup.
 type Builder struct {
-	n    *Netlist
-	hash map[gateKey]Signal
-	fold bool
+	n *Netlist
+	// table is an open-addressed (linear probing) hash set of the gates
+	// emitted with folding on: each entry is 1 + the gate's index in
+	// n.Gates, 0 marks an empty slot.  The stored gate is the normalized
+	// key, so a probe compares against n.Gates directly.  len(table) is a
+	// power of two kept at least twice the entry count; it is borrowed
+	// from tablePool and returned by Build.
+	table  []int32
+	hashed int // occupied entries of table
+	fold   bool
+	inst   []Signal // Instantiate's sub-netlist signal map, reused
 }
 
-type gateKey struct {
-	kind    cell.Kind
-	a, b, c Signal
-}
+// minTable is the smallest hash table a Builder allocates.
+const minTable = 64
+
+// tablePool recycles Builder hash tables across builders (one rewrite
+// pass, one Flatten, one generated circuit each).
+var tablePool slicePool[int32]
 
 // NewBuilder returns a builder for a netlist with the given name and number
 // of primary inputs.
 func NewBuilder(name string, numInputs int) *Builder {
 	return &Builder{
 		n:    &Netlist{Name: name, NumInputs: numInputs},
-		hash: make(map[gateKey]Signal),
 		fold: true,
 	}
+}
+
+// Grow reserves room for n more gates: the gate list and the structural
+// hash table are sized once instead of growing step by step.  Callers that
+// know what they are about to emit (a rewrite of a known netlist, the
+// instantiation of known sub-circuits) pass that gate count.
+func (b *Builder) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	if want := len(b.n.Gates) + n; cap(b.n.Gates) < want {
+		gates := make([]Gate, len(b.n.Gates), want)
+		copy(gates, b.n.Gates)
+		b.n.Gates = gates
+	}
+	if b.fold || b.table != nil {
+		b.reserve(b.hashed + n)
+	}
+}
+
+// reserve makes the hash table hold entries at a load of at most one half.
+func (b *Builder) reserve(entries int) {
+	size := minTable
+	if 2*entries > size {
+		size = 1 << bits.Len(uint(2*entries-1))
+	}
+	if size <= len(b.table) {
+		return
+	}
+	old := b.table
+	b.table = tablePool.get(size)
+	mask := uint64(size - 1)
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := gateHash(b.n.Gates[e-1]) & mask
+		for b.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		b.table[i] = e
+	}
+	tablePool.put(old)
+}
+
+// gateHash mixes a normalized gate into a table index.
+func gateHash(g Gate) uint64 {
+	x := uint64(uint32(g.A)) | uint64(uint32(g.B))<<32
+	y := uint64(uint32(g.C)) | uint64(g.Kind)<<32
+	h := x*0x9e3779b97f4a7c15 ^ y*0xc2b2ae3d27d4eb4f
+	return h ^ h>>29
 }
 
 // SetFolding enables or disables on-the-fly constant folding and structural
@@ -55,29 +116,36 @@ func (b *Builder) Inputs() []Signal {
 
 // emit appends a gate, applying folding rules when enabled.
 func (b *Builder) emit(k cell.Kind, a, bb, c Signal) Signal {
-	if b.fold {
-		if s, ok := foldGate(k, a, bb, c, b.n); ok {
-			return s
-		}
-		// Normalize commutative operand order for hashing.
-		switch k {
-		case cell.And2, cell.Or2, cell.Nand2, cell.Nor2, cell.Xor2, cell.Xnor2:
-			if a > bb {
-				a, bb = bb, a
-			}
-		}
-		key := gateKey{k, a, bb, c}
-		if s, ok := b.hash[key]; ok {
-			return s
-		}
-		s := Signal(b.n.NumNodes())
+	if !b.fold {
 		b.n.Gates = append(b.n.Gates, Gate{Kind: k, A: a, B: bb, C: c})
-		b.hash[key] = s
+		return Signal(b.n.NumNodes() - 1)
+	}
+	if s, ok := foldGate(k, a, bb, c, b.n); ok {
 		return s
 	}
-	s := Signal(b.n.NumNodes())
-	b.n.Gates = append(b.n.Gates, Gate{Kind: k, A: a, B: bb, C: c})
-	return s
+	// Normalize commutative operand order for hashing.
+	switch k {
+	case cell.And2, cell.Or2, cell.Nand2, cell.Nor2, cell.Xor2, cell.Xnor2:
+		if a > bb {
+			a, bb = bb, a
+		}
+	}
+	g := Gate{Kind: k, A: a, B: bb, C: c}
+	if 2*(b.hashed+1) > len(b.table) {
+		b.reserve(b.hashed + 1)
+	}
+	mask := uint64(len(b.table) - 1)
+	i := gateHash(g) & mask
+	for e := b.table[i]; e != 0; e = b.table[i] {
+		if b.n.Gates[e-1] == g {
+			return Signal(b.n.NumInputs) + e - 1
+		}
+		i = (i + 1) & mask
+	}
+	b.n.Gates = append(b.n.Gates, g)
+	b.table[i] = int32(len(b.n.Gates))
+	b.hashed++
+	return Signal(b.n.NumNodes() - 1)
 }
 
 // Buf emits a buffer (rarely needed; folding elides it).
@@ -159,7 +227,10 @@ func (b *Builder) Instantiate(sub *Netlist, inputs []Signal) []Signal {
 	if len(inputs) != sub.NumInputs {
 		panic(fmt.Sprintf("netlist: Instantiate %q got %d inputs, want %d", sub.Name, len(inputs), sub.NumInputs))
 	}
-	mapped := make([]Signal, sub.NumNodes())
+	if cap(b.inst) < sub.NumNodes() {
+		b.inst = make([]Signal, sub.NumNodes())
+	}
+	mapped := b.inst[:sub.NumNodes()]
 	copy(mapped, inputs)
 	resolve := func(s Signal) Signal {
 		if s < 0 {
@@ -191,6 +262,8 @@ func (b *Builder) Instantiate(sub *Netlist, inputs []Signal) []Signal {
 func (b *Builder) Build() *Netlist {
 	n := b.n
 	b.n = nil
+	tablePool.put(b.table)
+	b.table, b.inst = nil, nil
 	return n
 }
 

@@ -247,6 +247,9 @@ type Cost struct {
 	Cells     [cell.NumKinds]int
 }
 
+// depthPool recycles Analyze's per-node arrival times.
+var depthPool slicePool[float64]
+
 // NominalClock is the clock frequency (MHz) assumed when converting
 // switching activity into dynamic power.
 const NominalClock = 200.0
@@ -255,7 +258,8 @@ const NominalClock = 200.0
 // are included; call Simplify first to obtain post-synthesis numbers.
 func (n *Netlist) Analyze() Cost {
 	var c Cost
-	depth := make([]float64, n.NumNodes())
+	depth := depthPool.get(n.NumNodes())
+	defer depthPool.put(depth)
 	at := func(s Signal) float64 {
 		if s < 0 {
 			return 0

@@ -1,6 +1,10 @@
 package netlist
 
-import "autoax/internal/cell"
+import (
+	"sync"
+
+	"autoax/internal/cell"
+)
 
 // Simplify performs synthesis-style logic optimization and returns a new,
 // functionally equivalent netlist.  It is the reproduction's stand-in for
@@ -17,11 +21,13 @@ import "autoax/internal/cell"
 // feeding it are stripped and the real area falls far below the sum of
 // library areas.
 func Simplify(n *Netlist) *Netlist {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	cur := n
-	prevArea := cur.Analyze().Area
+	prevArea := totalArea(cur)
 	for iter := 0; iter < 8; iter++ {
-		next := eliminateDead(rewriteOnce(cur))
-		area := next.Analyze().Area
+		next := s.eliminateDead(s.rewriteOnce(cur))
+		area := totalArea(next)
 		if area >= prevArea && len(next.Gates) >= len(cur.Gates) {
 			if iter == 0 {
 				return next // still return the cleaned-up copy
@@ -33,10 +39,36 @@ func Simplify(n *Netlist) *Netlist {
 	return cur
 }
 
+// scratch holds the working arrays of Simplify's passes.  Simplify
+// borrows one from scratchPool per call, so the arrays are reused from
+// pass to pass and from call to call.
+type scratch struct {
+	fanout []int32
+	mapped []Signal // old signal → new signal
+	live   []bool
+	stack  []Signal
+	// gates backs rewriteOnce's output, which only eliminateDead reads:
+	// the next rewrite pass overwrites it.
+	gates []Gate
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// totalArea is Analyze's Area alone: the cell areas summed in gate order.
+func totalArea(n *Netlist) float64 {
+	var a float64
+	for _, g := range n.Gates {
+		a += cell.Lookup(g.Kind).Area
+	}
+	return a
+}
+
 // rewriteOnce rebuilds the netlist through a folding builder, applying
 // gate-creating rewrites that the builder's local folding cannot express.
-func rewriteOnce(n *Netlist) *Netlist {
-	fanout := make([]int, n.NumNodes())
+// The result aliases s.gates and is valid until the next rewriteOnce.
+func (s *scratch) rewriteOnce(n *Netlist) *Netlist {
+	s.fanout = zeroed(s.fanout, n.NumNodes())
+	fanout := s.fanout
 	count := func(s Signal) {
 		if s >= 0 {
 			fanout[s]++
@@ -56,7 +88,10 @@ func rewriteOnce(n *Netlist) *Netlist {
 	}
 
 	b := NewBuilder(n.Name, n.NumInputs)
-	mapped := make([]Signal, n.NumNodes())
+	b.n.Gates = s.gates[:0]
+	b.Grow(len(n.Gates))
+	s.mapped = zeroed(s.mapped, n.NumNodes())
+	mapped := s.mapped
 	for i := 0; i < n.NumInputs; i++ {
 		mapped[i] = Signal(i)
 	}
@@ -207,7 +242,9 @@ func rewriteOnce(n *Netlist) *Netlist {
 	for _, o := range n.Outputs {
 		b.Output(res(o))
 	}
-	return b.Build()
+	out := b.Build()
+	s.gates = out.Gates
+	return out
 }
 
 // absorbedInv emits the cell that computes kind(a, NOT x) without a
@@ -233,12 +270,12 @@ func absorbedInv(b *Builder, kind cell.Kind, a, x Signal) Signal {
 }
 
 // eliminateDead removes gates outside the transitive fan-in of the outputs
-// and compacts gate indices.
-func eliminateDead(n *Netlist) *Netlist {
-	live := make([]bool, n.NumNodes())
-	var mark func(Signal)
-	stack := make([]Signal, 0, len(n.Gates))
-	mark = func(s Signal) {
+// and compacts gate indices into a newly allocated netlist.
+func (s *scratch) eliminateDead(n *Netlist) *Netlist {
+	s.live = zeroed(s.live, n.NumNodes())
+	live := s.live
+	stack := s.stack[:0]
+	mark := func(s Signal) {
 		if s < 0 || live[s] {
 			return
 		}
@@ -262,8 +299,13 @@ func eliminateDead(n *Netlist) *Netlist {
 			mark(g.C)
 		}
 	}
-	remap := make([]Signal, n.NumNodes())
+	s.stack = stack
+	s.mapped = zeroed(s.mapped, n.NumNodes())
+	remap := s.mapped
 	out := &Netlist{Name: n.Name, NumInputs: n.NumInputs}
+	if kept := countTrue(live[n.NumInputs:]); kept > 0 {
+		out.Gates = make([]Gate, 0, kept)
+	}
 	for i := 0; i < n.NumInputs; i++ {
 		remap[i] = Signal(i)
 	}
@@ -293,4 +335,14 @@ func eliminateDead(n *Netlist) *Netlist {
 		out.Outputs[i] = res(o)
 	}
 	return out
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
 }

@@ -12,23 +12,21 @@ import (
 )
 
 // Each calls fn(i) for every i in [0, n) on min(GOMAXPROCS, n) goroutines
-// and returns each call's error by index.  A panic in fn(i) becomes
-// errs[i].  The context is checked before each call: once it is done the
-// remaining indices are not started and report ctx.Err().  Each returns
-// only after every call it started has returned, so no goroutine
-// outlives it.
+// that claim indices in order from a shared counter, and returns each
+// call's error by index.  A panic in fn(i) becomes errs[i].  The context
+// is checked before each claim: once it is done the remaining indices are
+// not started and report ctx.Err(), while every claimed index runs to
+// completion — so when a call fails and cancels ctx, every lower index
+// still runs, as in a sequential loop.  Each returns only after every
+// call it started has returned, so no goroutine outlives it.
 func Each(ctx context.Context, n int, fn func(i int) error) []error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	work := func() {
-		for {
+		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
-			}
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
 			}
 			errs[i] = recovered(fn, i)
 		}
@@ -36,17 +34,22 @@ func Each(ctx context.Context, n int, fn func(i int) error) []error {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		work()
-		return errs
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	if err := ctx.Err(); err != nil {
+		for i := min(int(next.Load()), n); i < n; i++ {
+			errs[i] = err
+		}
 	}
-	wg.Wait()
 	return errs
 }
 

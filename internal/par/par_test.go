@@ -118,3 +118,32 @@ func TestEachCancellation(t *testing.T) {
 	})
 	waitGoroutines(t, base)
 }
+
+// TestEachRunsLowerIndicesAfterCancel: a call that cancels the context
+// stops later claims only; every lower index was claimed first and runs,
+// as in a sequential loop.
+func TestEachRunsLowerIndicesAfterCancel(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		withGOMAXPROCS(p, func() {
+			for m := 0; m < 64; m += 7 {
+				ctx, cancel := context.WithCancel(context.Background())
+				errs := Each(ctx, 64, func(i int) error {
+					if i == m {
+						cancel()
+						return fmt.Errorf("fail %d", i)
+					}
+					return nil
+				})
+				cancel()
+				for i, err := range errs {
+					switch {
+					case i < m && err != nil:
+						t.Fatalf("GOMAXPROCS %d, cancel at %d: errs[%d] = %v, want nil", p, m, i, err)
+					case i > m && err != nil && !errors.Is(err, context.Canceled):
+						t.Fatalf("GOMAXPROCS %d, cancel at %d: errs[%d] = %v", p, m, i, err)
+					}
+				}
+			}
+		})
+	}
+}

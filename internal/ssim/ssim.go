@@ -6,7 +6,11 @@
 // QoR evaluation of thousands of candidate accelerators stays cheap.
 package ssim
 
-import "autoax/internal/imagedata"
+import (
+	"sync"
+
+	"autoax/internal/imagedata"
+)
 
 const (
 	// WindowSize is the local statistics window (8×8, uniform weights).
@@ -18,7 +22,9 @@ const (
 	c2         = (k2 * l) * (k2 * l)
 )
 
-// integrals holds running sums for O(1) window statistics.
+// integrals holds running sums for O(1) window statistics.  The sums are
+// of 8-bit pixels and their products, so every entry is an integer well
+// inside float64's exact range.
 type integrals struct {
 	w, h int
 	sa   []float64 // Σ a
@@ -26,17 +32,31 @@ type integrals struct {
 	saa  []float64 // Σ a²
 	sbb  []float64 // Σ b²
 	sab  []float64 // Σ ab
+	buf  []float64 // backing array of the five tables
 }
 
-func buildIntegrals(a, b *imagedata.Image) *integrals {
+// integralsPool recycles the tables between SSIM calls; precise
+// evaluation scores every (simulation, image) pair of every configuration.
+var integralsPool = sync.Pool{New: func() any { return new(integrals) }}
+
+// buildIntegrals fills in, a pooled value, with the running sums of a and
+// b.  Only row 0 and column 0 are read before they are written, so only
+// they are cleared.
+func buildIntegrals(in *integrals, a, b *imagedata.Image) {
 	w, h := a.W, a.H
-	in := &integrals{
-		w: w + 1, h: h + 1,
-		sa:  make([]float64, (w+1)*(h+1)),
-		sb:  make([]float64, (w+1)*(h+1)),
-		saa: make([]float64, (w+1)*(h+1)),
-		sbb: make([]float64, (w+1)*(h+1)),
-		sab: make([]float64, (w+1)*(h+1)),
+	in.w, in.h = w+1, h+1
+	size := in.w * in.h
+	if cap(in.buf) < 5*size {
+		in.buf = make([]float64, 5*size)
+	}
+	in.buf = in.buf[:5*size]
+	in.sa, in.sb, in.saa, in.sbb, in.sab = in.buf[:size], in.buf[size:2*size],
+		in.buf[2*size:3*size], in.buf[3*size:4*size], in.buf[4*size:]
+	for _, t := range [...][]float64{in.sa, in.sb, in.saa, in.sbb, in.sab} {
+		clear(t[:in.w])
+		for y := 1; y < in.h; y++ {
+			t[y*in.w] = 0
+		}
 	}
 	for y := 0; y < h; y++ {
 		rowA, rowB, rowAA, rowBB, rowAB := 0.0, 0.0, 0.0, 0.0, 0.0
@@ -57,7 +77,6 @@ func buildIntegrals(a, b *imagedata.Image) *integrals {
 			in.sab[i] = in.sab[up] + rowAB
 		}
 	}
-	return in
 }
 
 func (in *integrals) window(t []float64, x0, y0, x1, y1 int) float64 {
@@ -75,7 +94,9 @@ func SSIM(a, b *imagedata.Image) float64 {
 	if a.W < WindowSize || a.H < WindowSize {
 		panic("ssim: image smaller than the SSIM window")
 	}
-	in := buildIntegrals(a, b)
+	in := integralsPool.Get().(*integrals)
+	defer integralsPool.Put(in)
+	buildIntegrals(in, a, b)
 	n := float64(WindowSize * WindowSize)
 	var total float64
 	var count int

@@ -14,16 +14,17 @@
 #
 # The trajectory benchmarks cover both paper inner loops: precise
 # configuration analysis (NetlistEval, NetlistEvalBlock, Characterize,
-# PreciseEvaluation, SSIM) and model-based estimation (ModelEstimate,
-# CompiledForestPredict, HillClimb1k, NSGA2Gen1k — the two search
-# engines), plus RandomForestFit, MLPFit and AutoEngineTrain (the whole
-# 13-engine bake-off train stage) for training, and the observability hot
-# path (ObsCounter, ObsHistogram, HillClimb1kObserved — compare against
-# HillClimb1k for the instrumented overhead).
+# Simplify, Synthesize, PreciseEvaluation, SSIM) and model-based
+# estimation (ModelEstimate, CompiledForestPredict, HillClimb1k,
+# NSGA2Gen1k — the two search engines), plus RandomForestFit, MLPFit and
+# AutoEngineTrain (the whole 13-engine bake-off train stage) for
+# training, and the observability hot path (ObsCounter, ObsHistogram,
+# HillClimb1kObserved — compare against HillClimb1k for the instrumented
+# overhead).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEval|BenchmarkNetlistEvalBlock|BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
+FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEval|BenchmarkNetlistEvalBlock|BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
 COUNT=${BENCH_COUNT:-3}
 
 # ./internal/ml carries the forest-walker benchmarks (PredictVaried,
