@@ -14,6 +14,7 @@ package autoax_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"autoax"
 	"autoax/internal/accel"
 	"autoax/internal/acl"
+	"autoax/internal/approxgen"
 	"autoax/internal/apps"
 	"autoax/internal/arith"
 	"autoax/internal/dse"
@@ -191,6 +193,40 @@ func BenchmarkCharacterize(b *testing.B) {
 		if _, err := acl.Characterize(nl, op, "exact", acl.Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCharacterizeHighError is BenchmarkCharacterize on a circuit
+// that is wrong almost everywhere: a 10-bit subtractor whose four low
+// result bits are tied to zero (error rate 15/16) over its 2^20-pair
+// sweep.  An exact circuit's sweep skips every word, so this row times
+// the unpack and the error loop.
+func BenchmarkCharacterizeHighError(b *testing.B) {
+	nl := approxgen.TruncSubtractor(10, 4)
+	op := acl.Op{Kind: acl.Sub, Width: 10}
+	for b.Loop() {
+		if _, err := acl.Characterize(nl, op, "trunc", acl.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUnpackBitsBlock measures turning one netlist.WideBlockWords
+// block of output bit-planes back into per-lane integers at the output
+// widths in use: 8 (pixels), 11 (sub10), 16 (mul8) and 17 (add16).
+func BenchmarkUnpackBitsBlock(b *testing.B) {
+	const W = netlist.WideBlockWords
+	for _, width := range []int{8, 11, 16, 17} {
+		b.Run(fmt.Sprintf("w=%d", width), func(b *testing.B) {
+			planes := make([]uint64, width*W)
+			for i := range planes {
+				planes[i] = uint64(i+1) * 0x9E3779B97F4A7C15
+			}
+			dst := make([]uint64, W*64)
+			for b.Loop() {
+				netlist.UnpackBitsBlock(planes, width, W, W*64, dst)
+			}
+		})
 	}
 }
 

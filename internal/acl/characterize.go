@@ -2,6 +2,7 @@ package acl
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"autoax/internal/netlist"
@@ -81,7 +82,8 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 	planes := make([]uint64, (wa+wb)*W)
 	scratch := make([]uint64, fast.NumSlots()*W)
 	outBuf := make([]uint64, outW*W)
-	var avals, bvals, ovals [W * 64]uint64
+	var avals, bvals [W * 64]uint64
+	var ovals [64]uint64
 	exhaustive := wa+wb <= opts.ExhaustiveBits
 	var total uint64
 	if exhaustive {
@@ -110,11 +112,6 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 			lanes = int(total - base)
 		}
 		if exhaustive {
-			for l := 0; l < lanes; l++ {
-				idx := base + uint64(l)
-				avals[l] = idx >> uint(wb)
-				bvals[l] = idx & maskB
-			}
 			// The operand pair is one counter (a‖b), so its input planes
 			// have a closed form — no 64×64 transpose on the input side.
 			for j := 0; j < wa; j++ {
@@ -137,30 +134,43 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 				sig = (sig ^ out[j*W+w]) * fnvPrime
 			}
 		}
-		netlist.UnpackBitsBlock(out, outW, W, lanes, ovals[:])
-		for l := 0; l < lanes; l++ {
-			exact := op.Value(op.Exact(avals[l], bvals[l]))
-			got := op.Value(ovals[l])
-			d := got - exact
-			if d < 0 {
-				d = -d
+		// Visit each word's lanes in ascending order.  For Add and Sub
+		// only the lanes whose output differs from the exact result are
+		// visited, and a word without one is not unpacked at all; the
+		// error sums see the same additions in the same order, since a
+		// lane with d == 0 adds nothing.  Mul visits every lane: its
+		// exact planes would cost more to build than the skip saves.
+		for w := 0; w*64 < lanes; w++ {
+			visit := ^uint64(0)
+			if rem := lanes - w*64; rem < 64 {
+				visit = uint64(1)<<uint(rem) - 1
 			}
-			if d != 0 {
-				errCount++
-				if d > wce {
-					wce = d
+			if op.Kind != Mul {
+				if visit &= mismatch(op, planes, out, W, w); visit == 0 {
+					continue
 				}
-				fd := float64(d)
-				sumAbs += fd
-				sumSq += fd * fd
-				den := exact
-				if den < 0 {
-					den = -den
+			}
+			netlist.UnpackBlockWord(out, outW, W, w, 64-bits.LeadingZeros64(visit), ovals[:])
+			for ; visit != 0; visit &= visit - 1 {
+				l := bits.TrailingZeros64(visit)
+				var a, b uint64
+				if exhaustive {
+					idx := base + uint64(w*64+l)
+					a, b = idx>>uint(wb), idx&maskB
+				} else {
+					a, b = avals[w*64+l], bvals[w*64+l]
 				}
-				if den == 0 {
-					den = 1
+				exact := op.Value(op.Exact(a, b))
+				got := op.Value(ovals[l])
+				// Branch-free: |got − exact|, and |exact| with 0 read as 1.
+				if d := max(got-exact, exact-got); d != 0 {
+					errCount++
+					wce = max(wce, d)
+					fd := float64(d)
+					sumAbs += fd
+					sumSq += fd * fd
+					sumRel += fd / float64(max(exact, -exact, 1))
 				}
-				sumRel += fd / float64(den)
 			}
 		}
 		// Activity batches stay 64-lane: re-slice the block planes so the
@@ -191,4 +201,28 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 	c.Energy = cost.Energy
 	c.Gates = cost.GateCount
 	return c, nil
+}
+
+// mismatch returns, for word w of the block planes (planes[k*words+w]),
+// the lanes where the Add or Sub circuit's output planes differ from the
+// exact result.  The exact planes come from a bit-sliced ripple adder
+// over the input planes; Sub adds the inverted subtrahend with carry-in
+// 1, and the zero-extended top operand bits make the top result bit the
+// final carry (Add) or its complement (Sub).  Padded lanes past the
+// block's count are not masked out here.
+func mismatch(op Op, planes, out []uint64, words, w int) uint64 {
+	wa, _ := op.InWidths()
+	var inv uint64
+	if op.Kind == Sub {
+		inv = ^uint64(0)
+	}
+	carry := inv
+	var diff uint64
+	for j := 0; j < wa; j++ {
+		x := planes[j*words+w]
+		y := planes[(wa+j)*words+w] ^ inv
+		diff |= out[j*words+w] ^ x ^ y ^ carry
+		carry = x&y | carry&(x^y)
+	}
+	return diff | (out[wa*words+w] ^ carry ^ inv)
 }

@@ -2,8 +2,10 @@ package axserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 
 	"autoax/internal/accel"
 	"autoax/internal/acl"
@@ -239,8 +241,11 @@ const modelCacheEntries = 4
 // modelEntry is one memoized (possibly in-flight) model build.
 type modelEntry struct {
 	ready chan struct{} // closed when m/err are set
-	m     *dse.Models
-	err   error
+	// waiters counts the callers that parked on ready (lets tests
+	// release a leader only once its waiters have joined).
+	waiters atomic.Int32
+	m       *dse.Models
+	err     error
 }
 
 // shardModels returns the trained models for a shard request's model
@@ -252,16 +257,37 @@ func (s *Server) shardModels(ctx context.Context, req SearchShardRequest, app *a
 	if err != nil {
 		return nil, err
 	}
+	return s.sharedModels(ctx, key, func(ctx context.Context) (*dse.Models, error) {
+		return s.buildShardModels(ctx, req, app, libBytes)
+	})
+}
+
+// sharedModels is shardModels' singleflight over the model memo: the
+// first caller for key (the leader) runs build under its own ctx, later
+// callers wait for it.  A waiter shares the leader's result and error,
+// except when the leader failed only because its own context ended while
+// the waiter's is still live: the waiter then retries, becoming the
+// leader if no one else has.  A panic in build becomes the leader's
+// error, and the entry is always finished, so waiters never wedge.
+func (s *Server) sharedModels(ctx context.Context, key string, build func(context.Context) (*dse.Models, error)) (m *dse.Models, err error) {
 	s.modelMu.Lock()
-	if e, ok := s.models[key]; ok {
+	for {
+		e, ok := s.models[key]
+		if !ok {
+			break
+		}
 		s.touchModelLocked(key)
 		s.modelMu.Unlock()
+		e.waiters.Add(1)
 		select {
 		case <-e.ready:
-			return e.m, e.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+		if !isContextErr(e.err) || ctx.Err() != nil {
+			return e.m, e.err
+		}
+		s.modelMu.Lock()
 	}
 	e := &modelEntry{ready: make(chan struct{})}
 	s.models[key] = e
@@ -272,22 +298,35 @@ func (s *Server) shardModels(ctx context.Context, req SearchShardRequest, app *a
 	}
 	s.modelMu.Unlock()
 
-	e.m, e.err = s.buildShardModels(ctx, req, app, libBytes)
-	close(e.ready)
-	if e.err != nil {
-		s.modelMu.Lock()
-		if s.models[key] == e {
-			delete(s.models, key)
-			for i, k := range s.modelOrder {
-				if k == key {
-					s.modelOrder = append(s.modelOrder[:i], s.modelOrder[i+1:]...)
-					break
+	defer func() {
+		if r := recover(); r != nil {
+			e.m, e.err = nil, fmt.Errorf("model build panicked: %v", r)
+		}
+		// Evict before waking the waiters, so a retrying waiter finds
+		// the key free rather than this finished, failed entry.
+		if e.err != nil {
+			s.modelMu.Lock()
+			if s.models[key] == e {
+				delete(s.models, key)
+				for i, k := range s.modelOrder {
+					if k == key {
+						s.modelOrder = append(s.modelOrder[:i], s.modelOrder[i+1:]...)
+						break
+					}
 				}
 			}
+			s.modelMu.Unlock()
 		}
-		s.modelMu.Unlock()
-	}
+		close(e.ready)
+		m, err = e.m, e.err
+	}()
+	e.m, e.err = build(ctx)
 	return e.m, e.err
+}
+
+// isContextErr reports whether err is a context cancellation or deadline.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // touchModelLocked moves key to the most-recently-used end.

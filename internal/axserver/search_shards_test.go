@@ -1,11 +1,17 @@
 package axserver
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"autoax/internal/dse"
 	"autoax/internal/fleet"
 )
 
@@ -185,5 +191,134 @@ func mustSamePoints(t *testing.T, a, b []fleet.ShardPoint, label string) {
 	t.Helper()
 	if !samePoints(a, b) {
 		t.Fatalf("%s: shard archives are not bit-identical (%d vs %d points)", label, len(a), len(b))
+	}
+}
+
+// modelServer is a Server with only the shard-model memo set up, enough
+// to drive sharedModels directly.
+func modelServer() *Server {
+	return &Server{models: make(map[string]*modelEntry)}
+}
+
+// awaitModelWaiter blocks until one caller has parked on key's in-flight
+// model build — synchronizing on the entry's waiter count, not on timing.
+func awaitModelWaiter(t *testing.T, s *Server, key string) {
+	t.Helper()
+	s.modelMu.Lock()
+	e := s.models[key]
+	s.modelMu.Unlock()
+	if e == nil {
+		t.Fatal("leader's model entry not registered")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.waiters.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never joined the model build")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSharedModelsPanicDoesNotWedge pins the panic path of the model
+// singleflight: a panicking build becomes the leader's error, a waiter
+// parked on the build returns, and the key is not left cached, so the
+// next request builds instead of waiting forever on an entry that never
+// finishes.
+func TestSharedModelsPanicDoesNotWedge(t *testing.T) {
+	s := modelServer()
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.sharedModels(context.Background(), "k", func(context.Context) (*dse.Models, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+		leaderErr <- err
+	}()
+	<-started
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, err := s.sharedModels(context.Background(), "k", func(context.Context) (*dse.Models, error) {
+			return &dse.Models{}, nil
+		})
+		waiterDone <- err
+	}()
+	awaitModelWaiter(t, s, "k")
+	close(release)
+	if err := <-leaderErr; err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("leader: got %v, want the panic as an error", err)
+	}
+	select {
+	case <-waiterDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter wedged on the panicked build")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	want := &dse.Models{}
+	m, err := s.sharedModels(ctx, "k", func(context.Context) (*dse.Models, error) { return want, nil })
+	if err != nil || m != want {
+		t.Fatalf("after the panic: got (%p, %v), want a fresh build", m, err)
+	}
+}
+
+// TestSharedModelsWaiterOutlivesCancelledLeader pins the cancellation path
+// of the model singleflight: when the leader's own context ends, a waiter
+// whose context is still live builds the models itself instead of
+// returning the leader's context error (which reached a still-connected
+// coordinator as a 500).
+func TestSharedModelsWaiterOutlivesCancelledLeader(t *testing.T) {
+	s := modelServer()
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.sharedModels(leaderCtx, "k", func(ctx context.Context) (*dse.Models, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+	want := &dse.Models{}
+	var builds atomic.Int32
+	type result struct {
+		m   *dse.Models
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		m, err := s.sharedModels(context.Background(), "k", func(context.Context) (*dse.Models, error) {
+			builds.Add(1)
+			return want, nil
+		})
+		waiter <- result{m, err}
+	}()
+	awaitModelWaiter(t, s, "k")
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: got %v, want context.Canceled", err)
+	}
+	select {
+	case r := <-waiter:
+		if r.err != nil || r.m != want {
+			t.Fatalf("waiter: got (%p, %v), want its own build", r.m, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter did not return")
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("waiter ran %d builds, want 1", n)
+	}
+	// The rebuilt models are memoized for the next shard.
+	m, err := s.sharedModels(context.Background(), "k", func(context.Context) (*dse.Models, error) {
+		t.Fatal("memoized models rebuilt")
+		return nil, nil
+	})
+	if err != nil || m != want {
+		t.Fatalf("memo: got (%p, %v)", m, err)
 	}
 }

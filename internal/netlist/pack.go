@@ -1,6 +1,8 @@
 package netlist
 
-// Bit-plane packing via the 64×64 bit-matrix transpose.
+import "math/bits"
+
+// Bit-plane packing via block-diagonal bit-matrix transposes.
 //
 // Viewing 64 integer samples as a 64×64 bit matrix (row l = sample l,
 // column k = bit k), converting between per-sample integers and per-bit
@@ -8,23 +10,53 @@ package netlist
 // network (Hacker's Delight §7-3, widened to 64×64) performs it in
 // 6 log-steps of word operations instead of the O(width×64) shift-and-or
 // bit loop, and every step is branch-free straight-line code.
+//
+// Unpacking only needs as many planes as the output is wide, so it runs
+// the innermost log2 b stages over b rows, with b the smallest of 8, 16,
+// 32 and 64 that holds the planes: each b×b diagonal block of the matrix
+// is transposed in place, at a fraction of the full network's cost.
 
-// transpose64 transposes a 64×64 bit matrix in place: afterwards bit l of
-// word k equals what bit k of word l was.  The block-swap network is
-// symmetric under simultaneous reversal of row order and bit order, so it
-// is a plain transpose in the little-endian convention used here.
-func transpose64(a *[64]uint64) {
-	j := uint(32)
-	m := uint64(0x00000000FFFFFFFF)
-	for j != 0 {
-		for k := uint(0); k < 64; k = (k + j + 1) &^ j {
-			t := ((a[k] >> j) ^ a[k|j]) & m
-			a[k|j] ^= t
-			a[k] ^= t << j
+// swapMask[s] selects the low 2^s bits of every 2^(s+1)-bit group: the
+// bits a block-swap stage of stride 2^s moves.
+var swapMask = [6]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF,
+	0x0000FFFF0000FFFF,
+	0x00000000FFFFFFFF,
+}
+
+// transposeBlocks transposes the b×b diagonal blocks of the bit matrix in
+// rows a[0..b), b one of 8, 16, 32 or 64: afterwards bit c·b+r of row k
+// is what bit c·b+k of row r was.  Rows from b up are not touched.  With
+// b = 64 this is the full 64×64 transpose; the network is symmetric
+// under simultaneous reversal of row order and bit order, so it is a
+// plain transpose in the little-endian convention used here.
+func transposeBlocks(a *[64]uint64, b uint) {
+	for s := bits.TrailingZeros(b) - 1; s >= 0; s-- {
+		j := uint(1) << uint(s)
+		m := swapMask[s]
+		for k := uint(0); k < b; k = (k + j + 1) &^ j {
+			t := ((a[k&63] >> j) ^ a[(k|j)&63]) & m
+			a[(k|j)&63] ^= t
+			a[k&63] ^= t << j
 		}
-		j >>= 1
-		m ^= m << j
 	}
+}
+
+// blockSize returns the transpose block for width planes: the smallest
+// of 8, 16, 32 and 64 that is at least width.
+func blockSize(width int) uint {
+	switch {
+	case width <= 8:
+		return 8
+	case width <= 16:
+		return 16
+	case width <= 32:
+		return 32
+	}
+	return 64
 }
 
 // PackBits converts up to 64 integer samples of one operand into bit-plane
@@ -32,17 +64,14 @@ func transpose64(a *[64]uint64) {
 func PackBits(vals []uint64, width int, dst []uint64) {
 	var m [64]uint64
 	copy(m[:], vals)
-	transpose64(&m)
+	transposeBlocks(&m, 64)
 	copy(dst[:width], m[:width])
 }
 
 // UnpackBits reverses PackBits: it extracts count per-lane integers from
 // bit-plane words into dst.  dst must have length ≥ count.
 func UnpackBits(planes []uint64, count int, dst []uint64) {
-	var m [64]uint64
-	copy(m[:], planes)
-	transpose64(&m)
-	copy(dst[:count], m[:count])
+	UnpackBlockWord(planes, min(len(planes), 64), 1, 0, count, dst)
 }
 
 // PackBitsBlock packs up to words×64 samples into the block-plane layout
@@ -67,7 +96,7 @@ func PackBitsBlock(vals []uint64, width, words int, dst []uint64) {
 		for l := len(chunk); l < 64; l++ {
 			m[l] = 0
 		}
-		transpose64(&m)
+		transposeBlocks(&m, 64)
 		for k := 0; k < width; k++ {
 			dst[k*words+w] = m[k]
 		}
@@ -125,19 +154,28 @@ func ExtractBlockWord(planes []uint64, words, w int, dst []uint64) {
 // integers from block planes laid out as planes[k*words+w] into dst.
 // dst must have length ≥ count.
 func UnpackBitsBlock(planes []uint64, width, words, count int, dst []uint64) {
-	var m [64]uint64
 	for w := 0; w < words && w*64 < count; w++ {
-		for k := 0; k < width; k++ {
-			m[k] = planes[k*words+w]
-		}
-		for k := width; k < 64; k++ {
-			m[k] = 0
-		}
-		transpose64(&m)
-		lanes := count - w*64
-		if lanes > 64 {
-			lanes = 64
-		}
-		copy(dst[w*64:w*64+lanes], m[:lanes])
+		UnpackBlockWord(planes, width, words, w, min(count-w*64, 64), dst[w*64:])
+	}
+}
+
+// UnpackBlockWord extracts the per-lane integers of word w alone from
+// block planes laid out as planes[k*words+w], for lanes 0..lanes-1 of
+// that word, into dst (length ≥ lanes, lanes ≤ 64).  Its cost scales
+// with width: the transpose runs on the smallest 8-, 16-, 32- or 64-row
+// block that holds the planes.
+func UnpackBlockWord(planes []uint64, width, words, w, lanes int, dst []uint64) {
+	var m [64]uint64
+	b := blockSize(width)
+	for k := 0; k < width; k++ {
+		m[k] = planes[k*words+w]
+	}
+	transposeBlocks(&m, b)
+	// Lane c·b+r now sits at bits [c·b, c·b+b) of row r; rows width..b-1
+	// were zero, so the value's bits from width up are zero.
+	lo := b - 1
+	mask := uint64(1)<<b - 1
+	for l := range dst[:lanes] {
+		dst[l] = m[uint(l)&lo&63] >> (uint(l) &^ lo) & mask
 	}
 }

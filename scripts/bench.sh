@@ -14,7 +14,8 @@
 #
 # The trajectory benchmarks cover both paper inner loops: precise
 # configuration analysis (NetlistEval, NetlistEvalBlock, Characterize,
-# Simplify, Synthesize, PreciseEvaluation, SSIM) and model-based
+# CharacterizeHighError, UnpackBitsBlock, Simplify, Synthesize,
+# PreciseEvaluation, SSIM) and model-based
 # estimation (ModelEstimate, CompiledForestPredict, HillClimb1k,
 # NSGA2Gen1k — the two search engines), plus RandomForestFit, MLPFit and
 # AutoEngineTrain (the whole 13-engine bake-off train stage) for
@@ -24,7 +25,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEval|BenchmarkNetlistEvalBlock|BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
+FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEval|BenchmarkNetlistEvalBlock|BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
 COUNT=${BENCH_COUNT:-3}
 
 # ./internal/ml carries the forest-walker benchmarks (PredictVaried,
