@@ -105,6 +105,9 @@ type (
 	// ProgramCacheConfig configures the evaluator's persistent
 	// compiled-program tier (directory, byte budget, TTL).
 	ProgramCacheConfig = accel.ProgramCacheConfig
+	// ProgramDir is an open compiled-program directory, shared by every
+	// evaluator and pipeline over it (see OpenProgramDir).
+	ProgramDir = accel.ProgramDir
 	// ProgramCacheStats reports compiled-program cache effectiveness,
 	// including the disk tier's hit/self-heal counters.
 	ProgramCacheStats = accel.ProgramCacheStats
@@ -380,11 +383,18 @@ func NewEvaluator(app *ImageApp, images []*Image) (*Evaluator, error) {
 	return accel.NewEvaluator(app, images)
 }
 
+// OpenProgramDir opens a persistent compiled-program directory; open it
+// once per directory and share the handle.  A zero-Dir config returns
+// nil, the in-memory cache only.
+func OpenProgramDir(cfg ProgramCacheConfig) (*ProgramDir, error) {
+	return accel.OpenProgramDir(cfg)
+}
+
 // NewEvaluatorWithCache is NewEvaluator with a persistent compiled-
-// program tier: synthesized programs are written to cfg.Dir and decoded
-// by later evaluators over the same circuits instead of recompiled.
-func NewEvaluatorWithCache(app *ImageApp, images []*Image, cfg ProgramCacheConfig) (*Evaluator, error) {
-	return accel.NewEvaluatorWithCache(app, images, cfg)
+// program tier: synthesized programs are written to dir and decoded by
+// later evaluators over the same circuits instead of recompiled.
+func NewEvaluatorWithCache(app *ImageApp, images []*Image, dir *ProgramDir) (*Evaluator, error) {
+	return accel.NewEvaluatorWithCache(app, images, dir)
 }
 
 // NewPipeline prepares a methodology run for an app.

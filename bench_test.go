@@ -284,7 +284,11 @@ func BenchmarkProgramDiskCacheWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm, err := accel.NewEvaluatorWithCache(app, images, accel.ProgramCacheConfig{Dir: dir})
+	pd, err := accel.OpenProgramDir(accel.ProgramCacheConfig{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm, err := accel.NewEvaluatorWithCache(app, images, pd)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -294,7 +298,11 @@ func BenchmarkProgramDiskCacheWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ev, err := accel.NewEvaluatorWithCache(app, images, accel.ProgramCacheConfig{Dir: dir})
+		pd, err := accel.OpenProgramDir(accel.ProgramCacheConfig{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev, err := accel.NewEvaluatorWithCache(app, images, pd)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -318,22 +318,16 @@ func NewEvaluator(app *ImageApp, images []*imagedata.Image) (*Evaluator, error) 
 }
 
 // NewEvaluatorWithCache is NewEvaluator with a persistent compiled-
-// program tier: synthesized artifacts are also written to cfg.Dir, and
-// a fresh evaluator (e.g. after a server restart) over the same
-// circuits decodes them instead of re-running Flatten+Simplify+Compile.
-// A zero-Dir config degrades to the in-memory cache only.
-func NewEvaluatorWithCache(app *ImageApp, images []*imagedata.Image, cfg ProgramCacheConfig) (*Evaluator, error) {
+// program tier: synthesized artifacts are also written to dir, and a
+// fresh evaluator (e.g. after a server restart) over the same circuits
+// decodes them instead of re-running Flatten+Simplify+Compile.  A nil
+// dir degrades to the in-memory cache only.
+func NewEvaluatorWithCache(app *ImageApp, images []*imagedata.Image, dir *ProgramDir) (*Evaluator, error) {
 	e, err := NewEvaluator(app, images)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Dir != "" {
-		disk, err := newProgDiskTier(cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.shared.progs.disk = disk
-	}
+	e.shared.progs.disk = dir
 	return e, nil
 }
 

@@ -2,13 +2,14 @@ package accel
 
 import (
 	"container/list"
-	"fmt"
+	"context"
 	"strings"
 	"sync"
 
 	"autoax/internal/acl"
 	"autoax/internal/netlist"
 	"autoax/internal/obs"
+	"autoax/internal/store"
 )
 
 // DefaultProgramCacheEntries is the default size cap of an evaluator's
@@ -31,33 +32,29 @@ type compiledConfig struct {
 	fast *netlist.Program
 }
 
-// progFlight is one cache slot: done is closed when the leader finishes
-// building, after which art/err are immutable.  elem is the entry's LRU
-// position, nil while the build is still in flight (in-flight entries are
-// never evicted).
-type progFlight struct {
-	key  string
-	done chan struct{}
-	art  compiledConfig
-	err  error
-	elem *list.Element
+// progEntry is one completed cache entry, the value of its LRU element.
+type progEntry struct {
+	key string
+	art compiledConfig
 }
 
 // programCache memoizes Flatten+Simplify+Compile per configuration,
 // keyed by the tuple of structural circuit hashes (acl.StructuralKey).
 // It is shared by every clone of an Evaluator and bounded by an LRU cap;
-// concurrent requests for the same key are coalesced so N clones racing
-// on one configuration synthesize it once.  Safe for concurrent use.
+// concurrent requests for the same key are coalesced through a
+// store.Flight so N clones racing on one configuration synthesize it
+// once.  Safe for concurrent use.
 type programCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*progFlight
-	lru     *list.List // of *progFlight, front = most recently used
+	entries map[string]*list.Element // completed builds only
+	lru     *list.List               // of *progEntry, front = most recently used
+	flight  store.Flight[string, compiledConfig]
 
 	// disk is the optional persistent tier: leaders probe it before
 	// building and write successful builds back.  Nil without a
 	// configured cache directory.
-	disk *progDiskTier
+	disk *ProgramDir
 
 	// circuitKeys memoizes acl.StructuralKey per circuit pointer: a DSE
 	// batch draws every configuration from one library, so each circuit
@@ -68,8 +65,7 @@ type programCache struct {
 	// leak).
 	circuitKeys map[*acl.Circuit]string
 
-	hits, misses, coalesced, evictions int64
-	diskHits, diskMisses, keyEvictions int64
+	st ProgramCacheStats // every field but Entries
 }
 
 // circuitKeyCap bounds the structural-key memo; see programCache.
@@ -101,7 +97,7 @@ type ProgramCacheStats struct {
 func newProgramCache(capacity int) *programCache {
 	return &programCache{
 		cap:         capacity,
-		entries:     make(map[string]*progFlight),
+		entries:     make(map[string]*list.Element),
 		lru:         list.New(),
 		circuitKeys: make(map[*acl.Circuit]string),
 	}
@@ -126,7 +122,7 @@ func (pc *programCache) configKey(cfg Configuration) string {
 			pc.mu.Lock()
 			if len(pc.circuitKeys) >= circuitKeyCap {
 				dropped := int64(len(pc.circuitKeys))
-				pc.keyEvictions += dropped
+				pc.st.KeyEvictions += dropped
 				pc.circuitKeys = make(map[*acl.Circuit]string)
 				progKeyEvictions.Add(dropped)
 			}
@@ -140,117 +136,97 @@ func (pc *programCache) configKey(cfg Configuration) string {
 }
 
 // get returns the compiled artifact for key, building it via build on a
-// miss.  Concurrent callers for the same key are coalesced: one leader
-// runs build, the rest wait on its flight and share a successful result.
-// Build failures are not cached and not shared — a waiter whose leader
-// failed retries the lookup and, if the key is still absent, becomes the
-// next leader — and a build panic is converted into the flight's error so
-// waiters are never left parked.
+// miss.  Concurrent callers for the same key share one build through the
+// flight; build failures are neither cached nor shared, and a build
+// panic becomes the leader's error.
 func (pc *programCache) get(key string, build func() (compiledConfig, error)) (compiledConfig, error) {
-	for {
-		pc.mu.Lock()
-		if f, ok := pc.entries[key]; ok {
-			if f.elem != nil { // completed entry: a plain hit
-				pc.lru.MoveToFront(f.elem)
-				pc.hits++
-				pc.mu.Unlock()
-				progHits.Inc()
-				return f.art, f.err
-			}
-			pc.mu.Unlock()
-			<-f.done
-			if f.err == nil {
-				pc.mu.Lock()
-				pc.coalesced++
-				pc.mu.Unlock()
-				progCoalesced.Inc()
-				return f.art, nil
-			}
-			continue // leader failed: retry, possibly becoming the leader
-		}
-		f := &progFlight{key: key, done: make(chan struct{})}
-		pc.entries[key] = f
-		pc.mu.Unlock()
-
-		// Leader: serve from the persistent tier when possible; only a
-		// disk miss runs the build (and writes the result back), so the
-		// miss count stays exactly the number of builds executed.
-		fromDisk := false
-		if pc.disk != nil {
-			if art, ok := pc.disk.load(key); ok {
-				f.art = art
-				fromDisk = true
-				close(f.done)
-				pc.mu.Lock()
-				pc.diskHits++
-				pc.mu.Unlock()
-				progDiskHits.Inc()
-			} else {
-				pc.mu.Lock()
-				pc.diskMisses++
-				pc.mu.Unlock()
-				progDiskMisses.Inc()
-			}
-		}
-		if !fromDisk {
-			pc.mu.Lock()
-			pc.misses++
-			pc.mu.Unlock()
-			progMisses.Inc()
-
-			span := obs.Default().StartSpanIn(progCompile)
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						f.err = fmt.Errorf("accel: compiling configuration panicked: %v", r)
-					}
-					close(f.done)
-				}()
-				f.art, f.err = build()
-			}()
-			span.Finish()
-			if f.err == nil && pc.disk != nil {
-				pc.disk.store(key, f.art)
-			}
-		}
-
-		pc.mu.Lock()
-		evicted := 0
-		if f.err != nil {
-			delete(pc.entries, key)
-		} else {
-			f.elem = pc.lru.PushFront(f)
-			for pc.lru.Len() > pc.cap {
-				old := pc.lru.Back().Value.(*progFlight)
-				pc.lru.Remove(old.elem)
-				delete(pc.entries, old.key)
-				pc.evictions++
-				evicted++
-			}
-		}
-		pc.mu.Unlock()
-		progEvictions.Add(int64(evicted))
-		return f.art, f.err
+	if art, ok := pc.hit(key); ok {
+		return art, nil
 	}
+	art, shared, err := pc.flight.Do(context.Background(), key, func() (compiledConfig, error) {
+		// A leader that finished between the probe above and this
+		// flight has filled the entry already.
+		if art, ok := pc.hit(key); ok {
+			return art, nil
+		}
+		art, err := pc.fill(key, build)
+		if err == nil {
+			pc.mu.Lock()
+			pc.entries[key] = pc.lru.PushFront(&progEntry{key, art})
+			pc.trimLocked()
+			pc.mu.Unlock()
+		}
+		return art, err
+	})
+	if shared {
+		pc.count(&pc.st.Coalesced, progCoalesced)
+	}
+	return art, err
+}
+
+// hit serves key from a completed entry, counting the hit.
+func (pc *programCache) hit(key string) (compiledConfig, bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	el, ok := pc.entries[key]
+	if !ok {
+		return compiledConfig{}, false
+	}
+	pc.lru.MoveToFront(el)
+	pc.st.Hits++
+	progHits.Inc()
+	return el.Value.(*progEntry).art, true
+}
+
+// fill is the leader's path: serve from the persistent tier when
+// possible; only a disk miss runs the build (and writes the result
+// back), so the miss count stays exactly the number of builds executed.
+func (pc *programCache) fill(key string, build func() (compiledConfig, error)) (compiledConfig, error) {
+	if pc.disk != nil {
+		art, ok, healed := pc.disk.load(key)
+		if healed {
+			pc.count(&pc.st.SelfHeals, progDiskSelfHeals)
+		}
+		if ok {
+			pc.count(&pc.st.DiskHits, progDiskHits)
+			return art, nil
+		}
+		pc.count(&pc.st.DiskMisses, progDiskMisses)
+	}
+	pc.count(&pc.st.Misses, progMisses)
+	span := obs.Default().StartSpanIn(progCompile)
+	art, err := build()
+	span.Finish()
+	if err == nil && pc.disk != nil {
+		pc.disk.store(key, art)
+	}
+	return art, err
+}
+
+// trimLocked evicts from the LRU tail down to the cap.  Caller holds
+// pc.mu.
+func (pc *programCache) trimLocked() {
+	for pc.lru.Len() > 0 && pc.lru.Len() > pc.cap {
+		delete(pc.entries, pc.lru.Remove(pc.lru.Back()).(*progEntry).key)
+		pc.st.Evictions++
+		progEvictions.Inc()
+	}
+}
+
+// count adds one to a stats field and to its process-wide mirror.
+func (pc *programCache) count(field *int64, mirror *obs.Counter) {
+	pc.mu.Lock()
+	*field++
+	pc.mu.Unlock()
+	mirror.Inc()
 }
 
 // stats snapshots the cache counters.
 func (pc *programCache) stats() ProgramCacheStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	s := ProgramCacheStats{
-		Hits:         pc.hits,
-		Misses:       pc.misses,
-		Coalesced:    pc.coalesced,
-		Evictions:    pc.evictions,
-		Entries:      pc.lru.Len(),
-		DiskHits:     pc.diskHits,
-		DiskMisses:   pc.diskMisses,
-		KeyEvictions: pc.keyEvictions,
-	}
-	if pc.disk != nil {
-		s.SelfHeals = pc.disk.selfHeals.Load()
-	}
+	s := pc.st
+	s.Entries = pc.lru.Len()
 	return s
 }
 
@@ -261,12 +237,7 @@ func (pc *programCache) setLimit(n int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	pc.cap = n
-	for pc.lru.Len() > 0 && pc.lru.Len() > pc.cap {
-		old := pc.lru.Back().Value.(*progFlight)
-		pc.lru.Remove(old.elem)
-		delete(pc.entries, old.key)
-		pc.evictions++
-	}
+	pc.trimLocked()
 }
 
 // limit returns the current cap.

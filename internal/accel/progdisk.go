@@ -1,21 +1,14 @@
 package accel
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"math"
 	"time"
 
 	"autoax/internal/netlist"
+	"autoax/internal/store"
 )
 
 // ProgramCacheConfig configures the persistent tier of the
@@ -57,184 +50,51 @@ func progDiskName(key string) string {
 	return hex.EncodeToString(h[:]) + progDiskSuffix
 }
 
-type progDiskEntry struct {
-	size    int64
-	lastUse int64
-	elem    *list.Element // value: file name
+// ProgramDir is an open compiled-program directory: a store.Dir of
+// progDiskSuffix entry files, each one artifact in a store frame.  Open
+// it once per directory and process and share the handle across
+// evaluators — the byte budget and TTL hold per handle, so two handles
+// over one directory would each enforce the budget alone.  Safe for
+// concurrent use.
+type ProgramDir struct {
+	dir *store.Dir
 }
 
-// progDiskTier is the filesystem tier of a programCache: an inventory
-// of entry files ordered by last use, with a byte budget and optional
-// TTL, after the axserver artifact cache's disk tier.  All methods are
-// safe for concurrent use.
-type progDiskTier struct {
-	dir      string
-	maxBytes int64
-	ttl      time.Duration
-
-	mu      sync.Mutex
-	entries map[string]*progDiskEntry
-	lru     *list.List // of file name, front = most recently used
-	bytes   int64
-
-	selfHeals, evictions, expired atomic.Int64
-}
-
-func newProgDiskTier(cfg ProgramCacheConfig) (*progDiskTier, error) {
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("accel: program cache dir: %w", err)
+// OpenProgramDir opens (creating if needed) and inventories cfg.Dir,
+// trimming it to the byte budget and TTL.  A zero-Dir config returns a
+// nil handle: evaluators keep the in-memory cache only.
+func OpenProgramDir(cfg ProgramCacheConfig) (*ProgramDir, error) {
+	if cfg.Dir == "" {
+		return nil, nil
 	}
 	max := cfg.MaxBytes
 	if max == 0 {
 		max = DefaultProgramDiskBytes
 	}
-	t := &progDiskTier{
-		dir:      cfg.Dir,
-		maxBytes: max,
-		ttl:      cfg.TTL,
-		entries:  make(map[string]*progDiskEntry),
-		lru:      list.New(),
-	}
-	if err := t.scan(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// scan inventories existing entry files oldest-first, seeding last use
-// from modification times so a restart ages cold artifacts toward
-// eviction instead of granting everything a fresh lease, then trims to
-// the budget and sweeps expired entries.
-func (t *progDiskTier) scan() error {
-	des, err := os.ReadDir(t.dir)
-	if err != nil {
-		return fmt.Errorf("accel: program cache scan: %w", err)
-	}
-	type fileInfo struct {
-		name string
-		size int64
-		mod  int64
-	}
-	files := make([]fileInfo, 0, len(des))
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), progDiskSuffix) {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue // raced a concurrent delete; the entry just misses
-		}
-		files = append(files, fileInfo{de.Name(), info.Size(), info.ModTime().UnixNano()})
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].mod != files[j].mod {
-			return files[i].mod < files[j].mod
-		}
-		return files[i].name < files[j].name
+	d, err := store.OpenDir(store.DirConfig{
+		Path:     cfg.Dir,
+		Suffix:   progDiskSuffix,
+		MaxBytes: max,
+		TTL:      cfg.TTL,
+		OnDrop: func(evicted, expired int64) {
+			progDiskEvictions.Add(evicted)
+			progDiskExpired.Add(expired)
+		},
 	})
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, f := range files {
-		t.recordLocked(f.name, f.size, f.mod)
+	if err != nil {
+		return nil, fmt.Errorf("accel: program cache dir: %w", err)
 	}
-	t.sweepLocked(time.Now())
-	return nil
+	return &ProgramDir{dir: d}, nil
 }
 
-// recordLocked stamps name as most recently used (inserting it if new)
-// and evicts from the LRU tail past the byte budget — never the entry
-// just recorded.
-func (t *progDiskTier) recordLocked(name string, size, lastUse int64) {
-	if e, ok := t.entries[name]; ok {
-		t.bytes += size - e.size
-		e.size = size
-		e.lastUse = lastUse
-		t.lru.MoveToFront(e.elem)
-	} else {
-		e := &progDiskEntry{size: size, lastUse: lastUse}
-		e.elem = t.lru.PushFront(name)
-		t.entries[name] = e
-		t.bytes += size
-	}
-	if t.maxBytes <= 0 {
-		return
-	}
-	for t.bytes > t.maxBytes && t.lru.Len() > 1 {
-		back := t.lru.Back()
-		n := back.Value.(string)
-		e := t.entries[n]
-		t.lru.Remove(back)
-		delete(t.entries, n)
-		t.bytes -= e.size
-		os.Remove(filepath.Join(t.dir, n))
-		t.evictions.Add(1)
-		progDiskEvictions.Inc()
-	}
-}
-
-// sweepLocked deletes entries idle longer than the TTL from the LRU
-// tail; unlike budget eviction it may empty the tier.
-func (t *progDiskTier) sweepLocked(now time.Time) {
-	if t.ttl <= 0 {
-		return
-	}
-	cutoff := now.Add(-t.ttl).UnixNano()
-	for back := t.lru.Back(); back != nil; back = t.lru.Back() {
-		n := back.Value.(string)
-		e := t.entries[n]
-		if e.lastUse > cutoff {
-			return
-		}
-		t.lru.Remove(back)
-		delete(t.entries, n)
-		t.bytes -= e.size
-		os.Remove(filepath.Join(t.dir, n))
-		t.expired.Add(1)
-		progDiskExpired.Inc()
-	}
-}
-
-// touch records a use of name (size bytes) and runs budget eviction and
-// the TTL sweep.
-func (t *progDiskTier) touch(name string, size int64) {
-	now := time.Now()
-	t.mu.Lock()
-	t.recordLocked(name, size, now.UnixNano())
-	t.sweepLocked(now)
-	t.mu.Unlock()
-}
-
-// forget drops name from the inventory and deletes its file — the
-// self-heal path for entries that fail validation.
-func (t *progDiskTier) forget(name string) {
-	t.mu.Lock()
-	if e, ok := t.entries[name]; ok {
-		t.lru.Remove(e.elem)
-		delete(t.entries, name)
-		t.bytes -= e.size
-	}
-	t.mu.Unlock()
-	os.Remove(filepath.Join(t.dir, name))
-}
-
-// encodeArtifact serializes art as one entry file image:
-//
-//	magic | u32 format version | u64 payload length | payload | u64 FNV-1a
-//
-// with the payload the chained binary encodings of the simplified
+// encodeArtifact serializes art as one entry file image: a store frame
+// whose payload is the chained binary encodings of the simplified
 // netlist, the gate-slot-parity program and the fused fast program.
 func encodeArtifact(art compiledConfig) []byte {
 	payload := art.simp.AppendBinary(nil)
 	payload = art.prog.AppendBinary(payload)
 	payload = art.fast.AppendBinary(payload)
-	buf := make([]byte, 0, len(payload)+24)
-	buf = append(buf, progDiskMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, netlist.ProgramFormatVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	h := fnv.New64a()
-	h.Write(payload)
-	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
+	return store.AppendFrame(nil, progDiskMagic, netlist.ProgramFormatVersion, payload)
 }
 
 // decodeArtifact parses and validates an entry file image; any header,
@@ -243,21 +103,12 @@ func encodeArtifact(art compiledConfig) []byte {
 // unsafe evaluation kernels rely on, so a truncated or bit-flipped
 // entry can degrade only into a rebuild, never into a bad program.
 func decodeArtifact(buf []byte) (compiledConfig, error) {
-	if len(buf) < 24 || [4]byte(buf[:4]) != progDiskMagic {
-		return compiledConfig{}, fmt.Errorf("accel: program cache entry: bad header")
+	payload, n, err := store.ReadFrame(buf, progDiskMagic, netlist.ProgramFormatVersion, math.MaxUint64)
+	if err == nil && n != len(buf) {
+		err = fmt.Errorf("%d trailing bytes", len(buf)-n)
 	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v != netlist.ProgramFormatVersion {
-		return compiledConfig{}, fmt.Errorf("accel: program cache entry: format v%d, want v%d", v, netlist.ProgramFormatVersion)
-	}
-	plen := binary.LittleEndian.Uint64(buf[8:])
-	if plen != uint64(len(buf)-24) {
-		return compiledConfig{}, fmt.Errorf("accel: program cache entry: truncated")
-	}
-	payload := buf[16 : 16+plen]
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != binary.LittleEndian.Uint64(buf[16+plen:]) {
-		return compiledConfig{}, fmt.Errorf("accel: program cache entry: checksum mismatch")
+	if err != nil {
+		return compiledConfig{}, fmt.Errorf("accel: program cache entry: %w", err)
 	}
 	simp, rest, err := netlist.DecodeNetlist(payload)
 	if err != nil {
@@ -285,48 +136,25 @@ func decodeArtifact(buf []byte) (compiledConfig, error) {
 
 // load returns the artifact stored for key, or ok=false on a miss.  A
 // present-but-invalid entry (foreign file, truncation, rotation race,
-// bit rot) is deleted and counted as a self-heal, then reported as a
-// miss so the caller rebuilds and overwrites it.
-func (t *progDiskTier) load(key string) (compiledConfig, bool) {
+// bit rot) is deleted and reported as healed, then as a miss so the
+// caller rebuilds and overwrites it.
+func (p *ProgramDir) load(key string) (art compiledConfig, ok, healed bool) {
 	name := progDiskName(key)
-	buf, err := os.ReadFile(filepath.Join(t.dir, name))
+	buf, err := p.dir.Read(name)
 	if err != nil {
-		return compiledConfig{}, false
+		return compiledConfig{}, false, false
 	}
-	art, err := decodeArtifact(buf)
+	art, err = decodeArtifact(buf)
 	if err != nil {
-		t.forget(name)
-		t.selfHeals.Add(1)
-		progDiskSelfHeals.Inc()
-		return compiledConfig{}, false
+		p.dir.Remove(name)
+		return compiledConfig{}, false, true
 	}
-	t.touch(name, int64(len(buf)))
-	return art, true
+	p.dir.Touch(name, int64(len(buf)))
+	return art, true, false
 }
 
-// store writes key's artifact atomically (temp file + rename), so a
-// crash mid-write leaves at worst an ignored temp file, and records it
-// in the inventory.  Store failures are silent beyond the skipped
-// entry: the disk tier is an accelerator, not a source of truth.
-func (t *progDiskTier) store(key string, art compiledConfig) {
-	buf := encodeArtifact(art)
-	tmp, err := os.CreateTemp(t.dir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	name := progDiskName(key)
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(t.dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	t.touch(name, int64(len(buf)))
+// store writes key's artifact.  Store failures are silent beyond the
+// skipped entry: the disk tier is an accelerator, not a source of truth.
+func (p *ProgramDir) store(key string, art compiledConfig) {
+	_ = p.dir.Write(progDiskName(key), encodeArtifact(art))
 }

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,7 +18,11 @@ func diskFixture(t *testing.T, dir string) (*Evaluator, Configuration) {
 	t.Helper()
 	app := tinyApp()
 	images := []*imagedata.Image{imagedata.Synthetic(16, 12, 3)}
-	ev, err := NewEvaluatorWithCache(app, images, ProgramCacheConfig{Dir: dir})
+	pd, err := OpenProgramDir(ProgramCacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluatorWithCache(app, images, pd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +83,29 @@ func TestProgramDiskWarmRestart(t *testing.T) {
 	}
 	if st2.DiskHits != 1 || st2.SelfHeals != 0 {
 		t.Fatalf("warm stats %+v, want exactly 1 disk hit and no self-heals", st2)
+	}
+}
+
+// TestProgramDiskGoldenBytes pins the entry file format: the tiny app's
+// exact configuration encodes to the golden artifact in
+// internal/store/testdata, and that file decodes, so program directories
+// from earlier builds keep serving.  A netlist codec change must bump
+// netlist.ProgramFormatVersion and regenerate the golden file.
+func TestProgramDiskGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile("../store/testdata/tiny.prog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, cfg := diskFixture(t, t.TempDir())
+	art, err := ev.compiled(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := encodeArtifact(art); !bytes.Equal(b, golden) {
+		t.Fatalf("artifact bytes changed: %d bytes, golden %d", len(b), len(golden))
+	}
+	if _, err := decodeArtifact(golden); err != nil {
+		t.Fatalf("golden artifact does not decode: %v", err)
 	}
 }
 
@@ -185,44 +213,45 @@ func TestProgramDiskBudgetAndTTL(t *testing.T) {
 	}
 	size := int64(len(encodeArtifact(art)))
 
-	tier, err := newProgDiskTier(ProgramCacheConfig{Dir: t.TempDir(), MaxBytes: 2 * size})
+	tier, err := OpenProgramDir(ProgramCacheConfig{Dir: t.TempDir(), MaxBytes: 2 * size})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		tier.store(fmt.Sprintf("key-%d", i), art)
 	}
-	if got := tier.evictions.Load(); got != 2 {
+	if got := tier.dir.Stats().Evictions; got != 2 {
 		t.Fatalf("%d evictions under a 2-entry budget, want 2", got)
 	}
-	if _, ok := tier.load("key-3"); !ok {
+	if _, ok, _ := tier.load("key-3"); !ok {
 		t.Fatal("newest entry evicted by the byte budget")
 	}
-	if _, ok := tier.load("key-0"); ok {
+	if _, ok, _ := tier.load("key-0"); ok {
 		t.Fatal("oldest entry survived past the byte budget")
 	}
 
 	// TTL: age the surviving files behind the tier's back, then rescan —
 	// the restart path — and watch them expire.
-	ttlTier, err := newProgDiskTier(ProgramCacheConfig{Dir: t.TempDir(), TTL: time.Minute})
+	ttlDir := t.TempDir()
+	ttlTier, err := OpenProgramDir(ProgramCacheConfig{Dir: ttlDir, TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ttlTier.store("k", art)
 	old := time.Now().Add(-time.Hour)
-	for _, n := range entryFiles(t, ttlTier.dir) {
-		if err := os.Chtimes(filepath.Join(ttlTier.dir, n), old, old); err != nil {
+	for _, n := range entryFiles(t, ttlDir) {
+		if err := os.Chtimes(filepath.Join(ttlDir, n), old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reopened, err := newProgDiskTier(ProgramCacheConfig{Dir: ttlTier.dir, TTL: time.Minute})
+	reopened, err := OpenProgramDir(ProgramCacheConfig{Dir: ttlDir, TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reopened.load("k"); ok {
+	if _, ok, _ := reopened.load("k"); ok {
 		t.Fatal("entry idle past the TTL survived a rescan")
 	}
-	if got := reopened.expired.Load(); got != 1 {
+	if got := reopened.dir.Stats().Expired; got != 1 {
 		t.Fatalf("%d TTL expiries, want 1", got)
 	}
 }

@@ -4,13 +4,12 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"autoax/internal/store"
 )
 
 // Cache is a content-addressed artifact store: values are keyed by a
@@ -18,44 +17,29 @@ import (
 // so identical requests hit instead of recomputing.  Entries live in
 // memory and, when a directory is configured, on disk — a restarted server
 // warms from disk on first access.  The memory tier can be bounded by a
-// byte budget (NewCacheSized): least-recently-used entries are evicted
-// once the budget is exceeded, and an evicted artifact is re-promoted
-// from disk on its next use instead of being recomputed.  The disk tier
-// can carry its own LRU byte budget (NewCacheTiered); left unbounded it
-// keeps every artifact and keeps self-healing.  Concurrent identical
-// computations are coalesced (GetOrCompute), so N workers racing on the
-// same key run the build once.  Safe for concurrent use.
+// byte budget: least-recently-used entries are evicted once the budget is
+// exceeded, and an evicted artifact is re-promoted from disk on its next
+// use instead of being recomputed.  The disk tier is a store.Dir with its
+// own LRU byte budget and idle TTL; left unbounded it keeps every artifact
+// and keeps self-healing.  Concurrent identical computations are
+// coalesced (GetOrCompute), so N workers racing on the same key run the
+// build once.  Safe for concurrent use.
 type Cache struct {
-	dir          string        // "" = memory-only
-	maxBytes     int64         // ≤ 0 = unbounded memory tier
-	maxDiskBytes int64         // ≤ 0 = unbounded disk tier
-	diskTTL      time.Duration // ≤ 0 = no expiry
+	disk     *store.Dir // nil = memory-only
+	maxBytes int64      // ≤ 0 = unbounded memory tier
 
 	mu       sync.Mutex
 	mem      map[string]*memEntry
 	lru      *list.List // of string keys; front = most recently used
 	memBytes int64
 
-	// Disk-tier accounting, keyed by cache file name (the injective
-	// path() encoding) so a startup scan can rebuild it without knowing
-	// the keys.  Guarded by dmu; file removals during eviction happen
-	// under it too (evictions are rare and the files small).
-	dmu       sync.Mutex
-	disk      map[string]*diskEntry
-	diskLRU   *list.List // of string file names; front = most recently used
-	diskBytes int64
+	flights store.Flight[string, []byte]
 
-	// flights tracks in-progress computations per key (singleflight).
-	fmu     sync.Mutex
-	flights map[string]*flight
-
-	memHits       atomic.Int64
-	diskHits      atomic.Int64
-	misses        atomic.Int64
-	coalesced     atomic.Int64
-	evictions     atomic.Int64
-	diskEvictions atomic.Int64
-	diskExpired   atomic.Int64
+	memHits   atomic.Int64
+	diskHits  atomic.Int64
+	misses    atomic.Int64
+	coalesced atomic.Int64
+	evictions atomic.Int64
 }
 
 // memEntry is one memory-tier entry with its LRU position.
@@ -64,231 +48,54 @@ type memEntry struct {
 	elem *list.Element
 }
 
-// diskEntry is one disk-tier entry with its LRU position and last-use
-// time (UnixNano) for TTL expiry.
-type diskEntry struct {
-	size    int64
-	lastUse int64
-	elem    *list.Element
+// CacheConfig configures NewCache.  Each bound ≤ 0 means unbounded.
+type CacheConfig struct {
+	// Dir persists artifacts (created if missing); empty keeps the cache
+	// in memory only.
+	Dir string
+	// MemBytes is the memory tier's LRU byte budget.  With a Dir, an
+	// entry alone larger than it is kept on disk only.
+	MemBytes int64
+	// DiskBytes and DiskTTL are the disk tier's store.Dir budget and
+	// idle expiry — the TTL is the knob fleets use to stop a worker's
+	// artifact store growing without bound under a churning key
+	// population.
+	DiskBytes int64
+	DiskTTL   time.Duration
 }
 
-// flight is one in-progress computation; done is closed once b/err are
-// set, after which they are immutable.  waiters counts the callers parked
-// on done (observability for tests and future stats).
-type flight struct {
-	done    chan struct{}
-	waiters atomic.Int64
-	b       []byte
-	err     error
-}
-
-// NewCache returns a cache persisting under dir (created if missing), or a
-// memory-only cache when dir is empty.  The memory tier is unbounded; use
-// NewCacheSized to cap it.
-func NewCache(dir string) (*Cache, error) {
-	return NewCacheSized(dir, 0)
-}
-
-// NewCacheSized is NewCache with a memory-tier byte budget: once the
-// summed entry sizes exceed memBudget, least-recently-used entries are
-// evicted (an entry alone larger than the budget is not kept in memory at
-// all).  memBudget ≤ 0 means unbounded.  The disk tier is unbounded; use
-// NewCacheTiered to cap it.
-func NewCacheSized(dir string, memBudget int64) (*Cache, error) {
-	return NewCacheTiered(dir, memBudget, 0)
-}
-
-// NewCacheTiered is NewCacheSized with a disk-tier byte budget mirroring
-// the memory tier's LRU policy: once the summed cache-file sizes exceed
-// diskBudget, the least-recently-used files are deleted (the newest entry
-// is never evicted, so every stored artifact remains cached somewhere).
-// Existing cache files are inventoried at startup, oldest-modified
-// counting as least recently used, and trimmed to the budget immediately.
-// diskBudget ≤ 0 means unbounded (the tier is still inventoried so stats
-// report its footprint).
-func NewCacheTiered(dir string, memBudget, diskBudget int64) (*Cache, error) {
-	return NewCacheTieredTTL(dir, memBudget, diskBudget, 0)
-}
-
-// NewCacheTieredTTL is NewCacheTiered with a wall-clock bound on the disk
-// tier: files whose last use is older than diskTTL are deleted, whatever
-// the byte budget says — the knob fleets use to stop a worker's artifact
-// store growing without bound under a churning key population.  Expiry
-// runs on every disk-tier touch, on the startup inventory, and when
-// stats are read.  Last use is tracked in memory and approximated by the
-// file's modification time across restarts (reads do not rewrite
-// mtimes), so a restart ages read-only entries back to their write time.
-// diskTTL ≤ 0 disables expiry.
-func NewCacheTieredTTL(dir string, memBudget, diskBudget int64, diskTTL time.Duration) (*Cache, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+// NewCache returns a cache configured by cfg.
+func NewCache(cfg CacheConfig) (*Cache, error) {
+	c := &Cache{
+		maxBytes: cfg.MemBytes,
+		mem:      make(map[string]*memEntry),
+		lru:      list.New(),
+	}
+	if cfg.Dir != "" {
+		d, err := store.OpenDir(store.DirConfig{Path: cfg.Dir, Suffix: ".json", MaxBytes: cfg.DiskBytes, TTL: cfg.DiskTTL})
+		if err != nil {
 			return nil, fmt.Errorf("axserver: cache dir: %w", err)
 		}
-	}
-	c := &Cache{
-		dir:          dir,
-		maxBytes:     memBudget,
-		maxDiskBytes: diskBudget,
-		diskTTL:      diskTTL,
-		mem:          make(map[string]*memEntry),
-		lru:          list.New(),
-		disk:         make(map[string]*diskEntry),
-		diskLRU:      list.New(),
-		flights:      make(map[string]*flight),
-	}
-	if dir != "" {
-		if err := c.scanDisk(); err != nil {
-			return nil, err
-		}
+		c.disk = d
 	}
 	return c, nil
 }
 
-// scanDisk inventories the existing cache files into the disk-tier LRU —
-// oldest modification first, so a restarted server evicts cold artifacts
-// before recent ones — then trims to the budget.
-func (c *Cache) scanDisk() error {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return fmt.Errorf("axserver: cache dir scan: %w", err)
-	}
-	type fileInfo struct {
-		name string
-		size int64
-		mod  int64
-	}
-	files := make([]fileInfo, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue // skip temp files and anything not a cache entry
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue // raced a concurrent delete; the entry just misses
-		}
-		files = append(files, fileInfo{e.Name(), info.Size(), info.ModTime().UnixNano()})
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].mod != files[j].mod {
-			return files[i].mod < files[j].mod
-		}
-		return files[i].name < files[j].name
-	})
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	for _, f := range files {
-		// Seed last use from the modification time so a restarted server
-		// expires genuinely old artifacts instead of granting everything a
-		// fresh TTL lease.
-		c.diskRecordLocked(f.name, f.size, f.mod)
-	}
-	c.sweepExpiredLocked(time.Now())
-	return nil
-}
-
-// diskTouchLocked records name as the disk tier's most recently used
-// entry (inserting it if new), then evicts least-recently-used files
-// until the byte budget holds and sweeps TTL-expired entries.  Caller
-// must hold c.dmu.
-func (c *Cache) diskTouchLocked(name string, size int64) {
-	now := time.Now()
-	c.diskRecordLocked(name, size, now.UnixNano())
-	c.sweepExpiredLocked(now)
-}
-
-// diskRecordLocked is diskTouchLocked with an explicit last-use stamp
-// (the startup scan supplies file modification times) and without the
-// TTL sweep.  Caller must hold c.dmu.
-func (c *Cache) diskRecordLocked(name string, size, lastUse int64) {
-	if e, ok := c.disk[name]; ok {
-		c.diskBytes += size - e.size
-		e.size = size
-		e.lastUse = lastUse
-		c.diskLRU.MoveToFront(e.elem)
-	} else {
-		e := &diskEntry{size: size, lastUse: lastUse}
-		e.elem = c.diskLRU.PushFront(name)
-		c.disk[name] = e
-		c.diskBytes += size
-	}
-	if c.maxDiskBytes <= 0 {
-		return
-	}
-	for c.diskBytes > c.maxDiskBytes && c.diskLRU.Len() > 1 {
-		back := c.diskLRU.Back()
-		n := back.Value.(string)
-		e := c.disk[n]
-		c.diskLRU.Remove(back)
-		delete(c.disk, n)
-		c.diskBytes -= e.size
-		os.Remove(filepath.Join(c.dir, n))
-		c.diskEvictions.Add(1)
-	}
-}
-
-// sweepExpiredLocked deletes disk-tier entries idle longer than the TTL,
-// walking from the LRU tail: touch order and last-use order coincide, so
-// the walk stops at the first fresh entry.  Unlike budget eviction the
-// sweep may empty the tier — an artifact past its TTL is gone even if it
-// is the only one.  Caller must hold c.dmu.
-func (c *Cache) sweepExpiredLocked(now time.Time) {
-	if c.diskTTL <= 0 {
-		return
-	}
-	cutoff := now.Add(-c.diskTTL).UnixNano()
-	for back := c.diskLRU.Back(); back != nil; back = c.diskLRU.Back() {
-		n := back.Value.(string)
-		e := c.disk[n]
-		if e.lastUse > cutoff {
-			return
-		}
-		c.diskLRU.Remove(back)
-		delete(c.disk, n)
-		c.diskBytes -= e.size
-		os.Remove(filepath.Join(c.dir, n))
-		c.diskExpired.Add(1)
-	}
-}
-
-// diskTouch is diskTouchLocked taking the lock; no-op without a dir.
-func (c *Cache) diskTouch(name string, size int64) {
-	if c.dir == "" {
-		return
-	}
-	c.dmu.Lock()
-	c.diskTouchLocked(name, size)
-	c.dmu.Unlock()
-}
-
-// diskForget drops name from the disk-tier accounting (the caller removes
-// the file itself).
-func (c *Cache) diskForget(name string) {
-	if c.dir == "" {
-		return
-	}
-	c.dmu.Lock()
-	if e, ok := c.disk[name]; ok {
-		c.diskLRU.Remove(e.elem)
-		delete(c.disk, name)
-		c.diskBytes -= e.size
-	}
-	c.dmu.Unlock()
-}
-
-// path maps a namespaced key ("library/<hash>") to its on-disk file.  The
-// encoding must be injective so distinct keys can never share a file: "-"
-// is escaped to "-_" before "/" is folded to "--" (a bare "/"→"-"
-// replacement would map "library/x" and "library-x" to the same path).
+// diskName maps a namespaced key ("library/<hash>") to its cache file
+// name.  The encoding must be injective so distinct keys can never share
+// a file: "-" is escaped to "-_" before "/" is folded to "--" (a bare
+// "/"→"-" replacement would map "library/x" and "library-x" to the same
+// file).
 //
 // Files written under the old ambiguous encoding are deliberately not
 // migrated: a collided file may hold either key's artifact, and adopting
 // it under the new name could resurrect the wrong content.  Old entries
 // simply miss (and may be deleted by the operator); the rebuild stores
 // them under the unambiguous name.
-func (c *Cache) path(key string) string {
+func diskName(key string) string {
 	enc := strings.ReplaceAll(key, "-", "-_")
 	enc = strings.ReplaceAll(enc, "/", "--")
-	return filepath.Join(c.dir, enc+".json")
+	return enc + ".json"
 }
 
 // store inserts (or refreshes) key in the memory tier and evicts from the
@@ -302,12 +109,8 @@ func (c *Cache) path(key string) string {
 // set.  The newest entry itself is never evicted, so every stored
 // artifact remains cached somewhere.  Caller must hold c.mu.
 func (c *Cache) store(key string, data []byte) {
-	if c.maxBytes > 0 && int64(len(data)) > c.maxBytes && c.dir != "" {
-		if e, ok := c.mem[key]; ok { // drop any stale resident version
-			c.lru.Remove(e.elem)
-			c.memBytes -= int64(len(e.data))
-			delete(c.mem, key)
-		}
+	if c.maxBytes > 0 && int64(len(data)) > c.maxBytes && c.disk != nil {
+		c.dropLocked(key) // drop any stale resident version
 		return
 	}
 	if e, ok := c.mem[key]; ok {
@@ -324,59 +127,54 @@ func (c *Cache) store(key string, data []byte) {
 		return
 	}
 	for c.memBytes > c.maxBytes && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		k := back.Value.(string)
-		e := c.mem[k]
-		c.lru.Remove(back)
-		delete(c.mem, k)
-		c.memBytes -= int64(len(e.data))
+		c.dropLocked(c.lru.Back().Value.(string))
 		c.evictions.Add(1)
 	}
 }
 
-// lookup returns the cached bytes for key without touching the counters,
-// promoting the entry to most-recently-used.  A memory miss falls through
-// to disk and promotes the entry into the memory tier (which may evict
-// colder entries under a byte budget); disk reports which tier served the
-// hit.
-func (c *Cache) lookup(key string) (b []byte, disk, ok bool) {
+// dropLocked removes key from the memory tier.  Caller must hold c.mu.
+func (c *Cache) dropLocked(key string) {
+	if e, ok := c.mem[key]; ok {
+		c.lru.Remove(e.elem)
+		c.memBytes -= int64(len(e.data))
+		delete(c.mem, key)
+	}
+}
+
+// cached returns the cached bytes for key, promoting the entry to
+// most-recently-used and counting the hit in the tier that served it.  A
+// memory miss falls through to disk and promotes the entry into the
+// memory tier (which may evict colder entries under a byte budget).
+func (c *Cache) cached(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if e, ok := c.mem[key]; ok {
 		c.lru.MoveToFront(e.elem)
 		b := e.data
 		c.mu.Unlock()
-		return b, false, true
+		c.memHits.Add(1)
+		return b, true
 	}
 	c.mu.Unlock()
-	if c.dir == "" {
-		return nil, false, false
+	if c.disk == nil {
+		return nil, false
 	}
-	d, err := os.ReadFile(c.path(key))
+	name := diskName(key)
+	d, err := c.disk.Read(name)
 	if err != nil {
-		return nil, false, false
+		return nil, false
 	}
 	c.mu.Lock()
 	c.store(key, d)
 	c.mu.Unlock()
-	c.diskTouch(filepath.Base(c.path(key)), int64(len(d)))
-	return d, true, true
-}
-
-// hit records a served lookup in the tier that served it.
-func (c *Cache) hit(disk bool) {
-	if disk {
-		c.diskHits.Add(1)
-	} else {
-		c.memHits.Add(1)
-	}
+	c.disk.Touch(name, int64(len(d)))
+	c.diskHits.Add(1)
+	return d, true
 }
 
 // Get returns the cached bytes for key.  Hit/miss counters reflect the
 // combined memory+disk lookup; MemHits/DiskHits split hits by tier.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	b, disk, ok := c.lookup(key)
-	if ok {
-		c.hit(disk)
+	if b, ok := c.cached(key); ok {
 		return b, true
 	}
 	c.misses.Add(1)
@@ -390,98 +188,56 @@ func (c *Cache) Put(key string, data []byte) error {
 	c.mu.Lock()
 	c.store(key, data)
 	c.mu.Unlock()
-	if c.dir == "" {
+	if c.disk == nil {
 		return nil
 	}
-	dst := c.path(key)
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
+	if err := c.disk.Write(diskName(key), data); err != nil {
 		return fmt.Errorf("axserver: cache write: %w", err)
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("axserver: cache write: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("axserver: cache write: %w", err)
-	}
-	c.diskTouch(filepath.Base(dst), int64(len(data)))
 	return nil
 }
 
 // GetOrCompute returns the bytes for key, computing and storing them on a
-// miss.  Concurrent callers for the same key are coalesced: one (the
-// leader) runs compute, the rest wait and share its result.  shared
-// reports whether the caller was served without running compute itself —
-// from the cache or from a coalesced in-flight computation.
+// miss.  Concurrent callers for the same key are coalesced through a
+// store.Flight: one (the leader) runs compute, the rest wait and share its
+// result.  shared reports whether the caller was served without running
+// compute itself — from the cache or from a coalesced in-flight
+// computation.
 //
-// Failure is not shared: a waiter whose leader fails retries the whole
-// lookup and, if the key is still absent and idle, becomes the leader and
-// runs compute under its own ctx.  This keeps one job's cancellation from
-// failing every job coalesced behind it.  ctx only bounds the wait — the
-// leader's compute runs under whatever context compute itself captured.
-// Each call counts exactly once in the stats: a hit, a coalesced wait, or
-// (on becoming the leader) a miss — so the miss rate reflects actual
-// computations, not the number of callers that arrived during one.
+// Failure is not shared: a waiter whose leader fails retries and, if the
+// key is still absent and idle, becomes the leader and runs compute under
+// its own ctx.  This keeps one job's cancellation from failing every job
+// coalesced behind it.  ctx only bounds the wait — the leader's compute
+// runs under whatever context compute itself captured.  Each call counts
+// exactly once in the stats: a hit, a coalesced wait, or (on becoming the
+// leader) a miss — so the miss rate reflects actual computations, not the
+// number of callers that arrived during one.
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (b []byte, shared bool, err error) {
-	for {
-		if b, disk, ok := c.lookup(key); ok {
-			c.hit(disk)
-			return b, true, nil
+	if b, ok := c.cached(key); ok {
+		return b, true, nil
+	}
+	hit := false
+	b, shared, err = c.flights.Do(ctx, key, func() ([]byte, error) {
+		// A leader that finished between the lookup above and this
+		// flight has stored the artifact already.
+		if b, ok := c.cached(key); ok {
+			hit = true
+			return b, nil
 		}
-		c.fmu.Lock()
-		if f, ok := c.flights[key]; ok {
-			f.waiters.Add(1)
-			c.fmu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if f.err == nil {
-				c.coalesced.Add(1)
-				return f.b, true, nil
-			}
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[key] = f
-		c.fmu.Unlock()
 		c.misses.Add(1)
-		b, err := c.lead(f, key, compute)
-		return b, false, err
-	}
-}
-
-// lead runs compute as the flight's leader and finalizes the flight no
-// matter how compute exits.  A panic is converted into the leader's error
-// — the flight must never leak half-open, or every future request for the
-// key would park on it forever.
-func (c *Cache) lead(f *flight, key string, compute func() ([]byte, error)) (b []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			b, err = nil, fmt.Errorf("axserver: computing %s panicked: %v", key, r)
+		b, err := compute()
+		if err == nil {
+			// Persistence is best-effort: the artifact lands in the
+			// memory tier unconditionally, so a full disk must not turn a
+			// finished computation into a failure.
+			_ = c.Put(key, b)
 		}
-		f.b, f.err = b, err
-		c.fmu.Lock()
-		delete(c.flights, key)
-		c.fmu.Unlock()
-		close(f.done)
-	}()
-	b, err = compute()
-	if err == nil {
-		// Persistence is best-effort: the artifact lands in the memory
-		// tier unconditionally, so a full disk must not turn a finished
-		// computation into a failure.
-		_ = c.Put(key, b)
+		return b, err
+	})
+	if shared {
+		c.coalesced.Add(1)
 	}
-	return b, err
+	return b, shared || hit, err
 }
 
 // Delete removes an entry from memory and disk — used to self-heal when a
@@ -489,15 +245,10 @@ func (c *Cache) lead(f *flight, key string, compute func() ([]byte, error)) (b [
 // instead of failing forever on the poisoned key.
 func (c *Cache) Delete(key string) {
 	c.mu.Lock()
-	if e, ok := c.mem[key]; ok {
-		c.lru.Remove(e.elem)
-		c.memBytes -= int64(len(e.data))
-		delete(c.mem, key)
-	}
+	c.dropLocked(key)
 	c.mu.Unlock()
-	if c.dir != "" {
-		os.Remove(c.path(key))
-		c.diskForget(filepath.Base(c.path(key)))
+	if c.disk != nil {
+		c.disk.Remove(diskName(key))
 	}
 }
 
@@ -508,11 +259,10 @@ func (c *Cache) Stats() CacheStats {
 	n := len(c.mem)
 	bytes := c.memBytes
 	c.mu.Unlock()
-	c.dmu.Lock()
-	c.sweepExpiredLocked(time.Now())
-	dn := len(c.disk)
-	dbytes := c.diskBytes
-	c.dmu.Unlock()
+	var ds store.DirStats
+	if c.disk != nil {
+		ds = c.disk.Stats()
+	}
 	mem, disk := c.memHits.Load(), c.diskHits.Load()
 	return CacheStats{
 		Hits:          mem + disk,
@@ -523,9 +273,9 @@ func (c *Cache) Stats() CacheStats {
 		Evictions:     c.evictions.Load(),
 		Entries:       n,
 		MemBytes:      bytes,
-		DiskEvictions: c.diskEvictions.Load(),
-		DiskExpired:   c.diskExpired.Load(),
-		DiskEntries:   dn,
-		DiskBytes:     dbytes,
+		DiskEvictions: ds.Evictions,
+		DiskExpired:   ds.Expired,
+		DiskEntries:   ds.Entries,
+		DiskBytes:     ds.Bytes,
 	}
 }

@@ -2,9 +2,15 @@ package axserver
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
+
+// path returns the file backing key's disk-tier entry.
+func (c *Cache) path(key string) string {
+	return filepath.Join(c.disk.Path(), diskName(key))
+}
 
 // fileGone reports whether a cache entry's backing file has been removed.
 func fileGone(t *testing.T, c *Cache, key string) bool {
@@ -19,7 +25,7 @@ func fileGone(t *testing.T, c *Cache, key string) bool {
 // TestCacheDiskBudgetEvictsLRU pins the bounded disk tier: exceeding the
 // byte budget deletes least-recently-stored files and counts them.
 func TestCacheDiskBudgetEvictsLRU(t *testing.T) {
-	c, err := NewCacheTiered(t.TempDir(), 0, 100)
+	c, err := NewCache(CacheConfig{Dir: t.TempDir(), DiskBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +52,7 @@ func TestCacheDiskBudgetEvictsLRU(t *testing.T) {
 // The 1-byte memory budget keeps every artifact out of the memory tier, so
 // each Get is served — and touched — by disk.
 func TestCacheDiskPromoteOnHit(t *testing.T) {
-	c, err := NewCacheTiered(t.TempDir(), 1, 100)
+	c, err := NewCache(CacheConfig{Dir: t.TempDir(), MemBytes: 1, DiskBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +93,7 @@ func TestCacheDiskPromoteOnHit(t *testing.T) {
 // budget immediately, evicting cold artifacts before recent ones.
 func TestCacheDiskScanOnRestart(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewCacheTiered(dir, 0, 0) // unbounded writer
+	c1, err := NewCache(CacheConfig{Dir: dir}) // unbounded writer
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +114,7 @@ func TestCacheDiskScanOnRestart(t *testing.T) {
 		t.Fatalf("unbounded tier must inventory without evicting: %+v", st)
 	}
 
-	c2, err := NewCacheTiered(dir, 0, 100)
+	c2, err := NewCache(CacheConfig{Dir: dir, DiskBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,7 @@ func TestCacheDiskScanOnRestart(t *testing.T) {
 // TestCacheDiskNeverEvictsNewest: an artifact alone above the disk budget
 // is retained — every stored artifact must remain cached somewhere.
 func TestCacheDiskNeverEvictsNewest(t *testing.T) {
-	c, err := NewCacheTiered(t.TempDir(), 0, 10)
+	c, err := NewCache(CacheConfig{Dir: t.TempDir(), DiskBytes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +161,7 @@ func TestCacheDiskNeverEvictsNewest(t *testing.T) {
 // TestCacheDiskDeleteForgets: Delete drops the disk-tier accounting along
 // with the file.
 func TestCacheDiskDeleteForgets(t *testing.T) {
-	c, err := NewCacheTiered(t.TempDir(), 0, 0)
+	c, err := NewCache(CacheConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,5 +179,18 @@ func TestCacheDiskDeleteForgets(t *testing.T) {
 func TestServerRejectsNegativeDiskBudget(t *testing.T) {
 	if _, err := New(Options{DiskCacheBytes: -1}); err == nil {
 		t.Fatal("negative DiskCacheBytes must be rejected")
+	}
+}
+
+// TestServerRejectsUnusableProgramCacheDir: a ProgramCacheDir that cannot
+// be a directory fails New instead of failing every later pipeline job.
+func TestServerRejectsUnusableProgramCacheDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := New(Options{ProgramCacheDir: file}); err == nil {
+		s.Close()
+		t.Fatal("a regular file as ProgramCacheDir must be rejected")
 	}
 }

@@ -2,7 +2,6 @@ package axserver
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -13,7 +12,7 @@ import (
 // fresh entry alive while an idle one expires.
 func TestCacheDiskTTLExpiryOrder(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewCacheTiered(dir, 0, 0) // unbounded, no TTL writer
+	c1, err := NewCache(CacheConfig{Dir: dir}) // unbounded, no TTL writer
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestCacheDiskTTLExpiryOrder(t *testing.T) {
 
 	// Restart with a 1-hour TTL: the startup scan must expire exactly the
 	// two entries idle longer than an hour, oldest first.
-	c2, err := NewCacheTieredTTL(dir, 0, 0, time.Hour)
+	c2, err := NewCache(CacheConfig{Dir: dir, DiskTTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +60,10 @@ func TestCacheDiskTTLExpiryOrder(t *testing.T) {
 	if err := c2.Put("idle", payload); err != nil {
 		t.Fatal(err)
 	}
-	c2.dmu.Lock()
-	for _, e := range c2.disk {
-		e.lastUse = time.Now().Add(-2 * time.Hour).UnixNano()
+	for _, k := range []string{"fresh", "idle"} {
+		c2.disk.Record(diskName(k), 40, time.Now().Add(-2*time.Hour))
 	}
-	c2.dmu.Unlock()
-	c2.diskTouch(filepath.Base(c2.path("fresh")), 40)
+	c2.disk.Touch(diskName("fresh"), 40)
 	st = c2.Stats()
 	if st.DiskExpired != 3 || st.DiskEntries != 1 {
 		t.Fatalf("post-touch sweep: %+v, want idle expired and fresh retained", st)
@@ -80,7 +77,7 @@ func TestCacheDiskTTLExpiryOrder(t *testing.T) {
 // old the entries are.
 func TestCacheDiskTTLDisabled(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCacheTiered(dir, 0, 0)
+	c, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +88,7 @@ func TestCacheDiskTTLDisabled(t *testing.T) {
 	if err := os.Chtimes(c.path("a"), mt, mt); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewCacheTiered(dir, 0, 0)
+	c2, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 // TestCacheMemoryBudgetEvictsLRU pins the bounded memory tier: exceeding
 // the byte budget evicts least-recently-used entries and counts them.
 func TestCacheMemoryBudgetEvictsLRU(t *testing.T) {
-	c, err := NewCacheSized("", 100)
+	c, err := NewCache(CacheConfig{MemBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCacheMemoryBudgetEvictsLRU(t *testing.T) {
 // self-heals), in a memory-only cache it is retained — evicting colder
 // entries but never itself — because nowhere else can serve it.
 func TestCacheOversizedEntry(t *testing.T) {
-	disk, err := NewCacheSized(t.TempDir(), 10)
+	disk, err := NewCache(CacheConfig{Dir: t.TempDir(), MemBytes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCacheOversizedEntry(t *testing.T) {
 		t.Fatal("oversized entry unreachable via disk tier")
 	}
 
-	mem, err := NewCacheSized("", 10)
+	mem, err := NewCache(CacheConfig{MemBytes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCacheOversizedEntry(t *testing.T) {
 // re-promoted from disk instead of being lost.
 func TestCacheBudgetDiskSelfHeals(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCacheSized(dir, 50)
+	c, err := NewCache(CacheConfig{Dir: dir, MemBytes: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCacheBudgetDiskSelfHeals(t *testing.T) {
 // TestCacheUnboundedByDefault: NewCache keeps the historical unbounded
 // behavior.
 func TestCacheUnboundedByDefault(t *testing.T) {
-	c, err := NewCache("")
+	c, err := NewCache(CacheConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestCacheMemory(t *testing.T) {
-	c, err := NewCache("")
+	c, err := NewCache(CacheConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestCacheMemory(t *testing.T) {
 
 func TestCacheDisk(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewCache(dir)
+	c1, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCacheDisk(t *testing.T) {
 		t.Fatalf("on-disk artifact missing: %v", err)
 	}
 	// A fresh instance over the same directory warms from disk.
-	c2, err := NewCache(dir)
+	c2, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCacheDisk(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c, err := NewCache(t.TempDir())
+	c, err := NewCache(CacheConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCacheConcurrent(t *testing.T) {
 // the computation exactly once: one leader computes, the others join its
 // flight and are counted as coalesced.
 func TestGetOrComputeCoalesces(t *testing.T) {
-	c, err := NewCache("")
+	c, err := NewCache(CacheConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +154,13 @@ func TestGetOrComputeCoalesces(t *testing.T) {
 	// Release the leader only once every waiter is registered on the
 	// flight (parked or about to park on done) — synchronizing on the
 	// flight's own waiter count, not on timing.
-	c.fmu.Lock()
-	f := c.flights["k"]
-	c.fmu.Unlock()
-	if f == nil {
+	if _, ok := c.flights.Waiters("k"); !ok {
 		t.Fatal("leader's flight not registered")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for f.waiters.Load() < waiters {
+	for n, _ := c.flights.Waiters("k"); n < waiters; n, _ = c.flights.Waiters("k") {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d waiters joined the flight", f.waiters.Load(), waiters)
+			t.Fatalf("only %d of %d waiters joined the flight", n, waiters)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -194,7 +191,7 @@ func TestGetOrComputeCoalesces(t *testing.T) {
 // to coalesced waiters: a waiter whose leader fails retries and computes
 // under its own authority.
 func TestGetOrComputeLeaderFailureNotShared(t *testing.T) {
-	c, err := NewCache("")
+	c, err := NewCache(CacheConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +241,7 @@ func TestGetOrComputeLeaderFailureNotShared(t *testing.T) {
 // flight: the leader gets an error, and the key remains usable (no future
 // request parks forever on a dead flight).
 func TestGetOrComputePanicSafety(t *testing.T) {
-	c, err := NewCache("")
+	c, err := NewCache(CacheConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +252,7 @@ func TestGetOrComputePanicSafety(t *testing.T) {
 		t.Fatal("panicking compute returned no error")
 	}
 	// The flight must be gone...
-	c.fmu.Lock()
-	_, leaked := c.flights["k"]
-	c.fmu.Unlock()
-	if leaked {
+	if _, leaked := c.flights.Waiters("k"); leaked {
 		t.Fatal("panicked flight leaked in the flights map")
 	}
 	// ...and the key must still compute normally, without hanging.
@@ -282,7 +276,7 @@ func TestGetOrComputePanicSafety(t *testing.T) {
 // TestGetOrComputeWaitCancellation checks a waiter abandons a stuck flight
 // when its own context is cancelled.
 func TestGetOrComputeWaitCancellation(t *testing.T) {
-	c, err := NewCache("")
+	c, err := NewCache(CacheConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +315,7 @@ func TestGetOrComputeWaitCancellation(t *testing.T) {
 // injective encoding must keep every such pair distinct across restarts.
 func TestCacheDiskKeyCollision(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewCache(dir)
+	c1, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +334,7 @@ func TestCacheDiskKeyCollision(t *testing.T) {
 	}
 	// A fresh instance reads purely from disk: every key must come back
 	// with its own value, proving no two keys shared a file.
-	c2, err := NewCache(dir)
+	c2, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

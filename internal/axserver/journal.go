@@ -2,17 +2,17 @@ package axserver
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"autoax/internal/store"
 )
 
 // The write-ahead job journal makes accepted work durable: every
@@ -24,7 +24,7 @@ import (
 // cache resolves instantly and bit-identically; everything else simply
 // re-executes.
 //
-// The on-disk format follows the progdisk conventions: each record is
+// Each record is one store.AppendFrame frame
 //
 //	magic | u32 format version | u64 payload length | payload | u64 FNV-1a
 //
@@ -103,8 +103,6 @@ type JournalStats struct {
 // journal is the open write-ahead log.  Appends are serialized and
 // fsynced; parsing and compaction happen only at open time.
 type journal struct {
-	path string
-
 	mu sync.Mutex
 	f  *os.File
 
@@ -117,14 +115,7 @@ func encodeJournalRecord(rec journalRecord) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("axserver: encoding journal record: %w", err)
 	}
-	buf := make([]byte, 0, len(payload)+24)
-	buf = append(buf, journalMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, JournalFormatVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	h := fnv.New64a()
-	h.Write(payload)
-	return binary.LittleEndian.AppendUint64(buf, h.Sum64()), nil
+	return store.AppendFrame(nil, journalMagic, JournalFormatVersion, payload), nil
 }
 
 // decodeJournalRecord parses one record frame from the front of buf,
@@ -133,21 +124,9 @@ func encodeJournalRecord(rec journalRecord) ([]byte, error) {
 // the next magic.
 func decodeJournalRecord(buf []byte) (journalRecord, int, error) {
 	var zero journalRecord
-	if len(buf) < 24 || [4]byte(buf[:4]) != journalMagic {
-		return zero, 0, fmt.Errorf("axserver: journal record: bad header")
-	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v != JournalFormatVersion {
-		return zero, 0, fmt.Errorf("axserver: journal record: format v%d, want v%d", v, JournalFormatVersion)
-	}
-	plen := binary.LittleEndian.Uint64(buf[8:])
-	if plen > maxJournalPayload || plen > uint64(len(buf)-24) {
-		return zero, 0, fmt.Errorf("axserver: journal record: truncated")
-	}
-	payload := buf[16 : 16+plen]
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != binary.LittleEndian.Uint64(buf[16+plen:]) {
-		return zero, 0, fmt.Errorf("axserver: journal record: checksum mismatch")
+	payload, n, err := store.ReadFrame(buf, journalMagic, JournalFormatVersion, maxJournalPayload)
+	if err != nil {
+		return zero, 0, fmt.Errorf("axserver: journal record: %w", err)
 	}
 	var rec journalRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -169,7 +148,7 @@ func decodeJournalRecord(buf []byte) (journalRecord, int, error) {
 	default:
 		return zero, 0, fmt.Errorf("axserver: journal record: unknown type %q", rec.Type)
 	}
-	return rec, int(24 + plen), nil
+	return rec, n, nil
 }
 
 // parseJournal decodes every valid record in buf.  A record that fails
@@ -255,24 +234,7 @@ func openJournal(dir string) (*journal, []journalRecord, int, error) {
 		}
 		img = append(img, b...)
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-journal-*")
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("axserver: journal compact: %w", err)
-	}
-	if _, err := tmp.Write(img); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, nil, 0, fmt.Errorf("axserver: journal compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return nil, nil, 0, fmt.Errorf("axserver: journal compact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := store.WriteFileAtomic(path, img, true); err != nil {
 		return nil, nil, 0, fmt.Errorf("axserver: journal compact: %w", err)
 	}
 
@@ -280,7 +242,7 @@ func openJournal(dir string) (*journal, []journalRecord, int, error) {
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("axserver: journal open: %w", err)
 	}
-	j := &journal{path: path, f: f}
+	j := &journal{f: f}
 	j.selfHeals.Store(int64(heals))
 	return j, incomplete, maxSeq, nil
 }

@@ -209,3 +209,26 @@ func TestJournalCorruptionEveryByteFlip(t *testing.T) {
 		t.Fatalf("compaction changed survivors: %d vs %d", len(incomplete3), len(incomplete))
 	}
 }
+
+// TestJournalGoldenFrame pins the on-disk record bytes: a submit record
+// encodes to the golden frame in internal/store/testdata, and that frame
+// decodes back to the record, so journals from earlier builds replay.
+func TestJournalGoldenFrame(t *testing.T) {
+	golden, err := os.ReadFile("../store/testdata/journal.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := journalRecord{Type: journalTypeSubmit, Seq: 3, ID: "job-000003", Kind: "library",
+		Created: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC), Req: []byte(`{"specs":[{"op":"add8","count":2}],"seed":1}`)}
+	b, err := encodeJournalRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, golden) {
+		t.Fatalf("journal frame changed:\n got %x\nwant %x", b, golden)
+	}
+	got, n, err := decodeJournalRecord(golden)
+	if err != nil || n != len(golden) || got.ID != rec.ID || got.Seq != rec.Seq || !got.Created.Equal(rec.Created) || string(got.Req) != string(rec.Req) {
+		t.Fatalf("golden frame decoded to (%+v, %d, %v)", got, n, err)
+	}
+}

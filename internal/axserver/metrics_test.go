@@ -258,7 +258,7 @@ func TestJobProgressLive(t *testing.T) {
 // disk and subsequent ones from memory.
 func TestCacheStatsTierSplit(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewCache(dir)
+	c1, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestCacheStatsTierSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := NewCache(dir) // fresh memory tier, warm disk tier
+	c2, err := NewCache(CacheConfig{Dir: dir}) // fresh memory tier, warm disk tier
 	if err != nil {
 		t.Fatal(err)
 	}

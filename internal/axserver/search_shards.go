@@ -2,10 +2,9 @@ package axserver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"sync/atomic"
+	"slices"
 
 	"autoax/internal/accel"
 	"autoax/internal/acl"
@@ -238,20 +237,10 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 // one or two model contexts at a time, so the cap is small.
 const modelCacheEntries = 4
 
-// modelEntry is one memoized (possibly in-flight) model build.
-type modelEntry struct {
-	ready chan struct{} // closed when m/err are set
-	// waiters counts the callers that parked on ready (lets tests
-	// release a leader only once its waiters have joined).
-	waiters atomic.Int32
-	m       *dse.Models
-	err     error
-}
-
 // shardModels returns the trained models for a shard request's model
 // context, memoized and singleflighted: concurrent shards over the same
-// context share one build, later shards reuse it.  Failed builds are
-// evicted so a retry recomputes instead of replaying the error forever.
+// context share one build, later shards reuse it.  Failed builds are not
+// memoized, so a retry recomputes instead of replaying the error forever.
 func (s *Server) shardModels(ctx context.Context, req SearchShardRequest, app *accel.ImageApp, libBytes []byte) (*dse.Models, error) {
 	key, err := req.modelKey(app.CanonicalHash())
 	if err != nil {
@@ -262,81 +251,43 @@ func (s *Server) shardModels(ctx context.Context, req SearchShardRequest, app *a
 	})
 }
 
-// sharedModels is shardModels' singleflight over the model memo: the
-// first caller for key (the leader) runs build under its own ctx, later
-// callers wait for it.  A waiter shares the leader's result and error,
-// except when the leader failed only because its own context ended while
-// the waiter's is still live: the waiter then retries, becoming the
-// leader if no one else has.  A panic in build becomes the leader's
-// error, and the entry is always finished, so waiters never wedge.
-func (s *Server) sharedModels(ctx context.Context, key string, build func(context.Context) (*dse.Models, error)) (m *dse.Models, err error) {
-	s.modelMu.Lock()
-	for {
-		e, ok := s.models[key]
-		if !ok {
-			break
+// sharedModels is shardModels' memo behind a store.Flight: the first
+// caller for key (the leader) serves the memo or runs build under its own
+// ctx, and later callers wait for it.  A waiter whose leader failed — its
+// context ended, its build failed or panicked — retries, becoming the
+// leader if no one else has, so one cancelled coordinator cannot fail the
+// shards of another.
+func (s *Server) sharedModels(ctx context.Context, key string, build func(context.Context) (*dse.Models, error)) (*dse.Models, error) {
+	m, _, err := s.modelFlight.Do(ctx, key, func() (*dse.Models, error) {
+		if m, ok := s.memoModel(key); ok {
+			return m, nil
 		}
-		s.touchModelLocked(key)
-		s.modelMu.Unlock()
-		e.waiters.Add(1)
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if !isContextErr(e.err) || ctx.Err() != nil {
-			return e.m, e.err
-		}
-		s.modelMu.Lock()
-	}
-	e := &modelEntry{ready: make(chan struct{})}
-	s.models[key] = e
-	s.modelOrder = append(s.modelOrder, key)
-	for len(s.modelOrder) > modelCacheEntries {
-		delete(s.models, s.modelOrder[0])
-		s.modelOrder = s.modelOrder[1:]
-	}
-	s.modelMu.Unlock()
-
-	defer func() {
-		if r := recover(); r != nil {
-			e.m, e.err = nil, fmt.Errorf("model build panicked: %v", r)
-		}
-		// Evict before waking the waiters, so a retrying waiter finds
-		// the key free rather than this finished, failed entry.
-		if e.err != nil {
+		m, err := build(ctx)
+		if err == nil {
 			s.modelMu.Lock()
-			if s.models[key] == e {
-				delete(s.models, key)
-				for i, k := range s.modelOrder {
-					if k == key {
-						s.modelOrder = append(s.modelOrder[:i], s.modelOrder[i+1:]...)
-						break
-					}
-				}
+			s.models[key] = m
+			s.modelOrder = append(s.modelOrder, key)
+			if len(s.modelOrder) > modelCacheEntries {
+				delete(s.models, s.modelOrder[0])
+				s.modelOrder = s.modelOrder[1:]
 			}
 			s.modelMu.Unlock()
 		}
-		close(e.ready)
-		m, err = e.m, e.err
-	}()
-	e.m, e.err = build(ctx)
-	return e.m, e.err
+		return m, err
+	})
+	return m, err
 }
 
-// isContextErr reports whether err is a context cancellation or deadline.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// touchModelLocked moves key to the most-recently-used end.
-func (s *Server) touchModelLocked(key string) {
-	for i, k := range s.modelOrder {
-		if k == key {
-			s.modelOrder = append(append(s.modelOrder[:i], s.modelOrder[i+1:]...), key)
-			return
-		}
+// memoModel returns key's memoized models, moving key to the
+// most-recently-used end.
+func (s *Server) memoModel(key string) (*dse.Models, bool) {
+	s.modelMu.Lock()
+	defer s.modelMu.Unlock()
+	m, ok := s.models[key]
+	if ok {
+		s.modelOrder = append(slices.DeleteFunc(s.modelOrder, func(k string) bool { return k == key }), key)
 	}
+	return m, ok
 }
 
 // buildShardModels deterministically rebuilds the trained estimators for
@@ -364,7 +315,7 @@ func (s *Server) buildShardModels(ctx context.Context, req SearchShardRequest, a
 		TrainConfigs: req.TrainConfigs,
 		TestConfigs:  req.TestConfigs,
 		Parallelism:  s.evalParallelism(0),
-		ProgramCache: s.programCacheConfig(),
+		ProgramCache: s.programs,
 		Seed:         req.Seed,
 		Engine:       spec,
 	})

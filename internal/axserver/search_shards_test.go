@@ -197,21 +197,18 @@ func mustSamePoints(t *testing.T, a, b []fleet.ShardPoint, label string) {
 // modelServer is a Server with only the shard-model memo set up, enough
 // to drive sharedModels directly.
 func modelServer() *Server {
-	return &Server{models: make(map[string]*modelEntry)}
+	return &Server{models: make(map[string]*dse.Models)}
 }
 
 // awaitModelWaiter blocks until one caller has parked on key's in-flight
 // model build — synchronizing on the entry's waiter count, not on timing.
 func awaitModelWaiter(t *testing.T, s *Server, key string) {
 	t.Helper()
-	s.modelMu.Lock()
-	e := s.models[key]
-	s.modelMu.Unlock()
-	if e == nil {
+	if _, ok := s.modelFlight.Waiters(key); !ok {
 		t.Fatal("leader's model entry not registered")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for e.waiters.Load() < 1 {
+	for n, _ := s.modelFlight.Waiters(key); n < 1; n, _ = s.modelFlight.Waiters(key) {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never joined the model build")
 		}
@@ -221,11 +218,13 @@ func awaitModelWaiter(t *testing.T, s *Server, key string) {
 
 // TestSharedModelsPanicDoesNotWedge pins the panic path of the model
 // singleflight: a panicking build becomes the leader's error, a waiter
-// parked on the build returns, and the key is not left cached, so the
-// next request builds instead of waiting forever on an entry that never
+// parked on the build returns (failures are not shared, so it builds the
+// models itself), and the panic is not left cached, so later requests
+// get a real build instead of waiting forever on an entry that never
 // finishes.
 func TestSharedModelsPanicDoesNotWedge(t *testing.T) {
 	s := modelServer()
+	want := &dse.Models{}
 	started, release := make(chan struct{}), make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
@@ -240,7 +239,7 @@ func TestSharedModelsPanicDoesNotWedge(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	go func() {
 		_, err := s.sharedModels(context.Background(), "k", func(context.Context) (*dse.Models, error) {
-			return &dse.Models{}, nil
+			return want, nil
 		})
 		waiterDone <- err
 	}()
@@ -257,7 +256,6 @@ func TestSharedModelsPanicDoesNotWedge(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	want := &dse.Models{}
 	m, err := s.sharedModels(ctx, "k", func(context.Context) (*dse.Models, error) { return want, nil })
 	if err != nil || m != want {
 		t.Fatalf("after the panic: got (%p, %v), want a fresh build", m, err)

@@ -43,6 +43,7 @@ import (
 	"autoax/internal/fleet"
 	"autoax/internal/imagedata"
 	"autoax/internal/ml"
+	"autoax/internal/store"
 )
 
 // Options configures a Server.
@@ -113,11 +114,14 @@ type Options struct {
 // Server owns the job manager, the worker pool and the artifact cache.
 // Create with New, mount Handler on an http.Server, and Close on shutdown.
 type Server struct {
-	opts    Options
-	cache   *Cache
-	manager *Manager
-	pool    *Pool
-	logger  *slog.Logger
+	opts  Options
+	cache *Cache
+	// programs is the persistent compiled-program directory (nil without
+	// a ProgramCacheDir), opened once and shared by every evaluator.
+	programs *accel.ProgramDir
+	manager  *Manager
+	pool     *Pool
+	logger   *slog.Logger
 
 	// base is the lifetime of all jobs; cancelling it aborts running work.
 	base       context.Context
@@ -136,11 +140,13 @@ type Server struct {
 
 	// Fleet shard execution (POST /v1/search/shards): shardSem bounds
 	// concurrent synchronous shard runs to the worker-pool size, and
-	// models memoizes trained model contexts (see shardModels).
-	shardSem   chan struct{}
-	modelMu    sync.Mutex
-	models     map[string]*modelEntry
-	modelOrder []string // LRU order, most recent last
+	// models memoizes trained model contexts (see shardModels), built
+	// through modelFlight.
+	shardSem    chan struct{}
+	modelMu     sync.Mutex
+	models      map[string]*dse.Models
+	modelOrder  []string // LRU order, most recent last
+	modelFlight store.Flight[string, *dse.Models]
 }
 
 // New validates the options and starts the worker pool.
@@ -166,7 +172,18 @@ func New(opts Options) (*Server, error) {
 	if opts.ProgramCacheTTL < 0 {
 		return nil, fmt.Errorf("axserver: program cache TTL must be non-negative, got %v", opts.ProgramCacheTTL)
 	}
-	cache, err := NewCacheTieredTTL(opts.CacheDir, opts.MemCacheBytes, opts.DiskCacheBytes, opts.DiskCacheTTL)
+	cache, err := NewCache(CacheConfig{Dir: opts.CacheDir, MemBytes: opts.MemCacheBytes, DiskBytes: opts.DiskCacheBytes, DiskTTL: opts.DiskCacheTTL})
+	if err != nil {
+		return nil, err
+	}
+	// One program directory per process: every pipeline job and
+	// shard-model build shares this handle, so the byte budget and TTL
+	// hold for the directory as a whole.
+	programs, err := accel.OpenProgramDir(accel.ProgramCacheConfig{
+		Dir:      opts.ProgramCacheDir,
+		MaxBytes: opts.ProgramCacheBytes,
+		TTL:      opts.ProgramCacheTTL,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -195,6 +212,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:       opts,
 		cache:      cache,
+		programs:   programs,
 		manager:    manager,
 		pool:       NewPoolBounded(manager, opts.Workers, opts.MaxQueue, opts.MaxQueueBytes),
 		logger:     logger,
@@ -202,7 +220,7 @@ func New(opts Options) (*Server, error) {
 		cancelBase: cancel,
 		started:    time.Now(),
 		shardSem:   make(chan struct{}, opts.Workers),
-		models:     make(map[string]*modelEntry),
+		models:     make(map[string]*dse.Models),
 	}
 	if opts.JournalDir != "" {
 		jr, incomplete, maxSeq, err := openJournal(opts.JournalDir)
@@ -285,19 +303,6 @@ func (s *Server) runForRequest(kind string, raw []byte) (runFunc, error) {
 		return s.pipelineRun(req)
 	default:
 		return nil, fmt.Errorf("unknown job kind %q", kind)
-	}
-}
-
-// programCacheConfig maps the server's program-persistence options to
-// the evaluator's cache config (zero without a ProgramCacheDir).
-func (s *Server) programCacheConfig() accel.ProgramCacheConfig {
-	if s.opts.ProgramCacheDir == "" {
-		return accel.ProgramCacheConfig{}
-	}
-	return accel.ProgramCacheConfig{
-		Dir:      s.opts.ProgramCacheDir,
-		MaxBytes: s.opts.ProgramCacheBytes,
-		TTL:      s.opts.ProgramCacheTTL,
 	}
 }
 
@@ -1016,7 +1021,7 @@ func (s *Server) computePipeline(ctx context.Context, req PipelineRequest, app *
 		SearchEngine: req.Search.Engine,
 		SearchSeed:   req.Search.Seed,
 		Parallelism:  s.evalParallelism(req.Parallelism),
-		ProgramCache: s.programCacheConfig(),
+		ProgramCache: s.programs,
 		Seed:         req.Seed,
 		AutoEngine:   req.AutoEngine,
 		Engine:       spec,

@@ -68,11 +68,11 @@ type Config struct {
 	// trees, the QoR/HW pair, the AutoEngine bake-off) run on GOMAXPROCS
 	// goroutines with bit-identical results.
 	Parallelism int
-	// ProgramCache configures the persistent compiled-program tier of
-	// the precise evaluator.  A zero value (no Dir) keeps the in-memory
-	// cache only; with a Dir, synthesized programs persist across runs
-	// and a restarted pipeline decodes them instead of recompiling.
-	ProgramCache accel.ProgramCacheConfig
+	// ProgramCache is the precise evaluator's persistent compiled-program
+	// directory (see accel.OpenProgramDir); nil keeps the in-memory cache
+	// only.  A restarted pipeline decodes the persisted programs instead
+	// of recompiling; pipelines over one directory share one handle.
+	ProgramCache *accel.ProgramDir
 	// Seed drives every random choice.
 	Seed int64
 }
