@@ -17,7 +17,7 @@ func ScoreWMED(circuits []*Circuit, d *pmf.PMF) {
 	}
 	op := circuits[0].Op
 	wa, wb := op.InWidths()
-	// Materialize the support once, deterministically ordered, so every
+	// Materialize the support once, in ForEach's operand order, so every
 	// circuit is scored over identical batches.
 	type sup struct {
 		a, b uint64
@@ -26,12 +26,6 @@ func ScoreWMED(circuits []*Circuit, d *pmf.PMF) {
 	support := make([]sup, 0, d.SupportSize())
 	d.ForEach(func(a, b uint64, w float64) {
 		support = append(support, sup{a, b, w})
-	})
-	sort.Slice(support, func(i, j int) bool {
-		if support[i].a != support[j].a {
-			return support[i].a < support[j].a
-		}
-		return support[i].b < support[j].b
 	})
 
 	planesAll := make([][]uint64, 0, (len(support)+63)/64)

@@ -428,11 +428,16 @@ func (s *Server) submit(kind string, req any, run runFunc) (JobInfo, error) {
 	return info, nil
 }
 
-// Cache keyspaces, one per content-addressed artifact kind.
+// Cache keyspaces, one per content-addressed artifact kind.  A keyspace
+// carries a version when the same request starts producing a different
+// artifact, so a durable cache written by an older server can never serve
+// the old answer: pipeline/2/ began when explore split budgets of two or
+// more climbs' worth into independent climbs (pipeline/ held single-climb
+// archives).
 const (
 	libraryKeyspace  = "library/"
 	evaluateKeyspace = "evaluate/"
-	pipelineKeyspace = "pipeline/"
+	pipelineKeyspace = "pipeline/2/"
 )
 
 // defaultGFKernels is the generic Gaussian filter's default coefficient-

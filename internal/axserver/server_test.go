@@ -727,6 +727,57 @@ func TestPipelineResultCache(t *testing.T) {
 	}
 }
 
+// TestPipelineCacheSkipsSingleClimbKeyspace plants a pipeline result under
+// the current keyspace (served) and under the unversioned keyspace that
+// held single-climb archives (recomputed, never served): a durable cache
+// written before explore split its budget must not answer for the split
+// search.
+func TestPipelineCacheSkipsSingleClimbKeyspace(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 1, CacheDir: t.TempDir()})
+	req := tinyPipeline(6)
+	app, err := req.resolveApp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := pipelineKey(req.normalized(), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted, err := json.Marshal(PipelineResult{Engine: "planted", SearchEngine: "planted"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() JobInfo {
+		t.Helper()
+		var job JobInfo
+		if code := postJSON(t, ts.URL+"/v1/pipelines", req, &job); code != http.StatusAccepted {
+			t.Fatalf("submit: status %d", code)
+		}
+		final := waitJob(t, ts.URL, job.ID)
+		if final.State != JobSucceeded {
+			t.Fatalf("pipeline: %s (%s)", final.State, final.Error)
+		}
+		return final
+	}
+
+	// Control: a result under the current keyspace is served as is.
+	if err := s.cache.Put(pipelineKeyspace+key, planted); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(); !got.Cached || !bytes.Contains(got.Result, []byte("planted")) {
+		t.Fatalf("current-keyspace plant not served: cached %v result %s", got.Cached, got.Result)
+	}
+	s.cache.Delete(pipelineKeyspace + key)
+
+	if err := s.cache.Put("pipeline/"+key, planted); err != nil {
+		t.Fatal(err)
+	}
+	got := run()
+	if got.Cached || bytes.Contains(got.Result, []byte("planted")) {
+		t.Fatalf("single-climb result served: cached %v result %s", got.Cached, got.Result)
+	}
+}
+
 // TestDiskCachePersistence checks that a second server instance over the
 // same cache directory serves a previously built library without
 // recomputation.

@@ -26,6 +26,7 @@ import (
 	"autoax/internal/accel"
 	"autoax/internal/acl"
 	"autoax/internal/dse"
+	"autoax/internal/fleet"
 	"autoax/internal/imagedata"
 	"autoax/internal/ml"
 	"autoax/internal/par"
@@ -64,9 +65,10 @@ type Config struct {
 	// precise-evaluation batches (Step 2 sample generation and Step 3
 	// re-evaluation).  0 means all cores (runtime.GOMAXPROCS), 1 forces
 	// the sequential path; results are identical either way.  The train
-	// stage does not use it: like library builds, its model fits (forest
-	// trees, the QoR/HW pair, the AutoEngine bake-off) run on GOMAXPROCS
-	// goroutines with bit-identical results.
+	// and explore stages do not use it: like library builds, their work
+	// runs on GOMAXPROCS goroutines with bit-identical results — train's
+	// model fits (forest trees, the QoR/HW pair, the AutoEngine bake-off)
+	// and explore's independent hill climbs (see climbEvals).
 	Parallelism int
 	// ProgramCache is the precise evaluator's persistent compiled-program
 	// directory (see accel.OpenProgramDir); nil keeps the in-memory cache
@@ -289,12 +291,29 @@ func (p *Pipeline) selectEngine(ctx context.Context, r *stageRun) (ml.EngineSpec
 	return best, nil
 }
 
+// climbEvals is the estimator budget of one independent hill climb.  A
+// hillclimb budget of at least two climbs' worth runs as
+// SearchEvals/climbEvals climbs on every core instead of one long climb.
+// The climb count depends only on the budget, never on the core count, so
+// the pseudo Pareto set stays a pure function of (library, engine, seed,
+// budget).  Each climb keeps its own candidate memo, so smaller climbs
+// re-estimate more repeats; a 5·10⁴-estimate climb still makes about 970
+// restarts at Stagnation 50.
+const climbEvals = 50000
+
 // Explore performs the first half of Step 3: Algorithm 1 over the model
 // estimates, producing the pseudo Pareto set.
 func (p *Pipeline) Explore() error { return p.ExploreContext(context.Background()) }
 
 // ExploreContext is Explore with cancellation, checked periodically inside
-// the hill climb.
+// the search.
+//
+// The default hillclimb engine with a budget of at least 2·climbEvals runs
+// k = SearchEvals/climbEvals independent climbs concurrently: climb i gets
+// fleet.Split's budget slice and derived seed and the archives merge in
+// climb order through fleet.Merge, so the result equals a k-shard fleet
+// search over the same models.  Smaller budgets and the other engines run
+// one engine call with the search seed itself.
 func (p *Pipeline) ExploreContext(ctx context.Context) error {
 	if p.Models == nil {
 		if err := p.TrainContext(ctx); err != nil {
@@ -307,21 +326,51 @@ func (p *Pipeline) ExploreContext(ctx context.Context) error {
 	if seed == 0 {
 		seed = p.Opt.Seed + 300
 	}
-	// Dispatch through the engine seam.  The default engine is the
-	// models-backed incremental climb, bit-identical to the pre-seam
-	// direct Models.HillClimbContext call; every engine preserves the
-	// stage observer through Progress.
-	pseudo, err := dse.RunEngine(ctx, p.Opt.SearchEngine, p.Models, dse.SearchOptions{
+	engine := p.Opt.SearchEngine
+	if engine == "" {
+		engine = dse.DefaultEngineName
+	}
+	opt := dse.SearchOptions{
 		Evaluations: p.Opt.SearchEvals,
 		Stagnation:  p.Opt.Stagnation,
 		Parallelism: p.Opt.Parallelism,
 		Seed:        seed,
-		Progress:    func(done, total int) { r.set(int64(done)) },
+	}
+	climbs := p.Opt.SearchEvals / climbEvals
+	if engine != dse.DefaultEngineName || climbs < 2 {
+		// The default engine here is the models-backed incremental climb,
+		// bit-identical to the pre-seam direct Models.HillClimbContext
+		// call.
+		opt.Progress = r.deltas()
+		pseudo, err := dse.RunEngine(ctx, engine, p.Models, opt)
+		if err != nil {
+			return err
+		}
+		p.Pseudo = pseudo
+		return nil
+	}
+	shards := fleet.Split(engine, seed, p.Opt.SearchEvals, climbs)
+	results := make([]*fleet.ShardResult, climbs)
+	errs := par.Each(ctx, climbs, func(i int) error {
+		o := opt
+		o.Evaluations, o.Seed = shards[i].Evaluations, shards[i].Seed
+		o.Progress = r.deltas()
+		arch, err := dse.RunEngine(ctx, engine, p.Models, o)
+		if err != nil {
+			return err
+		}
+		results[i] = fleet.ResultFromArchive(arch)
+		return nil
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p.Pseudo = pseudo
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	p.Pseudo = fleet.Merge(results)
 	return nil
 }
 

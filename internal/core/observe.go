@@ -57,11 +57,15 @@ func (p *Pipeline) startStage(name string, total int64) *stageRun {
 // step records n more completed items.  Safe for concurrent use.
 func (r *stageRun) step(n int64) { r.emit(r.done.Add(n)) }
 
-// set records an absolute progress value (single-goroutine stages whose
-// inner loop already counts, like the hill climb).
-func (r *stageRun) set(done int64) {
-	r.done.Store(done)
-	r.emit(done)
+// deltas adapts one search run's absolute progress callback
+// (dse.SearchOptions.Progress) to step, so concurrent runs sharing the
+// stage sum to its total.  Each run needs its own adapter.
+func (r *stageRun) deltas() func(done, total int) {
+	last := 0
+	return func(done, _ int) {
+		r.step(int64(done - last))
+		last = done
+	}
 }
 
 func (r *stageRun) emit(done int64) {

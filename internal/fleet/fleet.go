@@ -138,11 +138,36 @@ func Merge(results []*ShardResult) *pareto.Archive[[]int] {
 	return merged
 }
 
-// Partition splits base's total evaluation budget into shards.  Shard i
-// receives the [i·total/n, (i+1)·total/n) slice of the budget (never
-// losing or double-counting an evaluation) and the seed
-// dse.DeriveSeed(engine, "fleet/shard/i", base.Seed), so sibling shards
-// explore decorrelated streams while remaining individually reproducible.
+// Slice is one shard's share of a search: its estimator budget and the
+// engine seed it runs under.
+type Slice struct {
+	Evaluations int
+	Seed        int64
+}
+
+// Split is the partition rule behind Partition, shared with the pipeline's
+// explore stage so a local multi-climb search and a fleet search over the
+// same models run the same shards.  Shard i receives the
+// [i·total/n, (i+1)·total/n) slice of the budget (never losing or
+// double-counting an evaluation) and the seed
+// dse.DeriveSeed(engine, "fleet/shard/i", seed), so sibling shards explore
+// decorrelated streams while remaining individually reproducible.  engine
+// must be the registry name spelled out (never empty), and
+// 0 < n <= total.
+func Split(engine string, seed int64, total, n int) []Slice {
+	out := make([]Slice, n)
+	for i := range out {
+		lo := int(int64(total) * int64(i) / int64(n))
+		hi := int(int64(total) * int64(i+1) / int64(n))
+		out[i] = Slice{
+			Evaluations: hi - lo,
+			Seed:        dse.DeriveSeed(engine, "fleet/shard/"+strconv.Itoa(i), seed),
+		}
+	}
+	return out
+}
+
+// Partition splits base's total evaluation budget into shards by Split.
 // A shard count exceeding the budget is clamped so no shard is empty.
 func Partition(base ShardSpec, shards int) ([]ShardSpec, error) {
 	base, err := base.normalized()
@@ -155,14 +180,11 @@ func Partition(base ShardSpec, shards int) ([]ShardSpec, error) {
 	if shards > base.Evaluations {
 		shards = base.Evaluations
 	}
-	total := base.Evaluations
-	out := make([]ShardSpec, shards)
-	for i := range out {
-		lo := int(int64(total) * int64(i) / int64(shards))
-		hi := int(int64(total) * int64(i+1) / int64(shards))
+	split := Split(base.Engine, base.Seed, base.Evaluations, shards)
+	out := make([]ShardSpec, len(split))
+	for i, sl := range split {
 		s := base
-		s.Evaluations = hi - lo
-		s.Seed = dse.DeriveSeed(base.Engine, "fleet/shard/"+strconv.Itoa(i), base.Seed)
+		s.Evaluations, s.Seed = sl.Evaluations, sl.Seed
 		out[i] = s
 	}
 	return out, nil

@@ -76,7 +76,8 @@ func (cf *CompiledForest) NewIncremental() *IncrementalPredictor {
 	}
 }
 
-// Reset walks every tree for x, (re)filling the leaf and path-mask caches,
+// Reset walks every tree for x, (re)filling the leaf and path-mask caches
+// (dense mode refills the leaves only: it never reads the masks again),
 // and returns the prediction.  x must cover every feature the forest
 // tests (len(x) > max feature index), as with Predict.
 func (p *IncrementalPredictor) Reset(x []float64) float64 {
@@ -92,7 +93,11 @@ func (p *IncrementalPredictor) Reset(x []float64) float64 {
 		p.mx[f] = orderedBits(v)
 	}
 	p.clearPending()
-	p.walkMasks(cf.order)
+	if p.dense {
+		p.walkValues(cf.order)
+	} else {
+		p.walkMasks(cf.order)
+	}
 	return p.sum()
 }
 

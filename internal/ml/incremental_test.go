@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -134,6 +135,43 @@ func TestIncrementalPredictorMatchesPredict(t *testing.T) {
 					p.Reject()
 				}
 			}
+		}
+	}
+}
+
+// TestIncrementalDenseResetOracle forces dense mode — where Reset walks
+// leaf values only and leaves the path masks stale — then Resets to
+// random points between short Move/Accept/Reject runs, demanding every
+// prediction bit-identical to CompiledForest.Predict.
+func TestIncrementalDenseResetOracle(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		features := 2 + trial%6
+		_, cf, probe := randomForestAndData(t, int64(trial+500), 70, features, 12+trial*9)
+		rng := rand.New(rand.NewSource(int64(trial*13 + 1)))
+		p := cf.NewIncremental()
+		p.dense = true
+		for reset := 0; reset < 40; reset++ {
+			x := probe(rng)
+			if got, want := p.Reset(x), cf.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d reset %d: Reset %v, Predict %v", trial, reset, got, want)
+			}
+			for step := 0; step < 5; step++ {
+				f := rng.Intn(features)
+				old := x[f]
+				x[f] = float64(rng.Intn(40)) * 2.5
+				if got, want := p.Move(x, []int{f}), cf.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d reset %d step %d: Move %v, Predict %v", trial, reset, step, got, want)
+				}
+				if rng.Intn(2) == 0 {
+					p.Accept()
+				} else {
+					p.Reject()
+					x[f] = old
+				}
+			}
+		}
+		if !p.dense {
+			t.Fatalf("trial %d: predictor left dense mode", trial)
 		}
 	}
 }

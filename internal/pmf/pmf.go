@@ -4,16 +4,27 @@
 // autoAx's library pre-processing (paper §2.2) profiles the accelerator on
 // benchmark data to obtain D_k — the probability of each operand-value
 // combination reaching operation k — and scores every library circuit by
-// the weighted mean error distance under D_k.  Operand pairs up to 20 total
-// bits are stored densely (a 1M-entry table at most); wider pairs (the
-// 16-bit adders of the Gaussian filters) fall back to a sparse map over the
-// observed support.
+// the weighted mean error distance under D_k.  Operand pairs up to 16 total
+// bits are stored densely (a 64k-entry table at most); wider pairs (the 9-
+// and 10-bit operations of Sobel, whose profile observes a few thousand
+// pairs, and the 16-bit adders of the Gaussian filters) use a sparse map
+// over the observed support.  Both forms iterate in operand order, so a
+// PMF's sums do not depend on its form.
 package pmf
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// DenseBits is the largest total operand width stored as a dense table.
-const DenseBits = 20
+// DenseBits is the largest total operand width New stores as a dense
+// table.
+const DenseBits = 16
+
+// UniformBits is the largest total operand width Uniform accepts: the
+// uniform distribution has full support, so it is always stored densely
+// (a 1M-entry table at most).
+const UniformBits = 20
 
 // PMF is a joint distribution over the two operand values of an operation.
 // The zero value is unusable; use New.
@@ -25,9 +36,12 @@ type PMF struct {
 }
 
 // New returns an empty PMF for operands of wa and wb bits.
-func New(wa, wb int) *PMF {
+func New(wa, wb int) *PMF { return newForm(wa, wb, wa+wb <= DenseBits) }
+
+// newForm returns an empty PMF stored densely or sparsely.
+func newForm(wa, wb int, dense bool) *PMF {
 	p := &PMF{wa: wa, wb: wb}
-	if wa+wb <= DenseBits {
+	if dense {
 		p.dense = make([]float64, 1<<uint(wa+wb))
 	} else {
 		p.sparse = make(map[uint64]float64)
@@ -96,11 +110,11 @@ func (p *PMF) SupportSize() int {
 	return n
 }
 
-// ForEach invokes fn for every operand pair with non-zero mass.  Dense PMFs
-// iterate in operand order; sparse iteration order is unspecified.
+// ForEach invokes fn for every operand pair with non-zero mass, in operand
+// order (by a, then b) in either form.
 func (p *PMF) ForEach(fn func(a, b uint64, w float64)) {
+	mb := uint64(1)<<uint(p.wb) - 1
 	if p.dense != nil {
-		mb := uint64(1)<<uint(p.wb) - 1
 		for k, v := range p.dense {
 			if v != 0 {
 				fn(uint64(k)>>uint(p.wb), uint64(k)&mb, v)
@@ -108,19 +122,26 @@ func (p *PMF) ForEach(fn func(a, b uint64, w float64)) {
 		}
 		return
 	}
-	mb := uint64(1)<<uint(p.wb) - 1
+	// The key packs a above b, so ascending keys are operand order.
+	keys := make([]uint64, 0, len(p.sparse))
 	for k, v := range p.sparse {
-		fn(k>>uint(p.wb), k&mb, v)
+		if v != 0 {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		fn(k>>uint(p.wb), k&mb, p.sparse[k])
 	}
 }
 
-// Uniform returns the uniform distribution over all operand pairs.  It is
-// only available densely (≤ DenseBits total bits).
+// Uniform returns the uniform distribution over all operand pairs, stored
+// densely (≤ UniformBits total bits).
 func Uniform(wa, wb int) *PMF {
-	if wa+wb > DenseBits {
+	if wa+wb > UniformBits {
 		panic(fmt.Sprintf("pmf: uniform PMF over %d bits exceeds dense limit", wa+wb))
 	}
-	p := New(wa, wb)
+	p := newForm(wa, wb, true)
 	n := 1 << uint(wa+wb)
 	w := 1 / float64(n)
 	for i := range p.dense {
