@@ -428,23 +428,6 @@ var SearchEngineByName = dse.SearchEngineByName
 // through (Config.SearchEngine / ServerPipelineRequest.Search).
 var RunSearchEngine = dse.RunEngine
 
-// HillClimb runs the paper's Algorithm 1 over a reduced space with an
-// estimator derived from trained models (see Pipeline for the integrated
-// flow).
-var HillClimb = dse.HillClimb
-
-// RandomSearch runs the random-sampling baseline.
-var RandomSearch = dse.RandomSearch
-
-// RandomSearchBatch runs the random-sampling baseline through a batched
-// estimator (Models.BatchEstimator) — set-equal to RandomSearch with the
-// same seed, with estimateBatch-sized struct-of-arrays model inference.
-var RandomSearchBatch = dse.RandomSearchBatch
-
-// BatchEstimator estimates many configurations per call; obtain one from
-// Models.BatchEstimator.
-type BatchEstimator = dse.BatchEstimator
-
 // UniformSelection runs the paper's manual uniform-error baseline.
 var UniformSelection = dse.UniformSelection
 

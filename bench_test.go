@@ -314,8 +314,8 @@ func BenchmarkProgramDiskCacheWarm(b *testing.B) {
 }
 
 // benchEvaluateAll measures a Step-2-style precise-evaluation batch of 16
-// Sobel configurations through dse.EvaluateAllParallel at the given shard
-// count (1 = the sequential path).
+// Sobel configurations through dse.EvaluateAll at the given parallelism
+// (1 = one evaluator).
 func benchEvaluateAll(b *testing.B, parallelism int) {
 	lib, err := autoax.BuildLibrary([]autoax.LibrarySpec{
 		{Op: autoax.OpAdd(8), Count: 12},
@@ -338,7 +338,7 @@ func benchEvaluateAll(b *testing.B, parallelism int) {
 	cfgs := space.RandomConfigs(16, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.EvaluateAllParallel(context.Background(), ev, space, cfgs, parallelism); err != nil {
+		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, parallelism, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -381,7 +381,7 @@ func BenchmarkEvaluateAllCached(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.EvaluateAllParallel(context.Background(), ev, space, cfgs, 4); err != nil {
+		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, 4, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,18 +410,22 @@ func BenchmarkModelEstimate(b *testing.B) {
 }
 
 // BenchmarkHillClimb1k measures 1000 iterations of Algorithm 1 over the
-// Sobel reduced space with trained models — the models-backed incremental
-// climb that core.Pipeline.Explore runs (bit-identical to the generic
-// estimator path, see TestModelsHillClimbMatchesGeneric).
+// Sobel reduced space with trained models — the registered "hillclimb"
+// engine that core.Pipeline.Explore runs (set-equal to the frozen plain
+// estimator loop, see TestModelsHillClimbMatchesGeneric).
 func BenchmarkHillClimb1k(b *testing.B) {
 	s := benchSetup(b)
 	pipe, err := s.Pipeline("sobel")
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipe.Models.HillClimb(dse.SearchOptions{Evaluations: 1000, Seed: int64(i)})
+		if _, err := dse.RunEngine(ctx, "hillclimb", pipe.Models,
+			dse.SearchOptions{Evaluations: 1000, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -468,17 +472,21 @@ func BenchmarkModelEstimateBatch(b *testing.B) {
 }
 
 // BenchmarkRandomSearch1k measures 1000 evaluations of the batched
-// random-sampling baseline over the Sobel reduced space.
+// random-sampling baseline (the registered "random" engine, which draws
+// its own batch estimator per run) over the Sobel reduced space.
 func BenchmarkRandomSearch1k(b *testing.B) {
 	s := benchSetup(b)
 	pipe, err := s.Pipeline("sobel")
 	if err != nil {
 		b.Fatal(err)
 	}
-	est := pipe.Models.BatchEstimator()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dse.RandomSearchBatch(pipe.Space, est, dse.SearchOptions{Evaluations: 1000, Seed: int64(i)})
+		if _, err := dse.RunEngine(ctx, "random", pipe.Models,
+			dse.SearchOptions{Evaluations: 1000, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -687,13 +695,16 @@ func BenchmarkHillClimb1kObserved(b *testing.B) {
 		b.Fatal(err)
 	}
 	var last int64
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipe.Models.HillClimb(dse.SearchOptions{
+		if _, err := dse.RunEngine(ctx, "hillclimb", pipe.Models, dse.SearchOptions{
 			Evaluations: 1000,
 			Seed:        int64(i),
 			Progress:    func(done, total int) { last = int64(done) },
-		})
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	_ = last
 }

@@ -34,8 +34,9 @@
 //	-lib FILE                 library JSON path for the library command
 //	-graph FILE               wire-format accelerator JSON; replaces the
 //	                          app name for pipeline and submit
-//	-parallel N               precise-evaluation workers (default 0 = all
-//	                          cores; results are identical at any setting)
+//	-parallel N               precise-evaluation workers and exhaustive
+//	                          enumeration shards (default 0 = all cores;
+//	                          results are identical at any setting)
 //	-engine NAME              search engine for the model-based DSE step
 //	                          (hillclimb, nsga2, random; default hillclimb)
 package main
@@ -80,7 +81,7 @@ func main() {
 	out := flag.String("out", "results", "CSV output directory (empty to disable)")
 	libPath := flag.String("lib", "library.json", "library file for the library command")
 	graphPath := flag.String("graph", "", "wire-format accelerator JSON file (pipeline and submit)")
-	parallel := flag.Int("parallel", 0, "precise-evaluation workers (0 = all cores, 1 = sequential; results are identical)")
+	parallel := flag.Int("parallel", 0, "precise-evaluation workers and exhaustive enumeration shards (0 = all cores, 1 = sequential; results are identical)")
 	engine := flag.String("engine", "", "search engine for the model-based DSE step (hillclimb, nsga2, random; empty = hillclimb)")
 	flag.Usage = usage
 	flag.Parse()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -76,10 +77,17 @@ func main() {
 	if err := pipe.Train(); err != nil {
 		log.Fatal(err)
 	}
-	est := pipe.Models.Estimator()
+	ctx := context.Background()
 	for _, budget := range []int{1000, 10000} {
-		hc := autoax.HillClimb(pipe.Space, est, autoax.SearchOptions{Evaluations: budget, Seed: 5})
-		rs := autoax.RandomSearch(pipe.Space, est, autoax.SearchOptions{Evaluations: budget, Seed: 5})
+		opt := autoax.SearchOptions{Evaluations: budget, Seed: 5}
+		hc, err := autoax.RunSearchEngine(ctx, "hillclimb", pipe.Models, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rs, err := autoax.RunSearchEngine(ctx, "random", pipe.Models, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
 		d := autoax.FrontDistances(rs.Points(), hc.Points())
 		fmt.Printf("\nbudget %6d: proposed front %3d vs random front %3d (random sits %.4f avg away)\n",
 			budget, hc.Len(), rs.Len(), d.ToAvg)

@@ -890,7 +890,7 @@ func (s *Server) computeEvaluate(ctx context.Context, req EvaluateRequest, app *
 		var done atomic.Int64
 		onDone = func() { report("evaluate", done.Add(1), total) }
 	}
-	res, err := dse.EvaluateAllParallelProgress(ctx, ev, space, req.Configs, s.evalParallelism(req.Parallelism), onDone)
+	res, err := dse.EvaluateAll(ctx, ev, space, req.Configs, s.evalParallelism(req.Parallelism), onDone)
 	if err != nil {
 		return zero, err
 	}

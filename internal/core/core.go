@@ -197,12 +197,12 @@ func (p *Pipeline) GenerateSamplesContext(ctx context.Context) error {
 	onDone := func() { r.step(1) }
 	var err error
 	p.TrainCfgs = p.Space.RandomConfigs(p.Opt.TrainConfigs, p.Opt.Seed+100)
-	p.TrainRes, err = dse.EvaluateAllParallelProgress(ctx, p.Ev, p.Space, p.TrainCfgs, p.Opt.Parallelism, onDone)
+	p.TrainRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, p.TrainCfgs, p.Opt.Parallelism, onDone)
 	if err != nil {
 		return err
 	}
 	p.TestCfgs = p.Space.RandomConfigs(p.Opt.TestConfigs, p.Opt.Seed+200)
-	p.TestRes, err = dse.EvaluateAllParallelProgress(ctx, p.Ev, p.Space, p.TestCfgs, p.Opt.Parallelism, onDone)
+	p.TestRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, p.TestCfgs, p.Opt.Parallelism, onDone)
 	return err
 }
 
@@ -338,9 +338,6 @@ func (p *Pipeline) ExploreContext(ctx context.Context) error {
 	}
 	climbs := p.Opt.SearchEvals / climbEvals
 	if engine != dse.DefaultEngineName || climbs < 2 {
-		// The default engine here is the models-backed incremental climb,
-		// bit-identical to the pre-seam direct Models.HillClimbContext
-		// call.
 		opt.Progress = r.deltas()
 		pseudo, err := dse.RunEngine(ctx, engine, p.Models, opt)
 		if err != nil {
@@ -415,7 +412,7 @@ func (p *Pipeline) FinalizeContext(ctx context.Context) error {
 	r := p.startStage(StageFinalize, int64(len(cfgs)))
 	defer r.finish()
 	var err error
-	p.FinalRes, err = dse.EvaluateAllParallelProgress(ctx, p.Ev, p.Space, cfgs, p.Opt.Parallelism, func() { r.step(1) })
+	p.FinalRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, cfgs, p.Opt.Parallelism, func() { r.step(1) })
 	if err != nil {
 		return err
 	}

@@ -105,17 +105,15 @@ func requireSetEqual(t *testing.T, label string, gotP []pareto.Point, gotC [][]i
 }
 
 // TestModelsHillClimbMatchesGeneric pins the acceptance criterion: with
-// fixed seeds the incremental models-backed climb, the generic estimator
-// climb, and the frozen pre-PR5 reference all produce set-equal archives
-// (same points, same payloads).
+// fixed seeds the incremental models-backed climb and the frozen generic
+// estimator climb (refHillClimb) produce set-equal archives (same points,
+// same payloads).
 func TestModelsHillClimbMatchesGeneric(t *testing.T) {
 	m := trainedModels(t, 4, 7)
 	for seed := int64(0); seed < 8; seed++ {
 		opt := SearchOptions{Evaluations: 4000, Stagnation: 25, Seed: seed}
 		ref := refHillClimb(m.Space, m.Estimator(), opt)
-		gen := HillClimb(m.Space, m.Estimator(), opt)
-		inc := m.HillClimb(opt)
-		requireSetEqual(t, "generic vs frozen", gen.Points(), gen.Payloads(), ref.pts, ref.payloads)
+		inc := mustRun(t, "hillclimb", m, opt)
 		requireSetEqual(t, "incremental vs frozen", inc.Points(), inc.Payloads(), ref.pts, ref.payloads)
 	}
 }
@@ -131,21 +129,21 @@ func TestModelsHillClimbNonForest(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		opt := SearchOptions{Evaluations: 2000, Seed: seed}
 		ref := refHillClimb(s, m.Estimator(), opt)
-		inc := m.HillClimb(opt)
+		inc := mustRun(t, "hillclimb", m, opt)
 		requireSetEqual(t, "non-forest incremental vs frozen", inc.Points(), inc.Payloads(), ref.pts, ref.payloads)
 	}
 }
 
-// TestRandomSearchBatchMatchesScalar pins batch random search to the
-// scalar path with the same seed.
+// TestRandomSearchBatchMatchesScalar pins the batched "random" engine to
+// the frozen scalar random search with the same seed.
 func TestRandomSearchBatchMatchesScalar(t *testing.T) {
 	m := trainedModels(t, 4, 7)
 	for seed := int64(0); seed < 5; seed++ {
 		// Budgets around the batch size cover partial and full batches.
 		for _, evals := range []int{1, 100, estimateBatchSize, estimateBatchSize + 1, 1000} {
 			opt := SearchOptions{Evaluations: evals, Seed: seed}
-			want := RandomSearch(m.Space, m.Estimator(), opt)
-			got := RandomSearchBatch(m.Space, m.BatchEstimator(), opt)
+			want := refRandomSearch(m.Space, m.Estimator(), opt)
+			got := mustRun(t, "random", m, opt)
 			requireSetEqual(t, fmt.Sprintf("random search (evals=%d)", evals),
 				got.Points(), got.Payloads(), want.Points(), want.Payloads())
 		}
@@ -153,15 +151,12 @@ func TestRandomSearchBatchMatchesScalar(t *testing.T) {
 }
 
 // TestExhaustiveBatchMatchesScalar pins the batch exhaustive enumeration
-// to the scalar estimator path, sequentially and sharded.
+// to the frozen scalar enumeration, sequentially and sharded.
 func TestExhaustiveBatchMatchesScalar(t *testing.T) {
 	m := trainedModels(t, 3, 7) // 343 configurations: several partial batches
-	want, err := ExhaustiveEstimators(m.Space, m.Estimator, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refExhaustive(m.Space, m.Estimator())
 	for _, par := range []int{1, 3} {
-		got, err := ExhaustiveBatch(m.Space, m.BatchEstimator, par)
+		got, err := Exhaustive(m.Space, m.BatchEstimator, par)
 		if err != nil {
 			t.Fatal(err)
 		}

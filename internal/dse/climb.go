@@ -28,28 +28,23 @@ func (p fullPredictor) Move(x []float64, _ []int) float64 { return p.fn(x) }
 func (p fullPredictor) Accept()                           {}
 func (p fullPredictor) Reject()                           {}
 
-// HillClimb runs Algorithm 1 directly on the models with incremental
-// neighbor features; see HillClimbContext.
-func (m *Models) HillClimb(opt SearchOptions) *pareto.Archive[[]int] {
-	a, _ := m.HillClimbContext(context.Background(), opt)
-	return a
-}
-
-// HillClimbContext is the models-backed fast path of Algorithm 1.  It is
-// bit-identical to
+// hillClimb runs Algorithm 1 — stochastic hill climbing whose accept test
+// is insertion into the Pareto archive, with random restarts after
+// opt.Stagnation consecutive rejections — and is the body of the
+// registered "hillclimb" engine.  The context is checked every
+// ctxCheckStride estimator evaluations.
 //
-//	dse.HillClimbContext(ctx, m.Space, m.Estimator(), opt)
-//
-// — same rng draw sequence, same estimates, same archive — but avoids the
-// generic path's per-iteration costs: the one-operation neighbor move
-// overwrites 1 QoR and 3 HW feature slots in place (undoing them on
-// reject) instead of rebuilding both feature vectors, forest-backed
-// models predict through ml.IncrementalPredictor (only trees whose
-// realized paths tested a changed feature are re-walked, with
-// undo-on-reject), the candidate configuration is materialized only when
-// the archive accepts it, and no per-iteration allocations are performed
-// outside archive growth.
-func (m *Models) HillClimbContext(ctx context.Context, opt SearchOptions) (*pareto.Archive[[]int], error) {
+// It takes the same rng draws, makes the same estimates and builds the
+// same archive as a plain loop calling m.Estimator() on every neighbour
+// (the frozen refHillClimb oracle), but avoids that loop's per-iteration
+// costs: the one-operation neighbour move overwrites 1 QoR and 3 HW
+// feature slots in place (undoing them on reject) instead of rebuilding
+// both feature vectors, forest-backed models predict through
+// ml.IncrementalPredictor (only trees whose realized paths tested a
+// changed feature are re-walked, with undo-on-reject), the candidate
+// configuration is materialized only when the archive accepts it, and no
+// per-iteration allocations are performed outside archive growth.
+func (m *Models) hillClimb(ctx context.Context, opt SearchOptions) (*pareto.Archive[[]int], error) {
 	m.compile()
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -91,8 +86,8 @@ func (m *Models) HillClimbContext(ctx context.Context, opt SearchOptions) (*pare
 	// stronger cover — which means every candidate the climb has already
 	// evaluated (accepted or rejected) is certain to be rejected if it is
 	// ever drawn again.  The repeat can therefore skip prediction and
-	// archive probe entirely with no observable difference from the
-	// generic path.
+	// archive probe entirely with no observable difference from a plain
+	// estimator loop.
 	//
 	// When the whole configuration packs into 64 bits the memo is a
 	// global set keyed by the packed candidate (O(1) incremental packing
@@ -196,8 +191,8 @@ func (m *Models) HillClimbContext(ctx context.Context, opt SearchOptions) (*pare
 			}
 		} else {
 			// No operation can move: the candidate equals the parent, and
-			// the generic path's insert attempt of the already-archived
-			// point is a certain rejection.
+			// inserting the already-archived point again would be a
+			// certain rejection.
 		}
 		if accepted {
 			stagnant = 0
@@ -205,9 +200,14 @@ func (m *Models) HillClimbContext(ctx context.Context, opt SearchOptions) (*pare
 		}
 		stagnant++
 		if stagnant >= opt.Stagnation {
-			// Same restart policy (and rng draws) as the generic path:
-			// odd restarts draw an archived member by insertion order,
-			// even restarts a fresh random configuration.
+			// The paper restarts from a random archived configuration.
+			// When the archive is small and every member's 1-step
+			// neighbourhood is dominated (a trap low-fidelity models can
+			// create), that loops forever — so odd restarts draw an
+			// archived member by insertion order (the order the
+			// pre-staircase archive stored members in, keeping
+			// trajectories reproducible across archive layouts) and even
+			// restarts a fresh random configuration.
 			restarts++
 			st.restarts++
 			if restarts%2 == 1 {

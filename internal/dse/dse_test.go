@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"autoax/internal/accel"
@@ -54,6 +55,42 @@ func syntheticEstimator(s Space) Estimator {
 	}
 }
 
+// syntheticQoR is a QoR regressor computing 1 − ΣWMED/(norm+1) over the
+// QoR features — the same floats, summed in the same order, as
+// syntheticEstimator's QoR.
+type syntheticQoR struct{ norm float64 }
+
+func (syntheticQoR) Fit([][]float64, []float64) error { return nil }
+
+func (r syntheticQoR) Predict(x []float64) float64 {
+	var w float64
+	for _, v := range x {
+		w += v
+	}
+	return 1 - w/(r.norm+1)
+}
+
+// syntheticModels wraps syntheticEstimator's objectives in Models so the
+// engines and Exhaustive can run on them: every estimate is bit-equal to
+// syntheticEstimator(s)'s (NaiveArea sums the areas in operation order).
+func syntheticModels(s Space) *Models {
+	var norm float64
+	for _, lib := range s {
+		norm += lib[len(lib)-1].WMED
+	}
+	return &Models{QoR: syntheticQoR{norm}, HW: &NaiveArea{}, Space: s}
+}
+
+// mustRun runs a registered engine and fails the test on error.
+func mustRun(t *testing.T, engine string, m *Models, opt SearchOptions) *pareto.Archive[[]int] {
+	t.Helper()
+	a, err := RunEngine(context.Background(), engine, m, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", engine, err)
+	}
+	return a
+}
+
 func TestSpaceBasics(t *testing.T) {
 	s := syntheticSpace(3, 5)
 	if err := s.Validate(); err != nil {
@@ -98,8 +135,7 @@ func TestFeatureLayout(t *testing.T) {
 
 func TestHillClimbFindsTradeoffFront(t *testing.T) {
 	s := syntheticSpace(4, 8)
-	est := syntheticEstimator(s)
-	arch := HillClimb(s, est, SearchOptions{Evaluations: 20000, Seed: 1})
+	arch := mustRun(t, "hillclimb", syntheticModels(s), SearchOptions{Evaluations: 20000, Seed: 1})
 	if arch.Len() < 10 {
 		t.Fatalf("archive too small: %d", arch.Len())
 	}
@@ -121,10 +157,9 @@ func TestHillClimbFindsTradeoffFront(t *testing.T) {
 }
 
 func TestHillClimbDeterministic(t *testing.T) {
-	s := syntheticSpace(3, 6)
-	est := syntheticEstimator(s)
-	a1 := HillClimb(s, est, SearchOptions{Evaluations: 5000, Seed: 9})
-	a2 := HillClimb(s, est, SearchOptions{Evaluations: 5000, Seed: 9})
+	m := syntheticModels(syntheticSpace(3, 6))
+	a1 := mustRun(t, "hillclimb", m, SearchOptions{Evaluations: 5000, Seed: 9})
+	a2 := mustRun(t, "hillclimb", m, SearchOptions{Evaluations: 5000, Seed: 9})
 	if a1.Len() != a2.Len() {
 		t.Errorf("non-deterministic archive size %d vs %d", a1.Len(), a2.Len())
 	}
@@ -133,13 +168,13 @@ func TestHillClimbDeterministic(t *testing.T) {
 func TestHillClimbBeatsRandomSearch(t *testing.T) {
 	// Table 4's qualitative claim at matched budgets.
 	s := syntheticSpace(5, 10)
-	est := syntheticEstimator(s)
-	optimal, err := Exhaustive(s, est)
+	m := syntheticModels(s)
+	optimal, err := Exhaustive(s, m.BatchEstimator, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc := HillClimb(s, est, SearchOptions{Evaluations: 3000, Seed: 3})
-	rs := RandomSearch(s, est, SearchOptions{Evaluations: 3000, Seed: 3})
+	hc := mustRun(t, "hillclimb", m, SearchOptions{Evaluations: 3000, Seed: 3})
+	rs := mustRun(t, "random", m, SearchOptions{Evaluations: 3000, Seed: 3})
 	dh := pareto.FrontDistances(hc.Points(), optimal.Points())
 	dr := pareto.FrontDistances(rs.Points(), optimal.Points())
 	if dh.FromAvg >= dr.FromAvg {
@@ -153,7 +188,7 @@ func TestHillClimbBeatsRandomSearch(t *testing.T) {
 func TestExhaustiveMatchesBruteForceOnTiny(t *testing.T) {
 	s := syntheticSpace(2, 3)
 	est := syntheticEstimator(s)
-	arch, err := Exhaustive(s, est)
+	arch, err := Exhaustive(s, syntheticModels(s).BatchEstimator, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +208,7 @@ func TestExhaustiveMatchesBruteForceOnTiny(t *testing.T) {
 
 func TestExhaustiveRefusesHugeSpace(t *testing.T) {
 	s := syntheticSpace(17, 30) // 30^17 ≫ limit
-	if _, err := Exhaustive(s, syntheticEstimator(s)); err == nil {
+	if _, err := Exhaustive(s, syntheticModels(s).BatchEstimator, 0); err == nil {
 		t.Error("expected size-limit error")
 	}
 }
@@ -229,7 +264,7 @@ func TestSortArchive(t *testing.T) {
 func TestExhaustivePayloadsNotAliased(t *testing.T) {
 	s := syntheticSpace(3, 4)
 	est := syntheticEstimator(s)
-	arch, err := ExhaustiveParallel(s, est, 1)
+	arch, err := Exhaustive(s, syntheticModels(s).BatchEstimator, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,16 +291,13 @@ func TestExhaustivePayloadsNotAliased(t *testing.T) {
 }
 
 // TestExhaustiveParallelMatchesSequential checks the sharded enumeration
-// is bit-identical to the sequential path: same points, same payloads,
-// same equal-point tie-breaks, at every shard count (including ones that
-// split the keyspace unevenly).
+// is bit-identical to the frozen sequential enumeration: same points, same
+// payloads, same equal-point tie-breaks, at every shard count (including
+// ones that split the keyspace unevenly).
 func TestExhaustiveParallelMatchesSequential(t *testing.T) {
 	s := syntheticSpace(4, 5) // 625 configurations
-	est := syntheticEstimator(s)
-	seq, err := ExhaustiveParallel(s, est, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := refExhaustive(s, syntheticEstimator(s))
+	m := syntheticModels(s)
 	archiveMap := func(a *pareto.Archive[[]int]) map[string]string {
 		m := make(map[string]string, a.Len())
 		pts, cfgs := a.Points(), a.Payloads()
@@ -275,8 +307,8 @@ func TestExhaustiveParallelMatchesSequential(t *testing.T) {
 		return m
 	}
 	want := archiveMap(seq)
-	for _, par := range []int{2, 3, 8, 0} {
-		got, err := ExhaustiveParallel(s, est, par)
+	for _, par := range []int{1, 2, 3, 8, 0} {
+		got, err := Exhaustive(s, m.BatchEstimator, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,49 +388,47 @@ func realSobelFixture(t *testing.T) (*accel.Evaluator, Space) {
 
 // TestEvaluateAllParallelMatchesSequential checks the acceptance criterion
 // of the sharded evaluator: per-shard clones produce results identical to
-// the sequential path, order-stable at their input indices.
+// the sequential path, order-stable at their input indices, and onDone
+// fires exactly once per configuration at every parallelism.
 func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
 	ev, s := realSobelFixture(t)
 	cfgs := s.RandomConfigs(12, 3)
-	seq, err := EvaluateAllParallel(context.Background(), ev, s, cfgs, 1)
+	seq, err := EvaluateAll(context.Background(), ev, s, cfgs, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 4, 0} {
-		got, err := EvaluateAllParallel(context.Background(), ev, s, cfgs, par)
+	for _, par := range []int{1, 2, 4, 0} {
+		var done atomic.Int64
+		got, err := EvaluateAll(context.Background(), ev, s, cfgs, par, func() { done.Add(1) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seq, got) {
 			t.Fatalf("parallelism %d: results differ from sequential\nseq: %+v\ngot: %+v", par, seq, got)
 		}
-	}
-	// The plain entry points shard by default and must agree too.
-	def, err := EvaluateAll(ev, s, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, def) {
-		t.Fatal("EvaluateAll differs from the sequential path")
+		if n := done.Load(); n != int64(len(cfgs)) {
+			t.Fatalf("parallelism %d: onDone fired %d times, want %d", par, n, len(cfgs))
+		}
 	}
 }
 
-// TestEvaluateAllParallelCancellation checks both paths surface the bare
-// context error when the caller cancels.
+// TestEvaluateAllParallelCancellation checks the bare context error
+// surfaces when the caller cancels, with one evaluator or several.
 func TestEvaluateAllParallelCancellation(t *testing.T) {
 	ev, s := realSobelFixture(t)
 	cfgs := s.RandomConfigs(8, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, par := range []int{1, 4} {
-		if _, err := EvaluateAllParallel(ctx, ev, s, cfgs, par); !errors.Is(err, context.Canceled) {
+		if _, err := EvaluateAll(ctx, ev, s, cfgs, par, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("parallelism %d: err = %v, want context.Canceled", par, err)
 		}
 	}
 }
 
-// TestEvaluateAllParallelFirstError checks a failing configuration aborts
-// the batch with an error naming the failed index on both paths.
+// TestEvaluateAllParallelFirstError checks a failing batch aborts with an
+// error naming the lowest failing index — the one a sequential loop hits
+// — at every parallelism, even when a later configuration also fails.
 func TestEvaluateAllParallelFirstError(t *testing.T) {
 	ev, s := realSobelFixture(t)
 	// Poison the space: an extra circuit of the wrong operation appended
@@ -416,14 +446,16 @@ func TestEvaluateAllParallelFirstError(t *testing.T) {
 	}
 	poisoned := append(Space(nil), s...)
 	poisoned[k] = append(append([]*acl.Circuit(nil), s[k]...), s[0][0])
-	// Draw from the unpoisoned space so only the doctored config below can
-	// ever select the mismatched circuit.
+	// Draw from the unpoisoned space so only the doctored configs below
+	// can ever select the mismatched circuit.
 	cfgs := s.RandomConfigs(8, 5)
 	bad := 1
-	cfgs[bad] = make([]int, len(poisoned))
-	cfgs[bad][k] = len(poisoned[k]) - 1 // the mismatched circuit
-	for _, par := range []int{1, 4} {
-		_, err := EvaluateAllParallel(context.Background(), ev, poisoned, cfgs, par)
+	for _, i := range []int{bad, 5} {
+		cfgs[i] = make([]int, len(poisoned))
+		cfgs[i][k] = len(poisoned[k]) - 1 // the mismatched circuit
+	}
+	for _, par := range []int{1, 2, 4, 0} {
+		_, err := EvaluateAll(context.Background(), ev, poisoned, cfgs, par, nil)
 		if err == nil {
 			t.Fatalf("parallelism %d: poisoned batch succeeded", par)
 		}

@@ -120,26 +120,22 @@ func init() {
 	RegisterEngine(nsga2Engine{})
 }
 
-// hillclimbEngine is Algorithm 1 behind the Engine seam: the registered
-// "hillclimb" engine is exactly Models.HillClimbContext — same rng draw
-// sequence from opt.Seed, same estimates, same archive — so pre-seam
-// callers and engine callers agree bit for bit.
+// hillclimbEngine is Algorithm 1 behind the Engine seam (Models.hillClimb).
 type hillclimbEngine struct{}
 
 func (hillclimbEngine) Name() string { return "hillclimb" }
 
 func (hillclimbEngine) Run(ctx context.Context, m *Models, opt SearchOptions) (*pareto.Archive[[]int], error) {
-	return m.HillClimbContext(ctx, opt)
+	return m.hillClimb(ctx, opt)
 }
 
 // randomEngine is the paper's RS baseline behind the Engine seam: uniform
-// random configurations batch-estimated and filtered through the archive.
-// Draw-for-draw identical to RandomSearch/RandomSearchBatch with the same
-// seed (the legacy stream: rand seeded directly with opt.Seed).
+// random configurations batch-estimated and filtered through the archive,
+// drawn from rand seeded directly with opt.Seed.
 type randomEngine struct{}
 
 func (randomEngine) Name() string { return "random" }
 
 func (randomEngine) Run(ctx context.Context, m *Models, opt SearchOptions) (*pareto.Archive[[]int], error) {
-	return RandomSearchBatchContext(ctx, m.Space, m.BatchEstimator(), opt)
+	return randomSearch(ctx, m.Space, m.BatchEstimator(), opt)
 }

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"autoax/internal/acl"
 	"autoax/internal/pareto"
@@ -82,7 +85,7 @@ func TestHillClimbEngineMatchesPreSeam(t *testing.T) {
 }
 
 // TestRandomEngineMatchesRandomSearch pins the "random" engine to the
-// scalar RS baseline: same seed, set-equal archives.
+// frozen scalar RS baseline: same seed, set-equal archives.
 func TestRandomEngineMatchesRandomSearch(t *testing.T) {
 	eng, err := SearchEngineByName("random")
 	if err != nil {
@@ -97,7 +100,7 @@ func TestRandomEngineMatchesRandomSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := RandomSearch(s, m.Estimator(), opt)
+		ref := refRandomSearch(s, m.Estimator(), opt)
 		requireSetEqual(t, fmt.Sprintf("seed %d", seed),
 			got.Points(), got.Payloads(), ref.Points(), ref.Payloads())
 	}
@@ -164,10 +167,7 @@ func TestNSGA2Dominance(t *testing.T) {
 			t.Fatalf("payload %v does not reproduce its archived point %v", cfg, pts[i])
 		}
 	}
-	optimal, err := ExhaustiveEstimators(s, m.Estimator, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	optimal := refExhaustive(s, m.Estimator())
 	for i := range pts {
 		if !optimal.Covered(pts[i]) {
 			t.Fatalf("archived point %v not covered by the optimal front", pts[i])
@@ -187,6 +187,39 @@ func TestNSGA2Cancellation(t *testing.T) {
 	}
 	if arch == nil {
 		t.Fatal("partial archive must be non-nil")
+	}
+}
+
+// panicQoR is a QoR regressor that panics on every prediction.
+type panicQoR struct{}
+
+func (panicQoR) Fit([][]float64, []float64) error { return nil }
+func (panicQoR) Predict([]float64) float64        { panic("boom") }
+
+// TestNSGA2PanicBecomesError: a model panicking on a scoring goroutine
+// comes back from RunEngine as one error naming the panic — not a crashed
+// process — and leaves no scoring goroutine behind.
+func TestNSGA2PanicBecomesError(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m := &Models{QoR: panicQoR{}, HW: &NaiveArea{}, Space: syntheticSpace(3, 6)}
+	for _, par := range []int{1, 4, 0} {
+		arch, err := RunEngine(context.Background(), "nsga2", m, SearchOptions{Evaluations: 500, Seed: 1, Parallelism: par})
+		if err == nil {
+			t.Fatalf("parallelism %d: a panicking model returned no error", par)
+		}
+		if got := strings.Count(err.Error(), "boom"); !strings.Contains(err.Error(), "panic") || got != 1 {
+			t.Fatalf("parallelism %d: err = %q, want the panic named once", par, err)
+		}
+		if arch == nil {
+			t.Fatalf("parallelism %d: partial archive must be non-nil", par)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after the runs, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -215,7 +248,7 @@ func TestNSGA2Progress(t *testing.T) {
 
 // TestSearchOptionsValidation pins the zero-means-default contract:
 // negative fields surface as *OptionError naming the field, from every
-// engine and the error-returning entry points; zero selects the default.
+// engine; zero selects the default.
 func TestSearchOptionsValidation(t *testing.T) {
 	m := naiveModels(syntheticSpace(2, 3))
 	cases := []struct {
@@ -238,12 +271,6 @@ func TestSearchOptionsValidation(t *testing.T) {
 				t.Fatalf("%s/%s: invalid options must yield an empty archive", name, tc.field)
 			}
 		}
-	}
-	if _, err := HillClimbContext(context.Background(), m.Space, m.Estimator(), SearchOptions{Evaluations: -3}); err == nil {
-		t.Fatal("generic HillClimbContext must reject negative Evaluations")
-	}
-	if a := RandomSearch(m.Space, m.Estimator(), SearchOptions{Evaluations: -3}); a.Len() != 0 {
-		t.Fatal("error-less wrapper must return an empty archive on invalid options")
 	}
 	// Zero means default, not zero budget.
 	opt, err := SearchOptions{}.withDefaults()

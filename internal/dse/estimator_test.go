@@ -69,18 +69,15 @@ func TestEstimatorZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestExhaustiveEstimatorsMatchesShared checks the per-shard-estimator
-// enumeration equals the shared-estimator enumeration at every
-// parallelism.
+// TestExhaustiveEstimatorsMatchesShared checks the enumeration over
+// per-shard estimators equals the frozen single-estimator enumeration
+// point for point, in archive order, at every parallelism.
 func TestExhaustiveEstimatorsMatchesShared(t *testing.T) {
 	s := syntheticSpace(3, 5)
-	est := syntheticEstimator(s)
-	want, err := ExhaustiveParallel(s, est, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refExhaustive(s, syntheticEstimator(s))
+	m := syntheticModels(s)
 	for _, par := range []int{2, 4, 7} {
-		got, err := ExhaustiveEstimators(s, func() Estimator { return syntheticEstimator(s) }, par)
+		got, err := Exhaustive(s, m.BatchEstimator, par)
 		if err != nil {
 			t.Fatal(err)
 		}

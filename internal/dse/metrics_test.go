@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// TestHillClimbProgressCallback checks the Progress contract on both
-// climb paths: called at every checkpoint with monotonically advancing
+// TestHillClimbProgressCallback checks the Progress contract of the
+// hillclimb engine: called at every checkpoint with monotonically advancing
 // done, a final done=total call, and — the load-bearing invariant — a
 // bit-identical archive with or without the callback attached.
 func TestHillClimbProgressCallback(t *testing.T) {
@@ -16,12 +16,8 @@ func TestHillClimbProgressCallback(t *testing.T) {
 		name string
 		run  func(SearchOptions) (ptsLen int, key map[string]bool)
 	}{
-		{"generic", func(o SearchOptions) (int, map[string]bool) {
-			a := HillClimb(m.Space, m.Estimator(), o)
-			return a.Len(), archiveKeySet(t, a.Points(), a.Payloads())
-		}},
 		{"incremental", func(o SearchOptions) (int, map[string]bool) {
-			a := m.HillClimb(o)
+			a := mustRun(t, "hillclimb", m, o)
 			return a.Len(), archiveKeySet(t, a.Points(), a.Payloads())
 		}},
 	} {

@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
+	"autoax/internal/par"
 	"autoax/internal/pareto"
 )
 
@@ -78,7 +78,9 @@ func (nsga2Engine) Run(ctx context.Context, m *Models, opt SearchOptions) (*pare
 	for i := 0; i < pop; i++ {
 		s.RandomConfigInto(initRng, cur.cfgs[i])
 	}
-	nsga2Score(ests, cur, pop)
+	if err := nsga2Score(ctx, ests, cur, pop); err != nil {
+		return archive, err
+	}
 	used := pop
 	st.insertAll(archive, cur, pop)
 
@@ -113,7 +115,9 @@ func (nsga2Engine) Run(ctx context.Context, m *Models, opt SearchOptions) (*pare
 			nsga2Crossover(evoRng, cur.cfgs[p1], cur.cfgs[p2], off.cfgs[i])
 			nsga2Mutate(evoRng, s, off.cfgs[i])
 		}
-		nsga2Score(ests, off, k)
+		if err := nsga2Score(ctx, ests, off, k); err != nil {
+			return archive, err
+		}
 		used += k
 		st.insertAll(archive, off, k)
 
@@ -186,30 +190,18 @@ func newNsga2Pop(pop, n int) *nsga2Pop {
 	return &nsga2Pop{cfgs: cfgs, o0: make([]float64, pop), o1: make([]float64, pop)}
 }
 
-// nsga2Score estimates p.cfgs[:k] into p.o0/p.o1, sharding contiguous
-// index ranges across the per-worker estimators (each owns its feature
-// buffers).  Every worker writes disjoint index ranges, so results are
-// identical at any worker count.
-func nsga2Score(ests []BatchEstimator, p *nsga2Pop, k int) {
-	workers := len(ests)
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		nsga2ScoreRange(ests[0], p, 0, k)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := k * w / workers
-		hi := k * (w + 1) / workers
-		wg.Add(1)
-		go func(est BatchEstimator, lo, hi int) {
-			defer wg.Done()
-			nsga2ScoreRange(est, p, lo, hi)
-		}(ests[w], lo, hi)
-	}
-	wg.Wait()
+// nsga2Score estimates p.cfgs[:k] into p.o0/p.o1, splitting [0, k) into
+// one contiguous range per estimator (each owns its feature buffers) and
+// scoring the ranges on par.Each.  Every range writes disjoint indices, so
+// results are identical at any estimator count.  It returns the first
+// error in range order — a panic in an estimator, or the context ending
+// before a range started.
+func nsga2Score(ctx context.Context, ests []BatchEstimator, p *nsga2Pop, k int) error {
+	shards := min(len(ests), k)
+	return firstError(par.Each(ctx, shards, func(w int) error {
+		nsga2ScoreRange(ests[w], p, k*w/shards, k*(w+1)/shards)
+		return nil
+	}))
 }
 
 func nsga2ScoreRange(est BatchEstimator, p *nsga2Pop, lo, hi int) {

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
+	"autoax/internal/par"
 	"autoax/internal/pareto"
 )
 
@@ -16,8 +16,8 @@ import (
 // Numeric fields follow a zero-means-default contract at the Engine
 // boundary: leaving a field zero selects the documented default, so an
 // explicit zero budget is unrepresentable by design.  Negative values are
-// invalid and surface as *OptionError from Engine.Run and the *Context
-// entry points (the error-less wrappers return an empty archive).
+// invalid and surface as *OptionError from Engine.Run and RunEngine, with
+// an empty archive.
 type SearchOptions struct {
 	// Evaluations bounds the number of estimator calls (the paper's
 	// termination condition).  0 means 10000.
@@ -83,125 +83,10 @@ func (o SearchOptions) withDefaults() (SearchOptions, error) {
 // point converts an estimate to the minimized objective vector (−QoR, hw).
 func point(qor, hw float64) pareto.Point { return pareto.Point{-qor, hw} }
 
-// HillClimb runs Algorithm 1: stochastic hill climbing whose accept test
-// is insertion into the Pareto archive, with random restarts from the
-// archive after Stagnation consecutive rejections.  The returned archive
-// is the pseudo Pareto set of configurations under the estimators.
-func HillClimb(s Space, est Estimator, opt SearchOptions) *pareto.Archive[[]int] {
-	a, _ := HillClimbContext(context.Background(), s, est, opt)
-	return a
-}
-
-// ctxCheckStride is how many estimator evaluations HillClimbContext runs
-// between context checks — cheap relative to an estimator call yet frequent
-// enough that cancellation lands within microseconds.
+// ctxCheckStride is how many estimator evaluations the hill climb runs
+// between context checks — cheap relative to an estimator call yet
+// frequent enough that cancellation lands within microseconds.
 const ctxCheckStride = 1024
-
-// HillClimbContext is HillClimb with cancellation: the context is checked
-// every ctxCheckStride estimator evaluations, so a cancelled job abandons
-// the climb mid-search instead of draining the whole evaluation budget.
-func HillClimbContext(ctx context.Context, s Space, est Estimator, opt SearchOptions) (*pareto.Archive[[]int], error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return &pareto.Archive[[]int]{}, err
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	archive := &pareto.Archive[[]int]{}
-
-	var st climbStats
-	defer st.flush()
-
-	parent := s.RandomConfig(rng)
-	q, h := est(parent)
-	archive.Insert(point(q, h), parent)
-	st.inserts++
-	stagnant, restarts := 0, 0
-	var orderBuf []int
-	for evals := 1; evals < opt.Evaluations; evals++ {
-		if evals%ctxCheckStride == 0 {
-			st.flush()
-			if opt.Progress != nil {
-				opt.Progress(evals, opt.Evaluations)
-			}
-			if err := ctx.Err(); err != nil {
-				return archive, err
-			}
-		}
-		st.iters++
-		c := s.Neighbor(parent, rng)
-		q, h := est(c)
-		before := archive.Len()
-		if archive.Insert(point(q, h), c) {
-			st.inserts++
-			st.evictions += int64(before + 1 - archive.Len())
-			parent = c
-			stagnant = 0
-		} else {
-			stagnant++
-			if stagnant >= opt.Stagnation {
-				st.restarts++
-				// The paper restarts from a random archived configuration.
-				// When the archive is small and every member's 1-step
-				// neighbourhood is dominated (a trap low-fidelity models
-				// can create), that loops forever — so alternate restarts
-				// draw a fresh random configuration instead.  The member
-				// draw follows the archive's insertion order (the order
-				// the pre-staircase archive stored members in), keeping
-				// trajectories reproducible across archive layouts.
-				restarts++
-				if restarts%2 == 1 {
-					orderBuf = archive.InsertionOrder(orderBuf)
-					pick := orderBuf[rng.Intn(len(orderBuf))]
-					parent = append([]int(nil), archive.Payloads()[pick]...)
-				} else {
-					parent = s.RandomConfig(rng)
-				}
-				stagnant = 0
-			}
-		}
-	}
-	if opt.Progress != nil {
-		opt.Progress(opt.Evaluations, opt.Evaluations)
-	}
-	return archive, nil
-}
-
-// RandomSearch is the paper's RS baseline: uniform random configurations
-// filtered through the same Pareto archive.
-func RandomSearch(s Space, est Estimator, opt SearchOptions) *pareto.Archive[[]int] {
-	a, _ := RandomSearchContext(context.Background(), s, est, opt)
-	return a
-}
-
-// RandomSearchContext is RandomSearch with cancellation and progress:
-// the context is checked (and Progress called) every ctxCheckStride
-// evaluations, which consumes no rng draws — the trajectory is identical
-// to RandomSearch with the same seed.
-func RandomSearchContext(ctx context.Context, s Space, est Estimator, opt SearchOptions) (*pareto.Archive[[]int], error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return &pareto.Archive[[]int]{}, err
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	archive := &pareto.Archive[[]int]{}
-	for evals := 0; evals < opt.Evaluations; evals++ {
-		if evals > 0 && evals%ctxCheckStride == 0 {
-			if opt.Progress != nil {
-				opt.Progress(evals, opt.Evaluations)
-			}
-			if err := ctx.Err(); err != nil {
-				return archive, err
-			}
-		}
-		c := s.RandomConfig(rng)
-		q, h := est(c)
-		archive.Insert(point(q, h), c)
-	}
-	if opt.Progress != nil {
-		opt.Progress(opt.Evaluations, opt.Evaluations)
-	}
-	return archive, nil
-}
 
 // estimateBatchSize is how many configurations the batched search loops
 // estimate per BatchEstimator call: large enough to amortize the batch
@@ -209,35 +94,20 @@ func RandomSearchContext(ctx context.Context, s Space, est Estimator, opt Search
 // that the feature matrix stays L1/L2-resident.
 const estimateBatchSize = 256
 
-// RandomSearchBatch is RandomSearch over a BatchEstimator: configurations
-// are drawn and estimated estimateBatchSize at a time, then filtered
-// through the archive in draw order.  With the same seed it produces an
-// archive set-equal to RandomSearch over the scalar estimator (identical
-// rng draws, identical estimates, identical insertion sequence); only
-// payloads the archive accepts are copied out of the batch buffer.
-func RandomSearchBatch(s Space, est BatchEstimator, opt SearchOptions) *pareto.Archive[[]int] {
-	a, _ := RandomSearchBatchContext(context.Background(), s, est, opt)
-	return a
-}
-
-// RandomSearchBatchContext is RandomSearchBatch with cancellation and
-// progress, checked between batches (no rng draws consumed — trajectories
-// match RandomSearchBatch draw for draw).  It backs the registered
-// "random" engine.
-func RandomSearchBatchContext(ctx context.Context, s Space, est BatchEstimator, opt SearchOptions) (*pareto.Archive[[]int], error) {
+// randomSearch is the paper's RS baseline and the body of the registered
+// "random" engine: uniform random configurations, drawn and estimated
+// estimateBatchSize at a time, filtered through the Pareto archive in draw
+// order.  Only payloads the archive accepts are copied out of the batch
+// buffer.  Cancellation and progress are checked between batches, which
+// consumes no rng draws.
+func randomSearch(ctx context.Context, s Space, est BatchEstimator, opt SearchOptions) (*pareto.Archive[[]int], error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return &pareto.Archive[[]int]{}, err
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	archive := &pareto.Archive[[]int]{}
-	buf := make([]int, estimateBatchSize*len(s))
-	cfgs := make([][]int, estimateBatchSize)
-	for j := range cfgs {
-		cfgs[j] = buf[j*len(s) : (j+1)*len(s)]
-	}
-	qor := make([]float64, estimateBatchSize)
-	hw := make([]float64, estimateBatchSize)
+	cfgs, qor, hw := batchBuffers(len(s))
 	for done := 0; done < opt.Evaluations; {
 		if done > 0 {
 			if opt.Progress != nil {
@@ -247,10 +117,7 @@ func RandomSearchBatchContext(ctx context.Context, s Space, est BatchEstimator, 
 				return archive, err
 			}
 		}
-		n := opt.Evaluations - done
-		if n > estimateBatchSize {
-			n = estimateBatchSize
-		}
+		n := min(opt.Evaluations-done, estimateBatchSize)
 		for j := 0; j < n; j++ {
 			s.RandomConfigInto(rng, cfgs[j])
 		}
@@ -268,60 +135,34 @@ func RandomSearchBatchContext(ctx context.Context, s Space, est BatchEstimator, 
 	return archive, nil
 }
 
+// batchBuffers returns estimateBatchSize configuration slots of ops
+// operations over one flat buffer, plus the QoR and hw result slices a
+// BatchEstimator call fills.
+func batchBuffers(ops int) (cfgs [][]int, qor, hw []float64) {
+	buf := make([]int, estimateBatchSize*ops)
+	cfgs = make([][]int, estimateBatchSize)
+	for j := range cfgs {
+		cfgs[j] = buf[j*ops : (j+1)*ops]
+	}
+	return cfgs, make([]float64, estimateBatchSize), make([]float64, estimateBatchSize)
+}
+
 // ExhaustiveLimit caps the space size Exhaustive will enumerate.
 const ExhaustiveLimit = 5e7
 
-// Exhaustive enumerates the whole configuration space (used to obtain the
-// optimal Pareto front of Table 4 for spaces within ExhaustiveLimit),
-// sharding the keyspace over runtime.GOMAXPROCS workers; see
-// ExhaustiveParallel for the concurrency contract.
-func Exhaustive(s Space, est Estimator) (*pareto.Archive[[]int], error) {
-	return ExhaustiveParallel(s, est, 0)
-}
-
-// ExhaustiveEstimators is ExhaustiveParallel for estimators that are not
-// safe for concurrent use: newEst is called once per shard to obtain that
-// shard's private estimator.  Models.Estimator owns per-call feature
-// buffers, so pass the method value itself (dse.ExhaustiveEstimators(s,
-// models.Estimator, p)) rather than a shared estimator.
-func ExhaustiveEstimators(s Space, newEst func() Estimator, parallelism int) (*pareto.Archive[[]int], error) {
-	return exhaustiveSharded(s, func(lo, hi int) *pareto.Archive[[]int] {
-		return exhaustiveRange(s, newEst(), lo, hi)
-	}, parallelism)
-}
-
-// ExhaustiveBatch is ExhaustiveEstimators over batch estimators: each
-// shard enumerates its keyspace range estimateBatchSize configurations at
-// a time through a private BatchEstimator from newEst.  The result is
-// set-equal to ExhaustiveEstimators over the scalar estimators (same
-// estimates, same enumeration order, same tie-breaks).
-func ExhaustiveBatch(s Space, newEst func() BatchEstimator, parallelism int) (*pareto.Archive[[]int], error) {
-	return exhaustiveSharded(s, func(lo, hi int) *pareto.Archive[[]int] {
-		return exhaustiveRangeBatch(s, newEst(), lo, hi)
-	}, parallelism)
-}
-
-// ExhaustiveParallel is Exhaustive with an explicit parallelism bound
-// (≤ 0 means runtime.GOMAXPROCS, 1 forces the sequential path).  The
-// linearized odometer keyspace is partitioned into contiguous per-shard
-// ranges, each enumerated into a private sub-archive, and the sub-archives
-// are merged in keyspace order — so the result (points and payloads,
-// including which of two equal-scoring configurations is kept: the
-// enumeration-earlier one) is identical to the sequential enumeration.
+// Exhaustive enumerates the whole configuration space — the optimal
+// Pareto front of Table 4, for spaces within ExhaustiveLimit.
 //
-// est is called concurrently from every shard and must be safe for
-// concurrent use.  Models.Estimator is NOT (it owns reusable feature
-// buffers); use ExhaustiveEstimators with the factory instead.
-func ExhaustiveParallel(s Space, est Estimator, parallelism int) (*pareto.Archive[[]int], error) {
-	return exhaustiveSharded(s, func(lo, hi int) *pareto.Archive[[]int] {
-		return exhaustiveRange(s, est, lo, hi)
-	}, parallelism)
-}
-
-// exhaustiveSharded implements the keyspace-partitioned enumeration;
-// runRange enumerates one contiguous odometer range into a fresh archive
-// (called concurrently, once per shard).
-func exhaustiveSharded(s Space, runRange func(lo, hi int) *pareto.Archive[[]int], parallelism int) (*pareto.Archive[[]int], error) {
+// The linearized odometer keyspace is split into parallelism contiguous
+// ranges (≤ 0 means runtime.GOMAXPROCS), enumerated on par.Each.  Each
+// range gets a private estimator from newEst — pass the method value
+// models.BatchEstimator, since a BatchEstimator is not safe for concurrent
+// use — and a private sub-archive, and the sub-archives are merged in
+// keyspace order.  The result (points and payloads, including which of two
+// equal-scoring configurations is kept: the enumeration-earlier one) is
+// therefore identical to a sequential enumeration at every parallelism.
+// A panic in an estimator is returned as an error.
+func Exhaustive(s Space, newEst func() BatchEstimator, parallelism int) (*pareto.Archive[[]int], error) {
 	n := s.NumConfigs()
 	if n > ExhaustiveLimit {
 		return nil, fmt.Errorf("dse: space of %.3g configurations exceeds the exhaustive limit %.3g", n, ExhaustiveLimit)
@@ -330,37 +171,30 @@ func exhaustiveSharded(s Space, runRange func(lo, hi int) *pareto.Archive[[]int]
 	if total <= 0 { // an op with an empty library: nothing to enumerate
 		return &pareto.Archive[[]int]{}, nil
 	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	shards := parallelism
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
 	}
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		return runRange(0, total), nil
-	}
-	shards := make([]*pareto.Archive[[]int], workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	shards = min(shards, total)
+	archives := make([]*pareto.Archive[[]int], shards)
+	errs := par.Each(context.Background(), shards, func(w int) error {
 		// 64-bit intermediates: total*w can exceed a 32-bit int for
 		// near-limit spaces at high shard counts.
-		lo := int(int64(total) * int64(w) / int64(workers))
-		hi := int(int64(total) * int64(w+1) / int64(workers))
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			shards[w] = runRange(lo, hi)
-		}(w, lo, hi)
+		lo := int(int64(total) * int64(w) / int64(shards))
+		hi := int(int64(total) * int64(w+1) / int64(shards))
+		archives[w] = exhaustiveRange(s, newEst(), lo, hi)
+		return nil
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	// Merge in keyspace order: every shard archive is internally
 	// non-dominated, so inserting its members into the first shard's
 	// archive reproduces the global front, with equal-point ties resolved
 	// to the enumeration-earliest configuration exactly as a sequential
 	// run would.
-	merged := shards[0]
-	for _, a := range shards[1:] {
+	merged := archives[0]
+	for _, a := range archives[1:] {
 		pts, payloads := a.Points(), a.Payloads()
 		for i := range pts {
 			merged.Insert(pts[i], payloads[i])
@@ -371,47 +205,14 @@ func exhaustiveSharded(s Space, runRange func(lo, hi int) *pareto.Archive[[]int]
 
 // exhaustiveRange enumerates linear odometer indices [lo, hi) of the
 // configuration space (index 0 is the fastest-counting digit) into a fresh
-// archive.  Accepted configurations are archived as copies — the archive
-// must never alias the live odometer slice, which the loop keeps mutating.
-func exhaustiveRange(s Space, est Estimator, lo, hi int) *pareto.Archive[[]int] {
-	archive := &pareto.Archive[[]int]{}
-	cfg := make([]int, len(s))
-	rem := lo
-	for i := range cfg {
-		cfg[i] = rem % len(s[i])
-		rem /= len(s[i])
-	}
-	for idx := lo; idx < hi; idx++ {
-		q, h := est(cfg)
-		if pt := point(q, h); !archive.Covered(pt) {
-			archive.Insert(pt, append([]int(nil), cfg...))
-		}
-		// Odometer increment.
-		for i := 0; i < len(cfg); i++ {
-			cfg[i]++
-			if cfg[i] < len(s[i]) {
-				break
-			}
-			cfg[i] = 0
-		}
-	}
-	return archive
-}
-
-// exhaustiveRangeBatch is exhaustiveRange over a batch estimator: the
-// odometer fills a reusable flat buffer of estimateBatchSize
+// archive.  The odometer fills a reusable buffer of estimateBatchSize
 // configurations, the whole buffer is estimated in one call, and the
-// results are filtered through the archive in enumeration order —
-// identical decisions and tie-breaks to the scalar loop.
-func exhaustiveRangeBatch(s Space, est BatchEstimator, lo, hi int) *pareto.Archive[[]int] {
+// results are filtered through the archive in enumeration order.
+// Accepted configurations are archived as copies — the archive must never
+// alias the reused buffer.
+func exhaustiveRange(s Space, est BatchEstimator, lo, hi int) *pareto.Archive[[]int] {
 	archive := &pareto.Archive[[]int]{}
-	buf := make([]int, estimateBatchSize*len(s))
-	cfgs := make([][]int, estimateBatchSize)
-	for j := range cfgs {
-		cfgs[j] = buf[j*len(s) : (j+1)*len(s)]
-	}
-	qor := make([]float64, estimateBatchSize)
-	hw := make([]float64, estimateBatchSize)
+	cfgs, qor, hw := batchBuffers(len(s))
 	cur := make([]int, len(s))
 	rem := lo
 	for i := range cur {
@@ -419,10 +220,7 @@ func exhaustiveRangeBatch(s Space, est BatchEstimator, lo, hi int) *pareto.Archi
 		rem /= len(s[i])
 	}
 	for idx := lo; idx < hi; {
-		n := hi - idx
-		if n > estimateBatchSize {
-			n = estimateBatchSize
-		}
+		n := min(hi-idx, estimateBatchSize)
 		for j := 0; j < n; j++ {
 			copy(cfgs[j], cur)
 			for i := 0; i < len(cur); i++ { // odometer increment

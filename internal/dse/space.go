@@ -11,11 +11,10 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"autoax/internal/accel"
 	"autoax/internal/acl"
+	"autoax/internal/par"
 )
 
 // Space is the configuration space: one reduced library RL_k per operation
@@ -213,126 +212,70 @@ func (s Space) HWFeaturesBatchInto(cfgs [][]int, dst []float64) []float64 {
 }
 
 // EvaluateAll precisely evaluates every configuration (simulation +
-// synthesis) via the accel evaluator, fanning out over all cores.
-func EvaluateAll(ev *accel.Evaluator, s Space, cfgs [][]int) ([]accel.Result, error) {
-	return EvaluateAllContext(context.Background(), ev, s, cfgs)
-}
-
-// EvaluateAllContext is EvaluateAll with cancellation.  It shards the
-// batch over runtime.GOMAXPROCS workers; see EvaluateAllParallel for the
-// concurrency contract.
-func EvaluateAllContext(ctx context.Context, ev *accel.Evaluator, s Space, cfgs [][]int) ([]accel.Result, error) {
-	return EvaluateAllParallel(ctx, ev, s, cfgs, 0)
-}
-
-// EvaluateAllParallel is EvaluateAllContext with an explicit parallelism
-// bound — the precise-evaluation hot loop of paper Steps 2 and 3, which is
-// embarrassingly parallel per configuration.
+// synthesis) — the hot loop of paper Steps 2 and 3, embarrassingly
+// parallel per configuration.  Configurations run on par.EachN, at most
+// min(parallelism, GOMAXPROCS) at a time (parallelism ≤ 0 means
+// GOMAXPROCS): each evaluation borrows an evaluator from a pool of that
+// many — ev plus ev.Clone()s, sharing the immutable precomputed state and
+// each owning its scratch — so no evaluator is ever used by two
+// goroutines at once.  Result i is configuration i's at every
+// parallelism.
 //
-// parallelism ≤ 0 means runtime.GOMAXPROCS; 1 forces the sequential path.
-// Each extra worker evaluates on its own ev.Clone() (sharing the immutable
-// precomputed state, owning its scratch), so the caller's evaluator is
-// never raced.  Results are deterministic and order-stable: result i is
-// configuration i's, regardless of worker completion order, and equals
-// what the sequential path produces.  The context is checked before every
-// configuration, so a cancelled job stops within one precise evaluation
-// per worker; the first evaluation error (lowest configuration index
-// observed) cancels the sibling shards and is returned.
-func EvaluateAllParallel(ctx context.Context, ev *accel.Evaluator, s Space, cfgs [][]int, parallelism int) ([]accel.Result, error) {
-	return EvaluateAllParallelProgress(ctx, ev, s, cfgs, parallelism, nil)
-}
-
-// EvaluateAllParallelProgress is EvaluateAllParallel with a completion
-// callback: onDone, when non-nil, is invoked once after each configuration
-// finishes evaluating — concurrently from every worker goroutine, so the
-// callback must be safe for concurrent use (an atomic counter feeding a
-// progress display is the intended shape).  The callback observes the
-// batch without perturbing it: results are identical with or without one.
-func EvaluateAllParallelProgress(ctx context.Context, ev *accel.Evaluator, s Space, cfgs [][]int, parallelism int, onDone func()) ([]accel.Result, error) {
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// onDone, when non-nil, is called once after each configuration finishes
+// — concurrently, so it must be safe for concurrent use (an atomic counter
+// feeding a progress display is the intended shape).  It observes the
+// batch without perturbing it.
+//
+// A failing configuration cancels the batch.  par.EachN runs every index
+// below a failure to completion, so the error returned is the
+// lowest-index one — the one a sequential loop would hit — at every
+// parallelism.  When the caller's context ends first, its bare error is
+// returned.
+func EvaluateAll(ctx context.Context, ev *accel.Evaluator, s Space, cfgs [][]int, parallelism int, onDone func()) ([]accel.Result, error) {
+	// More evaluators than cores would only take turns on them.
+	evs := runtime.GOMAXPROCS(0)
+	if parallelism > 0 {
+		evs = min(evs, parallelism)
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
+	evs = max(1, min(evs, len(cfgs)))
+	// Clone every evaluator before any evaluation starts: Clone copies the
+	// evaluator struct, so cloning ev while it evaluates would race.
+	pool := make(chan *accel.Evaluator, evs)
+	pool <- ev
+	for w := 1; w < evs; w++ {
+		pool <- ev.Clone()
 	}
-	out := make([]accel.Result, len(cfgs))
-	if workers <= 1 {
-		for i, cfg := range cfgs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := ev.Evaluate(s.Circuits(cfg))
-			if err != nil {
-				return nil, fmt.Errorf("dse: evaluating configuration %d: %w", i, err)
-			}
-			out[i] = r
-			preciseEvals.Inc()
-			if onDone != nil {
-				onDone()
-			}
-		}
-		return out, nil
-	}
-
-	shardCtx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		next     atomic.Int64 // next configuration index to claim
-		mu       sync.Mutex
-		firstIdx = -1
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstIdx < 0 || i < firstIdx {
-			firstIdx, firstErr = i, err
+	out := make([]accel.Result, len(cfgs))
+	// One goroutine per evaluator: a receive from the pool never waits.
+	errs := par.EachN(ctx, len(cfgs), evs, func(i int) error {
+		e := <-pool
+		defer func() { pool <- e }()
+		r, err := e.Evaluate(s.Circuits(cfgs[i]))
+		if err != nil {
+			cancel()
+			return fmt.Errorf("dse: evaluating configuration %d: %w", i, err)
 		}
-		mu.Unlock()
-		cancel() // first error aborts the sibling shards
-	}
-	// Clone every shard before any worker starts: Clone copies the
-	// evaluator struct, so cloning from ev while worker 0 already mutates
-	// its scratch would itself be a race.
-	shardEvs := make([]*accel.Evaluator, workers)
-	shardEvs[0] = ev
-	for w := 1; w < workers; w++ {
-		shardEvs[w] = ev.Clone()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard *accel.Evaluator) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cfgs) {
-					return
-				}
-				if shardCtx.Err() != nil {
-					return
-				}
-				r, err := shard.Evaluate(s.Circuits(cfgs[i]))
-				if err != nil {
-					fail(i, fmt.Errorf("dse: evaluating configuration %d: %w", i, err))
-					return
-				}
-				out[i] = r
-				preciseEvals.Inc()
-				if onDone != nil {
-					onDone()
-				}
-			}
-		}(shardEvs[w])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// No evaluation failed; if the batch still stopped short it was the
-	// caller's context, reported bare like the sequential path.
-	if err := ctx.Err(); err != nil {
+		out[i] = r
+		preciseEvals.Inc()
+		if onDone != nil {
+			onDone()
+		}
+		return nil
+	})
+	if err := firstError(errs); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// firstError returns the lowest-index non-nil error of a par.Each result.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -132,7 +132,7 @@ func AblationStagnation(w io.Writer, s Setup) error {
 	p := s.params()
 	space := cappedSpace(pipe.Space, p.table4Cap)
 	models := &dse.Models{QoR: pipe.Models.QoR, HW: pipe.Models.HW, Space: space}
-	optimal, err := dse.ExhaustiveBatch(space, models.BatchEstimator, s.Parallelism)
+	optimal, err := dse.Exhaustive(space, models.BatchEstimator, s.Parallelism)
 	if err != nil {
 		return err
 	}
@@ -172,7 +172,7 @@ func AblationEngines(w io.Writer, s Setup) error {
 	p := s.params()
 	space := cappedSpace(pipe.Space, p.table4Cap)
 	models := &dse.Models{QoR: pipe.Models.QoR, HW: pipe.Models.HW, Space: space}
-	optimal, err := dse.ExhaustiveBatch(space, models.BatchEstimator, s.Parallelism)
+	optimal, err := dse.Exhaustive(space, models.BatchEstimator, s.Parallelism)
 	if err != nil {
 		return err
 	}

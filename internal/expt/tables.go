@@ -157,9 +157,8 @@ func Table4Rows(s Setup) ([]Table4Row, error) {
 	p := s.params()
 	space := cappedSpace(pipe.Space, p.table4Cap)
 	models := &dse.Models{QoR: pipe.Models.QoR, HW: pipe.Models.HW, Space: space}
-	rsEst := models.BatchEstimator()
 
-	optimal, err := dse.ExhaustiveBatch(space, models.BatchEstimator, s.Parallelism)
+	optimal, err := dse.Exhaustive(space, models.BatchEstimator, s.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -169,9 +168,7 @@ func Table4Rows(s Setup) ([]Table4Row, error) {
 		Pareto:    optimal.Len(),
 	}}
 	// The "Proposed" rows go through the pluggable engine seam so an
-	// engine-switched Setup compares its search against the same optimum;
-	// with the default hill climber the rows are identical to the pre-seam
-	// models.HillClimb output.
+	// engine-switched Setup compares its search against the same optimum.
 	eng, err := dse.SearchEngineByName(s.SearchEngine)
 	if err != nil {
 		return nil, err
@@ -189,7 +186,10 @@ func Table4Rows(s Setup) ([]Table4Row, error) {
 		rows = append(rows, Table4Row{label, budget, hc.Len(), d.ToAvg, d.ToMax, d.FromAvg, d.FromMax})
 	}
 	for _, budget := range p.table4Budgets {
-		rs := dse.RandomSearchBatch(space, rsEst, dse.SearchOptions{Evaluations: budget, Seed: s.Seed + 10})
+		rs, err := dse.RunEngine(context.Background(), "random", models, dse.SearchOptions{Evaluations: budget, Seed: s.Seed + 10})
+		if err != nil {
+			return nil, err
+		}
 		d := pareto.FrontDistances(rs.Points(), optimal.Points())
 		rows = append(rows, Table4Row{"Random sampling", budget, rs.Len(), d.ToAvg, d.ToMax, d.FromAvg, d.FromMax})
 	}

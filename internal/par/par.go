@@ -20,6 +20,13 @@ import (
 // still runs, as in a sequential loop.  Each returns only after every
 // call it started has returned, so no goroutine outlives it.
 func Each(ctx context.Context, n int, fn func(i int) error) []error {
+	return EachN(ctx, n, runtime.GOMAXPROCS(0), fn)
+}
+
+// EachN is Each on at most workers goroutines, for calls that each hold
+// one of workers scarce resources — an evaluator from a pool of workers,
+// say — so that no goroutine claims an index only to wait for one.
+func EachN(ctx context.Context, n, workers int, fn func(i int) error) []error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	work := func() {
@@ -31,7 +38,7 @@ func Each(ctx context.Context, n int, fn func(i int) error) []error {
 			errs[i] = recovered(fn, i)
 		}
 	}
-	workers := min(runtime.GOMAXPROCS(0), n)
+	workers = min(workers, n)
 	if workers <= 1 {
 		work()
 	} else {
