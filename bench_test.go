@@ -88,26 +88,11 @@ func BenchmarkFigure5(b *testing.B) { benchDriver(b, expt.Figure5) }
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
 
-// BenchmarkNetlistEval measures bit-parallel netlist simulation: one call
-// evaluates 64 input vectors through an exact 8×8 Dadda multiplier.
-func BenchmarkNetlistEval(b *testing.B) {
-	nl := arith.NewDaddaMultiplier(8)
-	ev := netlist.NewEvaluator(nl)
-	in := make([]uint64, nl.NumInputs)
-	for i := range in {
-		in[i] = uint64(i) * 0x9E3779B97F4A7C15
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Eval(in)
-	}
-}
-
-// BenchmarkNetlistEvalBlock measures block-packed compiled simulation:
-// one call evaluates netlist.BlockWords×64 input vectors through the
-// compiled exact 8×8 Dadda multiplier (compare per-vector cost against
-// BenchmarkNetlistEval).
-func BenchmarkNetlistEvalBlock(b *testing.B) {
+// BenchmarkNetlistEvalBlockWide measures the one simulation kernel:
+// netlist.BlockWords×64 vectors per call through the compiled (3-input-
+// fused) exact 8×8 Dadda multiplier — the sweep path acl.Characterize
+// and the evaluator's QoR pass run on.
+func BenchmarkNetlistEvalBlockWide(b *testing.B) {
 	nl := arith.NewDaddaMultiplier(8)
 	prog := netlist.Compile(nl)
 	const W = netlist.BlockWords
@@ -119,28 +104,7 @@ func BenchmarkNetlistEvalBlock(b *testing.B) {
 	out := make([]uint64, prog.NumOutputs()*W)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog.EvalBlock(in, W, scratch, out)
-	}
-}
-
-// BenchmarkNetlistEvalBlockWide measures the fused activity-free kernel:
-// netlist.WideBlockWords×64 vectors per call through the 3-input-fused
-// compiled Dadda multiplier — the sweep path acl.Characterize and the
-// evaluator's error pass run on (compare ns/vector against
-// BenchmarkNetlistEvalBlock's parity kernel).
-func BenchmarkNetlistEvalBlockWide(b *testing.B) {
-	nl := arith.NewDaddaMultiplier(8)
-	prog := netlist.CompileWith(nl, netlist.CompileOptions{NoActivity: true})
-	const W = netlist.WideBlockWords
-	in := make([]uint64, nl.NumInputs*W)
-	for i := range in {
-		in[i] = uint64(i) * 0x9E3779B97F4A7C15
-	}
-	scratch := make([]uint64, prog.NumSlots()*W)
-	out := make([]uint64, prog.NumOutputs()*W)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog.EvalBlock(in, W, scratch, out)
+		prog.EvalBlock(in, scratch, out)
 	}
 }
 
@@ -211,11 +175,11 @@ func BenchmarkCharacterizeHighError(b *testing.B) {
 	}
 }
 
-// BenchmarkUnpackBitsBlock measures turning one netlist.WideBlockWords
+// BenchmarkUnpackBitsBlock measures turning one netlist.BlockWords
 // block of output bit-planes back into per-lane integers at the output
 // widths in use: 8 (pixels), 11 (sub10), 16 (mul8) and 17 (add16).
 func BenchmarkUnpackBitsBlock(b *testing.B) {
-	const W = netlist.WideBlockWords
+	const W = netlist.BlockWords
 	for _, width := range []int{8, 11, 16, 17} {
 		b.Run(fmt.Sprintf("w=%d", width), func(b *testing.B) {
 			planes := make([]uint64, width*W)

@@ -158,14 +158,6 @@ type Result struct {
 	Gates  int
 }
 
-// evalBlockWords is the packed block width of the precise evaluator:
-// every compiled-program pass evaluates evalBlockWords×64 pixels.  The
-// simulation sweep runs the fused activity-free program, so it takes
-// the wide-kernel width; switching activity is measured separately on
-// 64-lane batches of the gate-slot-parity program, which is invariant
-// under this width.
-const evalBlockWords = netlist.WideBlockWords
-
 // evalShared is the Evaluator state that is immutable once NewEvaluator
 // returns: the compiled exact-model graph program, the exact reference
 // outputs and the block-packed input bit-planes.  Every Clone of an
@@ -176,7 +168,7 @@ type evalShared struct {
 	gp        *gprog               // compiled exact model (read-only)
 	exact     [][]*imagedata.Image // [sim][image]
 	planes    [][][]uint64         // [image][block][tapBitPlane×words]
-	laneCount [][]int              // [image][block], ≤ evalBlockWords×64
+	laneCount [][]int              // [image][block], ≤ netlist.BlockWords×64
 	simPlanes [][]uint64           // [sim][extraBitPlane×words] broadcast
 
 	headBits int // number of tap bit-planes
@@ -202,10 +194,10 @@ type Evaluator struct {
 	shared *evalShared
 
 	// Per-evaluator scratch, owned exclusively; never shared with clones.
-	inBuf       []uint64                    // block-packed program inputs
-	outVals     [evalBlockWords * 64]uint64 // unpacked output lanes
-	progScratch []uint64                    // compiled-program value slots
-	progOut     []uint64                    // compiled-program outputs
+	inBuf       []uint64                        // block-packed program inputs
+	outVals     [netlist.BlockWords * 64]uint64 // unpacked output lanes
+	progScratch []uint64                        // compiled-program value slots
+	progOut     []uint64                        // compiled-program outputs
 
 	// ActivityBatches bounds the batches used for switching-activity
 	// estimation when computing power/energy.
@@ -245,7 +237,7 @@ func NewEvaluator(app *ImageApp, images []*imagedata.Image) (*Evaluator, error) 
 			return nil, fmt.Errorf("accel: image %dx%d smaller than the SSIM window", im.W, im.H)
 		}
 	}
-	const W = evalBlockWords
+	const W = netlist.BlockWords
 	sh := &evalShared{
 		gp:       compileGraph(app.Graph),
 		headBits: 8 * len(app.Taps),
@@ -370,11 +362,7 @@ func (e *Evaluator) compiled(cfg Configuration) (compiledConfig, error) {
 		if err != nil {
 			return compiledConfig{}, err
 		}
-		return compiledConfig{
-			simp: simp,
-			prog: netlist.Compile(simp),
-			fast: netlist.CompileWith(simp, netlist.CompileOptions{NoActivity: true}),
-		}, nil
+		return compiledConfig{simp: simp, prog: netlist.Compile(simp)}, nil
 	}
 	pc := e.shared.progs
 	if pc.limit() <= 0 {
@@ -390,28 +378,28 @@ func (e *Evaluator) compiled(cfg Configuration) (compiledConfig, error) {
 
 // Evaluate performs the full precise analysis of one configuration:
 // synthesis for hardware cost, then block-packed simulation of the
-// fused activity-free program over every (simulation, image) pair for
-// QoR — evalBlockWords×64 pixels per instruction-decode pass.  The
-// switching-activity batches feed the separate gate-slot-parity
-// program, so power/energy stay bit-identical to per-gate analysis.
+// compiled program over every (simulation, image) pair for QoR —
+// netlist.BlockWords×64 pixels per instruction-decode pass.  The first
+// image's leading 64-lane batches feed the switching-activity analysis
+// of the simplified netlist for power and energy.
 func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 	art, err := e.compiled(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	simp, prog, fast := art.simp, art.prog, art.fast
-	const W = evalBlockWords
-	if n := fast.NumSlots() * W; len(e.progScratch) < n {
+	simp, prog := art.simp, art.prog
+	const W = netlist.BlockWords
+	if n := prog.NumSlots() * W; len(e.progScratch) < n {
 		e.progScratch = make([]uint64, n)
 	}
-	if n := fast.NumOutputs() * W; len(e.progOut) < n {
+	if n := prog.NumOutputs() * W; len(e.progOut) < n {
 		e.progOut = make([]uint64, n)
 	}
 
 	sh := e.shared
 	headWords := sh.headBits * W
 	totalBits := len(e.inBuf) / W
-	outW := fast.NumOutputs()
+	outW := prog.NumOutputs()
 	var ssimTotal float64
 	var activity [][]uint64
 	var activityLanes []int
@@ -421,7 +409,7 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 			out := imagedata.New(im.W, im.H)
 			for b, plane := range sh.planes[ii] {
 				copy(e.inBuf[:headWords], plane)
-				res := fast.EvalBlock(e.inBuf, W, e.progScratch, e.progOut)
+				res := prog.EvalBlock(e.inBuf, e.progScratch, e.progOut)
 				lanes := sh.laneCount[ii][b]
 				netlist.UnpackBitsBlock(res, outW, W, lanes, e.outVals[:])
 				base := b * W * 64
@@ -445,7 +433,7 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 			ssimTotal += e.Metric(sh.exact[si][ii], out)
 		}
 	}
-	cost := simp.AnalyzeActivityProgram(prog, activity, activityLanes)
+	cost := simp.AnalyzeActivity(activity, activityLanes)
 	return Result{
 		SSIM:   ssimTotal / float64(len(e.App.Sims)*len(e.Images)),
 		Area:   cost.Area,

@@ -20,16 +20,14 @@ import (
 const DefaultProgramCacheEntries = 256
 
 // compiledConfig is one cached synthesis artifact: the simplified netlist
-// of a configuration, its gate-slot-parity program (prog — the one
-// switching-activity analysis indexes by gate), and its fused
-// activity-free program (fast — the one simulation sweeps run).  All are
-// immutable after construction and safe for concurrent use (programs
-// take caller-owned scratch), which is what lets every Evaluator clone
-// share one cache.
+// of a configuration (analyzed for cost and switching activity) and its
+// compiled program (run by the simulation sweeps).  Both are immutable
+// after construction and safe for concurrent use (the program takes
+// caller-owned scratch), which is what lets every Evaluator clone share
+// one cache.
 type compiledConfig struct {
 	simp *netlist.Netlist
 	prog *netlist.Program
-	fast *netlist.Program
 }
 
 // progEntry is one completed cache entry, the value of its LRU element.

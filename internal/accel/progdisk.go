@@ -13,7 +13,7 @@ import (
 
 // ProgramCacheConfig configures the persistent tier of the
 // compiled-program cache.  With a Dir set, every synthesized artifact
-// (simplified netlist plus its two compiled programs) is also written to
+// (simplified netlist plus its compiled program) is also written to
 // disk, and a fresh Evaluator over the same circuits serves its builds
 // from the files instead of re-running Flatten+Simplify+Compile — the
 // warm-restart path of a long-running search service.
@@ -89,18 +89,17 @@ func OpenProgramDir(cfg ProgramCacheConfig) (*ProgramDir, error) {
 
 // encodeArtifact serializes art as one entry file image: a store frame
 // whose payload is the chained binary encodings of the simplified
-// netlist, the gate-slot-parity program and the fused fast program.
+// netlist and its compiled program.
 func encodeArtifact(art compiledConfig) []byte {
 	payload := art.simp.AppendBinary(nil)
 	payload = art.prog.AppendBinary(payload)
-	payload = art.fast.AppendBinary(payload)
 	return store.AppendFrame(nil, progDiskMagic, netlist.ProgramFormatVersion, payload)
 }
 
 // decodeArtifact parses and validates an entry file image; any header,
 // checksum or codec mismatch fails (the caller self-heals by deleting
-// the file).  The decoded programs re-establish the slot invariants the
-// unsafe evaluation kernels rely on, so a truncated or bit-flipped
+// the file).  The decoded program re-establishes the slot invariants the
+// unsafe evaluation kernel relies on, so a truncated or bit-flipped
 // entry can degrade only into a rebuild, never into a bad program.
 func decodeArtifact(buf []byte) (compiledConfig, error) {
 	payload, n, err := store.ReadFrame(buf, progDiskMagic, netlist.ProgramFormatVersion, math.MaxUint64)
@@ -118,20 +117,16 @@ func decodeArtifact(buf []byte) (compiledConfig, error) {
 	if err != nil {
 		return compiledConfig{}, err
 	}
-	fast, rest, err := netlist.DecodeProgram(rest)
-	if err != nil {
-		return compiledConfig{}, err
-	}
 	if len(rest) != 0 {
 		return compiledConfig{}, fmt.Errorf("accel: program cache entry: %d trailing bytes", len(rest))
 	}
-	if prog.Fused() || !fast.Fused() && fast.NumGates() != prog.NumGates() {
-		// The parity program must stay gate-slot-parity (activity
-		// analysis indexes it by gate), and the fast program is either
-		// genuinely fused or the identical unfused stream.
-		return compiledConfig{}, fmt.Errorf("accel: program cache entry: program roles swapped")
+	if prog.NumInputs() != simp.NumInputs || prog.NumOutputs() != len(simp.Outputs) ||
+		prog.NumSlots() != simp.NumNodes()+2 {
+		// The evaluator packs inputs and sizes scratch from the program
+		// and costs the netlist: both must describe one circuit.
+		return compiledConfig{}, fmt.Errorf("accel: program cache entry: program does not match its netlist")
 	}
-	return compiledConfig{simp: simp, prog: prog, fast: fast}, nil
+	return compiledConfig{simp: simp, prog: prog}, nil
 }
 
 // load returns the artifact stored for key, or ok=false on a miss.  A

@@ -70,6 +70,13 @@ func TestLoadRejectsCorruptJSON(t *testing.T) {
 	if _, err := Load(strings.NewReader(bad)); err == nil {
 		t.Error("expected netlist validation error")
 	}
+	// A gate kind past the cell library must not load: analysis would
+	// index the cell tables with it.
+	badKind := `{"circuits":{"add8":[{"name":"x","op":{"kind":0,"width":8},
+		"netlist":{"inputs":1,"gates":[{"k":200,"a":0,"b":0}],"outputs":[1]}}]}}`
+	if _, err := LoadBytes([]byte(badKind)); err == nil {
+		t.Error("expected unknown-kind validation error")
+	}
 	// Missing netlist.
 	bad2 := `{"circuits":{"add8":[{"name":"x","op":{"kind":0,"width":8}}]}}`
 	if _, err := Load(strings.NewReader(bad2)); err == nil {

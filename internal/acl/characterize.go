@@ -67,20 +67,17 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 	simp.Name = nl.Name
 	c := &Circuit{Name: nl.Name, Op: op, Family: family, Netlist: simp}
 
-	// The sweep runs on the activity-free compiled program (instruction
-	// fusion licensed — switching activity is measured separately below
-	// on the gate-slot-parity program), W packed words (W×64 operand
-	// pairs) per wide-kernel instruction-decode pass.  Lane values, the
+	// The sweep runs on the compiled program, W packed words (W×64
+	// operand pairs) per instruction-decode pass.  Lane values, the
 	// output signature sequence and the captured activity batches are
 	// bit-identical to the historical one-word-at-a-time evaluation: the
 	// w-major signature fold and the per-64-lane activity extraction are
 	// both invariant under the block width.
-	const W = netlist.WideBlockWords
+	const W = netlist.BlockWords
 	prog := netlist.Compile(simp)
-	fast := netlist.CompileWith(simp, netlist.CompileOptions{NoActivity: true})
 	outW := len(simp.Outputs)
 	planes := make([]uint64, (wa+wb)*W)
-	scratch := make([]uint64, fast.NumSlots()*W)
+	scratch := make([]uint64, prog.NumSlots()*W)
 	outBuf := make([]uint64, outW*W)
 	var avals, bvals [W * 64]uint64
 	var ovals [64]uint64
@@ -128,7 +125,7 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 			netlist.PackBitsBlock(avals[:lanes], wa, W, planes[:wa*W])
 			netlist.PackBitsBlock(bvals[:lanes], wb, W, planes[wa*W:])
 		}
-		out := fast.EvalBlock(planes, W, scratch, outBuf)
+		out := prog.EvalBlock(planes, scratch, outBuf)
 		for w := 0; w*64 < lanes; w++ {
 			for j := 0; j < outW; j++ {
 				sig = (sig ^ out[j*W+w]) * fnvPrime
@@ -194,7 +191,7 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 	c.WCE = wce
 	c.Sig = sig
 
-	cost := simp.AnalyzeActivityProgram(prog, activity, activityLanes)
+	cost := simp.AnalyzeActivity(activity, activityLanes)
 	c.Area = cost.Area
 	c.Delay = cost.Delay
 	c.Power = cost.Power

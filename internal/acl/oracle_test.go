@@ -9,6 +9,7 @@ import (
 	"autoax/internal/approxgen"
 	"autoax/internal/arith"
 	"autoax/internal/netlist"
+	"autoax/internal/pmf"
 )
 
 // Frozen oracle: Characterize exactly as it stood when every lane of every
@@ -29,12 +30,11 @@ func oracleCharacterize(nl *netlist.Netlist, op Op, family string, opts Options)
 	simp.Name = nl.Name
 	c := &Circuit{Name: nl.Name, Op: op, Family: family, Netlist: simp}
 
-	const W = netlist.WideBlockWords
+	const W = netlist.BlockWords
 	prog := netlist.Compile(simp)
-	fast := netlist.CompileWith(simp, netlist.CompileOptions{NoActivity: true})
 	outW := len(simp.Outputs)
 	planes := make([]uint64, (wa+wb)*W)
-	scratch := make([]uint64, fast.NumSlots()*W)
+	scratch := make([]uint64, prog.NumSlots()*W)
 	outBuf := make([]uint64, outW*W)
 	var avals, bvals, ovals [W * 64]uint64
 	exhaustive := wa+wb <= opts.ExhaustiveBits
@@ -82,7 +82,7 @@ func oracleCharacterize(nl *netlist.Netlist, op Op, family string, opts Options)
 			netlist.PackBitsBlock(avals[:lanes], wa, W, planes[:wa*W])
 			netlist.PackBitsBlock(bvals[:lanes], wb, W, planes[wa*W:])
 		}
-		out := fast.EvalBlock(planes, W, scratch, outBuf)
+		out := prog.EvalBlock(planes, scratch, outBuf)
 		for w := 0; w*64 < lanes; w++ {
 			for j := 0; j < outW; j++ {
 				sig = (sig ^ out[j*W+w]) * fnvPrime
@@ -139,7 +139,7 @@ func oracleCharacterize(nl *netlist.Netlist, op Op, family string, opts Options)
 	c.WCE = wce
 	c.Sig = sig
 
-	cost := simp.AnalyzeActivityProgram(prog, activity, activityLanes)
+	cost := simp.AnalyzeActivity(activity, activityLanes)
 	c.Area = cost.Area
 	c.Delay = cost.Delay
 	c.Power = cost.Power
@@ -309,6 +309,97 @@ func TestCharacterizeOracleLibraryMix(t *testing.T) {
 			}
 			if err := sameCircuit(got, want); err != nil {
 				t.Fatalf("repro: go test ./internal/acl -run TestCharacterizeOracleLibraryMix (%s variant %d, %s): %v", g.op, i, v.N.Name, err)
+			}
+		}
+	}
+}
+
+// oracleScoreWMED is ScoreWMED as it stood when the support was scored in
+// 64-lane batches: each batch is packed with PackBits, run as word 0 of a
+// program block, and unpacked with UnpackBits.  Nothing outside the oracle
+// tests may call it.
+func oracleScoreWMED(circuits []*Circuit, d *pmf.PMF) []float64 {
+	op := circuits[0].Op
+	wa, wb := op.InWidths()
+	type sup struct {
+		a, b uint64
+		w    float64
+	}
+	var support []sup
+	d.ForEach(func(a, b uint64, w float64) {
+		support = append(support, sup{a, b, w})
+	})
+	const W = netlist.BlockWords
+	wmeds := make([]float64, len(circuits))
+	var avals, bvals, ovals [64]uint64
+	planes := make([]uint64, wa+wb)
+	for ci, c := range circuits {
+		prog := netlist.Compile(c.Netlist)
+		in := make([]uint64, (wa+wb)*W)
+		outs := make([]uint64, prog.NumOutputs())
+		var wmed float64
+		for base := 0; base < len(support); base += 64 {
+			lanes := min(len(support)-base, 64)
+			for l := 0; l < lanes; l++ {
+				avals[l] = support[base+l].a
+				bvals[l] = support[base+l].b
+			}
+			netlist.PackBits(avals[:lanes], wa, planes[:wa])
+			netlist.PackBits(bvals[:lanes], wb, planes[wa:])
+			for k, v := range planes {
+				in[k*W] = v
+			}
+			out := prog.EvalBlock(in, nil, nil)
+			for k := range outs {
+				outs[k] = out[k*W]
+			}
+			netlist.UnpackBits(outs, lanes, ovals[:])
+			for l := 0; l < lanes; l++ {
+				s := support[base+l]
+				diff := op.Value(ovals[l]) - op.Value(op.Exact(s.a, s.b))
+				if diff < 0 {
+					diff = -diff
+				}
+				wmed += s.w * float64(diff)
+			}
+		}
+		wmeds[ci] = wmed
+	}
+	return wmeds
+}
+
+// TestScoreWMEDOracle pins ScoreWMED's WMEDs bit for bit to the frozen
+// 64-lane scorer, on dense PMFs (add8, mul8) and sparse ones past 16
+// operand bits (sub10), with supports that end mid-batch.
+func TestScoreWMEDOracle(t *testing.T) {
+	cases := []struct {
+		op      Op
+		vs      []approxgen.Variant
+		support int
+	}{
+		{Op{Add, 8}, approxgen.AdderVariants(8, 12, 3), 5000},
+		{Op{Mul, 8}, approxgen.MultiplierVariants(8, 6, 3), 777},
+		{Op{Sub, 10}, approxgen.SubtractorVariants(10, 8, 3), 3001},
+		{Op{Add, 8}, approxgen.AdderVariants(8, 4, 5), 37},
+	}
+	for ci, tc := range cases {
+		rng := rand.New(rand.NewSource(int64(ci)))
+		wa, wb := tc.op.InWidths()
+		d := pmf.New(wa, wb)
+		for i := 0; i < tc.support; i++ {
+			d.Add(rng.Uint64()&(1<<uint(wa)-1), rng.Uint64()&(1<<uint(wb)-1), rng.Float64())
+		}
+		d.Normalize()
+		var circuits []*Circuit
+		for _, v := range tc.vs {
+			circuits = append(circuits, &Circuit{Name: v.N.Name, Op: tc.op, Netlist: netlist.Simplify(v.N)})
+		}
+		want := oracleScoreWMED(circuits, d)
+		ScoreWMED(circuits, d)
+		for i, c := range circuits {
+			if math.Float64bits(c.WMED) != math.Float64bits(want[i]) {
+				t.Fatalf("repro: go test ./internal/acl -run TestScoreWMEDOracle (case %d, %s, circuit %d %s): WMED %v, oracle %v",
+					ci, tc.op, i, c.Name, c.WMED, want[i])
 			}
 		}
 	}

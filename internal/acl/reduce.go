@@ -28,34 +28,35 @@ func ScoreWMED(circuits []*Circuit, d *pmf.PMF) {
 		support = append(support, sup{a, b, w})
 	})
 
-	planesAll := make([][]uint64, 0, (len(support)+63)/64)
-	lanesAll := make([]int, 0, cap(planesAll))
-	var avals, bvals [64]uint64
-	for base := 0; base < len(support); base += 64 {
-		lanes := len(support) - base
-		if lanes > 64 {
-			lanes = 64
-		}
+	// Pack the support into blocks of W×64 lanes once; every circuit
+	// then visits the lanes in support order, so the weighted sum adds
+	// the same terms in the same order whatever the block width.
+	const W = netlist.BlockWords
+	var blocks [][]uint64
+	var avals, bvals, ovals [W * 64]uint64
+	for base := 0; base < len(support); base += W * 64 {
+		lanes := min(len(support)-base, W*64)
 		for l := 0; l < lanes; l++ {
 			avals[l] = support[base+l].a
 			bvals[l] = support[base+l].b
 		}
-		planes := make([]uint64, wa+wb)
-		netlist.PackBits(avals[:lanes], wa, planes[:wa])
-		netlist.PackBits(bvals[:lanes], wb, planes[wa:])
-		planesAll = append(planesAll, planes)
-		lanesAll = append(lanesAll, lanes)
+		planes := make([]uint64, (wa+wb)*W)
+		netlist.PackBitsBlock(avals[:lanes], wa, W, planes[:wa*W])
+		netlist.PackBitsBlock(bvals[:lanes], wb, W, planes[wa*W:])
+		blocks = append(blocks, planes)
 	}
 
-	var ovals [64]uint64
 	for _, c := range circuits {
-		ev := netlist.NewEvaluator(c.Netlist)
+		prog := netlist.Compile(c.Netlist)
+		outW := min(prog.NumOutputs(), 64)
+		scratch := make([]uint64, prog.NumSlots()*W)
+		outBuf := make([]uint64, prog.NumOutputs()*W)
 		var wmed float64
-		for j, planes := range planesAll {
-			out := ev.Eval(planes)
-			lanes := lanesAll[j]
-			netlist.UnpackBits(out, lanes, ovals[:])
-			base := j * 64
+		for j, planes := range blocks {
+			base := j * W * 64
+			lanes := min(len(support)-base, W*64)
+			out := prog.EvalBlock(planes, scratch, outBuf)
+			netlist.UnpackBitsBlock(out, outW, W, lanes, ovals[:])
 			for l := 0; l < lanes; l++ {
 				s := support[base+l]
 				exact := op.Value(op.Exact(s.a, s.b))

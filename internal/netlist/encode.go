@@ -15,9 +15,9 @@ import (
 // that DecodeProgram/DecodeNetlist reject — rather than misread — any
 // bytes AppendBinary of the *current* version did not produce.
 //
-// Decoding validates everything the evaluation kernels rely on.  This is
-// load-bearing for memory safety, not hygiene: Program.Eval/EvalBlock
-// use unchecked slot access (see slotLoad), so a corrupt entry that
+// Decoding validates everything the evaluation kernel relies on.  This is
+// load-bearing for memory safety, not hygiene: Program.EvalBlock uses
+// unchecked slot access (see slotLoad), so a corrupt entry that
 // decoded structurally but carried an out-of-range slot would read or
 // write out of bounds.  Every opcode, operand slot, destination slot and
 // output slot is therefore range-checked here, and callers treat any
@@ -27,7 +27,7 @@ import (
 // Program.  Bump it whenever the instruction set, the slot layout, or
 // either codec changes shape — persisted entries from other versions
 // must read as clean misses.
-const ProgramFormatVersion = 1
+const ProgramFormatVersion = 2
 
 var errCorrupt = errors.New("netlist: corrupt encoded program")
 
@@ -98,7 +98,7 @@ func (n *Netlist) AppendBinary(dst []byte) []byte {
 }
 
 // decodeNetlist consumes one encoded netlist from d and validates it
-// structurally (via Netlist.Validate, the same contract Compile and Eval
+// structurally (via Netlist.Validate, the contract Compile and Analyze
 // require).
 func decodeNetlist(d *decoder) (*Netlist, error) {
 	name := string(d.bytes(d.count(1)))
@@ -150,11 +150,6 @@ func (p *Program) AppendBinary(dst []byte) []byte {
 	dst = appendU32(dst, uint32(p.numInputs))
 	dst = appendU32(dst, uint32(p.numOuts))
 	dst = appendU32(dst, uint32(p.numSlots))
-	var flags uint32
-	if p.fused {
-		flags |= 1
-	}
-	dst = appendU32(dst, flags)
 	dst = appendU32(dst, uint32(len(p.op)))
 	for i := range p.op {
 		dst = append(dst, byte(p.op[i]))
@@ -173,8 +168,7 @@ func (p *Program) AppendBinary(dst []byte) []byte {
 // DecodeProgram decodes one program from buf, returning the remaining
 // bytes.  Every opcode and slot index is validated against the decoded
 // slot count, so a successfully decoded program upholds the unchecked
-// slot-access invariant of Eval/EvalBlock no matter what the input bytes
-// were.
+// slot-access invariant of EvalBlock no matter what the input bytes were.
 func DecodeProgram(buf []byte) (*Program, []byte, error) {
 	d := &decoder{buf: buf}
 	p := &Program{
@@ -182,16 +176,12 @@ func DecodeProgram(buf []byte) (*Program, []byte, error) {
 		numOuts:   int(d.u32()),
 		numSlots:  int(d.u32()),
 	}
-	flags := d.u32()
-	p.fused = flags&1 != 0
 	nInstr := d.count(17)
 	if d.err != nil {
 		return nil, nil, d.err
 	}
-	if flags&^uint32(1) != 0 ||
-		p.numInputs < 0 || p.numSlots > maxEncodedNodes ||
-		p.numSlots < p.numInputs+2 || p.numInputs+nInstr > p.numSlots-2 ||
-		(!p.fused && p.numInputs+nInstr != p.numSlots-2) {
+	if p.numInputs < 0 || p.numSlots > maxEncodedNodes ||
+		p.numSlots < p.numInputs+2 || p.numInputs+nInstr > p.numSlots-2 {
 		return nil, nil, errCorrupt
 	}
 	p.op = make([]opcode, nInstr)
@@ -211,12 +201,6 @@ func DecodeProgram(buf []byte) (*Program, []byte, error) {
 		}
 		if int64(dt) < int64(p.numInputs) || int64(dt) >= int64(p.numSlots-2) {
 			return nil, nil, errCorrupt // destinations are gate slots, never inputs or rails
-		}
-		if op >= opXor3 && !p.fused {
-			return nil, nil, errCorrupt // fused opcode in a parity program
-		}
-		if !p.fused && int(dt) != p.numInputs+i {
-			return nil, nil, errCorrupt // parity programs write slot numInputs+i
 		}
 		p.op[i], p.a[i], p.b[i], p.c[i], p.dst[i] = op, int32(a), int32(b), int32(c), int32(dt)
 	}

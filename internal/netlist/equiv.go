@@ -5,10 +5,6 @@ import (
 	"math/rand"
 )
 
-// equivBlockWords is how many 64-lane words Equivalent evaluates per
-// compiled-program pass (256 vectors per instruction decode).
-const equivBlockWords = 4
-
 // Equivalent checks functional equivalence of two netlists with identical
 // interfaces by comparing their compiled programs.  When the shared input
 // count is at most exhaustiveBits the check is exhaustive; otherwise
@@ -21,7 +17,7 @@ func Equivalent(a, b *Netlist, exhaustiveBits, samples int, seed int64) error {
 	if len(a.Outputs) != len(b.Outputs) {
 		return fmt.Errorf("netlist: output counts differ: %d vs %d", len(a.Outputs), len(b.Outputs))
 	}
-	const W = equivBlockWords
+	const W = BlockWords
 	pa, pb := Compile(a), Compile(b)
 	in := make([]uint64, a.NumInputs*W)
 	sa := make([]uint64, pa.NumSlots()*W)
@@ -30,8 +26,8 @@ func Equivalent(a, b *Netlist, exhaustiveBits, samples int, seed int64) error {
 	ob := make([]uint64, pb.NumOutputs()*W)
 	// check compares the block outputs over the first `lanes` vectors.
 	check := func(lanes int) error {
-		ra := pa.EvalBlock(in, W, sa, oa)
-		rb := pb.EvalBlock(in, W, sb, ob)
+		ra := pa.EvalBlock(in, sa, oa)
+		rb := pb.EvalBlock(in, sb, ob)
 		for w := 0; w*64 < lanes; w++ {
 			mask := ^uint64(0)
 			if rem := lanes - w*64; rem < 64 {

@@ -1,8 +1,7 @@
 package netlist
 
-// fuse is the activity-free optimization pass behind
-// CompileOptions.NoActivity.  It runs on a freshly compiled program —
-// where instruction i writes slot numInputs+i, so slots are
+// fuse is Compile's optimization pass.  It runs on the freshly lowered
+// program — where instruction i writes slot numInputs+i, so slots are
 // single-assignment — and rewrites the stream in place:
 //
 //   - Buf elision: a Buf's consumers read its operand directly.
@@ -18,11 +17,10 @@ package netlist
 // source netlist never consumed) whose slots no live instruction or
 // output reads.  Slot numbering is untouched — eliminated slots are
 // simply never written — so the NumSlots scratch contract and the
-// slotLoad/slotStore bounds invariant are exactly those of the unfused
-// program.  Use counts only ever over-approximate during rewriting
+// slotLoad/slotStore bounds invariant are exactly those of the lowered
+// stream.  Use counts only ever over-approximate during rewriting
 // (a missed fusion costs an instruction, never correctness).
 func (p *Program) fuse() {
-	p.fused = true
 	n := len(p.op)
 	if n == 0 {
 		return

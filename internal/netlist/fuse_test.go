@@ -31,14 +31,14 @@ func rcAdder(n int) *Netlist {
 	return nl
 }
 
-// TestFusedMatchesInterpreter is the fusion parity property: on random
-// netlists (rails, Mux2, every cell kind), the activity-free program
-// must produce outputs bit-identical to the interpreter and to the
-// unfused program at every block width, while the unfused program keeps
-// its per-gate slot parity (the activity path) untouched.
+// TestFusedMatchesInterpreter is the fusion parity property: on ripple-
+// carry adders (the shapes fusion targets) and random netlists (rails,
+// Mux2, every cell kind), the compiled program never grows past the gate
+// list, keeps the netlist's slot numbering, and produces outputs
+// bit-identical to the interpreter.
 func TestFusedMatchesInterpreter(t *testing.T) {
+	const W = BlockWords
 	rng := rand.New(rand.NewSource(99))
-	widths := []int{1, 3, BlockWords, WideBlockWords, 2 * WideBlockWords}
 	for trial := 0; trial < 250; trial++ {
 		var n *Netlist
 		if trial%5 == 0 {
@@ -49,37 +49,25 @@ func TestFusedMatchesInterpreter(t *testing.T) {
 		if err := n.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid netlist: %v", trial, err)
 		}
-		plain := Compile(n)
-		fused := CompileWith(n, CompileOptions{NoActivity: true})
-		if !fused.Fused() || plain.Fused() {
-			t.Fatalf("trial %d: Fused() flags wrong: plain=%v fused=%v", trial, plain.Fused(), fused.Fused())
+		p := Compile(n)
+		if p.NumGates() > len(n.Gates) {
+			t.Fatalf("trial %d: fusion grew the program: %d > %d", trial, p.NumGates(), len(n.Gates))
 		}
-		if fused.NumGates() > plain.NumGates() {
-			t.Fatalf("trial %d: fusion grew the program: %d > %d", trial, fused.NumGates(), plain.NumGates())
+		if p.NumSlots() != n.NumNodes()+2 {
+			t.Fatalf("trial %d: NumSlots %d, want %d", trial, p.NumSlots(), n.NumNodes()+2)
 		}
-		if fused.NumSlots() != plain.NumSlots() {
-			t.Fatalf("trial %d: fusion changed NumSlots: %d != %d", trial, fused.NumSlots(), plain.NumSlots())
+		in := make([]uint64, n.NumInputs*W)
+		for i := range in {
+			in[i] = rng.Uint64()
 		}
-		for _, W := range widths {
-			in := make([]uint64, n.NumInputs*W)
-			for i := range in {
-				in[i] = rng.Uint64()
-			}
-			want := plain.EvalBlock(in, W, nil, nil)
-			got := fused.EvalBlock(in, W, nil, nil)
-			interpVals := make([]uint64, n.NumNodes())
-			for w := 0; w < W; w++ {
-				word := make([]uint64, n.NumInputs)
-				for i := range word {
-					word[i] = in[i*W+w]
-				}
-				ref := n.Eval(word, interpVals, nil)
-				one := fused.Eval(word, nil, nil)
-				for j := range ref {
-					if got[j*W+w] != ref[j] || want[j*W+w] != ref[j] || one[j] != ref[j] {
-						t.Fatalf("trial %d W=%d: output %d word %d: interp %x plain %x fused-block %x fused-eval %x",
-							trial, W, j, w, ref[j], want[j*W+w], got[j*W+w], one[j])
-					}
+		got := p.EvalBlock(in, nil, nil)
+		word := make([]uint64, n.NumInputs)
+		for w := 0; w < W; w++ {
+			ExtractBlockWord(in, W, w, word)
+			ref := n.Eval(word, nil, nil)
+			for j := range ref {
+				if got[j*W+w] != ref[j] {
+					t.Fatalf("trial %d: output %d word %d: interp %x program %x", trial, j, w, ref[j], got[j*W+w])
 				}
 			}
 		}
@@ -88,19 +76,18 @@ func TestFusedMatchesInterpreter(t *testing.T) {
 
 // TestFusionFiresOnAdder pins that the pass actually rewrites the
 // shapes it targets: on a ripple-carry adder the carry fold (And2 into
-// Or2) must fire at every bit, and the activity-free program must be
-// measurably shorter.
+// Or2) must fire at every bit, so the program is measurably shorter than
+// the gate list.
 func TestFusionFiresOnAdder(t *testing.T) {
 	n := rcAdder(8)
-	plain := Compile(n)
-	fused := CompileWith(n, CompileOptions{NoActivity: true})
+	p := Compile(n)
 	// Per full adder, g = And2(a,b) is single-use into the carry Or2, so
 	// 5 gates must become at most 4 instructions.
-	if fused.NumGates() > plain.NumGates()-8 {
-		t.Fatalf("fusion too weak on 8-bit RCA: %d instructions, unfused %d", fused.NumGates(), plain.NumGates())
+	if p.NumGates() > len(n.Gates)-8 {
+		t.Fatalf("fusion too weak on 8-bit RCA: %d instructions for %d gates", p.NumGates(), len(n.Gates))
 	}
 	has := false
-	for _, op := range fused.op {
+	for _, op := range p.op {
 		if op >= opXor3 {
 			has = true
 		}
@@ -122,50 +109,14 @@ func TestFusionInvFold(t *testing.T) {
 		{Kind: cell.Buf, A: 4},        // slot 5 → elided
 	}
 	n.Outputs = []Signal{5}
-	fused := CompileWith(n, CompileOptions{NoActivity: true})
+	p := Compile(n)
 	// And2+Inv+Inv+Buf must collapse to a single instruction.
-	if fused.NumGates() != 1 {
-		t.Fatalf("inv/buf chain: got %d instructions, want 1 (ops %v)", fused.NumGates(), fused.op)
+	if p.NumGates() != 1 {
+		t.Fatalf("inv/buf chain: got %d instructions, want 1 (ops %v)", p.NumGates(), p.op)
 	}
-	out := fused.Eval([]uint64{0xF0F0, 0xFF00}, nil, nil)
-	if out[0] != 0xF0F0&0xFF00 {
+	in := make([]uint64, 2*BlockWords)
+	in[0], in[BlockWords] = 0xF0F0, 0xFF00
+	if out := p.EvalBlock(in, nil, nil); out[0] != 0xF0F0&0xFF00 {
 		t.Fatalf("inv/buf chain misfolded: got %x want %x", out[0], 0xF0F0&0xFF00)
-	}
-}
-
-// TestCountGateOnesRejectsFused pins the guard that keeps activity-free
-// programs out of the switching-activity path.
-func TestCountGateOnesRejectsFused(t *testing.T) {
-	n := rcAdder(2)
-	fused := CompileWith(n, CompileOptions{NoActivity: true})
-	vals := make([]uint64, fused.NumSlots())
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("countGateOnes accepted a fused program")
-		}
-	}()
-	fused.countGateOnes(vals, ^uint64(0), make([]int64, 4))
-}
-
-// TestActivityUnchangedByFusionAvailability pins that compiling a fused
-// sibling leaves the activity analysis of the unfused program untouched.
-func TestActivityUnchangedByFusionAvailability(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	n := rcAdder(6)
-	batches := make([][]uint64, 8)
-	lanes := make([]int, 8)
-	for i := range batches {
-		b := make([]uint64, n.NumInputs)
-		for j := range b {
-			b[j] = rng.Uint64()
-		}
-		batches[i] = b
-		lanes[i] = 64
-	}
-	before := n.AnalyzeActivityProgram(Compile(n), batches, lanes)
-	_ = CompileWith(n, CompileOptions{NoActivity: true})
-	after := n.AnalyzeActivityProgram(Compile(n), batches, lanes)
-	if before != after {
-		t.Fatalf("activity analysis drifted: %+v vs %+v", before, after)
 	}
 }

@@ -52,17 +52,24 @@ func TestNetlistJSONConstRails(t *testing.T) {
 	}
 }
 
+// TestEvaluatorReuse pins that EvalBlock keeps no state in reused scratch
+// and output buffers between calls.
 func TestEvaluatorReuse(t *testing.T) {
 	n := buildMajority()
-	ev := NewEvaluator(n)
-	in := []uint64{0xF0F0, 0xFF00, 0xAAAA}
-	first := append([]uint64(nil), ev.Eval(in)...)
+	p := Compile(n)
+	scratch := make([]uint64, p.NumSlots()*BlockWords)
+	out := make([]uint64, p.NumOutputs()*BlockWords)
+	in := make([]uint64, n.NumInputs*BlockWords)
+	for i := range in {
+		in[i] = uint64(i+1) * 0x9E3779B97F4A7C15
+	}
+	first := append([]uint64(nil), p.EvalBlock(in, scratch, out)...)
 	// A second evaluation with different inputs must not corrupt results.
-	ev.Eval([]uint64{0, 0, 0})
-	second := ev.Eval(in)
+	p.EvalBlock(make([]uint64, len(in)), scratch, out)
+	second := p.EvalBlock(in, scratch, out)
 	for i := range first {
 		if first[i] != second[i] {
-			t.Fatal("evaluator state leaked between calls")
+			t.Fatal("evaluation state leaked between calls")
 		}
 	}
 }

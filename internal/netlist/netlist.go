@@ -5,21 +5,25 @@
 // internal/cell) over primary inputs and two constant rails.  The package
 // offers three capabilities the methodology depends on:
 //
-//   - fast functional simulation: 64 independent input vectors are evaluated
-//     per pass using bit-parallel words, which makes exhaustive 8-bit circuit
-//     characterization and image-sized QoR simulation tractable on one CPU;
+//   - fast functional simulation: Compile lowers a netlist into one fused
+//     Program, and its one kernel, EvalBlock, evaluates BlockWords×64
+//     independent input vectors per pass using bit-parallel words, which
+//     makes exhaustive 8-bit circuit characterization and image-sized QoR
+//     simulation tractable on one CPU;
 //   - synthesis-style optimization (Simplify): constant propagation, Boolean
 //     identity rewriting, structural hashing and dead-cone elimination —
 //     the stand-in for the paper's Synopsys Design Compiler runs, and the
 //     mechanism that reproduces the paper's observation that a high-error
 //     downstream component lets synthesis strip upstream logic;
 //   - cost analysis: area, critical-path delay, leakage, and switching-
-//     activity-based energy per operation.
+//     activity-based energy per operation, the activity coming from one
+//     block pass of the netlist itself over all sample batches.
 package netlist
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"autoax/internal/cell"
 )
@@ -64,8 +68,8 @@ func (n *Netlist) Clone() *Netlist {
 	return c
 }
 
-// Validate checks structural well-formedness: topological order, operand
-// ranges, and output ranges.
+// Validate checks structural well-formedness: known cell kinds,
+// topological order, operand ranges, and output ranges.
 func (n *Netlist) Validate() error {
 	if n.NumInputs < 0 {
 		return errors.New("netlist: negative input count")
@@ -80,6 +84,9 @@ func (n *Netlist) Validate() error {
 		return nil
 	}
 	for i, g := range n.Gates {
+		if int(g.Kind) >= cell.NumKinds {
+			return fmt.Errorf("netlist: gate %d has unknown kind %d", i, g.Kind)
+		}
 		limit := n.NumInputs + i
 		if err := check(g.A, limit); err != nil {
 			return fmt.Errorf("gate %d operand A: %w", i, err)
@@ -104,103 +111,11 @@ func (n *Netlist) Validate() error {
 	return nil
 }
 
-// Eval evaluates the netlist on 64 parallel input vectors.  inputs[i] packs
-// the 64 lane values of primary input i (lane l in bit l).  scratch, when
-// non-nil and of length ≥ NumNodes, avoids an allocation.  The returned
-// slice holds one packed word per output and aliases outBuf when outBuf has
-// sufficient capacity.
-func (n *Netlist) Eval(inputs []uint64, scratch []uint64, outBuf []uint64) []uint64 {
-	if len(inputs) != n.NumInputs {
-		panic(fmt.Sprintf("netlist %q: Eval got %d input words, want %d", n.Name, len(inputs), n.NumInputs))
-	}
-	vals := scratch
-	if len(vals) < n.NumNodes() {
-		vals = make([]uint64, n.NumNodes())
-	}
-	copy(vals, inputs)
-	base := n.NumInputs
-	fetch := func(s Signal) uint64 {
-		switch s {
-		case Const0:
-			return 0
-		case Const1:
-			return ^uint64(0)
-		}
-		return vals[s]
-	}
-	for i, g := range n.Gates {
-		a := fetch(g.A)
-		var v uint64
-		switch g.Kind {
-		case cell.Buf:
-			v = a
-		case cell.Inv:
-			v = ^a
-		case cell.And2:
-			v = a & fetch(g.B)
-		case cell.Or2:
-			v = a | fetch(g.B)
-		case cell.Nand2:
-			v = ^(a & fetch(g.B))
-		case cell.Nor2:
-			v = ^(a | fetch(g.B))
-		case cell.Xor2:
-			v = a ^ fetch(g.B)
-		case cell.Xnor2:
-			v = ^(a ^ fetch(g.B))
-		case cell.Mux2:
-			v = (fetch(g.B) &^ a) | (fetch(g.C) & a)
-		case cell.AndN2:
-			v = a &^ fetch(g.B)
-		case cell.OrN2:
-			v = a | ^fetch(g.B)
-		default:
-			panic(fmt.Sprintf("netlist: unknown gate kind %v", g.Kind))
-		}
-		vals[base+i] = v
-	}
-	if cap(outBuf) < len(n.Outputs) {
-		outBuf = make([]uint64, len(n.Outputs))
-	}
-	outBuf = outBuf[:len(n.Outputs)]
-	for i, o := range n.Outputs {
-		outBuf[i] = fetch(o)
-	}
-	return outBuf
-}
-
-// Evaluator wraps a compiled program of the netlist with reusable buffers
-// for repeated Eval calls.  It is not safe for concurrent use; create one
-// per goroutine (clones may share the immutable compiled program via
-// Program directly).
-type Evaluator struct {
-	p       *Program
-	scratch []uint64
-	out     []uint64
-}
-
-// NewEvaluator compiles the netlist and returns an evaluator with
-// preallocated buffers.
-func NewEvaluator(n *Netlist) *Evaluator {
-	p := Compile(n)
-	return &Evaluator{
-		p:       p,
-		scratch: make([]uint64, p.NumSlots()),
-		out:     make([]uint64, p.NumOutputs()),
-	}
-}
-
-// Eval evaluates 64 parallel vectors; the returned slice is reused across
-// calls and must not be retained.
-func (e *Evaluator) Eval(inputs []uint64) []uint64 {
-	return e.p.Eval(inputs, e.scratch, e.out)
-}
-
 // WordFunc returns a scalar evaluator interpreting the netlist as a function
 // over little-endian unsigned integer ports.  inWidths must sum to
 // NumInputs.  The evaluator returns the output bits packed into a single
 // unsigned integer (output i at bit i) and is intended for tests and
-// reference checks; hot paths should use Eval with packed lanes.
+// reference checks; hot paths should run Program.EvalBlock on packed lanes.
 func (n *Netlist) WordFunc(inWidths ...int) func(args ...uint64) uint64 {
 	total := 0
 	for _, w := range inWidths {
@@ -209,27 +124,27 @@ func (n *Netlist) WordFunc(inWidths ...int) func(args ...uint64) uint64 {
 	if total != n.NumInputs {
 		panic(fmt.Sprintf("netlist %q: WordFunc widths sum to %d, want %d", n.Name, total, n.NumInputs))
 	}
-	ev := NewEvaluator(n)
-	in := make([]uint64, n.NumInputs)
+	const W = BlockWords
+	p := Compile(n)
+	in := make([]uint64, n.NumInputs*W)
+	scratch := make([]uint64, p.NumSlots()*W)
+	out := make([]uint64, p.NumOutputs()*W)
 	return func(args ...uint64) uint64 {
 		if len(args) != len(inWidths) {
 			panic("netlist: WordFunc arg count mismatch")
 		}
+		// The call is lane 0 of the block; the other lanes stay zero.
 		pos := 0
 		for i, w := range inWidths {
 			for k := 0; k < w; k++ {
-				if (args[i]>>uint(k))&1 != 0 {
-					in[pos] = ^uint64(0)
-				} else {
-					in[pos] = 0
-				}
+				in[pos*W] = args[i] >> uint(k) & 1
 				pos++
 			}
 		}
-		out := ev.Eval(in)
+		res := p.EvalBlock(in, scratch, out)
 		var r uint64
-		for i, w := range out {
-			r |= (w & 1) << uint(i)
+		for i := 0; i < p.NumOutputs(); i++ {
+			r |= (res[i*W] & 1) << uint(i)
 		}
 		return r
 	}
@@ -294,47 +209,124 @@ func (n *Netlist) Analyze() Cost {
 	return c
 }
 
+// activityPool recycles AnalyzeActivity's node-value blocks.
+var activityPool slicePool[uint64]
+
 // AnalyzeActivity extends Analyze with switching-based power and energy.
 // samples supplies packed input words: samples[j] is one batch of 64 input
-// vectors laid out like Eval's inputs argument; laneCounts[j] says how many
-// of the 64 lanes in batch j are valid.  Switching activity per gate is
-// estimated as α = 2p(1−p) where p is the observed probability of the gate
-// output being 1 — the standard static activity approximation.
+// vectors (samples[j][i] packs the lanes of primary input i); laneCounts[j]
+// says how many of the 64 lanes in batch j are valid (nil means all).
+// Switching activity per gate is estimated as α = 2p(1−p) where p is the
+// observed probability of the gate output being 1 — the standard static
+// activity approximation.
+//
+// The netlist is interpreted in one block pass over all B batches: node
+// k's word for batch j sits at vals[k*B+j], and the two constant rails sit
+// past the nodes.  Each gate's ones are counted under the batch lane masks
+// as soon as its row is computed.
 func (n *Netlist) AnalyzeActivity(samples [][]uint64, laneCounts []int) Cost {
-	if len(samples) == 0 {
-		return n.Analyze()
-	}
-	return n.AnalyzeActivityProgram(Compile(n), samples, laneCounts)
-}
-
-// AnalyzeActivityProgram is AnalyzeActivity over an already-compiled
-// program of this netlist, so hot paths that simulated through p don't
-// lower the netlist a second time.
-func (n *Netlist) AnalyzeActivityProgram(p *Program, samples [][]uint64, laneCounts []int) Cost {
 	c := n.Analyze()
-	if len(samples) == 0 {
+	B := len(samples)
+	if B == 0 {
 		return c
 	}
-	ones := make([]int64, len(n.Gates))
-	var total int64
-	vals := make([]uint64, p.NumSlots())
-	out := make([]uint64, p.NumOutputs())
+	nodes := n.NumNodes()
+	vals := activityPool.get((nodes + 2) * B)
+	defer activityPool.put(vals)
 	for j, in := range samples {
+		if len(in) != n.NumInputs {
+			panic(fmt.Sprintf("netlist %q: AnalyzeActivity batch %d has %d input words, want %d", n.Name, j, len(in), n.NumInputs))
+		}
+		for i, v := range in {
+			vals[i*B+j] = v
+		}
+	}
+	for j := (nodes + 1) * B; j < len(vals); j++ {
+		vals[j] = ^uint64(0) // the Const1 rail; the Const0 rail stays zero
+	}
+	row := func(s Signal) []uint64 {
+		switch s {
+		case Const0:
+			s = Signal(nodes)
+		case Const1:
+			s = Signal(nodes + 1)
+		}
+		return vals[int(s)*B : int(s)*B+B]
+	}
+	masks := make([]uint64, B)
+	var total int64
+	for j := range masks {
 		lanes := 64
 		if laneCounts != nil {
 			lanes = laneCounts[j]
 		}
-		mask := ^uint64(0)
+		masks[j] = ^uint64(0)
 		if lanes < 64 {
-			mask = (uint64(1) << uint(lanes)) - 1
+			masks[j] = (uint64(1) << uint(lanes)) - 1
 		}
-		p.Eval(in, vals, out)
-		p.countGateOnes(vals, mask, ones)
 		total += int64(lanes)
 	}
+
 	var switchEnergy float64 // fJ per cycle
 	for i, g := range n.Gates {
-		p := float64(ones[i]) / float64(total)
+		dst := row(Signal(n.NumInputs + i))
+		a := row(g.A)
+		var b []uint64
+		if cell.Arity(g.Kind) >= 2 {
+			b = row(g.B)
+		}
+		switch g.Kind {
+		case cell.Buf:
+			copy(dst, a)
+		case cell.Inv:
+			for j := range dst {
+				dst[j] = ^a[j]
+			}
+		case cell.And2:
+			for j := range dst {
+				dst[j] = a[j] & b[j]
+			}
+		case cell.Or2:
+			for j := range dst {
+				dst[j] = a[j] | b[j]
+			}
+		case cell.Nand2:
+			for j := range dst {
+				dst[j] = ^(a[j] & b[j])
+			}
+		case cell.Nor2:
+			for j := range dst {
+				dst[j] = ^(a[j] | b[j])
+			}
+		case cell.Xor2:
+			for j := range dst {
+				dst[j] = a[j] ^ b[j]
+			}
+		case cell.Xnor2:
+			for j := range dst {
+				dst[j] = ^(a[j] ^ b[j])
+			}
+		case cell.Mux2:
+			hi := row(g.C) // a is the select line
+			for j := range dst {
+				dst[j] = (b[j] &^ a[j]) | (hi[j] & a[j])
+			}
+		case cell.AndN2:
+			for j := range dst {
+				dst[j] = a[j] &^ b[j]
+			}
+		case cell.OrN2:
+			for j := range dst {
+				dst[j] = a[j] | ^b[j]
+			}
+		default:
+			panic(fmt.Sprintf("netlist: unknown gate kind %v", g.Kind))
+		}
+		var ones int64
+		for j, v := range dst {
+			ones += int64(bits.OnesCount64(v & masks[j]))
+		}
+		p := float64(ones) / float64(total)
 		alpha := 2 * p * (1 - p)
 		switchEnergy += alpha * cell.Energy(g.Kind)
 	}

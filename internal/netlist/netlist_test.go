@@ -305,12 +305,22 @@ func TestInstantiateComposition(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsForwardReference covers malformed netlists that
+// Validate, and so DecodeNetlist, must reject: a forward operand
+// reference and a gate kind past the cell library.
 func TestValidateRejectsForwardReference(t *testing.T) {
-	n := &Netlist{NumInputs: 1}
-	n.Gates = []Gate{{Kind: cell.And2, A: 0, B: 2}} // gate 0 references itself (id 1+? id of gate0 = 1; B=2 future)
-	n.Outputs = []Signal{1}
-	if err := n.Validate(); err == nil {
-		t.Error("expected validation error for forward reference")
+	cases := map[string]*Netlist{
+		// Gate 0 is node 1; its B operand names node 2, a later node.
+		"forward reference": {NumInputs: 1, Gates: []Gate{{Kind: cell.And2, A: 0, B: 2}}, Outputs: []Signal{1}},
+		"unknown kind":      {NumInputs: 1, Gates: []Gate{{Kind: 200, A: 0, B: 0}}, Outputs: []Signal{1}},
+	}
+	for name, n := range cases {
+		if err := n.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if _, _, err := DecodeNetlist(n.AppendBinary(nil)); err == nil {
+			t.Errorf("%s: DecodeNetlist accepted it", name)
+		}
 	}
 }
 

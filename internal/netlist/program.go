@@ -2,7 +2,6 @@ package netlist
 
 import (
 	"fmt"
-	"math/bits"
 	"unsafe"
 
 	"autoax/internal/cell"
@@ -10,11 +9,11 @@ import (
 
 // slotLoad / slotStore access value slot s of a buffer through its base
 // pointer without a bounds check.  Safety rests on one local invariant,
-// established by Compile and checked by Eval/EvalBlock before the loop:
-// every operand and destination slot is < NumSlots, and the buffer holds
-// at least NumSlots (×words) elements.  The instruction loops are the
-// hottest code in the repository; the three checks these helpers avoid
-// per gate are worth ~10% end to end.
+// established by Compile (or DecodeProgram) and checked by EvalBlock
+// before the loop: every operand and destination slot is < NumSlots, and
+// the buffer holds NumSlots×BlockWords elements.  The instruction loop is
+// the hottest code in the repository; the three checks these helpers
+// avoid per gate are worth ~10% end to end.
 func slotLoad(base unsafe.Pointer, s uintptr) uint64 {
 	return *(*uint64)(unsafe.Add(base, s*8))
 }
@@ -28,9 +27,8 @@ func slotStore(base unsafe.Pointer, s uintptr, v uint64) {
 // produces: a gate with a constant-rail operand always reduces to a
 // constant, a unary op, or a smaller binary op, so no instruction ever
 // carries a constant operand at run time.  The three-input forms past
-// opConst1 exist only in activity-free programs (CompileOptions
-// .NoActivity): the fusion pass merges a single-use gate into its
-// consumer, so e.g. a full adder's sum chain XOR(XOR(a,b),cin) becomes
+// opConst1 come from the fusion pass, which merges a single-use gate into
+// its consumer, so e.g. a full adder's sum chain XOR(XOR(a,b),cin) becomes
 // one opXor3 instruction.
 type opcode uint8
 
@@ -50,7 +48,7 @@ const (
 	opConst1
 
 	// Fused three-input forms: inner gate over (a, b), outer combines
-	// with c.  Emitted only by the activity-free fusion pass.
+	// with c.  Emitted only by the fusion pass.
 	opXor3    // (a^b)^c  — full-adder sum chain
 	opXnor3   // ^((a^b)^c)
 	opAnd3    // (a&b)&c
@@ -64,31 +62,10 @@ const (
 	opcodeCount // sentinel: every valid opcode is < opcodeCount
 )
 
-// BlockWords is the block width of the per-gate-parity consumers of
-// EvalBlock: 4 packed words = 256 lanes per instruction-decode pass.
-const BlockWords = 4
-
-// WideBlockWords is the block width of the activity-free hot paths
-// (characterization sweeps, precise QoR simulation): 8 packed words = 512
-// lanes per instruction-decode pass through the unrolled wide kernel.
-// EvalBlock takes the wide kernel for any multiple of 8 (16-word blocks
-// run the 8-word body twice per instruction), so callers with larger
-// batches can trade scratch footprint for even fewer decodes.
-const WideBlockWords = 8
-
-// CompileOptions selects the compilation mode of CompileWith.
-type CompileOptions struct {
-	// NoActivity drops the per-gate value-slot parity contract: the
-	// compiled program still produces bit-identical outputs, but
-	// intermediate gate values need not land in their Netlist.Eval slots.
-	// That licenses instruction fusion (three-input fused opcodes for
-	// single-use gate pairs, Inv folding into complemented forms) and
-	// dead-store elimination, cutting the instruction count of adder- and
-	// multiplier-shaped netlists by ~30–40%.  Programs compiled this way
-	// must not feed AnalyzeActivityProgram; compile without NoActivity
-	// (or use Compile) when switching activity is consumed.
-	NoActivity bool
-}
+// BlockWords is the block width of EvalBlock: every value slot holds 8
+// packed words, so one instruction decode drives 512 lanes through the
+// unrolled kernel.
+const BlockWords = 8
 
 // Program is a netlist lowered into a contiguous, constant-resolved
 // instruction stream for fast repeated simulation.  Opcodes and operand
@@ -97,47 +74,43 @@ type CompileOptions struct {
 // constant propagation proves constant — are folded into specialized
 // opcodes at compile time, so evaluation has no per-operand branches.
 //
+// Compile also fuses the stream (see fuse): single-use gate pairs become
+// three-input opcodes, Bufs and folded Invs vanish and dead stores are
+// dropped, so the program is usually shorter than the gate list and
+// intermediate gate values need not land anywhere.  Only the outputs are defined, and
+// they are bit-identical to the source netlist's.  Switching activity,
+// which needs every gate's value, comes from Netlist.AnalyzeActivity
+// instead.  Value slots keep the netlist's numbering (input i is slot i,
+// gate g is slot NumInputs+g), and two slots past the nodes hold the
+// constant rails.
+//
 // A Program is immutable after Compile and safe for concurrent use as long
 // as every goroutine supplies its own scratch and output buffers —
 // concurrent evaluators share one compiled program.
-//
-// Without CompileOptions.NoActivity, instruction i computes gate i of the
-// source netlist and writes value slot NumInputs+i, so per-gate values
-// (needed by switching-activity analysis) land exactly where Netlist.Eval
-// puts them.  Activity-free programs carry explicit destination slots
-// instead (fusion elides instructions, so the stream is shorter than the
-// gate list); the slot *numbering* is unchanged either way, and two extra
-// slots past the source netlist's nodes hold the constant rails.
 type Program struct {
 	numInputs int
 	numOuts   int
-	numSlots  int  // scratch slots per word, rails included
-	fused     bool // activity-free: gate-slot parity not guaranteed
+	numSlots  int // scratch slots per word, rails included
 
 	op      []opcode
 	a, b, c []int32 // operand slots; unused operands point at the zero rail
-	dst     []int32 // destination slots (numInputs+i unless fused)
+	dst     []int32 // destination slots
 	outs    []int32 // pre-resolved output slots (may be the rail slots)
 }
 
-// NumInputs returns the number of packed input words Eval expects.
+// NumInputs returns the number of primary inputs.
 func (p *Program) NumInputs() int { return p.numInputs }
 
-// NumOutputs returns the number of packed output words Eval produces.
+// NumOutputs returns the number of outputs.
 func (p *Program) NumOutputs() int { return p.numOuts }
 
-// NumGates returns the instruction count: one per source-netlist gate,
-// fewer when the activity-free fusion pass merged or eliminated gates.
+// NumGates returns the instruction count, at most the source netlist's
+// gate count.
 func (p *Program) NumGates() int { return len(p.op) }
 
-// NumSlots returns the scratch length Eval needs per word: one slot per
-// source-netlist node plus the two constant-rail slots.
+// NumSlots returns the value slots per block word: one per source-netlist
+// node plus the two constant-rail slots.
 func (p *Program) NumSlots() int { return p.numSlots }
-
-// Fused reports whether the program was compiled activity-free
-// (CompileOptions.NoActivity): outputs are bit-identical to the
-// interpreter, but per-gate value slots are not maintained.
-func (p *Program) Fused() bool { return p.fused }
 
 // rail0 and rail1 are the value slots holding the constant rails.
 func (p *Program) rail0() int32 { return int32(p.numSlots - 2) }
@@ -187,17 +160,10 @@ var binaryOpcode = map[cell.Kind]opcode{
 	cell.OrN2:  opOrN2,
 }
 
-// Compile lowers a netlist into a Program.  The netlist must be valid (the
-// same contract as Eval); Compile panics on malformed gates.  Compiled
-// evaluation is bit-identical to Netlist.Eval at every value slot,
-// including gates constant propagation resolves (their constant is still
-// written each pass).
+// Compile lowers a netlist into a fused Program.  The netlist must be
+// valid (see Validate); Compile panics on malformed gates.  The program's
+// outputs are bit-identical to the netlist's on every lane.
 func Compile(n *Netlist) *Program {
-	return CompileWith(n, CompileOptions{})
-}
-
-// CompileWith is Compile under explicit options; see CompileOptions.
-func CompileWith(n *Netlist, opts CompileOptions) *Program {
 	p := &Program{
 		numInputs: n.NumInputs,
 		numOuts:   len(n.Outputs),
@@ -241,7 +207,7 @@ func CompileWith(n *Netlist, opts CompileOptions) *Program {
 		p.op[i] = code
 		p.dst[i] = int32(base + i)
 		// Unused operand positions point at the zero rail so the uniform
-		// operand load in Eval is always in bounds.
+		// operand loads in EvalBlock are always in bounds.
 		p.a[i], p.b[i], p.c[i] = p.rail0(), p.rail0(), p.rail0()
 		switch code {
 		case opConst0:
@@ -259,9 +225,7 @@ func CompileWith(n *Netlist, opts CompileOptions) *Program {
 	for i, o := range n.Outputs {
 		p.outs[i] = resolve(o).slot
 	}
-	if opts.NoActivity {
-		p.fuse()
-	}
+	p.fuse()
 	return p
 }
 
@@ -366,108 +330,20 @@ func constOpcode(one bool) opcode {
 	return opConst0
 }
 
-// Eval evaluates the program on 64 parallel input vectors, exactly like
-// Netlist.Eval on the source netlist: inputs[i] packs the lanes of primary
-// input i, scratch (when non-nil and of length ≥ NumSlots) avoids an
-// allocation, and the returned slice holds one packed word per output,
-// aliasing outBuf when it has sufficient capacity.
-func (p *Program) Eval(inputs []uint64, scratch []uint64, outBuf []uint64) []uint64 {
-	if len(inputs) != p.numInputs {
-		panic(fmt.Sprintf("netlist: Program.Eval got %d input words, want %d", len(inputs), p.numInputs))
+// EvalBlock evaluates BlockWords×64 parallel vectors in one
+// instruction-decode pass: input i occupies
+// inputs[i*BlockWords : (i+1)*BlockWords] and output j lands in
+// outBuf[j*BlockWords : (j+1)*BlockWords], the layout PackBitsBlock
+// produces.  Decoding one instruction drives BlockWords independent word
+// operations, so image-sized batches amortize dispatch and expose
+// instruction-level parallelism.  scratch, when of length
+// ≥ NumSlots()*BlockWords, avoids an allocation; the returned slice
+// aliases outBuf when it has sufficient capacity.
+func (p *Program) EvalBlock(inputs []uint64, scratch []uint64, outBuf []uint64) []uint64 {
+	const W = BlockWords
+	if len(inputs) != p.numInputs*W {
+		panic(fmt.Sprintf("netlist: Program.EvalBlock got %d input words, want %d", len(inputs), p.numInputs*W))
 	}
-	vals := scratch
-	if len(vals) < p.NumSlots() {
-		vals = make([]uint64, p.NumSlots())
-	}
-	vals = vals[:p.NumSlots()] // pins the slotLoad/slotStore invariant
-	copy(vals, inputs)
-	vals[p.rail0()] = 0
-	vals[p.rail1()] = ^uint64(0)
-	vp := unsafe.Pointer(&vals[0]) // NumSlots ≥ 2: the rail slots exist
-	code := p.op
-	// Re-slicing the operand streams to len(code) lets the compiler drop
-	// their per-iteration bounds checks.
-	pa, pb, pc, pd := p.a[:len(code)], p.b[:len(code)], p.c[:len(code)], p.dst[:len(code)]
-	for i := 0; i < len(code); i++ {
-		a := slotLoad(vp, uintptr(pa[i]))
-		var v uint64
-		switch code[i] {
-		case opBuf:
-			v = a
-		case opInv:
-			v = ^a
-		case opAnd2:
-			v = a & slotLoad(vp, uintptr(pb[i]))
-		case opOr2:
-			v = a | slotLoad(vp, uintptr(pb[i]))
-		case opNand2:
-			v = ^(a & slotLoad(vp, uintptr(pb[i])))
-		case opNor2:
-			v = ^(a | slotLoad(vp, uintptr(pb[i])))
-		case opXor2:
-			v = a ^ slotLoad(vp, uintptr(pb[i]))
-		case opXnor2:
-			v = ^(a ^ slotLoad(vp, uintptr(pb[i])))
-		case opMux2:
-			v = (slotLoad(vp, uintptr(pb[i])) &^ a) | (slotLoad(vp, uintptr(pc[i])) & a)
-		case opAndN2:
-			v = a &^ slotLoad(vp, uintptr(pb[i]))
-		case opOrN2:
-			v = a | ^slotLoad(vp, uintptr(pb[i]))
-		case opConst0:
-			v = 0
-		case opConst1:
-			v = ^uint64(0)
-		case opXor3:
-			v = a ^ slotLoad(vp, uintptr(pb[i])) ^ slotLoad(vp, uintptr(pc[i]))
-		case opXnor3:
-			v = ^(a ^ slotLoad(vp, uintptr(pb[i])) ^ slotLoad(vp, uintptr(pc[i])))
-		case opAnd3:
-			v = a & slotLoad(vp, uintptr(pb[i])) & slotLoad(vp, uintptr(pc[i]))
-		case opOr3:
-			v = a | slotLoad(vp, uintptr(pb[i])) | slotLoad(vp, uintptr(pc[i]))
-		case opAndOr3:
-			v = (a & slotLoad(vp, uintptr(pb[i]))) | slotLoad(vp, uintptr(pc[i]))
-		case opOrAnd3:
-			v = (a | slotLoad(vp, uintptr(pb[i]))) & slotLoad(vp, uintptr(pc[i]))
-		case opXorAnd3:
-			v = (a ^ slotLoad(vp, uintptr(pb[i]))) & slotLoad(vp, uintptr(pc[i]))
-		case opXorOr3:
-			v = (a ^ slotLoad(vp, uintptr(pb[i]))) | slotLoad(vp, uintptr(pc[i]))
-		case opAndXor3:
-			v = (a & slotLoad(vp, uintptr(pb[i]))) ^ slotLoad(vp, uintptr(pc[i]))
-		}
-		slotStore(vp, uintptr(pd[i]), v)
-	}
-	if cap(outBuf) < p.numOuts {
-		outBuf = make([]uint64, p.numOuts)
-	}
-	outBuf = outBuf[:p.numOuts]
-	for i, o := range p.outs {
-		outBuf[i] = vals[o]
-	}
-	return outBuf
-}
-
-// EvalBlock evaluates words×64 parallel vectors in one instruction-decode
-// pass: each value slot holds `words` consecutive packed words (input i
-// occupies inputs[i*words : (i+1)*words], output j lands in
-// outBuf[j*words : (j+1)*words] — the layout PackBitsBlock produces).
-// Decoding one instruction drives `words` independent word operations, so
-// image-sized batches amortize dispatch and expose instruction-level
-// parallelism.  scratch, when non-nil and of length ≥ NumSlots()*words,
-// avoids an allocation; the returned slice aliases outBuf when it has
-// sufficient capacity.  Lane values equal Eval run word by word; words ==
-// BlockWords takes a fully unrolled fast path and multiples of
-// WideBlockWords take the unrolled wide kernel.
-func (p *Program) EvalBlock(inputs []uint64, words int, scratch []uint64, outBuf []uint64) []uint64 {
-	if words <= 0 {
-		panic("netlist: Program.EvalBlock needs words >= 1")
-	}
-	if len(inputs) != p.numInputs*words {
-		panic(fmt.Sprintf("netlist: Program.EvalBlock got %d input words, want %d", len(inputs), p.numInputs*words))
-	}
-	W := words
 	vals := scratch
 	if len(vals) < p.NumSlots()*W {
 		vals = make([]uint64, p.NumSlots()*W)
@@ -479,14 +355,7 @@ func (p *Program) EvalBlock(inputs []uint64, words int, scratch []uint64, outBuf
 		vals[r0+k] = 0
 		vals[r1+k] = ^uint64(0)
 	}
-	switch {
-	case W == BlockWords:
-		p.evalBlock4(vals)
-	case W%WideBlockWords == 0:
-		p.evalBlockWide(vals, W)
-	default:
-		p.evalBlockN(vals, W)
-	}
+	p.evalBlock(vals)
 	if cap(outBuf) < p.numOuts*W {
 		outBuf = make([]uint64, p.numOuts*W)
 	}
@@ -497,95 +366,15 @@ func (p *Program) EvalBlock(inputs []uint64, words int, scratch []uint64, outBuf
 	return outBuf
 }
 
-// evalBlock4 is the unrolled BlockWords-wide instruction loop: the four
-// word operations per gate are independent, so they fill the CPU's
-// execution ports while the single dispatch cost is paid once.  The
+// evalBlock is the unrolled instruction loop: per instruction decode, one
+// straight-line body computes the BlockWords words of the destination
+// slot.  The eight word operations are independent, so they fill the
+// CPU's execution ports while the single dispatch cost is paid once.  The
 // slotLoad/slotStore invariant is pinned by EvalBlock (len(vals) ==
 // NumSlots×BlockWords and every slot < NumSlots).
-func (p *Program) evalBlock4(vals []uint64) {
-	const W = uintptr(BlockWords)
+func (p *Program) evalBlock(vals []uint64) {
+	const wi = uintptr(BlockWords)
 	vp := unsafe.Pointer(&vals[0])
-	code := p.op
-	pa, pb, pc, pd := p.a[:len(code)], p.b[:len(code)], p.c[:len(code)], p.dst[:len(code)]
-	for i := 0; i < len(code); i++ {
-		ao := uintptr(pa[i]) * W
-		bo := uintptr(pb[i]) * W
-		a0, a1, a2, a3 := slotLoad(vp, ao), slotLoad(vp, ao+1), slotLoad(vp, ao+2), slotLoad(vp, ao+3)
-		b0, b1, b2, b3 := slotLoad(vp, bo), slotLoad(vp, bo+1), slotLoad(vp, bo+2), slotLoad(vp, bo+3)
-		var v0, v1, v2, v3 uint64
-		switch code[i] {
-		case opBuf:
-			v0, v1, v2, v3 = a0, a1, a2, a3
-		case opInv:
-			v0, v1, v2, v3 = ^a0, ^a1, ^a2, ^a3
-		case opAnd2:
-			v0, v1, v2, v3 = a0&b0, a1&b1, a2&b2, a3&b3
-		case opOr2:
-			v0, v1, v2, v3 = a0|b0, a1|b1, a2|b2, a3|b3
-		case opNand2:
-			v0, v1, v2, v3 = ^(a0 & b0), ^(a1 & b1), ^(a2 & b2), ^(a3 & b3)
-		case opNor2:
-			v0, v1, v2, v3 = ^(a0 | b0), ^(a1 | b1), ^(a2 | b2), ^(a3 | b3)
-		case opXor2:
-			v0, v1, v2, v3 = a0^b0, a1^b1, a2^b2, a3^b3
-		case opXnor2:
-			v0, v1, v2, v3 = ^(a0 ^ b0), ^(a1 ^ b1), ^(a2 ^ b2), ^(a3 ^ b3)
-		case opMux2:
-			co := uintptr(pc[i]) * W
-			v0 = (b0 &^ a0) | (slotLoad(vp, co) & a0)
-			v1 = (b1 &^ a1) | (slotLoad(vp, co+1) & a1)
-			v2 = (b2 &^ a2) | (slotLoad(vp, co+2) & a2)
-			v3 = (b3 &^ a3) | (slotLoad(vp, co+3) & a3)
-		case opAndN2:
-			v0, v1, v2, v3 = a0&^b0, a1&^b1, a2&^b2, a3&^b3
-		case opOrN2:
-			v0, v1, v2, v3 = a0|^b0, a1|^b1, a2|^b2, a3|^b3
-		case opConst0:
-			v0, v1, v2, v3 = 0, 0, 0, 0
-		case opConst1:
-			m := ^uint64(0)
-			v0, v1, v2, v3 = m, m, m, m
-		default:
-			co := uintptr(pc[i]) * W
-			c0, c1, c2, c3 := slotLoad(vp, co), slotLoad(vp, co+1), slotLoad(vp, co+2), slotLoad(vp, co+3)
-			switch code[i] {
-			case opXor3:
-				v0, v1, v2, v3 = a0^b0^c0, a1^b1^c1, a2^b2^c2, a3^b3^c3
-			case opXnor3:
-				v0, v1, v2, v3 = ^(a0 ^ b0 ^ c0), ^(a1 ^ b1 ^ c1), ^(a2 ^ b2 ^ c2), ^(a3 ^ b3 ^ c3)
-			case opAnd3:
-				v0, v1, v2, v3 = a0&b0&c0, a1&b1&c1, a2&b2&c2, a3&b3&c3
-			case opOr3:
-				v0, v1, v2, v3 = a0|b0|c0, a1|b1|c1, a2|b2|c2, a3|b3|c3
-			case opAndOr3:
-				v0, v1, v2, v3 = a0&b0|c0, a1&b1|c1, a2&b2|c2, a3&b3|c3
-			case opOrAnd3:
-				v0, v1, v2, v3 = (a0|b0)&c0, (a1|b1)&c1, (a2|b2)&c2, (a3|b3)&c3
-			case opXorAnd3:
-				v0, v1, v2, v3 = (a0^b0)&c0, (a1^b1)&c1, (a2^b2)&c2, (a3^b3)&c3
-			case opXorOr3:
-				v0, v1, v2, v3 = (a0^b0)|c0, (a1^b1)|c1, (a2^b2)|c2, (a3^b3)|c3
-			case opAndXor3:
-				v0, v1, v2, v3 = a0&b0^c0, a1&b1^c1, a2&b2^c2, a3&b3^c3
-			}
-		}
-		do := uintptr(pd[i]) * W
-		slotStore(vp, do, v0)
-		slotStore(vp, do+1, v1)
-		slotStore(vp, do+2, v2)
-		slotStore(vp, do+3, v3)
-	}
-}
-
-// evalBlockWide is the unrolled wide instruction loop for W a multiple of
-// WideBlockWords: per instruction decode, the 8-word body runs W/8 times
-// over consecutive word groups.  Eight independent word operations per
-// group saturate the execution ports; at W=8 the inner loop collapses to
-// a single straight-line pass.  The slotLoad/slotStore invariant is
-// pinned by EvalBlock exactly as for the 4-word kernel.
-func (p *Program) evalBlockWide(vals []uint64, W int) {
-	vp := unsafe.Pointer(&vals[0])
-	wi := uintptr(W)
 	code := p.op
 	pa, pb, pc, pd := p.a[:len(code)], p.b[:len(code)], p.c[:len(code)], p.dst[:len(code)]
 	for i := 0; i < len(code); i++ {
@@ -594,217 +383,94 @@ func (p *Program) evalBlockWide(vals []uint64, W int) {
 		co := uintptr(pc[i]) * wi
 		do := uintptr(pd[i]) * wi
 		op := code[i]
-		for g := uintptr(0); g < wi; g += WideBlockWords {
-			a0, a1, a2, a3 := slotLoad(vp, ao+g), slotLoad(vp, ao+g+1), slotLoad(vp, ao+g+2), slotLoad(vp, ao+g+3)
-			a4, a5, a6, a7 := slotLoad(vp, ao+g+4), slotLoad(vp, ao+g+5), slotLoad(vp, ao+g+6), slotLoad(vp, ao+g+7)
-			b0, b1, b2, b3 := slotLoad(vp, bo+g), slotLoad(vp, bo+g+1), slotLoad(vp, bo+g+2), slotLoad(vp, bo+g+3)
-			b4, b5, b6, b7 := slotLoad(vp, bo+g+4), slotLoad(vp, bo+g+5), slotLoad(vp, bo+g+6), slotLoad(vp, bo+g+7)
-			var v0, v1, v2, v3, v4, v5, v6, v7 uint64
-			switch op {
-			case opBuf:
-				v0, v1, v2, v3, v4, v5, v6, v7 = a0, a1, a2, a3, a4, a5, a6, a7
-			case opInv:
-				v0, v1, v2, v3, v4, v5, v6, v7 = ^a0, ^a1, ^a2, ^a3, ^a4, ^a5, ^a6, ^a7
-			case opAnd2:
-				v0, v1, v2, v3 = a0&b0, a1&b1, a2&b2, a3&b3
-				v4, v5, v6, v7 = a4&b4, a5&b5, a6&b6, a7&b7
-			case opOr2:
-				v0, v1, v2, v3 = a0|b0, a1|b1, a2|b2, a3|b3
-				v4, v5, v6, v7 = a4|b4, a5|b5, a6|b6, a7|b7
-			case opNand2:
-				v0, v1, v2, v3 = ^(a0 & b0), ^(a1 & b1), ^(a2 & b2), ^(a3 & b3)
-				v4, v5, v6, v7 = ^(a4 & b4), ^(a5 & b5), ^(a6 & b6), ^(a7 & b7)
-			case opNor2:
-				v0, v1, v2, v3 = ^(a0 | b0), ^(a1 | b1), ^(a2 | b2), ^(a3 | b3)
-				v4, v5, v6, v7 = ^(a4 | b4), ^(a5 | b5), ^(a6 | b6), ^(a7 | b7)
-			case opXor2:
-				v0, v1, v2, v3 = a0^b0, a1^b1, a2^b2, a3^b3
-				v4, v5, v6, v7 = a4^b4, a5^b5, a6^b6, a7^b7
-			case opXnor2:
-				v0, v1, v2, v3 = ^(a0 ^ b0), ^(a1 ^ b1), ^(a2 ^ b2), ^(a3 ^ b3)
-				v4, v5, v6, v7 = ^(a4 ^ b4), ^(a5 ^ b5), ^(a6 ^ b6), ^(a7 ^ b7)
-			case opMux2:
-				v0 = (b0 &^ a0) | (slotLoad(vp, co+g) & a0)
-				v1 = (b1 &^ a1) | (slotLoad(vp, co+g+1) & a1)
-				v2 = (b2 &^ a2) | (slotLoad(vp, co+g+2) & a2)
-				v3 = (b3 &^ a3) | (slotLoad(vp, co+g+3) & a3)
-				v4 = (b4 &^ a4) | (slotLoad(vp, co+g+4) & a4)
-				v5 = (b5 &^ a5) | (slotLoad(vp, co+g+5) & a5)
-				v6 = (b6 &^ a6) | (slotLoad(vp, co+g+6) & a6)
-				v7 = (b7 &^ a7) | (slotLoad(vp, co+g+7) & a7)
-			case opAndN2:
-				v0, v1, v2, v3 = a0&^b0, a1&^b1, a2&^b2, a3&^b3
-				v4, v5, v6, v7 = a4&^b4, a5&^b5, a6&^b6, a7&^b7
-			case opOrN2:
-				v0, v1, v2, v3 = a0|^b0, a1|^b1, a2|^b2, a3|^b3
-				v4, v5, v6, v7 = a4|^b4, a5|^b5, a6|^b6, a7|^b7
-			case opConst0:
-				// zero values already
-			case opConst1:
-				m := ^uint64(0)
-				v0, v1, v2, v3, v4, v5, v6, v7 = m, m, m, m, m, m, m, m
-			default:
-				c0, c1, c2, c3 := slotLoad(vp, co+g), slotLoad(vp, co+g+1), slotLoad(vp, co+g+2), slotLoad(vp, co+g+3)
-				c4, c5, c6, c7 := slotLoad(vp, co+g+4), slotLoad(vp, co+g+5), slotLoad(vp, co+g+6), slotLoad(vp, co+g+7)
-				switch op {
-				case opXor3:
-					v0, v1, v2, v3 = a0^b0^c0, a1^b1^c1, a2^b2^c2, a3^b3^c3
-					v4, v5, v6, v7 = a4^b4^c4, a5^b5^c5, a6^b6^c6, a7^b7^c7
-				case opXnor3:
-					v0, v1, v2, v3 = ^(a0 ^ b0 ^ c0), ^(a1 ^ b1 ^ c1), ^(a2 ^ b2 ^ c2), ^(a3 ^ b3 ^ c3)
-					v4, v5, v6, v7 = ^(a4 ^ b4 ^ c4), ^(a5 ^ b5 ^ c5), ^(a6 ^ b6 ^ c6), ^(a7 ^ b7 ^ c7)
-				case opAnd3:
-					v0, v1, v2, v3 = a0&b0&c0, a1&b1&c1, a2&b2&c2, a3&b3&c3
-					v4, v5, v6, v7 = a4&b4&c4, a5&b5&c5, a6&b6&c6, a7&b7&c7
-				case opOr3:
-					v0, v1, v2, v3 = a0|b0|c0, a1|b1|c1, a2|b2|c2, a3|b3|c3
-					v4, v5, v6, v7 = a4|b4|c4, a5|b5|c5, a6|b6|c6, a7|b7|c7
-				case opAndOr3:
-					v0, v1, v2, v3 = a0&b0|c0, a1&b1|c1, a2&b2|c2, a3&b3|c3
-					v4, v5, v6, v7 = a4&b4|c4, a5&b5|c5, a6&b6|c6, a7&b7|c7
-				case opOrAnd3:
-					v0, v1, v2, v3 = (a0|b0)&c0, (a1|b1)&c1, (a2|b2)&c2, (a3|b3)&c3
-					v4, v5, v6, v7 = (a4|b4)&c4, (a5|b5)&c5, (a6|b6)&c6, (a7|b7)&c7
-				case opXorAnd3:
-					v0, v1, v2, v3 = (a0^b0)&c0, (a1^b1)&c1, (a2^b2)&c2, (a3^b3)&c3
-					v4, v5, v6, v7 = (a4^b4)&c4, (a5^b5)&c5, (a6^b6)&c6, (a7^b7)&c7
-				case opXorOr3:
-					v0, v1, v2, v3 = (a0^b0)|c0, (a1^b1)|c1, (a2^b2)|c2, (a3^b3)|c3
-					v4, v5, v6, v7 = (a4^b4)|c4, (a5^b5)|c5, (a6^b6)|c6, (a7^b7)|c7
-				case opAndXor3:
-					v0, v1, v2, v3 = a0&b0^c0, a1&b1^c1, a2&b2^c2, a3&b3^c3
-					v4, v5, v6, v7 = a4&b4^c4, a5&b5^c5, a6&b6^c6, a7&b7^c7
-				}
-			}
-			slotStore(vp, do+g, v0)
-			slotStore(vp, do+g+1, v1)
-			slotStore(vp, do+g+2, v2)
-			slotStore(vp, do+g+3, v3)
-			slotStore(vp, do+g+4, v4)
-			slotStore(vp, do+g+5, v5)
-			slotStore(vp, do+g+6, v6)
-			slotStore(vp, do+g+7, v7)
-		}
-	}
-}
-
-// evalBlockN is the variable-width instruction loop.
-func (p *Program) evalBlockN(vals []uint64, W int) {
-	code, pa, pb, pc, pd := p.op, p.a, p.b, p.c, p.dst
-	for i := 0; i < len(code); i++ {
-		av := vals[int(pa[i])*W : int(pa[i])*W+W]
-		bv := vals[int(pb[i])*W : int(pb[i])*W+W]
-		dst := vals[int(pd[i])*W : int(pd[i])*W+W]
-		av = av[:len(dst)]
-		bv = bv[:len(dst)]
-		switch code[i] {
+		a0, a1, a2, a3 := slotLoad(vp, ao), slotLoad(vp, ao+1), slotLoad(vp, ao+2), slotLoad(vp, ao+3)
+		a4, a5, a6, a7 := slotLoad(vp, ao+4), slotLoad(vp, ao+5), slotLoad(vp, ao+6), slotLoad(vp, ao+7)
+		b0, b1, b2, b3 := slotLoad(vp, bo), slotLoad(vp, bo+1), slotLoad(vp, bo+2), slotLoad(vp, bo+3)
+		b4, b5, b6, b7 := slotLoad(vp, bo+4), slotLoad(vp, bo+5), slotLoad(vp, bo+6), slotLoad(vp, bo+7)
+		var v0, v1, v2, v3, v4, v5, v6, v7 uint64
+		switch op {
 		case opBuf:
-			copy(dst, av)
+			v0, v1, v2, v3, v4, v5, v6, v7 = a0, a1, a2, a3, a4, a5, a6, a7
 		case opInv:
-			for k := range dst {
-				dst[k] = ^av[k]
-			}
+			v0, v1, v2, v3, v4, v5, v6, v7 = ^a0, ^a1, ^a2, ^a3, ^a4, ^a5, ^a6, ^a7
 		case opAnd2:
-			for k := range dst {
-				dst[k] = av[k] & bv[k]
-			}
+			v0, v1, v2, v3 = a0&b0, a1&b1, a2&b2, a3&b3
+			v4, v5, v6, v7 = a4&b4, a5&b5, a6&b6, a7&b7
 		case opOr2:
-			for k := range dst {
-				dst[k] = av[k] | bv[k]
-			}
+			v0, v1, v2, v3 = a0|b0, a1|b1, a2|b2, a3|b3
+			v4, v5, v6, v7 = a4|b4, a5|b5, a6|b6, a7|b7
 		case opNand2:
-			for k := range dst {
-				dst[k] = ^(av[k] & bv[k])
-			}
+			v0, v1, v2, v3 = ^(a0 & b0), ^(a1 & b1), ^(a2 & b2), ^(a3 & b3)
+			v4, v5, v6, v7 = ^(a4 & b4), ^(a5 & b5), ^(a6 & b6), ^(a7 & b7)
 		case opNor2:
-			for k := range dst {
-				dst[k] = ^(av[k] | bv[k])
-			}
+			v0, v1, v2, v3 = ^(a0 | b0), ^(a1 | b1), ^(a2 | b2), ^(a3 | b3)
+			v4, v5, v6, v7 = ^(a4 | b4), ^(a5 | b5), ^(a6 | b6), ^(a7 | b7)
 		case opXor2:
-			for k := range dst {
-				dst[k] = av[k] ^ bv[k]
-			}
+			v0, v1, v2, v3 = a0^b0, a1^b1, a2^b2, a3^b3
+			v4, v5, v6, v7 = a4^b4, a5^b5, a6^b6, a7^b7
 		case opXnor2:
-			for k := range dst {
-				dst[k] = ^(av[k] ^ bv[k])
-			}
+			v0, v1, v2, v3 = ^(a0 ^ b0), ^(a1 ^ b1), ^(a2 ^ b2), ^(a3 ^ b3)
+			v4, v5, v6, v7 = ^(a4 ^ b4), ^(a5 ^ b5), ^(a6 ^ b6), ^(a7 ^ b7)
 		case opMux2:
-			cv := vals[int(pc[i])*W : int(pc[i])*W+W]
-			cv = cv[:len(dst)]
-			for k := range dst {
-				dst[k] = (bv[k] &^ av[k]) | (cv[k] & av[k])
-			}
+			v0 = (b0 &^ a0) | (slotLoad(vp, co) & a0)
+			v1 = (b1 &^ a1) | (slotLoad(vp, co+1) & a1)
+			v2 = (b2 &^ a2) | (slotLoad(vp, co+2) & a2)
+			v3 = (b3 &^ a3) | (slotLoad(vp, co+3) & a3)
+			v4 = (b4 &^ a4) | (slotLoad(vp, co+4) & a4)
+			v5 = (b5 &^ a5) | (slotLoad(vp, co+5) & a5)
+			v6 = (b6 &^ a6) | (slotLoad(vp, co+6) & a6)
+			v7 = (b7 &^ a7) | (slotLoad(vp, co+7) & a7)
 		case opAndN2:
-			for k := range dst {
-				dst[k] = av[k] &^ bv[k]
-			}
+			v0, v1, v2, v3 = a0&^b0, a1&^b1, a2&^b2, a3&^b3
+			v4, v5, v6, v7 = a4&^b4, a5&^b5, a6&^b6, a7&^b7
 		case opOrN2:
-			for k := range dst {
-				dst[k] = av[k] | ^bv[k]
-			}
+			v0, v1, v2, v3 = a0|^b0, a1|^b1, a2|^b2, a3|^b3
+			v4, v5, v6, v7 = a4|^b4, a5|^b5, a6|^b6, a7|^b7
 		case opConst0:
-			for k := range dst {
-				dst[k] = 0
-			}
+			// zero values already
 		case opConst1:
-			for k := range dst {
-				dst[k] = ^uint64(0)
-			}
+			m := ^uint64(0)
+			v0, v1, v2, v3, v4, v5, v6, v7 = m, m, m, m, m, m, m, m
 		default:
-			cv := vals[int(pc[i])*W : int(pc[i])*W+W]
-			cv = cv[:len(dst)]
-			switch code[i] {
+			c0, c1, c2, c3 := slotLoad(vp, co), slotLoad(vp, co+1), slotLoad(vp, co+2), slotLoad(vp, co+3)
+			c4, c5, c6, c7 := slotLoad(vp, co+4), slotLoad(vp, co+5), slotLoad(vp, co+6), slotLoad(vp, co+7)
+			switch op {
 			case opXor3:
-				for k := range dst {
-					dst[k] = av[k] ^ bv[k] ^ cv[k]
-				}
+				v0, v1, v2, v3 = a0^b0^c0, a1^b1^c1, a2^b2^c2, a3^b3^c3
+				v4, v5, v6, v7 = a4^b4^c4, a5^b5^c5, a6^b6^c6, a7^b7^c7
 			case opXnor3:
-				for k := range dst {
-					dst[k] = ^(av[k] ^ bv[k] ^ cv[k])
-				}
+				v0, v1, v2, v3 = ^(a0 ^ b0 ^ c0), ^(a1 ^ b1 ^ c1), ^(a2 ^ b2 ^ c2), ^(a3 ^ b3 ^ c3)
+				v4, v5, v6, v7 = ^(a4 ^ b4 ^ c4), ^(a5 ^ b5 ^ c5), ^(a6 ^ b6 ^ c6), ^(a7 ^ b7 ^ c7)
 			case opAnd3:
-				for k := range dst {
-					dst[k] = av[k] & bv[k] & cv[k]
-				}
+				v0, v1, v2, v3 = a0&b0&c0, a1&b1&c1, a2&b2&c2, a3&b3&c3
+				v4, v5, v6, v7 = a4&b4&c4, a5&b5&c5, a6&b6&c6, a7&b7&c7
 			case opOr3:
-				for k := range dst {
-					dst[k] = av[k] | bv[k] | cv[k]
-				}
+				v0, v1, v2, v3 = a0|b0|c0, a1|b1|c1, a2|b2|c2, a3|b3|c3
+				v4, v5, v6, v7 = a4|b4|c4, a5|b5|c5, a6|b6|c6, a7|b7|c7
 			case opAndOr3:
-				for k := range dst {
-					dst[k] = av[k]&bv[k] | cv[k]
-				}
+				v0, v1, v2, v3 = a0&b0|c0, a1&b1|c1, a2&b2|c2, a3&b3|c3
+				v4, v5, v6, v7 = a4&b4|c4, a5&b5|c5, a6&b6|c6, a7&b7|c7
 			case opOrAnd3:
-				for k := range dst {
-					dst[k] = (av[k] | bv[k]) & cv[k]
-				}
+				v0, v1, v2, v3 = (a0|b0)&c0, (a1|b1)&c1, (a2|b2)&c2, (a3|b3)&c3
+				v4, v5, v6, v7 = (a4|b4)&c4, (a5|b5)&c5, (a6|b6)&c6, (a7|b7)&c7
 			case opXorAnd3:
-				for k := range dst {
-					dst[k] = (av[k] ^ bv[k]) & cv[k]
-				}
+				v0, v1, v2, v3 = (a0^b0)&c0, (a1^b1)&c1, (a2^b2)&c2, (a3^b3)&c3
+				v4, v5, v6, v7 = (a4^b4)&c4, (a5^b5)&c5, (a6^b6)&c6, (a7^b7)&c7
 			case opXorOr3:
-				for k := range dst {
-					dst[k] = (av[k] ^ bv[k]) | cv[k]
-				}
+				v0, v1, v2, v3 = (a0^b0)|c0, (a1^b1)|c1, (a2^b2)|c2, (a3^b3)|c3
+				v4, v5, v6, v7 = (a4^b4)|c4, (a5^b5)|c5, (a6^b6)|c6, (a7^b7)|c7
 			case opAndXor3:
-				for k := range dst {
-					dst[k] = av[k]&bv[k] ^ cv[k]
-				}
+				v0, v1, v2, v3 = a0&b0^c0, a1&b1^c1, a2&b2^c2, a3&b3^c3
+				v4, v5, v6, v7 = a4&b4^c4, a5&b5^c5, a6&b6^c6, a7&b7^c7
 			}
 		}
-	}
-}
-
-// countGateOnes accumulates, per gate, the population count of the gate's
-// value under mask into ones.  vals must be the scratch of a preceding
-// Eval call on this program, and the program must maintain gate-slot
-// parity — activity-free (fused) programs do not.
-func (p *Program) countGateOnes(vals []uint64, mask uint64, ones []int64) {
-	if p.fused {
-		panic("netlist: countGateOnes needs a gate-slot-parity program; compiled with NoActivity")
-	}
-	base := p.numInputs
-	for i := range ones {
-		ones[i] += int64(bits.OnesCount64(vals[base+i] & mask))
+		slotStore(vp, do, v0)
+		slotStore(vp, do+1, v1)
+		slotStore(vp, do+2, v2)
+		slotStore(vp, do+3, v3)
+		slotStore(vp, do+4, v4)
+		slotStore(vp, do+5, v5)
+		slotStore(vp, do+6, v6)
+		slotStore(vp, do+7, v7)
 	}
 }

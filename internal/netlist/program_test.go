@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// TestProgramMatchesInterpreter pins Program.Eval and Program.EvalBlock
-// bit-identical to Netlist.Eval — outputs and every per-gate value slot —
-// over random netlists including constant rails, Mux2 and dead gates.
+// TestProgramMatchesInterpreter pins Program.EvalBlock bit-identical to
+// the reference interpreter on every output word, over random netlists
+// including constant rails, Mux2 and dead gates, with the scratch and
+// output buffers reused across calls.
 func TestProgramMatchesInterpreter(t *testing.T) {
+	const W = BlockWords
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		n := randomNetlist(rng, 1+rng.Intn(8), rng.Intn(60))
@@ -16,49 +18,23 @@ func TestProgramMatchesInterpreter(t *testing.T) {
 			t.Fatalf("trial %d: generated invalid netlist: %v", trial, err)
 		}
 		p := Compile(n)
-
-		// W = BlockWords exercises the unrolled fast path, the others the
-		// generic loop; W = 1 pins one-word block parity too.
-		for _, W := range []int{1, 3, BlockWords} {
-			in := make([]uint64, n.NumInputs)
-			blockIn := make([]uint64, n.NumInputs*W)
-			interpVals := make([]uint64, n.NumNodes())
-			progVals := make([]uint64, p.NumSlots())
-			blockVals := make([]uint64, p.NumSlots()*W)
-			blockOut := make([]uint64, p.NumOutputs()*W)
-			wantW := make([][]uint64, W)
-
-			for rep := 0; rep < 3; rep++ {
-				for w := 0; w < W; w++ {
-					for i := range in {
-						v := rng.Uint64()
-						in[i] = v
-						blockIn[i*W+w] = v
-					}
-					want := n.Eval(in, interpVals, nil)
-					got := p.Eval(in, progVals, nil)
-					for j := range want {
-						if want[j] != got[j] {
-							t.Fatalf("trial %d: Eval output %d: got %x want %x", trial, j, got[j], want[j])
-						}
-					}
-					// Per-gate value slots must match too (activity analysis
-					// reads them).
-					for g := 0; g < len(n.Gates); g++ {
-						if interpVals[n.NumInputs+g] != progVals[n.NumInputs+g] {
-							t.Fatalf("trial %d: gate %d value: got %x want %x",
-								trial, g, progVals[n.NumInputs+g], interpVals[n.NumInputs+g])
-						}
-					}
-					wantW[w] = append(wantW[w][:0], want...)
-				}
-				got := p.EvalBlock(blockIn, W, blockVals, blockOut)
-				for w := 0; w < W; w++ {
-					for j := 0; j < p.NumOutputs(); j++ {
-						if got[j*W+w] != wantW[w][j] {
-							t.Fatalf("trial %d: EvalBlock(W=%d) word %d output %d: got %x want %x",
-								trial, W, w, j, got[j*W+w], wantW[w][j])
-						}
+		in := make([]uint64, n.NumInputs)
+		blockIn := make([]uint64, n.NumInputs*W)
+		interpVals := make([]uint64, n.NumNodes())
+		blockVals := make([]uint64, p.NumSlots()*W)
+		blockOut := make([]uint64, p.NumOutputs()*W)
+		for rep := 0; rep < 3; rep++ {
+			for i := range blockIn {
+				blockIn[i] = rng.Uint64()
+			}
+			got := p.EvalBlock(blockIn, blockVals, blockOut)
+			for w := 0; w < W; w++ {
+				ExtractBlockWord(blockIn, W, w, in)
+				want := n.Eval(in, interpVals, nil)
+				for j := range want {
+					if got[j*W+w] != want[j] {
+						t.Fatalf("trial %d: EvalBlock word %d output %d: got %x want %x",
+							trial, w, j, got[j*W+w], want[j])
 					}
 				}
 			}

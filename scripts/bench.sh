@@ -13,7 +13,7 @@
 #                 in BENCH_PR4.json)
 #
 # The trajectory benchmarks cover both paper inner loops: precise
-# configuration analysis (NetlistEval, NetlistEvalBlock, Characterize,
+# configuration analysis (NetlistEvalBlockWide, Characterize,
 # CharacterizeHighError, UnpackBitsBlock, Simplify, Synthesize,
 # PreciseEvaluation, SSIM) and model-based
 # estimation (ModelEstimate, CompiledForestPredict, HillClimb1k,
@@ -25,7 +25,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEval|BenchmarkNetlistEvalBlock|BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
+FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
 COUNT=${BENCH_COUNT:-3}
 
 # ./internal/ml carries the forest-walker benchmarks (PredictVaried,
