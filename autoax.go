@@ -28,8 +28,8 @@
 //	accel, apps        accelerator graphs, the three case studies
 //	ml, mat            the 13 regression engines of Table 3; random
 //	                   forests fit in parallel (bit-identical to
-//	                   sequential) and flatten into a compiled node arena
-//	                   for zero-allocation estimation
+//	                   sequential) and score through leaf tables keyed
+//	                   by circuit for zero-allocation estimation
 //	dse, pareto        Algorithm 1, baselines, Pareto utilities
 //	core               the three-step methodology pipeline
 //	expt               drivers regenerating every paper table and figure

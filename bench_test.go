@@ -373,6 +373,23 @@ func BenchmarkModelEstimate(b *testing.B) {
 	}
 }
 
+// BenchmarkModelTables measures building the leaf tables of both trained
+// Sobel random forests (ml.RandomForest.LeafTables), which every job
+// that explores with a forest pays once: each iteration draws the first
+// estimator from fresh Models over the same forests.
+func BenchmarkModelTables(b *testing.B) {
+	s := benchSetup(b)
+	pipe, err := s.Pipeline("sobel")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := &dse.Models{QoR: pipe.Models.QoR, HW: pipe.Models.HW, Space: pipe.Space}
+		m.Estimator()
+	}
+}
+
 // BenchmarkHillClimb1k measures 1000 iterations of Algorithm 1 over the
 // Sobel reduced space with trained models — the registered "hillclimb"
 // engine that core.Pipeline.Explore runs (set-equal to the frozen plain
@@ -413,10 +430,10 @@ func BenchmarkNSGA2Gen1k(b *testing.B) {
 	}
 }
 
-// BenchmarkModelEstimateBatch measures estimateBatchSize-configuration
-// batched estimation through Models.BatchEstimator (struct-of-arrays
-// features + ml.CompiledForest.PredictBatch) — the per-configuration
-// counterpart of BenchmarkModelEstimate for the batched search loops.
+// BenchmarkModelEstimateBatch measures 256-configuration batched
+// estimation through Models.BatchEstimator (one leaf-table AND per tree
+// and operation) — the per-configuration counterpart of
+// BenchmarkModelEstimate for the batched search loops.
 func BenchmarkModelEstimateBatch(b *testing.B) {
 	s := benchSetup(b)
 	pipe, err := s.Pipeline("sobel")
@@ -550,38 +567,6 @@ func BenchmarkAutoEngineTrain(b *testing.B) {
 		if err := p.Train(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCompiledForestPredict measures one flattened-arena forest
-// query — the substrate under BenchmarkModelEstimate's two model calls.
-func BenchmarkCompiledForestPredict(b *testing.B) {
-	x := make([][]float64, 500)
-	y := make([]float64, len(x))
-	rng := uint64(1)
-	next := func() float64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return float64(rng>>40) / float64(1<<24)
-	}
-	for i := range x {
-		row := make([]float64, 5)
-		s := 0.0
-		for j := range row {
-			row[j] = next() * 100
-			s += row[j]
-		}
-		x[i] = row
-		y[i] = 1 / (1 + s/100)
-	}
-	rf := ml.NewRandomForest(100, 1)
-	if err := rf.Fit(x, y); err != nil {
-		b.Fatal(err)
-	}
-	cf := rf.Compile()
-	probe := []float64{10, 20, 30, 40, 50}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cf.Predict(probe)
 	}
 }
 

@@ -5,28 +5,45 @@ import (
 	"math/bits"
 	"math/rand"
 
+	"autoax/internal/ml"
 	"autoax/internal/pareto"
 )
 
-// climbPredictor is the per-model seam of the incremental hill climb:
-// Reset evaluates a fresh point, Move re-evaluates after the listed
-// feature slots were edited in place, and Accept/Reject resolve the move.
-type climbPredictor interface {
-	Reset(x []float64) float64
-	Move(x []float64, changed []int) float64
+// scorer is one model as the estimators and the incremental hill climb
+// call it: Reset scores a configuration from scratch, Move re-scores it
+// with operation k re-assigned to circuit c, and Accept/Reject resolve
+// the move.  ml.TableScorer implements it for forests.
+type scorer interface {
+	Reset(cfg []int) float64
+	Move(k, c int) float64
 	Accept()
 	Reject()
 }
 
-// fullPredictor adapts a stateless prediction function (non-forest
-// engines) to the climbPredictor seam by recomputing from the full
-// feature vector on every call.
-type fullPredictor struct{ fn func([]float64) float64 }
+// fullPredictor adapts a non-forest regressor to the scorer seam: it
+// re-scores its own copy of the configuration through Predict on every
+// call.
+type fullPredictor struct {
+	r        ml.Regressor
+	features func(cfg []int, dst []float64) []float64
+	x        []float64
+	cfg      []int
+	k, old   int // the pending move
+}
 
-func (p fullPredictor) Reset(x []float64) float64         { return p.fn(x) }
-func (p fullPredictor) Move(x []float64, _ []int) float64 { return p.fn(x) }
-func (p fullPredictor) Accept()                           {}
-func (p fullPredictor) Reject()                           {}
+func (p *fullPredictor) Reset(cfg []int) float64 {
+	p.cfg = append(p.cfg[:0], cfg...)
+	return p.r.Predict(p.features(p.cfg, p.x))
+}
+
+func (p *fullPredictor) Move(k, c int) float64 {
+	p.k, p.old = k, p.cfg[k]
+	p.cfg[k] = c
+	return p.r.Predict(p.features(p.cfg, p.x))
+}
+
+func (p *fullPredictor) Accept() {}
+func (p *fullPredictor) Reject() { p.cfg[p.k] = p.old }
 
 // hillClimb runs Algorithm 1 — stochastic hill climbing whose accept test
 // is insertion into the Pareto archive, with random restarts after
@@ -37,48 +54,31 @@ func (p fullPredictor) Reject()                           {}
 // It takes the same rng draws, makes the same estimates and builds the
 // same archive as a plain loop calling m.Estimator() on every neighbour
 // (the frozen refHillClimb oracle), but avoids that loop's per-iteration
-// costs: the one-operation neighbour move overwrites 1 QoR and 3 HW
-// feature slots in place (undoing them on reject) instead of rebuilding
-// both feature vectors, forest-backed models predict through
-// ml.IncrementalPredictor (only trees whose realized paths tested a
-// changed feature are re-walked, with undo-on-reject), the candidate
+// costs: the one-operation neighbour move re-assigns the parent in place
+// (undoing it on reject), forest-backed models score through
+// ml.TableScorer (only the trees that test the moved operation are
+// re-reached in the leaf tables, with undo-on-reject), the candidate
 // configuration is materialized only when the archive accepts it, and no
 // per-iteration allocations are performed outside archive growth.
 func (m *Models) hillClimb(ctx context.Context, opt SearchOptions) (*pareto.Archive[[]int], error) {
-	m.compile()
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return &pareto.Archive[[]int]{}, err
 	}
 	s := m.Space
-	n := len(s)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	archive := &pareto.Archive[[]int]{}
 
-	var qp, hp climbPredictor
-	if m.qorCF != nil {
-		qp = m.qorCF.NewIncremental()
-	} else {
-		qp = fullPredictor{m.qorPred}
-	}
-	if m.hwCF != nil {
-		hp = m.hwCF.NewIncremental()
-	} else {
-		hp = fullPredictor{m.hwPred}
-	}
+	qp, hp := m.scorers()
 
 	var st climbStats
 	defer st.flush()
 
 	parent := s.RandomConfig(rng)
-	fq := s.QoRFeaturesInto(parent, make([]float64, n))
-	fh := s.HWFeaturesInto(parent, make([]float64, 3*n))
-	archive.Insert(point(qp.Reset(fq), hp.Reset(fh)), append([]int(nil), parent...))
+	archive.Insert(point(qp.Reset(parent), hp.Reset(parent)), append([]int(nil), parent...))
 	st.inserts++
 	stagnant, restarts := 0, 0
 	var orderBuf []int
-	var cq [1]int
-	var ch [3]int
 
 	// Candidate memo.  Estimates are deterministic in the configuration,
 	// and Covered is monotone — an insert only evicts points the new one
@@ -109,7 +109,7 @@ func (m *Models) hillClimb(ctx context.Context, opt SearchOptions) (*pareto.Arch
 		packParent = packConfig(parent, packShift)
 		seen[packParent] = struct{}{} // the initial insert was evaluated
 	} else {
-		seenEpoch = make([]uint64, n*maxLib)
+		seenEpoch = make([]uint64, len(s)*maxLib)
 	}
 	epoch := uint64(1)
 	for evals := 1; evals < opt.Evaluations; evals++ {
@@ -123,9 +123,7 @@ func (m *Models) hillClimb(ctx context.Context, opt SearchOptions) (*pareto.Arch
 			}
 		}
 		st.iters++
-		// The neighbor move is applied to parent in place; the four
-		// touched feature slots are plain copies of circuit fields, so
-		// patching them reproduces a full recomputation bit for bit.
+		// The neighbor move is applied to parent in place.
 		k, nv, moved := s.neighborMove(parent, rng)
 		accepted := false
 		if moved {
@@ -145,15 +143,8 @@ func (m *Models) hillClimb(ctx context.Context, opt SearchOptions) (*pareto.Arch
 			if !repeat {
 				old := parent[k]
 				parent[k] = nv
-				c := s[k][nv]
-				fq[k] = c.WMED
-				fh[k] = c.Area
-				fh[n+k] = c.Power
-				fh[2*n+k] = c.Delay
-				cq[0] = k
-				ch[0], ch[1], ch[2] = k, n+k, 2*n+k
-				q := qp.Move(fq, cq[:])
-				h := hp.Move(fh, ch[:])
+				q := qp.Move(k, nv)
+				h := hp.Move(k, nv)
 				if packable {
 					// Evaluated once means certainly rejected forever
 					// after: accepted points sit in the archive (or were
@@ -171,18 +162,13 @@ func (m *Models) hillClimb(ctx context.Context, opt SearchOptions) (*pareto.Arch
 					packParent = packCand
 					epoch++
 					accepted = true
-				} else { // rejected: memoize, undo move and feature patch
+				} else { // rejected: memoize and undo the move
 					if !packable {
 						seenEpoch[idx] = epoch
 					}
 					qp.Reject()
 					hp.Reject()
 					parent[k] = old
-					co := s[k][old]
-					fq[k] = co.WMED
-					fh[k] = co.Area
-					fh[n+k] = co.Power
-					fh[2*n+k] = co.Delay
 				}
 			} else {
 				// Memo hit: a repeat of an already-evaluated candidate —
@@ -217,10 +203,8 @@ func (m *Models) hillClimb(ctx context.Context, opt SearchOptions) (*pareto.Arch
 			} else {
 				s.RandomConfigInto(rng, parent)
 			}
-			s.QoRFeaturesInto(parent, fq)
-			s.HWFeaturesInto(parent, fh)
-			qp.Reset(fq)
-			hp.Reset(fh)
+			qp.Reset(parent)
+			hp.Reset(parent)
 			if packable {
 				packParent = packConfig(parent, packShift)
 			}

@@ -2,13 +2,14 @@ package dse
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"autoax/internal/ml"
 )
 
 // trainedModels fits real random forests on synthetic training data over a
-// synthetic space, exercising the compiled-forest estimator path.
+// synthetic space, exercising the leaf-table estimator path.
 func trainedModels(t *testing.T, ops, size int) *Models {
 	t.Helper()
 	s := syntheticSpace(ops, size)
@@ -40,8 +41,8 @@ func trainedModels(t *testing.T, ops, size int) *Models {
 	return &Models{QoR: qor, HW: hw, Space: s}
 }
 
-// TestEstimatorMatchesDirectPredict pins the buffered, compiled-forest
-// estimator to the plain Predict-on-fresh-slices path bit for bit.
+// TestEstimatorMatchesDirectPredict pins the leaf-table estimator to the
+// plain Predict-on-fresh-slices path bit for bit.
 func TestEstimatorMatchesDirectPredict(t *testing.T) {
 	m := trainedModels(t, 3, 6)
 	est := m.Estimator()
@@ -93,4 +94,20 @@ func TestExhaustiveEstimatorsMatchesShared(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestModelsRejectForestOutsideSpace: a forest trained on more features
+// than the space lays out fails loudly when its leaf tables are built,
+// as its Predict would on the space's shorter feature vectors.
+func TestModelsRejectForestOutsideSpace(t *testing.T) {
+	wide := trainedModels(t, 4, 6)
+	m := &Models{QoR: wide.QoR, HW: wide.HW, Space: syntheticSpace(3, 6)}
+	defer func() {
+		r := recover()
+		err, _ := r.(error)
+		if err == nil || !strings.Contains(err.Error(), "dse: QoR model: ml: leaf tables: tree") {
+			t.Fatalf("recovered %v, want the QoR forest's out-of-layout feature", r)
+		}
+	}()
+	m.Estimator()
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"autoax/internal/accel"
+	"autoax/internal/acl"
 	"autoax/internal/ml"
 	"autoax/internal/par"
 )
@@ -22,105 +23,96 @@ type Models struct {
 	HW    ml.Regressor
 	Space Space
 
-	// predOnce caches the compiled prediction functions: the arena a
-	// random forest flattens into is immutable and shared by every
-	// estimator drawn from these models.  Set QoR/HW before the first
-	// Estimator call; they must not be reassigned afterwards.
-	predOnce        sync.Once
-	qorPred, hwPred func([]float64) float64
-	qorCF, hwCF     *ml.CompiledForest // non-nil when the engine is a forest
+	// tablesOnce builds the leaf tables of forest models once: they are
+	// immutable and shared by every estimator and climb drawn from these
+	// models.  Set QoR/HW before the first estimate; they must not be
+	// reassigned afterwards.
+	tablesOnce  sync.Once
+	qorLT, hwLT *ml.LeafTables // non-nil when the engine is a forest
 }
 
-// compile memoizes the fastest available prediction paths for both models.
-func (m *Models) compile() {
-	m.predOnce.Do(func() {
-		m.qorCF, m.qorPred = predictFunc(m.QoR)
-		m.hwCF, m.hwPred = predictFunc(m.HW)
+// tables builds the forest models' leaf tables on first use.  A forest
+// that tests a feature outside the space's layout panics here, as its
+// Predict would on a short feature vector.
+func (m *Models) tables() {
+	m.tablesOnce.Do(func() {
+		// The two builds are independent: run them side by side.
+		errs := par.Each(context.TODO(), 2, func(i int) (err error) {
+			if i == 0 {
+				m.qorLT, err = m.leafTables("QoR", m.QoR, func(c *acl.Circuit) float64 { return c.WMED })
+			} else {
+				m.hwLT, err = m.leafTables("HW", m.HW,
+					func(c *acl.Circuit) float64 { return c.Area },
+					func(c *acl.Circuit) float64 { return c.Power },
+					func(c *acl.Circuit) float64 { return c.Delay })
+			}
+			return err
+		})
+		if err := firstError(errs); err != nil {
+			panic(err)
+		}
 	})
 }
 
-// Estimator returns the fast configuration estimator backed by the models.
-// The estimator owns reusable feature buffers — one call performs zero
-// allocations — so it is NOT safe for concurrent use; call Estimator()
-// once per goroutine (the closure cost is two small buffers; the compiled
-// prediction arenas are built once per Models and shared by every
-// estimator).  Random-forest models are flattened through
-// ml.RandomForest.Compile so the millions of queries Algorithm 1 issues
-// walk one contiguous node arena instead of 100 pointer-chased trees.
-func (m *Models) Estimator() Estimator {
-	m.compile()
-	qor, hw := m.qorPred, m.hwPred
-	fq := make([]float64, len(m.Space))
-	fh := make([]float64, 3*len(m.Space))
-	return func(cfg []int) (float64, float64) {
-		return qor(m.Space.QoRFeaturesInto(cfg, fq)), hw(m.Space.HWFeaturesInto(cfg, fh))
+// leafTables builds the leaf tables of a random forest whose features
+// are the given circuit fields (see Space.layout), or returns nil for
+// any other engine.
+func (m *Models) leafTables(what string, r ml.Regressor, fields ...func(*acl.Circuit) float64) (*ml.LeafTables, error) {
+	rf, ok := r.(*ml.RandomForest)
+	if !ok {
+		return nil, nil
 	}
+	lt, err := rf.LeafTables(m.Space.layout(fields...))
+	if err != nil {
+		return nil, fmt.Errorf("dse: %s model: %w", what, err)
+	}
+	return lt, nil
+}
+
+// scorers returns a fresh scorer per model: a forest's ml.TableScorer,
+// or the regressor's Predict over reusable buffers.  Their state makes
+// the pair unsafe for concurrent use.
+func (m *Models) scorers() (qor, hw scorer) {
+	m.tables()
+	return newScorer(m.qorLT, m.QoR, m.Space.QoRFeaturesInto, len(m.Space)),
+		newScorer(m.hwLT, m.HW, m.Space.HWFeaturesInto, 3*len(m.Space))
+}
+
+func newScorer(lt *ml.LeafTables, r ml.Regressor, features func([]int, []float64) []float64, n int) scorer {
+	if lt != nil {
+		return lt.NewScorer()
+	}
+	return &fullPredictor{r: r, features: features, x: make([]float64, n)}
+}
+
+// Estimator returns the fast configuration estimator backed by the models.
+// The estimator owns its scorers' state — one call performs zero
+// allocations — so it is NOT safe for concurrent use; call Estimator()
+// once per goroutine.  Random-forest models score through leaf tables
+// built once per Models (see ml.LeafTables): one AND per tree and
+// operation instead of a walk of each of 100 trees.
+func (m *Models) Estimator() Estimator {
+	qor, hw := m.scorers()
+	return func(cfg []int) (float64, float64) { return qor.Reset(cfg), hw.Reset(cfg) }
 }
 
 // BatchEstimator estimates a whole batch of configurations at once,
 // writing (QoR, hw) for cfgs[j] to qor[j], hw[j] (both length ≥
-// len(cfgs)).  Estimates are bit-identical to len(cfgs) Estimator calls;
-// forest-backed models run ml.CompiledForest.PredictBatch over a
-// struct-of-arrays feature matrix so the per-point arena walks overlap.
-// The returned closure owns reusable feature buffers — steady-state calls
-// with a stable batch size perform zero allocations — so, like Estimator,
-// it is NOT safe for concurrent use; draw one per goroutine.
+// len(cfgs)).  Estimates are bit-identical to len(cfgs) Estimator calls.
+// Steady-state calls perform zero allocations; like Estimator, the
+// closure is NOT safe for concurrent use, so draw one per goroutine.
 type BatchEstimator func(cfgs [][]int, qor, hw []float64)
 
 // BatchEstimator returns the batched counterpart of Estimator.
 func (m *Models) BatchEstimator() BatchEstimator {
-	m.compile()
-	qorB := batchPredict(m.qorCF, m.qorPred)
-	hwB := batchPredict(m.hwCF, m.hwPred)
-	var fq, fh []float64
+	qp, hp := m.scorers()
 	return func(cfgs [][]int, qor, hw []float64) {
-		n := len(cfgs)
-		if n == 0 {
+		if len(cfgs) == 0 {
 			return
 		}
 		batchEstimates.Inc()
-		if cap(fq) < len(m.Space)*n {
-			fq = make([]float64, len(m.Space)*n)
-		}
-		if cap(fh) < 3*len(m.Space)*n {
-			fh = make([]float64, 3*len(m.Space)*n)
-		}
-		qorB(m.Space.QoRFeaturesBatchInto(cfgs, fq[:cap(fq)]), n, qor[:n])
-		hwB(m.Space.HWFeaturesBatchInto(cfgs, fh[:cap(fh)]), n, hw[:n])
-	}
-}
-
-// predictFunc returns the fastest available prediction path for a fitted
-// regressor: the compiled arena (and its handle, for batch inference) for
-// random forests, the regressor's own Predict otherwise.  Predictions are
-// bit-identical either way.
-func predictFunc(r ml.Regressor) (*ml.CompiledForest, func([]float64) float64) {
-	if rf, ok := r.(*ml.RandomForest); ok {
-		cf := rf.Compile()
-		return cf, cf.Predict
-	}
-	return nil, r.Predict
-}
-
-// batchPredict adapts a prediction path to the feature-major batch shape:
-// compiled forests use their native PredictBatch; anything else gathers
-// each point into a reusable row and calls the scalar path (same floats).
-func batchPredict(cf *ml.CompiledForest, scalar func([]float64) float64) func(x []float64, n int, out []float64) {
-	if cf != nil {
-		return cf.PredictBatch
-	}
-	var row []float64
-	return func(x []float64, n int, out []float64) {
-		nf := len(x) / n
-		if cap(row) < nf {
-			row = make([]float64, nf)
-		}
-		r := row[:nf]
-		for i := 0; i < n; i++ {
-			for f := range r {
-				r[f] = x[f*n+i]
-			}
-			out[i] = scalar(r)
+		for j, cfg := range cfgs {
+			qor[j], hw[j] = qp.Reset(cfg), hp.Reset(cfg)
 		}
 	}
 }

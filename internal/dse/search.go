@@ -90,8 +90,7 @@ const ctxCheckStride = 1024
 
 // estimateBatchSize is how many configurations the batched search loops
 // estimate per BatchEstimator call: large enough to amortize the batch
-// dispatch and keep walkWidth-interleaved forest walks fed, small enough
-// that the feature matrix stays L1/L2-resident.
+// dispatch, small enough that the batch buffers stay cache-resident.
 const estimateBatchSize = 256
 
 // randomSearch is the paper's RS baseline and the body of the registered

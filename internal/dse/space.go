@@ -171,44 +171,21 @@ func (s Space) HWFeaturesInto(cfg []int, dst []float64) []float64 {
 	return dst
 }
 
-// QoRFeaturesBatchInto writes the QoR features of n = len(cfgs)
-// configurations feature-major into dst (length ≥ len(s)·n): dst[i*n+j] is
-// feature i of configuration j — the struct-of-arrays layout
-// ml.CompiledForest.PredictBatch consumes.  It returns dst[:len(s)*n]
-// without allocating.  Feature values are the same floats
-// QoRFeaturesInto produces per configuration.
-func (s Space) QoRFeaturesBatchInto(cfgs [][]int, dst []float64) []float64 {
-	n := len(cfgs)
-	dst = dst[:len(s)*n]
-	for i, lib := range s {
-		row := dst[i*n : (i+1)*n]
-		for j, cfg := range cfgs {
-			row[j] = lib[cfg[i]].WMED
+// layout describes features to ml.RandomForest.LeafTables: feature j
+// belongs to operation j mod n and, under circuit c, is field j/n of that
+// circuit — the order QoRFeaturesInto (WMED) and HWFeaturesInto (area,
+// power, delay) write.
+func (s Space) layout(fields ...func(*acl.Circuit) float64) (op []int, values [][]float64) {
+	for _, field := range fields {
+		for k, lib := range s {
+			v := make([]float64, len(lib))
+			for c, ci := range lib {
+				v[c] = field(ci)
+			}
+			op, values = append(op, k), append(values, v)
 		}
 	}
-	return dst
-}
-
-// HWFeaturesBatchInto writes the hardware features of n = len(cfgs)
-// configurations feature-major into dst (length ≥ 3·len(s)·n), mirroring
-// HWFeaturesInto's area/power/delay blocks: feature i of configuration j
-// is dst[i*n+j].  It returns dst[:3*len(s)*n] without allocating.
-func (s Space) HWFeaturesBatchInto(cfgs [][]int, dst []float64) []float64 {
-	n := len(cfgs)
-	m := len(s)
-	dst = dst[:3*m*n]
-	for i, lib := range s {
-		area := dst[i*n : (i+1)*n]
-		power := dst[(m+i)*n : (m+i+1)*n]
-		delay := dst[(2*m+i)*n : (2*m+i+1)*n]
-		for j, cfg := range cfgs {
-			c := lib[cfg[i]]
-			area[j] = c.Area
-			power[j] = c.Power
-			delay[j] = c.Delay
-		}
-	}
-	return dst
+	return op, values
 }
 
 // EvaluateAll precisely evaluates every configuration (simulation +

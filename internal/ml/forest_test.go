@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -73,56 +74,58 @@ func TestRandomForestFitParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestCompiledForestMatchesPredict pins CompiledForest.Predict bit-
-// identical to the tree-walking RandomForest.Predict.
+// TestCompiledForestMatchesPredict pins the full table estimate (Reset,
+// the per-configuration path of Estimator and BatchEstimator)
+// bit-identical to the tree-walking RandomForest.Predict on a fitted
+// forest, at random configurations and at every training point.  (It
+// keeps the name of the compiled forest the tables replaced.)
 func TestCompiledForestMatchesPredict(t *testing.T) {
-	x, y := forestProblem(200, 5, 9)
-	rf := NewRandomForest(20, 7)
-	if err := rf.Fit(x, y); err != nil {
+	c, train := fittedTableCase(9, 5, 1, 120, 200, 20)
+	lt, err := c.rf.LeafTables(c.group, c.values)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cf := rf.Compile()
+	s := lt.NewScorer()
 	rng := rand.New(rand.NewSource(17))
-	probe := make([]float64, 5)
 	for trial := 0; trial < 2000; trial++ {
-		for j := range probe {
-			probe[j] = rng.Float64() * 120
-		}
-		want := rf.Predict(probe)
-		got := cf.Predict(probe)
-		if want != got {
-			t.Fatalf("trial %d: compiled %v != tree-walking %v", trial, got, want)
+		choice := c.randomChoice(rng, 5)
+		if got, want := s.Reset(choice), c.rf.Predict(c.features(choice)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d at %v: tables %v != tree-walking %v", trial, choice, got, want)
 		}
 	}
 	// Training points too (exact-memorization leaves).
-	for i, row := range x {
-		if rf.Predict(row) != cf.Predict(row) {
-			t.Fatalf("train row %d: compiled prediction differs", i)
+	for i, choice := range train {
+		if got, want := s.Reset(choice), c.rf.Predict(c.features(choice)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("train row %d: tables %v != tree-walking %v", i, got, want)
 		}
 	}
 }
 
-// TestCompiledForestPredictNoAllocs guards the zero-allocation contract of
-// the compiled inference path.
+// TestCompiledForestPredictNoAllocs guards the zero-allocation contract
+// of the full table estimate on a fitted forest.
 func TestCompiledForestPredictNoAllocs(t *testing.T) {
-	x, y := forestProblem(80, 3, 5)
-	rf := NewRandomForest(8, 1)
-	if err := rf.Fit(x, y); err != nil {
+	c, train := fittedTableCase(5, 3, 1, 20, 80, 8)
+	lt, err := c.rf.LeafTables(c.group, c.values)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cf := rf.Compile()
-	probe := []float64{1, 2, 3}
-	if n := testing.AllocsPerRun(200, func() { cf.Predict(probe) }); n != 0 {
-		t.Fatalf("CompiledForest.Predict allocates %v times per call", n)
+	s := lt.NewScorer()
+	i := 0
+	if n := testing.AllocsPerRun(200, func() { i++; s.Reset(train[i%len(train)]) }); n != 0 {
+		t.Fatalf("TableScorer.Reset allocates %v times per call", n)
 	}
 }
 
-// TestCompiledForestEmptyTree covers the unfitted-tree guard.
+// TestCompiledForestEmptyTree covers the unfitted-tree guard: a forest
+// of unfitted trees builds tables that score what Predict returns.
 func TestCompiledForestEmptyTree(t *testing.T) {
 	rf := NewRandomForest(2, 1)
 	rf.trees = []*DecisionTree{NewDecisionTree(0, 2), NewDecisionTree(0, 2)}
-	cf := rf.Compile()
-	if got, want := cf.Predict([]float64{1}), rf.Predict([]float64{1}); got != want {
-		t.Fatalf("empty-tree forest: compiled %v != tree-walking %v", got, want)
+	lt, err := rf.LeafTables([]int{0}, [][]float64{{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := lt.NewScorer().Reset([]int{0}), rf.Predict([]float64{1}); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("empty-tree forest: tables %v != tree-walking %v", got, want)
 	}
 }

@@ -15,9 +15,10 @@
 # The trajectory benchmarks cover both paper inner loops: precise
 # configuration analysis (NetlistEvalBlockWide, Characterize,
 # CharacterizeHighError, UnpackBitsBlock, Simplify, Synthesize,
-# PreciseEvaluation, SSIM) and model-based
-# estimation (ModelEstimate, CompiledForestPredict, HillClimb1k,
-# NSGA2Gen1k — the two search engines), plus RandomForestFit, MLPFit and
+# PreciseEvaluation, SSIM) and model-based estimation (ModelEstimate,
+# ModelEstimateBatch, ModelTables for the per-job leaf-table build, and
+# the search engines HillClimb1k, RandomSearch1k and NSGA2Gen1k), plus
+# RandomForestFit, MLPFit and
 # AutoEngineTrain (the whole 13-engine bake-off train stage) for
 # training, and the observability hot path (ObsCounter, ObsHistogram,
 # HillClimb1kObserved — compare against HillClimb1k for the instrumented
@@ -25,11 +26,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkCompiledForestPredict|BenchmarkPredictVaried|BenchmarkPredictBatchVaried|BenchmarkPredictBatchWide|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
+FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkModelTables|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
 COUNT=${BENCH_COUNT:-3}
 
-# ./internal/ml carries the forest-walker benchmarks (PredictVaried,
-# PredictBatchVaried, PredictBatchWide); everything else lives in the
-# root package.
-go test -run '^$' -bench "$FILTER" -benchmem -count "$COUNT" . ./internal/ml |
+# Every tracked benchmark lives in the root package.
+go test -run '^$' -bench "$FILTER" -benchmem -count "$COUNT" . |
 	go run ./scripts/benchjson "$@"
