@@ -12,7 +12,7 @@
 //	}, 1)
 //	images := autoax.BenchmarkImages(4, 96, 64, 7)
 //	pipe, _ := autoax.NewPipeline(autoax.Sobel(), lib, images, autoax.DefaultConfig())
-//	_ = pipe.Run()
+//	_ = pipe.RunContext(context.Background())
 //	cfgs, results := pipe.FrontResults()
 //
 // — and to define custom accelerators (see examples/customaccel).

@@ -35,7 +35,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.Run(); err != nil {
+	if err := pipe.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cfgs, res := pipe.FrontResults()
@@ -254,7 +254,7 @@ func TestPublicAPIClientPipelineParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.Run(); err != nil {
+	if err := pipe.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	_, localRes := pipe.FrontResults()

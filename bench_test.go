@@ -392,8 +392,8 @@ func BenchmarkModelTables(b *testing.B) {
 
 // BenchmarkHillClimb1k measures 1000 iterations of Algorithm 1 over the
 // Sobel reduced space with trained models — the registered "hillclimb"
-// engine that core.Pipeline.Explore runs (set-equal to the frozen plain
-// estimator loop, see TestModelsHillClimbMatchesGeneric).
+// engine that core.Pipeline.ExploreContext runs (set-equal to the frozen
+// plain estimator loop, see TestModelsHillClimbMatchesGeneric).
 func BenchmarkHillClimb1k(b *testing.B) {
 	s := benchSetup(b)
 	pipe, err := s.Pipeline("sobel")
@@ -559,12 +559,12 @@ func BenchmarkAutoEngineTrain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := p.GenerateSamples(); err != nil {
+	if err := p.GenerateSamplesContext(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	for b.Loop() {
 		p.Models = nil
-		if err := p.Train(); err != nil {
+		if err := p.TrainContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -601,7 +601,7 @@ func BenchmarkEndToEndQuickstart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := pipe.Run(); err != nil {
+		if err := pipe.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -418,7 +418,7 @@ func runPipelineGraph(s expt.Setup, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := pipe.Run(); err != nil {
+	if err := pipe.RunContext(context.Background()); err != nil {
 		return err
 	}
 	printPipeline(app.Name, pipe)
@@ -443,15 +443,9 @@ func materializeApp(graphPath, appName string) (app *accel.ImageApp, name string
 		}
 		return app, "", wire, nil
 	case appName != "":
-		switch appName {
-		case "sobel":
-			app = apps.Sobel()
-		case "fixedgf":
-			app = apps.FixedGF()
-		case "genericgf":
-			app = apps.GenericGF(apps.GenericGFKernels(2))
-		default:
-			return nil, "", nil, fmt.Errorf("got unknown app %q (want sobel, fixedgf or genericgf)", appName)
+		app, err = apps.New(appName, 2)
+		if err != nil {
+			return nil, "", nil, fmt.Errorf("got %w", err)
 		}
 		return app, appName, nil, nil
 	default:

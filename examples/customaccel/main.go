@@ -115,7 +115,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := pipe.Run(); err != nil {
+	if err := pipe.RunContext(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	localCfgs, localRes := pipe.FrontResults()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := pipe.Run(); err != nil {
+	if err := pipe.RunContext(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 

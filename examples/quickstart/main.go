@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := pipe.Run(); err != nil {
+	if err := pipe.RunContext(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 

@@ -32,9 +32,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 
 	// Step 1 — library pre-processing.
-	if err := pipe.Reduce(); err != nil {
+	if err := pipe.ReduceContext(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("reduced libraries per operation:")
@@ -46,7 +47,7 @@ func main() {
 	}
 
 	// Step 2 — model construction; compare a few engines by fidelity.
-	if err := pipe.GenerateSamples(); err != nil {
+	if err := pipe.GenerateSamplesContext(ctx); err != nil {
 		log.Fatal(err)
 	}
 	xqTr, yqTr, _, _ := autoax.BuildTrainingData(pipe.Space, pipe.TrainCfgs, pipe.TrainRes)
@@ -74,10 +75,9 @@ func main() {
 	}
 
 	// Step 3 — model-based DSE: proposed vs random sampling.
-	if err := pipe.Train(); err != nil {
+	if err := pipe.TrainContext(ctx); err != nil {
 		log.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, budget := range []int{1000, 10000} {
 		opt := autoax.SearchOptions{Evaluations: budget, Seed: 5}
 		hc, err := autoax.RunSearchEngine(ctx, "hillclimb", pipe.Models, opt)
@@ -94,7 +94,7 @@ func main() {
 	}
 
 	// Final precise verification of the explored front.
-	if err := pipe.Run(); err != nil {
+	if err := pipe.RunContext(ctx); err != nil {
 		log.Fatal(err)
 	}
 	_, res := pipe.FrontResults()

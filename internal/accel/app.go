@@ -341,12 +341,6 @@ func (e *Evaluator) Synthesize(cfg Configuration) (*netlist.Netlist, error) {
 	return netlist.Simplify(flat), nil
 }
 
-// SetProgramCacheLimit bounds the shared compiled-program cache to n
-// entries (evicting down immediately); n ≤ 0 disables caching.  The cache
-// — and therefore this setting — is shared with every clone of this
-// evaluator.
-func (e *Evaluator) SetProgramCacheLimit(n int) { e.shared.progs.setLimit(n) }
-
 // ProgramCacheStats snapshots the shared compiled-program cache counters.
 func (e *Evaluator) ProgramCacheStats() ProgramCacheStats { return e.shared.progs.stats() }
 
@@ -365,9 +359,6 @@ func (e *Evaluator) compiled(cfg Configuration) (compiledConfig, error) {
 		return compiledConfig{simp: simp, prog: netlist.Compile(simp)}, nil
 	}
 	pc := e.shared.progs
-	if pc.limit() <= 0 {
-		return build()
-	}
 	// Key the tuple only for configurations the graph accepts — keying
 	// would index nil or mismatched circuits otherwise.
 	if err := CheckConfiguration(e.App.Graph, cfg); err != nil {

@@ -276,17 +276,6 @@ func (g *Graph) Validate() error {
 // input (in Inputs order), and the result holds one value per output.
 // scratch, when non-nil and long enough, avoids an allocation.
 func (g *Graph) EvalExact(in []uint64, scratch []uint64) []uint64 {
-	return g.evalExact(in, scratch, nil)
-}
-
-// EvalExactTrace is EvalExact with a hook receiving the operand values of
-// every operation node (keyed by position in OpNodes order) — the profiler
-// that extracts the per-operation PMFs D_k of paper §2.2.
-func (g *Graph) EvalExactTrace(in []uint64, scratch []uint64, trace func(opIdx int, a, b uint64)) []uint64 {
-	return g.evalExact(in, scratch, trace)
-}
-
-func (g *Graph) evalExact(in []uint64, scratch []uint64, trace func(int, uint64, uint64)) []uint64 {
 	if len(in) != len(g.Inputs) {
 		panic(fmt.Sprintf("accel %s: EvalExact got %d inputs, want %d", g.Name, len(in), len(g.Inputs)))
 	}
@@ -295,7 +284,6 @@ func (g *Graph) evalExact(in []uint64, scratch []uint64, trace func(int, uint64,
 		vals = make([]uint64, len(g.Nodes))
 	}
 	nextIn := 0
-	opIdx := 0
 	for i, n := range g.Nodes {
 		switch n.Kind {
 		case NodeInput:
@@ -304,12 +292,7 @@ func (g *Graph) evalExact(in []uint64, scratch []uint64, trace func(int, uint64,
 		case NodeConst:
 			vals[i] = n.Const & (uint64(1)<<uint(n.Width) - 1)
 		case NodeOp:
-			a, b := vals[n.Args[0]], vals[n.Args[1]]
-			if trace != nil {
-				trace(opIdx, a, b)
-			}
-			opIdx++
-			vals[i] = n.Op.Exact(a, b)
+			vals[i] = n.Op.Exact(vals[n.Args[0]], vals[n.Args[1]])
 		case NodeShiftL:
 			vals[i] = vals[n.Args[0]] << uint(n.Shift)
 		case NodeShiftR:

@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"container/list"
 	"context"
 	"strings"
 	"sync"
@@ -30,24 +29,16 @@ type compiledConfig struct {
 	prog *netlist.Program
 }
 
-// progEntry is one completed cache entry, the value of its LRU element.
-type progEntry struct {
-	key string
-	art compiledConfig
-}
-
 // programCache memoizes Flatten+Simplify+Compile per configuration,
 // keyed by the tuple of structural circuit hashes (acl.StructuralKey).
-// It is shared by every clone of an Evaluator and bounded by an LRU cap;
-// concurrent requests for the same key are coalesced through a
-// store.Flight so N clones racing on one configuration synthesize it
-// once.  Safe for concurrent use.
+// It is shared by every clone of an Evaluator and keeps completed builds
+// in a store.LRU bounded by entry count; concurrent requests for the same
+// key are coalesced through a store.Flight so N clones racing on one
+// configuration synthesize it once.  Safe for concurrent use.
 type programCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element // completed builds only
-	lru     *list.List               // of *progEntry, front = most recently used
-	flight  store.Flight[string, compiledConfig]
+	mu     sync.Mutex
+	progs  store.LRU[string, compiledConfig] // cost 1 per entry
+	flight store.Flight[string, compiledConfig]
 
 	// disk is the optional persistent tier: leaders probe it before
 	// building and write successful builds back.  Nil without a
@@ -93,12 +84,13 @@ type ProgramCacheStats struct {
 }
 
 func newProgramCache(capacity int) *programCache {
-	return &programCache{
-		cap:         capacity,
-		entries:     make(map[string]*list.Element),
-		lru:         list.New(),
-		circuitKeys: make(map[*acl.Circuit]string),
+	pc := &programCache{circuitKeys: make(map[*acl.Circuit]string)}
+	pc.progs.Budget = int64(capacity)
+	pc.progs.OnEvict = func(string, compiledConfig) {
+		pc.st.Evictions++
+		progEvictions.Inc()
 	}
+	return pc
 }
 
 // configKey returns the cache key of cfg: the concatenated structural
@@ -150,8 +142,7 @@ func (pc *programCache) get(key string, build func() (compiledConfig, error)) (c
 		art, err := pc.fill(key, build)
 		if err == nil {
 			pc.mu.Lock()
-			pc.entries[key] = pc.lru.PushFront(&progEntry{key, art})
-			pc.trimLocked()
+			pc.progs.Put(key, art, 1)
 			pc.mu.Unlock()
 		}
 		return art, err
@@ -166,14 +157,12 @@ func (pc *programCache) get(key string, build func() (compiledConfig, error)) (c
 func (pc *programCache) hit(key string) (compiledConfig, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	el, ok := pc.entries[key]
-	if !ok {
-		return compiledConfig{}, false
+	art, ok := pc.progs.Get(key)
+	if ok {
+		pc.st.Hits++
+		progHits.Inc()
 	}
-	pc.lru.MoveToFront(el)
-	pc.st.Hits++
-	progHits.Inc()
-	return el.Value.(*progEntry).art, true
+	return art, ok
 }
 
 // fill is the leader's path: serve from the persistent tier when
@@ -201,16 +190,6 @@ func (pc *programCache) fill(key string, build func() (compiledConfig, error)) (
 	return art, err
 }
 
-// trimLocked evicts from the LRU tail down to the cap.  Caller holds
-// pc.mu.
-func (pc *programCache) trimLocked() {
-	for pc.lru.Len() > 0 && pc.lru.Len() > pc.cap {
-		delete(pc.entries, pc.lru.Remove(pc.lru.Back()).(*progEntry).key)
-		pc.st.Evictions++
-		progEvictions.Inc()
-	}
-}
-
 // count adds one to a stats field and to its process-wide mirror.
 func (pc *programCache) count(field *int64, mirror *obs.Counter) {
 	pc.mu.Lock()
@@ -224,23 +203,6 @@ func (pc *programCache) stats() ProgramCacheStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	s := pc.st
-	s.Entries = pc.lru.Len()
+	s.Entries = pc.progs.Len()
 	return s
-}
-
-// setLimit resizes the cache cap, evicting down immediately; n ≤ 0
-// disables caching for subsequent Evaluate calls (existing completed
-// entries are dropped).
-func (pc *programCache) setLimit(n int) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.cap = n
-	pc.trimLocked()
-}
-
-// limit returns the current cap.
-func (pc *programCache) limit() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.cap
 }

@@ -30,19 +30,18 @@ func cacheFixture(t *testing.T) (*Evaluator, []Configuration) {
 }
 
 // TestEvaluateCachedMatchesUncached pins the acceptance criterion: a
-// cached precise evaluation returns exactly the Result the uncached path
+// cached precise evaluation returns exactly the Result a fresh build
 // produces.
 func TestEvaluateCachedMatchesUncached(t *testing.T) {
 	ev, cfgs := cacheFixture(t)
 
-	// Uncached reference.
-	ev.SetProgramCacheLimit(0)
-	want, err := ev.Evaluate(cfgs[0])
+	// Uncached reference: a fresh evaluator's first evaluation builds.
+	ref, _ := cacheFixture(t)
+	want, err := ref.Evaluate(cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ev.SetProgramCacheLimit(DefaultProgramCacheEntries)
 	for i, cfg := range cfgs {
 		got, err := ev.Evaluate(cfg)
 		if err != nil {

@@ -182,3 +182,21 @@ func GenericGF(kernels [][]uint64) *accel.ImageApp {
 
 	return &accel.ImageApp{Name: "genericgf", Graph: g, Taps: taps, Sims: kernels}
 }
+
+// Names lists the case studies New builds, in paper order.
+func Names() []string { return []string{"sobel", "fixedgf", "genericgf"} }
+
+// New builds the case study called name (one of Names).  kernels is the
+// generic Gaussian filter's coefficient-set count (GenericGFKernels); the
+// other case studies ignore it.
+func New(name string, kernels int) (*accel.ImageApp, error) {
+	switch name {
+	case "sobel":
+		return Sobel(), nil
+	case "fixedgf":
+		return FixedGF(), nil
+	case "genericgf":
+		return GenericGF(GenericGFKernels(kernels)), nil
+	}
+	return nil, fmt.Errorf("unknown app %q (want sobel, fixedgf or genericgf)", name)
+}

@@ -219,3 +219,20 @@ func TestSobelPMFDiagonalRidge(t *testing.T) {
 		t.Errorf("add1 diagonal mass = %f, want > 0.6", nearDiag/total)
 	}
 }
+
+// TestNewBuildsEveryName pins the registry: every name in Names builds
+// the case study of that name, and an unknown name is an error.
+func TestNewBuildsEveryName(t *testing.T) {
+	for _, name := range Names() {
+		app, err := New(name, 2)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if app.Graph.Name != name {
+			t.Errorf("New(%q) built %q", name, app.Graph.Name)
+		}
+	}
+	if _, err := New("warp-drive", 2); err == nil {
+		t.Error("New accepted an unknown name")
+	}
+}

@@ -1,7 +1,6 @@
 package axserver
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strings"
@@ -25,13 +24,10 @@ import (
 // coalesced (GetOrCompute), so N workers racing on the same key run the
 // build once.  Safe for concurrent use.
 type Cache struct {
-	disk     *store.Dir // nil = memory-only
-	maxBytes int64      // ≤ 0 = unbounded memory tier
+	disk *store.Dir // nil = memory-only
 
-	mu       sync.Mutex
-	mem      map[string]*memEntry
-	lru      *list.List // of string keys; front = most recently used
-	memBytes int64
+	mu  sync.Mutex
+	mem store.LRU[string, []byte] // cost = len(data), Budget = MemBytes
 
 	flights store.Flight[string, []byte]
 
@@ -40,12 +36,6 @@ type Cache struct {
 	misses    atomic.Int64
 	coalesced atomic.Int64
 	evictions atomic.Int64
-}
-
-// memEntry is one memory-tier entry with its LRU position.
-type memEntry struct {
-	data []byte
-	elem *list.Element
 }
 
 // CacheConfig configures NewCache.  Each bound ≤ 0 means unbounded.
@@ -66,11 +56,9 @@ type CacheConfig struct {
 
 // NewCache returns a cache configured by cfg.
 func NewCache(cfg CacheConfig) (*Cache, error) {
-	c := &Cache{
-		maxBytes: cfg.MemBytes,
-		mem:      make(map[string]*memEntry),
-		lru:      list.New(),
-	}
+	c := &Cache{}
+	c.mem.Budget = cfg.MemBytes
+	c.mem.OnEvict = func(string, []byte) { c.evictions.Add(1) }
 	if cfg.Dir != "" {
 		d, err := store.OpenDir(store.DirConfig{Path: cfg.Dir, Suffix: ".json", MaxBytes: cfg.DiskBytes, TTL: cfg.DiskTTL})
 		if err != nil {
@@ -98,47 +86,22 @@ func diskName(key string) string {
 	return enc + ".json"
 }
 
-// store inserts (or refreshes) key in the memory tier and evicts from the
-// LRU tail until the byte budget holds.  An entry alone larger than the
-// whole budget is handled by tier: with a disk tier it is not admitted at
-// all (admitting would flush every resident entry only to be re-read from
-// disk anyway, and skipping displaces nothing, so it counts no eviction);
-// in a memory-only cache it is admitted and the colder entries are
-// evicted, because memory is the only place the artifact can live and
-// recomputing it on every request would be far worse than a flushed hot
-// set.  The newest entry itself is never evicted, so every stored
-// artifact remains cached somewhere.  Caller must hold c.mu.
+// store inserts (or refreshes) key in the memory tier, which evicts
+// least-recently-used entries past the byte budget but never the newest
+// one, so every stored artifact remains cached somewhere.  An entry alone
+// larger than the whole budget is handled by tier: with a disk tier it is
+// not admitted at all (admitting would flush every resident entry only to
+// be re-read from disk anyway, and skipping displaces nothing, so it
+// counts no eviction); in a memory-only cache it is admitted and the
+// colder entries are evicted, because memory is the only place the
+// artifact can live and recomputing it on every request would be far
+// worse than a flushed hot set.  Caller must hold c.mu.
 func (c *Cache) store(key string, data []byte) {
-	if c.maxBytes > 0 && int64(len(data)) > c.maxBytes && c.disk != nil {
-		c.dropLocked(key) // drop any stale resident version
+	if c.mem.Budget > 0 && int64(len(data)) > c.mem.Budget && c.disk != nil {
+		c.mem.Remove(key) // drop any stale resident version
 		return
 	}
-	if e, ok := c.mem[key]; ok {
-		c.memBytes += int64(len(data)) - int64(len(e.data))
-		e.data = data
-		c.lru.MoveToFront(e.elem)
-	} else {
-		e := &memEntry{data: data}
-		e.elem = c.lru.PushFront(key)
-		c.mem[key] = e
-		c.memBytes += int64(len(data))
-	}
-	if c.maxBytes <= 0 {
-		return
-	}
-	for c.memBytes > c.maxBytes && c.lru.Len() > 1 {
-		c.dropLocked(c.lru.Back().Value.(string))
-		c.evictions.Add(1)
-	}
-}
-
-// dropLocked removes key from the memory tier.  Caller must hold c.mu.
-func (c *Cache) dropLocked(key string) {
-	if e, ok := c.mem[key]; ok {
-		c.lru.Remove(e.elem)
-		c.memBytes -= int64(len(e.data))
-		delete(c.mem, key)
-	}
+	c.mem.Put(key, data, int64(len(data)))
 }
 
 // cached returns the cached bytes for key, promoting the entry to
@@ -147,14 +110,12 @@ func (c *Cache) dropLocked(key string) {
 // memory tier (which may evict colder entries under a byte budget).
 func (c *Cache) cached(key string) ([]byte, bool) {
 	c.mu.Lock()
-	if e, ok := c.mem[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		b := e.data
-		c.mu.Unlock()
+	b, ok := c.mem.Get(key)
+	c.mu.Unlock()
+	if ok {
 		c.memHits.Add(1)
 		return b, true
 	}
-	c.mu.Unlock()
 	if c.disk == nil {
 		return nil, false
 	}
@@ -245,7 +206,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 // instead of failing forever on the poisoned key.
 func (c *Cache) Delete(key string) {
 	c.mu.Lock()
-	c.dropLocked(key)
+	c.mem.Remove(key)
 	c.mu.Unlock()
 	if c.disk != nil {
 		c.disk.Remove(diskName(key))
@@ -256,8 +217,7 @@ func (c *Cache) Delete(key string) {
 // memory-tier footprint.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	n := len(c.mem)
-	bytes := c.memBytes
+	n, bytes := c.mem.Len(), c.mem.Cost()
 	c.mu.Unlock()
 	var ds store.DirStats
 	if c.disk != nil {

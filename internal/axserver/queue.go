@@ -8,11 +8,11 @@ import (
 )
 
 // Pool runs jobs from a FIFO queue on a bounded set of workers.  The
-// queue is unbounded by default (the historical behavior); NewPoolBounded
-// adds admission control — a job-count bound and a byte budget for
-// retained request payloads — so a sustained burst sheds load with a
-// typed QueueFullError instead of growing without bound.  Per-job
-// cancellation happens through the job's context, not the pool.
+// queue has admission control — a job-count bound and a byte budget for
+// retained request payloads, either of which may be off — so a
+// sustained burst sheds load with a typed QueueFullError instead of
+// growing without bound.  Per-job cancellation happens through the
+// job's context, not the pool.
 type Pool struct {
 	manager *Manager
 
@@ -58,15 +58,10 @@ func (e *QueueFullError) Error() string {
 // estimate carries no information a client could act on.
 const retryAfterCeiling = 60 * time.Second
 
-// NewPool starts workers goroutines draining an unbounded queue.
-func NewPool(manager *Manager, workers int) *Pool {
-	return NewPoolBounded(manager, workers, 0, 0)
-}
-
-// NewPoolBounded starts workers goroutines draining a queue with
-// admission bounds: at most maxQueue waiting jobs and maxQueueBytes of
-// retained request payloads (0 disables either bound).
-func NewPoolBounded(manager *Manager, workers, maxQueue int, maxQueueBytes int64) *Pool {
+// NewPool starts workers goroutines draining a queue with admission
+// bounds: at most maxQueue waiting jobs and maxQueueBytes of retained
+// request payloads (0 disables either bound).
+func NewPool(manager *Manager, workers, maxQueue int, maxQueueBytes int64) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -155,14 +150,6 @@ func (p *Pool) pushLocked(j *Job, cost int64) bool {
 	return true
 }
 
-// Submit appends the job to the FIFO queue without admission accounting
-// (the unbounded path).  It returns false after Close or BeginDrain.
-func (p *Pool) Submit(j *Job) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pushLocked(j, 0)
-}
-
 // Enqueue consumes a Reserve slot and appends the job.  It returns
 // false after Close or BeginDrain (the reservation is released either
 // way).
@@ -180,14 +167,7 @@ func (p *Pool) Enqueue(j *Job, cost int64) bool {
 func (p *Pool) EnqueueReplay(j *Job, cost int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.draining {
-		return false
-	}
-	j.cost = cost
-	p.queue = append(p.queue, j)
-	p.queueBytes += cost
-	p.cond.Signal()
-	return true
+	return p.pushLocked(j, cost)
 }
 
 // BeginDrain stops workers from picking up queued jobs: each finishes

@@ -12,7 +12,7 @@ import (
 // order.
 func TestPoolFIFO(t *testing.T) {
 	m := NewManager()
-	p := NewPool(m, 1)
+	p := NewPool(m, 1, 0, 0)
 	defer p.Close()
 
 	var mu sync.Mutex
@@ -28,7 +28,7 @@ func TestPoolFIFO(t *testing.T) {
 		})
 	}
 	for _, j := range jobs {
-		if !p.Submit(j) {
+		if !p.EnqueueReplay(j, 0) {
 			t.Fatal("submit rejected")
 		}
 	}
@@ -48,7 +48,7 @@ func TestPoolFIFO(t *testing.T) {
 // reaches it never executes.
 func TestPoolSkipsCancelledQueuedJob(t *testing.T) {
 	m := NewManager()
-	p := NewPool(m, 1)
+	p := NewPool(m, 1, 0, 0)
 	defer p.Close()
 
 	release := make(chan struct{})
@@ -62,8 +62,8 @@ func TestPoolSkipsCancelledQueuedJob(t *testing.T) {
 		ran <- "victim"
 		return nil, false, nil
 	})
-	p.Submit(blocker)
-	p.Submit(victim)
+	p.EnqueueReplay(blocker, 0)
+	p.EnqueueReplay(victim, 0)
 	<-ran // blocker is now occupying the only worker
 
 	info, ok, cancellable := m.Cancel(victim.ID())
@@ -90,7 +90,7 @@ func TestPoolSkipsCancelledQueuedJob(t *testing.T) {
 // when its context is cancelled mid-run.
 func TestPoolCancelRunning(t *testing.T) {
 	m := NewManager()
-	p := NewPool(m, 1)
+	p := NewPool(m, 1, 0, 0)
 	defer p.Close()
 
 	started := make(chan struct{})
@@ -99,7 +99,7 @@ func TestPoolCancelRunning(t *testing.T) {
 		<-ctx.Done()
 		return nil, false, ctx.Err()
 	})
-	p.Submit(j)
+	p.EnqueueReplay(j, 0)
 	<-started
 	if _, ok, cancellable := m.Cancel(j.ID()); !ok || !cancellable {
 		t.Fatal("cancel running failed")
@@ -117,14 +117,14 @@ func TestPoolCancelRunning(t *testing.T) {
 // TestPoolClose checks Close drains queued work and rejects later submits.
 func TestPoolClose(t *testing.T) {
 	m := NewManager()
-	p := NewPool(m, 2)
+	p := NewPool(m, 2, 0, 0)
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
 		j := m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
 			return nil, false, nil
 		})
 		jobs = append(jobs, j)
-		p.Submit(j)
+		p.EnqueueReplay(j, 0)
 	}
 	p.Close()
 	for _, j := range jobs {
@@ -135,7 +135,7 @@ func TestPoolClose(t *testing.T) {
 	late := m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
 		return nil, false, nil
 	})
-	if p.Submit(late) {
+	if p.EnqueueReplay(late, 0) {
 		t.Fatal("submit accepted after Close")
 	}
 }
@@ -146,7 +146,7 @@ func TestPoolClose(t *testing.T) {
 // queue exactly.
 func TestPoolBoundedAdmission(t *testing.T) {
 	m := NewManager()
-	p := NewPoolBounded(m, 1, 2, 100)
+	p := NewPool(m, 1, 2, 100)
 	defer p.Close()
 
 	release := make(chan struct{})
@@ -195,7 +195,7 @@ func TestPoolBoundedAdmission(t *testing.T) {
 
 	// Byte budget: a reservation holds its slot until Enqueue/Release.
 	m2 := NewManager()
-	p2 := NewPoolBounded(m2, 1, 0, 100)
+	p2 := NewPool(m2, 1, 0, 100)
 	defer p2.Close()
 	blocker2 := make(chan struct{})
 	started2 := make(chan struct{})
@@ -231,7 +231,7 @@ func TestPoolBoundedAdmission(t *testing.T) {
 // after an ordinary run still drains the queue (TestPoolClose).
 func TestPoolDrainLeavesQueue(t *testing.T) {
 	m := NewManager()
-	p := NewPool(m, 1)
+	p := NewPool(m, 1, 0, 0)
 
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -240,18 +240,18 @@ func TestPoolDrainLeavesQueue(t *testing.T) {
 		<-release
 		return "done", false, nil
 	})
-	p.Submit(running)
+	p.EnqueueReplay(running, 0)
 	<-started
 	queued := m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
 		return nil, false, nil
 	})
-	p.Submit(queued)
+	p.EnqueueReplay(queued, 0)
 
 	p.BeginDrain()
-	if p.Submit(m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
+	if p.EnqueueReplay(m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
 		return nil, false, nil
-	})) {
-		t.Fatal("Submit accepted while draining")
+	}), 0) {
+		t.Fatal("EnqueueReplay accepted while draining")
 	}
 	if err := p.Reserve(0); err == nil {
 		t.Fatal("Reserve succeeded while draining")
@@ -279,13 +279,13 @@ func TestPoolDrainLeavesQueue(t *testing.T) {
 // instead of killing the worker.
 func TestPoolRecoversPanic(t *testing.T) {
 	m := NewManager()
-	p := NewPool(m, 1)
+	p := NewPool(m, 1, 0, 0)
 	defer p.Close()
 
 	bad := m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
 		panic("boom")
 	})
-	p.Submit(bad)
+	p.EnqueueReplay(bad, 0)
 	<-bad.Done()
 	info, _ := m.Get(bad.ID())
 	if info.State != JobFailed || info.Error != "job panicked: boom" {
@@ -295,7 +295,7 @@ func TestPoolRecoversPanic(t *testing.T) {
 	ok := m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
 		return "fine", false, nil
 	})
-	p.Submit(ok)
+	p.EnqueueReplay(ok, 0)
 	select {
 	case <-ok.Done():
 	case <-time.After(5 * time.Second):
@@ -309,13 +309,13 @@ func TestPoolRecoversPanic(t *testing.T) {
 // TestManagerStateMachine covers the failed state and result encoding.
 func TestManagerStateMachine(t *testing.T) {
 	m := NewManager()
-	p := NewPool(m, 1)
+	p := NewPool(m, 1, 0, 0)
 	defer p.Close()
 
 	fail := m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
 		return nil, false, context.DeadlineExceeded
 	})
-	p.Submit(fail)
+	p.EnqueueReplay(fail, 0)
 	<-fail.Done()
 	info, _ := m.Get(fail.ID())
 	if info.State != JobFailed || info.Error == "" {
@@ -325,7 +325,7 @@ func TestManagerStateMachine(t *testing.T) {
 	ok := m.Create(context.Background(), "test", func(ctx context.Context) (any, bool, error) {
 		return map[string]int{"n": 3}, true, nil
 	})
-	p.Submit(ok)
+	p.EnqueueReplay(ok, 0)
 	<-ok.Done()
 	info, _ = m.Get(ok.ID())
 	if info.State != JobSucceeded || !info.Cached || string(info.Result) != `{"n":3}` {
@@ -343,7 +343,7 @@ func TestManagerStateMachine(t *testing.T) {
 // design, rather than discarding a fully computed artifact.
 func TestCancelRunningBestEffort(t *testing.T) {
 	m := NewManager()
-	p := NewPool(m, 1)
+	p := NewPool(m, 1, 0, 0)
 	defer p.Close()
 
 	started := make(chan struct{})
@@ -353,7 +353,7 @@ func TestCancelRunningBestEffort(t *testing.T) {
 		<-release                     // hold "running" until the cancel lands
 		return "artifact", false, nil // never checks ctx: completion wins
 	})
-	p.Submit(j)
+	p.EnqueueReplay(j, 0)
 	<-started
 
 	info, ok, cancellable := m.Cancel(j.ID())

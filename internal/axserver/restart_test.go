@@ -159,7 +159,7 @@ func holdWorker(t *testing.T, s *Server) (id string, release func()) {
 			return nil, false, ctx.Err()
 		}
 	})
-	if !s.pool.Submit(j) {
+	if !s.pool.EnqueueReplay(j, 0) {
 		t.Fatal("holdWorker: submit rejected")
 	}
 	waitRunning(t, s, j.ID())

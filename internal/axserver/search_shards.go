@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"slices"
 
 	"autoax/internal/accel"
 	"autoax/internal/acl"
@@ -259,35 +258,21 @@ func (s *Server) shardModels(ctx context.Context, req SearchShardRequest, app *a
 // shards of another.
 func (s *Server) sharedModels(ctx context.Context, key string, build func(context.Context) (*dse.Models, error)) (*dse.Models, error) {
 	m, _, err := s.modelFlight.Do(ctx, key, func() (*dse.Models, error) {
-		if m, ok := s.memoModel(key); ok {
+		s.modelMu.Lock()
+		m, ok := s.models.Get(key)
+		s.modelMu.Unlock()
+		if ok {
 			return m, nil
 		}
 		m, err := build(ctx)
 		if err == nil {
 			s.modelMu.Lock()
-			s.models[key] = m
-			s.modelOrder = append(s.modelOrder, key)
-			if len(s.modelOrder) > modelCacheEntries {
-				delete(s.models, s.modelOrder[0])
-				s.modelOrder = s.modelOrder[1:]
-			}
+			s.models.Put(key, m, 1)
 			s.modelMu.Unlock()
 		}
 		return m, err
 	})
 	return m, err
-}
-
-// memoModel returns key's memoized models, moving key to the
-// most-recently-used end.
-func (s *Server) memoModel(key string) (*dse.Models, bool) {
-	s.modelMu.Lock()
-	defer s.modelMu.Unlock()
-	m, ok := s.models[key]
-	if ok {
-		s.modelOrder = append(slices.DeleteFunc(s.modelOrder, func(k string) bool { return k == key }), key)
-	}
-	return m, ok
 }
 
 // buildShardModels deterministically rebuilds the trained estimators for

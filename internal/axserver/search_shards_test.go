@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strings"
@@ -197,7 +198,44 @@ func mustSamePoints(t *testing.T, a, b []fleet.ShardPoint, label string) {
 // modelServer is a Server with only the shard-model memo set up, enough
 // to drive sharedModels directly.
 func modelServer() *Server {
-	return &Server{models: make(map[string]*dse.Models)}
+	s := &Server{}
+	s.models.Budget = modelCacheEntries
+	return s
+}
+
+// TestSharedModelsBoundedLRU pins the model memo's bound and its
+// promote-on-hit: after modelCacheEntries+1 distinct builds the
+// least-recently-used context rebuilds, and one hit in between keeps its
+// entry.
+func TestSharedModelsBoundedLRU(t *testing.T) {
+	s := modelServer()
+	builds := make(map[string]int)
+	get := func(key string) {
+		t.Helper()
+		_, err := s.sharedModels(context.Background(), key, func(context.Context) (*dse.Models, error) {
+			builds[key]++
+			return &dse.Models{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(i int) string { return fmt.Sprintf("ctx-%d", i) }
+	for i := 0; i < modelCacheEntries; i++ {
+		get(key(i))
+	}
+	get(key(0))                 // a hit: key 0 is now the most recent
+	get(key(modelCacheEntries)) // one build past the bound evicts key 1
+	for i := 0; i <= modelCacheEntries; i++ {
+		if builds[key(i)] != 1 {
+			t.Fatalf("before the probe: %s built %d times, want 1", key(i), builds[key(i)])
+		}
+	}
+	get(key(0))
+	get(key(1))
+	if builds[key(0)] != 1 || builds[key(1)] != 2 {
+		t.Fatalf("builds %v: want the hit key memoized (1) and the least-recently-used key rebuilt (2)", builds)
+	}
 }
 
 // awaitModelWaiter blocks until one caller has parked on key's in-flight

@@ -141,11 +141,10 @@ type Server struct {
 	// Fleet shard execution (POST /v1/search/shards): shardSem bounds
 	// concurrent synchronous shard runs to the worker-pool size, and
 	// models memoizes trained model contexts (see shardModels), built
-	// through modelFlight.
+	// through modelFlight, at a cost of 1 each under modelCacheEntries.
 	shardSem    chan struct{}
 	modelMu     sync.Mutex
-	models      map[string]*dse.Models
-	modelOrder  []string // LRU order, most recent last
+	models      store.LRU[string, *dse.Models]
 	modelFlight store.Flight[string, *dse.Models]
 }
 
@@ -214,14 +213,14 @@ func New(opts Options) (*Server, error) {
 		cache:      cache,
 		programs:   programs,
 		manager:    manager,
-		pool:       NewPoolBounded(manager, opts.Workers, opts.MaxQueue, opts.MaxQueueBytes),
+		pool:       NewPool(manager, opts.Workers, opts.MaxQueue, opts.MaxQueueBytes),
 		logger:     logger,
 		base:       base,
 		cancelBase: cancel,
 		started:    time.Now(),
 		shardSem:   make(chan struct{}, opts.Workers),
-		models:     make(map[string]*dse.Models),
 	}
+	s.models.Budget = modelCacheEntries
 	if opts.JournalDir != "" {
 		jr, incomplete, maxSeq, err := openJournal(opts.JournalDir)
 		if err != nil {
@@ -441,16 +440,17 @@ const (
 )
 
 // defaultGFKernels is the generic Gaussian filter's default coefficient-
-// set count, shared by request execution (buildApp) and content hashing
-// (normalizeKernels) so the two can never diverge.
+// set count, applied by normalizeKernels for both request execution and
+// content hashing so the two can never diverge.
 const defaultGFKernels = 2
 
 // maxKernels caps the generic-GF coefficient sets one request may ask for
 // (the paper uses 50) so a single submission cannot exhaust memory.
 const maxKernels = 64
 
-// normalizeKernels applies buildApp's defaulting: kernels only matter for
-// the generic Gaussian filter, where zero means defaultGFKernels.
+// normalizeKernels applies the case studies' defaulting: kernels only
+// matter for the generic Gaussian filter, where zero means
+// defaultGFKernels.
 func normalizeKernels(app string, kernels int) int {
 	if app != "genericgf" {
 		return 0
@@ -615,36 +615,6 @@ func (s *Server) SubmitLibrary(req LibraryRequest) (JobInfo, error) {
 	return s.submit("library", req, run)
 }
 
-// appBuilders is the single registry of case-study accelerators: the app-
-// name validation, the content-hash normalization and the construction all
-// dispatch through it, so adding an app cannot leave them inconsistent.
-// Kernels arrive pre-normalized (normalizeKernels) and only matter for the
-// generic Gaussian filter.
-var appBuilders = map[string]func(kernels int) *accel.ImageApp{
-	"sobel":   func(int) *accel.ImageApp { return apps.Sobel() },
-	"fixedgf": func(int) *accel.ImageApp { return apps.FixedGF() },
-	"genericgf": func(kernels int) *accel.ImageApp {
-		return apps.GenericGF(apps.GenericGFKernels(kernels))
-	},
-}
-
-// validateApp checks the app name without allocating anything — safe for
-// the HTTP submission path.
-func validateApp(name string) error {
-	if _, ok := appBuilders[name]; !ok {
-		return fmt.Errorf("unknown app %q (want sobel, fixedgf or genericgf)", name)
-	}
-	return nil
-}
-
-// buildApp instantiates a case-study accelerator by name.
-func buildApp(name string, kernels int) (*accel.ImageApp, error) {
-	if err := validateApp(name); err != nil {
-		return nil, err
-	}
-	return appBuilders[name](normalizeKernels(name, kernels)), nil
-}
-
 // Inline-accelerator limits: a request-supplied graph is untrusted, so its
 // size is bounded before any evaluation work is queued.  The caps sit far
 // above the paper's case studies (≤ ~60 nodes, ≤ 50 simulations) while
@@ -679,7 +649,7 @@ func resolveAppRef(name string, kernels int, spec *accel.WireApp) (*accel.ImageA
 		}
 		return app, nil
 	default:
-		return buildApp(name, kernels)
+		return apps.New(name, normalizeKernels(name, kernels))
 	}
 }
 

@@ -23,7 +23,7 @@ func TestAutoEngineSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Train(); err != nil {
+	if err := p.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if p.Opt.Engine.Name == "" {
@@ -50,7 +50,7 @@ func TestAutoEngineTooFewSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Train(); err == nil {
+	if err := p.TrainContext(context.Background()); err == nil {
 		t.Error("expected error with 2 training samples")
 	}
 }
@@ -67,7 +67,7 @@ func autoPipeline(t *testing.T) *Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.GenerateSamples(); err != nil {
+	if err := p.GenerateSamplesContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -88,7 +88,7 @@ func TestAutoEngineParallelismInvariant(t *testing.T) {
 	run := func(procs int) outcome {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		p.Models = nil
-		if err := p.Train(); err != nil {
+		if err := p.TrainContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		o := outcome{engine: p.Opt.Engine.Name,
@@ -112,7 +112,7 @@ func TestAutoEngineProgress(t *testing.T) {
 	p := autoPipeline(t)
 	rec := &stageRecorder{}
 	p.Observer = rec.observe
-	if err := p.Train(); err != nil {
+	if err := p.TrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(len(ml.Engines()) + 1)

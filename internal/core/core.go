@@ -146,10 +146,8 @@ func NewPipeline(app *accel.ImageApp, lib *acl.Library, images []*imagedata.Imag
 	return &Pipeline{App: app, Lib: lib, Images: images, Opt: opt, Ev: ev}, nil
 }
 
-// Reduce performs Step 1: profiling and per-operation library reduction.
-func (p *Pipeline) Reduce() error { return p.ReduceContext(context.Background()) }
-
-// ReduceContext is Reduce with cancellation, checked between operations.
+// ReduceContext performs Step 1: profiling and per-operation library
+// reduction, with cancellation checked between operations.
 func (p *Pipeline) ReduceContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -178,14 +176,9 @@ func (p *Pipeline) ReduceContext(ctx context.Context) error {
 	return p.Space.Validate()
 }
 
-// GenerateSamples performs the data-collection half of Step 2: random
-// configurations evaluated precisely for training and testing.
-func (p *Pipeline) GenerateSamples() error {
-	return p.GenerateSamplesContext(context.Background())
-}
-
-// GenerateSamplesContext is GenerateSamples with cancellation, checked
-// before every precise configuration evaluation.
+// GenerateSamplesContext performs the data-collection half of Step 2:
+// random configurations evaluated precisely for training and testing,
+// with cancellation checked before every precise evaluation.
 func (p *Pipeline) GenerateSamplesContext(ctx context.Context) error {
 	if p.Space == nil {
 		if err := p.ReduceContext(ctx); err != nil {
@@ -206,12 +199,10 @@ func (p *Pipeline) GenerateSamplesContext(ctx context.Context) error {
 	return err
 }
 
-// Train performs the learning half of Step 2 with the configured engine
-// (or, with AutoEngine, the engine winning a validation-fidelity bake-off)
-// and records test fidelities.
-func (p *Pipeline) Train() error { return p.TrainContext(context.Background()) }
-
-// TrainContext is Train with cancellation, checked before each engine fit.
+// TrainContext performs the learning half of Step 2 with the configured
+// engine (or, with AutoEngine, the engine winning a validation-fidelity
+// bake-off) and records test fidelities, with cancellation checked before
+// each engine fit.
 func (p *Pipeline) TrainContext(ctx context.Context) error {
 	if p.TrainRes == nil {
 		if err := p.GenerateSamplesContext(ctx); err != nil {
@@ -301,12 +292,9 @@ func (p *Pipeline) selectEngine(ctx context.Context, r *stageRun) (ml.EngineSpec
 // restarts at Stagnation 50.
 const climbEvals = 50000
 
-// Explore performs the first half of Step 3: Algorithm 1 over the model
-// estimates, producing the pseudo Pareto set.
-func (p *Pipeline) Explore() error { return p.ExploreContext(context.Background()) }
-
-// ExploreContext is Explore with cancellation, checked periodically inside
-// the search.
+// ExploreContext performs the first half of Step 3: Algorithm 1 over the
+// model estimates, producing the pseudo Pareto set, with cancellation
+// checked periodically inside the search.
 //
 // The default hillclimb engine with a budget of at least 2·climbEvals runs
 // k = SearchEvals/climbEvals independent climbs concurrently: climb i gets
@@ -371,13 +359,10 @@ func (p *Pipeline) ExploreContext(ctx context.Context) error {
 	return nil
 }
 
-// Finalize performs the second half of Step 3: precise re-evaluation of
-// the pseudo Pareto configurations and construction of the final Pareto
-// front over real (SSIM, area, energy).
-func (p *Pipeline) Finalize() error { return p.FinalizeContext(context.Background()) }
-
-// FinalizeContext is Finalize with cancellation, checked before every
-// precise re-evaluation.
+// FinalizeContext performs the second half of Step 3: precise
+// re-evaluation of the pseudo Pareto configurations and construction of
+// the final Pareto front over real (SSIM, area, energy), with
+// cancellation checked before every precise re-evaluation.
 func (p *Pipeline) FinalizeContext(ctx context.Context) error {
 	if p.Pseudo == nil {
 		if err := p.ExploreContext(ctx); err != nil {
@@ -423,9 +408,6 @@ func (p *Pipeline) FinalizeContext(ctx context.Context) error {
 	p.FinalFront = pareto.Front(pts)
 	return nil
 }
-
-// Run executes all stages in order.
-func (p *Pipeline) Run() error { return p.Finalize() }
 
 // RunContext executes all stages in order under a context: cancelling the
 // context aborts the run at the next stage boundary or mid-stage checkpoint

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"autoax/internal/accel"
@@ -42,7 +43,7 @@ func TestPipelineEndToEndSobel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(); err != nil {
+	if err := p.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +128,7 @@ func TestPipelineStagesAreIdempotentEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Calling a late stage runs the earlier ones implicitly.
-	if err := p.Explore(); err != nil {
+	if err := p.ExploreContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if p.Space == nil || p.Models == nil || p.Pseudo == nil {
@@ -150,7 +151,7 @@ func TestReducedLibrariesAreParetoOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Reduce(); err != nil {
+	if err := p.ReduceContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for k, rl := range p.Space {

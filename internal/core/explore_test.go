@@ -54,7 +54,7 @@ func explorePipeline(t *testing.T) *Pipeline {
 			Seed:         1,
 		})
 		if f.err == nil {
-			f.err = f.p.Train()
+			f.err = f.p.TrainContext(context.Background())
 		}
 	})
 	if f.err != nil {
@@ -70,7 +70,7 @@ func explore(t *testing.T, evals int, engine string) *pareto.Archive[[]int] {
 	t.Helper()
 	p := explorePipeline(t)
 	p.Opt.SearchEvals, p.Opt.SearchEngine = evals, engine
-	if err := p.Explore(); err != nil {
+	if err := p.ExploreContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return p.Pseudo
@@ -176,7 +176,7 @@ func TestExploreProgress(t *testing.T) {
 	p := explorePipeline(t)
 	rec := &stageRecorder{}
 	p.Observer = rec.observe
-	if err := p.Explore(); err != nil {
+	if err := p.ExploreContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(p.Opt.SearchEvals)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestPipelineObserverStageSequence(t *testing.T) {
 	}
 	rec := &stageRecorder{}
 	p.Observer = rec.observe
-	if err := p.Run(); err != nil {
+	if err := p.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,7 +111,7 @@ func TestPipelineObserverDoesNotPerturbRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Observer = obs
-		if err := p.Run(); err != nil {
+		if err := p.RunContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return p

@@ -14,6 +14,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -184,20 +185,12 @@ func (s Setup) Images() []*imagedata.Image {
 
 // App instantiates one of the three case studies by name.
 func (s Setup) App(name string) (*accel.ImageApp, error) {
-	p := s.params()
-	switch name {
-	case "sobel":
-		return apps.Sobel(), nil
-	case "fixedgf":
-		return apps.FixedGF(), nil
-	case "genericgf":
-		return apps.GenericGF(apps.GenericGFKernels(p.kernels)), nil
+	app, err := apps.New(name, s.params().kernels)
+	if err != nil {
+		return nil, fmt.Errorf("expt: %w", err)
 	}
-	return nil, fmt.Errorf("expt: unknown app %q", name)
+	return app, nil
 }
-
-// AppNames lists the case studies in paper order.
-func AppNames() []string { return []string{"sobel", "fixedgf", "genericgf"} }
 
 // pipelineConfig returns the core.Config for one app under this setup.
 func (s Setup) pipelineConfig(name string) core.Config {
@@ -233,7 +226,7 @@ func (s Setup) Pipeline(name string) (*core.Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := pipe.Run(); err != nil {
+		if err := pipe.RunContext(context.Background()); err != nil {
 			return nil, err
 		}
 		return pipe, nil

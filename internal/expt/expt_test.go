@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"autoax/internal/apps"
 )
 
 func tinySetup(t *testing.T) Setup {
@@ -175,7 +177,7 @@ func TestTable5AndFigure5(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, name := range AppNames() {
+	for _, name := range apps.Names() {
 		if !strings.Contains(out, name) {
 			t.Errorf("Table 5 missing %s", name)
 		}

@@ -8,6 +8,7 @@ import (
 	"text/tabwriter"
 
 	"autoax/internal/accel"
+	"autoax/internal/apps"
 	"autoax/internal/dse"
 	"autoax/internal/ml"
 	"autoax/internal/pareto"
@@ -209,7 +210,7 @@ func Figure5App(s Setup, name string) ([]FrontSeries, error) {
 // three accelerators, with 2-D hypervolume summaries.
 func Figure5(w io.Writer, s Setup) error {
 	fmt.Fprintf(w, "Figure 5: Pareto fronts by method (scale=%s)\n", s.Scale)
-	for _, name := range AppNames() {
+	for _, name := range apps.Names() {
 		series, err := Figure5App(s, name)
 		if err != nil {
 			return err

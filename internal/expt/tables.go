@@ -8,6 +8,7 @@ import (
 	"text/tabwriter"
 
 	"autoax/internal/acl"
+	"autoax/internal/apps"
 	"autoax/internal/dse"
 	"autoax/internal/ml"
 	"autoax/internal/pareto"
@@ -18,7 +19,7 @@ func Table1(w io.Writer, s Setup) error {
 	fmt.Fprintln(w, "Table 1: The number of operations in target accelerators")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Problem\tadd8\tadd9\tadd16\tsub10\tsub16\tmul8\tTotal")
-	for _, name := range AppNames() {
+	for _, name := range apps.Names() {
 		app, err := s.App(name)
 		if err != nil {
 			return err
@@ -234,7 +235,7 @@ func Table5(w io.Writer, s Setup) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Application\tall possible\tlib. pre-processing\tpseudo Pareto\tfinal Pareto")
 	var csv [][]string
-	for _, name := range AppNames() {
+	for _, name := range apps.Names() {
 		pipe, err := s.Pipeline(name)
 		if err != nil {
 			return err

@@ -1,12 +1,12 @@
-// Package store holds the persistence primitives shared by the service's
-// disk tiers: Dir, a directory of entry files under an LRU byte budget
-// and an idle TTL, written through WriteFileAtomic; AppendFrame and
-// ReadFrame, the checksummed record codec; and Flight, the singleflight
-// every memoized build goes through.
+// Package store holds the caching and persistence primitives shared by
+// the service's memos and disk tiers: LRU, the one cost-budgeted
+// last-use eviction policy; Dir, a directory of entry files under an LRU
+// byte budget and an idle TTL, written through WriteFileAtomic;
+// AppendFrame and ReadFrame, the checksummed record codec; and Flight,
+// the singleflight every memoized build goes through.
 package store
 
 import (
-	"container/list"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,16 +49,11 @@ type DirStats struct {
 type Dir struct {
 	cfg DirConfig
 
-	mu      sync.Mutex
-	entries map[string]*dirEntry
-	lru     *list.List // of file name; front = most recently used
-	stats   DirStats
-}
-
-type dirEntry struct {
-	size    int64
-	lastUse int64 // UnixNano
-	elem    *list.Element
+	mu sync.Mutex
+	// inv maps each file name to its last use (UnixNano) at the cost of
+	// its size; evicting an entry deletes its file.
+	inv   LRU[string, int64]
+	stats DirStats // Evictions and Expired; Entries and Bytes come from inv
 }
 
 // OpenDir creates cfg.Path if missing and inventories its entry files
@@ -92,7 +87,12 @@ func OpenDir(cfg DirConfig) (*Dir, error) {
 		}
 		return files[i].name < files[j].name
 	})
-	d := &Dir{cfg: cfg, entries: make(map[string]*dirEntry), lru: list.New()}
+	d := &Dir{cfg: cfg}
+	d.inv.Budget = cfg.MaxBytes
+	d.inv.OnEvict = func(name string, _ int64) {
+		d.removeFile(name)
+		d.stats.Evictions++
+	}
 	for _, f := range files {
 		d.Record(f.name, f.size, time.Unix(0, f.mod))
 	}
@@ -159,18 +159,7 @@ func (d *Dir) Touch(name string, size int64) {
 func (d *Dir) Record(name string, size int64, lastUse time.Time) {
 	d.mu.Lock()
 	defer d.unlock(d.stats)
-	e, ok := d.entries[name]
-	if !ok {
-		e = &dirEntry{elem: d.lru.PushFront(name)}
-		d.entries[name] = e
-		d.stats.Entries++
-	}
-	d.stats.Bytes += size - e.size
-	e.size, e.lastUse = size, lastUse.UnixNano()
-	d.lru.MoveToFront(e.elem)
-	for d.cfg.MaxBytes > 0 && d.stats.Bytes > d.cfg.MaxBytes && d.lru.Len() > 1 {
-		d.dropLocked(d.lru.Back().Value.(string), &d.stats.Evictions)
-	}
+	d.inv.Put(name, lastUse.UnixNano(), size)
 }
 
 // sweepLocked deletes entries idle longer than the TTL, walking from the
@@ -181,27 +170,16 @@ func (d *Dir) sweepLocked(now time.Time) {
 		return
 	}
 	cutoff := now.Add(-d.cfg.TTL).UnixNano()
-	for back := d.lru.Back(); back != nil && d.entries[back.Value.(string)].lastUse <= cutoff; back = d.lru.Back() {
-		d.dropLocked(back.Value.(string), &d.stats.Expired)
+	for name, lastUse, ok := d.inv.Oldest(); ok && lastUse <= cutoff; name, lastUse, ok = d.inv.Oldest() {
+		d.inv.Remove(name)
+		d.removeFile(name)
+		d.stats.Expired++
 	}
 }
 
-// dropLocked deletes entry name and its file.  A drop the tier makes on
-// its own passes the counter it adds to (Evictions or Expired); a
-// caller's Remove passes nil.  Drops are rare and the files small, so
-// the removal runs under d.mu.
-func (d *Dir) dropLocked(name string, counter *int64) {
-	if e, ok := d.entries[name]; ok {
-		d.lru.Remove(e.elem)
-		delete(d.entries, name)
-		d.stats.Entries--
-		d.stats.Bytes -= e.size
-	}
-	os.Remove(filepath.Join(d.cfg.Path, name))
-	if counter != nil {
-		*counter++
-	}
-}
+// removeFile deletes entry name's file.  Drops are rare and the files
+// small, so callers run it under d.mu.
+func (d *Dir) removeFile(name string) { os.Remove(filepath.Join(d.cfg.Path, name)) }
 
 // Remove deletes entry name and its accounting — the self-heal path for
 // an entry that failed validation.  It is neither an eviction nor an
@@ -209,7 +187,8 @@ func (d *Dir) dropLocked(name string, counter *int64) {
 func (d *Dir) Remove(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.dropLocked(name, nil)
+	d.inv.Remove(name)
+	d.removeFile(name)
 }
 
 // Stats sweeps expired entries and returns the footprint and counters.
@@ -217,7 +196,9 @@ func (d *Dir) Stats() DirStats {
 	d.mu.Lock()
 	defer d.unlock(d.stats)
 	d.sweepLocked(time.Now())
-	return d.stats
+	s := d.stats
+	s.Entries, s.Bytes = d.inv.Len(), d.inv.Cost()
+	return s
 }
 
 // unlock releases d.mu, then reports to OnDrop the drops made since the
