@@ -385,7 +385,10 @@ func NewEvaluator(app *ImageApp, images []*Image) (*Evaluator, error) {
 
 // OpenProgramDir opens a persistent compiled-program directory; open it
 // once per directory and share the handle.  A zero-Dir config returns
-// nil, the in-memory cache only.
+// nil, the in-memory cache only.  Programs are written best-effort by a
+// background writer, off the evaluation path: call the handle's Flush
+// before the process exits, or before another handle opens the
+// directory, so every queued program reaches the disk.
 func OpenProgramDir(cfg ProgramCacheConfig) (*ProgramDir, error) {
 	return accel.OpenProgramDir(cfg)
 }

@@ -259,7 +259,10 @@ func TestFleetWorkerRestartMidRun(t *testing.T) {
 			RetryBackoff:      50 * time.Millisecond,
 			MaxWorkerFailures: -1, // the restarted B must keep pulling shards
 			FaultInject: func(worker string, shard, attempt int) error {
-				if worker == wB.Name() && atomic.AddInt64(&restarts, 1) == 1 {
+				// Only a first attempt: it is never a speculative
+				// duplicate, whose failure the coordinator would drop
+				// uncounted if the original finished first.
+				if worker == wB.Name() && attempt == 1 && atomic.AddInt64(&restarts, 1) == 1 {
 					if err := restartB(); err != nil {
 						return err
 					}

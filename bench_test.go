@@ -259,6 +259,7 @@ func BenchmarkProgramDiskCacheWarm(b *testing.B) {
 	if err := warm.Precompile(cfg); err != nil {
 		b.Fatal(err)
 	}
+	pd.Flush()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -274,6 +275,53 @@ func BenchmarkProgramDiskCacheWarm(b *testing.B) {
 		if err := ev.Precompile(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkProgramDiskColdFill measures the cold-fill path of the
+// persistent compiled-program tier: 300 fresh Sobel configurations
+// through dse.EvaluateAll at parallelism 2, each iteration over a fresh
+// evaluator and a fresh, empty program directory, so every configuration
+// compiles and queues its program for the disk.  The queued writes are
+// flushed outside the timer (compare against the same batch with no
+// directory to see what the tier costs the evaluation path).
+func BenchmarkProgramDiskColdFill(b *testing.B) {
+	lib, err := autoax.BuildLibrary([]autoax.LibrarySpec{
+		{Op: autoax.OpAdd(8), Count: 12},
+		{Op: autoax.OpAdd(9), Count: 12},
+		{Op: autoax.OpSub(10), Count: 10},
+	}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	app := apps.Sobel()
+	images := imagedata.BenchmarkSet(2, 64, 48, 1)
+	ops := app.Graph.OpNodes()
+	space := make(dse.Space, len(ops))
+	for i, id := range ops {
+		space[i] = lib.For(app.Graph.Nodes[id].Op)
+	}
+	cfgs := space.RandomConfigs(300, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		pd, err := accel.OpenProgramDir(accel.ProgramCacheConfig{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev, err := accel.NewEvaluatorWithCache(app, images, pd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, 2, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		pd.Flush()
+		os.RemoveAll(dir)
+		b.StartTimer()
 	}
 }
 

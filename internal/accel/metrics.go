@@ -18,7 +18,10 @@ var (
 	progDiskSelfHeals = obs.Default().Counter("autoax_progcache_disk_selfheals_total")
 	progDiskEvictions = obs.Default().Counter("autoax_progcache_disk_evictions_total")
 	progDiskExpired   = obs.Default().Counter("autoax_progcache_disk_expired_total")
-	progKeyEvictions  = obs.Default().Counter("autoax_progcache_key_evictions_total")
+	// progDiskDropped counts writes dropped because the write-behind
+	// queue was full.
+	progDiskDropped  = obs.Default().Counter("autoax_progcache_disk_dropped_total")
+	progKeyEvictions = obs.Default().Counter("autoax_progcache_key_evictions_total")
 
 	// progCompile records the wall time of each cache-miss build
 	// (Flatten+Simplify+Compile), the dominant cost the cache exists to

@@ -41,8 +41,8 @@ type programCache struct {
 	flight store.Flight[string, compiledConfig]
 
 	// disk is the optional persistent tier: leaders probe it before
-	// building and write successful builds back.  Nil without a
-	// configured cache directory.
+	// building and queue successful builds for its background writer.
+	// Nil without a configured cache directory.
 	disk *ProgramDir
 
 	// circuitKeys memoizes acl.StructuralKey per circuit pointer: a DSE
@@ -65,8 +65,10 @@ const circuitKeyCap = 4096
 // from a completed entry), a coalesced wait (shared a concurrent build's
 // successful result), a disk hit (leader decoded a persisted artifact),
 // or a miss (ran the build as leader) — so the miss count equals the
-// number of builds actually executed, and a warm restart over a
-// populated cache directory reports Misses == 0.
+// number of builds actually executed.  Disk writes are best-effort and
+// happen off the request path, so a warm restart over a cache directory
+// reports Misses == 0 when the earlier run's handle was flushed
+// (ProgramDir.Flush) before the restart and dropped none of its writes.
 type ProgramCacheStats struct {
 	Hits      int64
 	Misses    int64
@@ -166,8 +168,9 @@ func (pc *programCache) hit(key string) (compiledConfig, bool) {
 }
 
 // fill is the leader's path: serve from the persistent tier when
-// possible; only a disk miss runs the build (and writes the result
-// back), so the miss count stays exactly the number of builds executed.
+// possible; only a disk miss runs the build (and queues the result for
+// the disk), so the miss count stays exactly the number of builds
+// executed.
 func (pc *programCache) fill(key string, build func() (compiledConfig, error)) (compiledConfig, error) {
 	if pc.disk != nil {
 		art, ok, healed := pc.disk.load(key)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"autoax/internal/netlist"
@@ -13,10 +14,11 @@ import (
 
 // ProgramCacheConfig configures the persistent tier of the
 // compiled-program cache.  With a Dir set, every synthesized artifact
-// (simplified netlist plus its compiled program) is also written to
-// disk, and a fresh Evaluator over the same circuits serves its builds
-// from the files instead of re-running Flatten+Simplify+Compile — the
-// warm-restart path of a long-running search service.
+// (simplified netlist plus its compiled program) is also written to disk,
+// best-effort and by a background writer, and a fresh Evaluator over the
+// same circuits serves its builds from the files instead of re-running
+// Flatten+Simplify+Compile — the warm-restart path of a long-running
+// search service.
 type ProgramCacheConfig struct {
 	// Dir is the cache directory; empty disables the disk tier.
 	Dir string
@@ -54,11 +56,35 @@ func progDiskName(key string) string {
 // progDiskSuffix entry files, each one artifact in a store frame.  Open
 // it once per directory and process and share the handle across
 // evaluators — the byte budget and TTL hold per handle, so two handles
-// over one directory would each enforce the budget alone.  Safe for
-// concurrent use.
+// over one directory would each enforce the budget alone, and a handle
+// answers probes from its own inventory, so it never sees entries another
+// handle writes.
+//
+// Writes are best-effort and happen off the evaluation path: store
+// queues an artifact for a background writer and returns, dropping the
+// write when progDiskQueue writes are already pending.  Call Flush before
+// reading the directory behind the handle's back or before exiting.
+// Safe for concurrent use.
 type ProgramDir struct {
 	dir *store.Dir
+
+	mu      sync.Mutex
+	queue   []pendingWrite // FIFO of writes not yet started
+	writing bool           // a drain goroutine is running; set while queue is non-empty
+	idle    sync.Cond      // on mu; broadcast when the drain goroutine stops
 }
+
+// pendingWrite is one queued store: the artifact is immutable, so the
+// writer encodes it later without a copy.
+type pendingWrite struct {
+	key string
+	art compiledConfig
+}
+
+// progDiskQueue bounds a ProgramDir's pending writes.  A full queue means
+// the disk cannot keep up with the builds, and the tier is only an
+// accelerator, so the newest write is dropped rather than waited for.
+const progDiskQueue = 64
 
 // OpenProgramDir opens (creating if needed) and inventories cfg.Dir,
 // trimming it to the byte budget and TTL.  A zero-Dir config returns a
@@ -84,16 +110,21 @@ func OpenProgramDir(cfg ProgramCacheConfig) (*ProgramDir, error) {
 	if err != nil {
 		return nil, fmt.Errorf("accel: program cache dir: %w", err)
 	}
-	return &ProgramDir{dir: d}, nil
+	p := &ProgramDir{dir: d}
+	p.idle.L = &p.mu
+	return p, nil
 }
 
-// encodeArtifact serializes art as one entry file image: a store frame
+// encodeArtifact serializes art as one entry file image — a store frame
 // whose payload is the chained binary encodings of the simplified
-// netlist and its compiled program.
-func encodeArtifact(art compiledConfig) []byte {
-	payload := art.simp.AppendBinary(nil)
-	payload = art.prog.AppendBinary(payload)
-	return store.AppendFrame(nil, progDiskMagic, netlist.ProgramFormatVersion, payload)
+// netlist and its compiled program — reusing buf's storage.  The payload
+// is staged at the front of the buffer and framed right after itself, so
+// it returns the grown buffer, for the next call, and the image, which
+// aliases its tail.
+func encodeArtifact(buf []byte, art compiledConfig) (grown, image []byte) {
+	payload := art.prog.AppendBinary(art.simp.AppendBinary(buf[:0]))
+	grown = store.AppendFrame(payload, progDiskMagic, netlist.ProgramFormatVersion, payload)
+	return grown, grown[len(payload):]
 }
 
 // decodeArtifact parses and validates an entry file image; any header,
@@ -130,11 +161,15 @@ func decodeArtifact(buf []byte) (compiledConfig, error) {
 }
 
 // load returns the artifact stored for key, or ok=false on a miss.  A
+// name the handle has not inventoried is a miss without a syscall.  A
 // present-but-invalid entry (foreign file, truncation, rotation race,
 // bit rot) is deleted and reported as healed, then as a miss so the
 // caller rebuilds and overwrites it.
 func (p *ProgramDir) load(key string) (art compiledConfig, ok, healed bool) {
 	name := progDiskName(key)
+	if !p.dir.Has(name) {
+		return compiledConfig{}, false, false
+	}
 	buf, err := p.dir.Read(name)
 	if err != nil {
 		return compiledConfig{}, false, false
@@ -148,8 +183,59 @@ func (p *ProgramDir) load(key string) (art compiledConfig, ok, healed bool) {
 	return art, true, false
 }
 
-// store writes key's artifact.  Store failures are silent beyond the
-// skipped entry: the disk tier is an accelerator, not a source of truth.
+// store queues key's artifact for the background writer and returns;
+// with progDiskQueue writes already pending it drops the write instead.
+// Dropped and failed writes are silent beyond the missing entry and the
+// drop counter: the disk tier is an accelerator, not a source of truth.
 func (p *ProgramDir) store(key string, art compiledConfig) {
-	_ = p.dir.Write(progDiskName(key), encodeArtifact(art))
+	p.mu.Lock()
+	if len(p.queue) >= progDiskQueue {
+		p.mu.Unlock()
+		progDiskDropped.Inc()
+		return
+	}
+	p.queue = append(p.queue, pendingWrite{key, art})
+	start := !p.writing
+	p.writing = true
+	p.mu.Unlock()
+	if start {
+		go p.drain()
+	}
+}
+
+// drain writes queued artifacts in order until the queue is empty, then
+// marks the writer idle and exits; store starts the next one.  One
+// encode buffer serves every write of a run.
+func (p *ProgramDir) drain() {
+	var buf, image []byte
+	for {
+		p.mu.Lock()
+		if len(p.queue) == 0 {
+			p.queue = nil
+			p.writing = false
+			p.idle.Broadcast()
+			p.mu.Unlock()
+			return
+		}
+		w := p.queue[0]
+		p.queue[0] = pendingWrite{}
+		p.queue = p.queue[1:]
+		p.mu.Unlock()
+		buf, image = encodeArtifact(buf, w.art)
+		_ = p.dir.Write(progDiskName(w.key), image)
+	}
+}
+
+// Flush blocks until every queued write has reached the directory (or
+// failed) and the writer is idle.  Writes queued while Flush waits are
+// waited for too.  A nil handle has nothing to flush.
+func (p *ProgramDir) Flush() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	for p.writing {
+		p.idle.Wait()
+	}
+	p.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +14,8 @@ import (
 )
 
 // diskFixture is cacheFixture over an evaluator with a persistent
-// program tier rooted at dir.
+// program tier rooted at dir.  The tier is flushed at cleanup, so no
+// queued write outlives the test's temp directory.
 func diskFixture(t *testing.T, dir string) (*Evaluator, Configuration) {
 	t.Helper()
 	app := tinyApp()
@@ -22,6 +24,7 @@ func diskFixture(t *testing.T, dir string) (*Evaluator, Configuration) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(pd.Flush)
 	ev, err := NewEvaluatorWithCache(app, images, pd)
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +35,10 @@ func diskFixture(t *testing.T, dir string) (*Evaluator, Configuration) {
 	}
 	return ev, cfg
 }
+
+// flush waits until ev's queued program writes have reached its
+// directory.
+func flush(ev *Evaluator) { ev.shared.progs.disk.Flush() }
 
 // entryFiles lists the disk tier's entry files.
 func entryFiles(t *testing.T, dir string) []string {
@@ -64,6 +71,7 @@ func TestProgramDiskWarmRestart(t *testing.T) {
 	if st1.Misses != 1 || st1.DiskMisses != 1 || st1.DiskHits != 0 {
 		t.Fatalf("cold stats %+v, want 1 miss, 1 disk miss", st1)
 	}
+	flush(ev1)
 	if n := entryFiles(t, dir); len(n) != 1 {
 		t.Fatalf("cold run left %d entry files, want 1", len(n))
 	}
@@ -101,7 +109,7 @@ func TestProgramDiskGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := encodeArtifact(art); !bytes.Equal(b, golden) {
+	if _, b := encodeArtifact(nil, art); !bytes.Equal(b, golden) {
 		t.Fatalf("artifact bytes changed: %d bytes, golden %d", len(b), len(golden))
 	}
 	if _, err := decodeArtifact(golden); err != nil {
@@ -121,6 +129,7 @@ func TestProgramDiskCorruptSelfHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flush(ev1)
 	names := entryFiles(t, dir)
 	if len(names) != 1 {
 		t.Fatalf("%d entry files, want 1", len(names))
@@ -160,6 +169,7 @@ func TestProgramDiskCorruptSelfHeal(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 self-heal and 1 rebuild", st)
 	}
 	// The rebuild re-persisted a valid entry: a third evaluator hits.
+	flush(ev2)
 	ev3, cfg3 := diskFixture(t, dir)
 	if _, err := ev3.Evaluate(cfg3); err != nil {
 		t.Fatal(err)
@@ -190,6 +200,7 @@ func TestProgramDiskPrecompile(t *testing.T) {
 	if st.Misses != 1 || st.DiskMisses != 1 || st.SelfHeals != 0 {
 		t.Fatalf("stats %+v, want 1 build, 1 disk miss, no self-heal of the stray", st)
 	}
+	flush(ev)
 	if _, err := os.Stat(stray); err != nil {
 		t.Fatalf("stray file touched by unrelated lookups: %v", err)
 	}
@@ -211,7 +222,8 @@ func TestProgramDiskBudgetAndTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := int64(len(encodeArtifact(art)))
+	_, image := encodeArtifact(nil, art)
+	size := int64(len(image))
 
 	tier, err := OpenProgramDir(ProgramCacheConfig{Dir: t.TempDir(), MaxBytes: 2 * size})
 	if err != nil {
@@ -220,6 +232,7 @@ func TestProgramDiskBudgetAndTTL(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tier.store(fmt.Sprintf("key-%d", i), art)
 	}
+	tier.Flush()
 	if got := tier.dir.Stats().Evictions; got != 2 {
 		t.Fatalf("%d evictions under a 2-entry budget, want 2", got)
 	}
@@ -238,6 +251,7 @@ func TestProgramDiskBudgetAndTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	ttlTier.store("k", art)
+	ttlTier.Flush()
 	old := time.Now().Add(-time.Hour)
 	for _, n := range entryFiles(t, ttlDir) {
 		if err := os.Chtimes(filepath.Join(ttlDir, n), old, old); err != nil {
@@ -253,6 +267,157 @@ func TestProgramDiskBudgetAndTTL(t *testing.T) {
 	}
 	if got := reopened.dir.Stats().Expired; got != 1 {
 		t.Fatalf("%d TTL expiries, want 1", got)
+	}
+}
+
+// pauseWriter marks pd's idle writer busy without starting one, so
+// stores queue up — and past progDiskQueue drop — deterministically.  The
+// returned resume starts the withheld drain once; it also runs at
+// cleanup, so a failed test does not leave a Flush waiting forever.
+func pauseWriter(t *testing.T, pd *ProgramDir) (resume func()) {
+	pd.mu.Lock()
+	pd.writing = true
+	pd.mu.Unlock()
+	var once sync.Once
+	resume = func() { once.Do(func() { go pd.drain() }) }
+	t.Cleanup(resume)
+	return resume
+}
+
+// TestProgramDiskWriteBehind pins the write-behind queue: stores past
+// progDiskQueue are dropped and counted, every accepted write reaches
+// the directory by Flush and serves a fresh handle without a build,
+// probes answer from the handle's inventory, a dropped configuration
+// rebuilds to the identical evaluation, and concurrent stores, loads and
+// flushes over one handle are race-free.
+func TestProgramDiskWriteBehind(t *testing.T) {
+	ref, cfg := diskFixture(t, t.TempDir())
+	want, err := ref.Evaluate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := ref.compiled(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, image := encodeArtifact(nil, art)
+
+	dir := t.TempDir()
+	ev, _ := diskFixture(t, dir)
+	pd := ev.shared.progs.disk
+	dropped := progDiskDropped.Value()
+	resume := pauseWriter(t, pd)
+	keys := make([]string, progDiskQueue)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+		pd.store(keys[i], art)
+	}
+	pd.store("key-over", art)
+	got, err := ev.Evaluate(cfg) // builds; its write finds the queue full
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("result %+v with a full queue, want %+v", got, want)
+	}
+	if n := progDiskDropped.Value() - dropped; n != 2 {
+		t.Fatalf("%d writes dropped past a full queue, want 2", n)
+	}
+	resume()
+	pd.Flush()
+	if n := len(entryFiles(t, dir)); n != progDiskQueue {
+		t.Fatalf("%d entry files after Flush, want the %d accepted writes", n, progDiskQueue)
+	}
+
+	// A fresh handle serves every accepted key from disk, byte for byte.
+	fresh, err := OpenProgramDir(ProgramCacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := newProgramCache(progDiskQueue)
+	pc.disk = fresh
+	for _, k := range keys {
+		got, err := pc.get(k, func() (compiledConfig, error) {
+			return compiledConfig{}, fmt.Errorf("built accepted key %s", k)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, b := encodeArtifact(nil, got); !bytes.Equal(b, image) {
+			t.Fatalf("key %s decoded to a different artifact", k)
+		}
+	}
+	if st := pc.stats(); st.Misses != 0 || st.DiskHits != progDiskQueue {
+		t.Fatalf("fresh-handle stats %+v, want %d disk hits and no misses", st, progDiskQueue)
+	}
+
+	// Probes answer from the handle's inventory: an entry that appeared
+	// behind an open handle's back is a miss until a handle inventories it.
+	blindDir := t.TempDir()
+	blind, err := OpenProgramDir(ProgramCacheConfig{Dir: blindDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := progDiskName(keys[0])
+	if err := os.WriteFile(filepath.Join(blindDir, name), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, healed := blind.load(keys[0]); ok || healed {
+		t.Fatalf("load of an entry the handle never inventoried: ok=%v healed=%v, want a plain miss", ok, healed)
+	}
+	reopened, err := OpenProgramDir(ProgramCacheConfig{Dir: blindDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := reopened.load(keys[0]); !ok {
+		t.Fatal("a handle that inventoried the entry missed it")
+	}
+
+	// The dropped configuration rebuilds to the identical evaluation.
+	ev2, cfg2 := diskFixture(t, dir)
+	got, err = ev2.Evaluate(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("rebuilt result %+v, want %+v", got, want)
+	}
+	if st := ev2.ProgramCacheStats(); st.Misses != 1 || st.DiskMisses != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats %+v, want the dropped write to rebuild once", st)
+	}
+
+	// Concurrent stores, loads and flushes over one handle.
+	shared, err := OpenProgramDir(ProgramCacheConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				k := fmt.Sprintf("c-%d", (7*g+i)%20)
+				switch i % 3 {
+				case 0:
+					shared.store(k, art)
+				case 1:
+					if a, ok, healed := shared.load(k); healed || ok && a.prog.NumSlots() != art.prog.NumSlots() {
+						t.Errorf("load %s: ok=%v healed=%v", k, ok, healed)
+					}
+				default:
+					shared.Flush()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	shared.Flush()
+	shared.mu.Lock()
+	busy := shared.writing || len(shared.queue) != 0
+	shared.mu.Unlock()
+	if busy {
+		t.Fatal("writer busy after Flush")
 	}
 }
 

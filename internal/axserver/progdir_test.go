@@ -87,7 +87,7 @@ func TestServerProgramDirRoundTrip(t *testing.T) {
 	// About two entries' worth of budget, two jobs at once.
 	budget := 2 * entry
 	tight := t.TempDir()
-	_, ts := testServer(t, Options{Workers: 2, ProgramCacheDir: tight, ProgramCacheBytes: budget})
+	s, ts := testServer(t, Options{Workers: 2, ProgramCacheDir: tight, ProgramCacheBytes: budget})
 	ids := make([]string, 2)
 	for i, seed := range []int64{11, 12} {
 		var job JobInfo
@@ -101,6 +101,7 @@ func TestServerProgramDirRoundTrip(t *testing.T) {
 			t.Fatalf("pipeline %s ended %s: %s", id, info.State, info.Error)
 		}
 	}
+	s.programs.Flush()
 	n, total, _ := progFiles(t, tight)
 	if total > budget && n > 1 {
 		t.Fatalf("%d program files hold %d bytes against a %d-byte budget", n, total, budget)

@@ -84,7 +84,9 @@ type Options struct {
 	// ProgramCacheDir persists compiled accelerator programs (simplified
 	// netlist + instruction streams) across restarts: pipelines and
 	// shard-model builds decode previously synthesized configurations
-	// instead of recompiling them.  Empty keeps programs in memory only.
+	// instead of recompiling them.  Writes are best-effort and happen
+	// off the request path; Close flushes the ones still queued.  Empty
+	// keeps programs in memory only.
 	ProgramCacheDir string
 	// ProgramCacheBytes bounds the program directory's total bytes by
 	// LRU eviction; 0 means accel.DefaultProgramDiskBytes.  Ignored
@@ -307,11 +309,14 @@ func (s *Server) runForRequest(kind string, raw []byte) (runFunc, error) {
 
 // Close cancels every job and waits for the workers to exit.  With a
 // journal, jobs aborted by the shutdown (running or still queued) keep
-// their records incomplete and replay on the next boot.
+// their records incomplete and replay on the next boot.  Compiled
+// programs still queued for the program directory are written before it
+// returns.
 func (s *Server) Close() {
 	s.stopping.Store(true)
 	s.cancelBase()
 	s.pool.Close()
+	s.programs.Flush()
 	if s.journal != nil {
 		s.journal.close()
 	}

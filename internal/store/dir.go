@@ -103,6 +103,14 @@ func OpenDir(cfg DirConfig) (*Dir, error) {
 // Path returns the directory.
 func (d *Dir) Path() string { return d.cfg.Path }
 
+// Has reports whether entry name is in the inventory: written or touched
+// through this handle, or found when it was opened.  It is not a use.
+func (d *Dir) Has(name string) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.inv.Has(name)
+}
+
 // Read returns entry name's bytes.  It is not a use: callers Touch the
 // entry once it has passed their validation.
 func (d *Dir) Read(name string) ([]byte, error) {

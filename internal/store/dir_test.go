@@ -159,14 +159,21 @@ func TestDirTTLSweep(t *testing.T) {
 	}
 }
 
-// TestDirRemove: Remove deletes the file and its accounting without
-// counting an eviction or expiry; removing an unknown name is harmless.
+// TestDirRemove: Remove deletes the file and its accounting (Has turns
+// false) without counting an eviction or expiry; removing an unknown name
+// is harmless.
 func TestDirRemove(t *testing.T) {
 	d := mustOpen(t, DirConfig{Path: t.TempDir(), Suffix: ".e", MaxBytes: 100})
 	mustWrite(t, d, "a.e", 40)
 	mustWrite(t, d, "b.e", 40)
+	if !d.Has("a.e") {
+		t.Fatal("written entry not in the inventory")
+	}
 	d.Remove("a.e")
 	d.Remove("missing.e")
+	if d.Has("a.e") || d.Has("missing.e") {
+		t.Fatal("removed entry still in the inventory")
+	}
 	if st := d.Stats(); st != (DirStats{Entries: 1, Bytes: 40}) {
 		t.Fatalf("stats %+v", st)
 	}

@@ -39,6 +39,12 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	return el.Value.(*lruItem[K, V]).val, true
 }
 
+// Has reports whether key is present without promoting it.
+func (c *LRU[K, V]) Has(key K) bool {
+	_, ok := c.items[key]
+	return ok
+}
+
 // Put inserts or replaces key as the most recently used entry at the
 // given cost, then evicts from the tail while the total cost is over
 // Budget and more than one entry remains.

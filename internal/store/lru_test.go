@@ -174,3 +174,23 @@ func TestLRUOracle(t *testing.T) {
 		t.Fatalf("generator missed a case: %+v", seen)
 	}
 }
+
+// TestLRUHasDoesNotPromote: Has reports presence without a use, so the
+// oldest entry stays oldest and is the next one evicted.
+func TestLRUHasDoesNotPromote(t *testing.T) {
+	var evicted []int
+	c := LRU[int, int]{Budget: 3, OnEvict: func(k, _ int) { evicted = append(evicted, k) }}
+	for k := 1; k <= 3; k++ {
+		c.Put(k, 10*k, 1)
+	}
+	if !c.Has(1) || c.Has(4) {
+		t.Fatalf("Has(1)=%v Has(4)=%v, want true, false", c.Has(1), c.Has(4))
+	}
+	if k, v, ok := c.Oldest(); !ok || k != 1 || v != 10 {
+		t.Fatalf("Oldest after Has = %d, %d, %v; want 1, 10, true", k, v, ok)
+	}
+	c.Put(4, 40, 1)
+	if !slices.Equal(evicted, []int{1}) || c.Has(1) {
+		t.Fatalf("evicted %v, Has(1)=%v; want [1], false", evicted, c.Has(1))
+	}
+}

@@ -26,7 +26,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkModelTables|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
+FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkProgramDiskColdFill|BenchmarkHillClimb1k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelEstimateBatch|BenchmarkModelTables|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
 COUNT=${BENCH_COUNT:-3}
 
 # Every tracked benchmark lives in the root package.
