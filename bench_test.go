@@ -280,7 +280,7 @@ func BenchmarkProgramDiskCacheWarm(b *testing.B) {
 
 // BenchmarkProgramDiskColdFill measures the cold-fill path of the
 // persistent compiled-program tier: 300 fresh Sobel configurations
-// through dse.EvaluateAll at parallelism 2, each iteration over a fresh
+// through dse.EvaluateAll at GOMAXPROCS, each iteration over a fresh
 // evaluator and a fresh, empty program directory, so every configuration
 // compiles and queues its program for the disk.  The queued writes are
 // flushed outside the timer (compare against the same batch with no
@@ -315,7 +315,7 @@ func BenchmarkProgramDiskColdFill(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, 2, nil); err != nil {
+		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -325,10 +325,11 @@ func BenchmarkProgramDiskColdFill(b *testing.B) {
 	}
 }
 
-// benchEvaluateAll measures a Step-2-style precise-evaluation batch of 16
-// Sobel configurations through dse.EvaluateAll at the given parallelism
-// (1 = one evaluator).
-func benchEvaluateAll(b *testing.B, parallelism int) {
+// BenchmarkEvaluateAll measures a Step-2-style precise-evaluation batch of
+// 16 Sobel configurations through dse.EvaluateAll, fanned out over
+// GOMAXPROCS evaluators (the paper's dominant wall-clock cost); compare
+// widths with -cpu 1,4.
+func BenchmarkEvaluateAll(b *testing.B) {
 	lib, err := autoax.BuildLibrary([]autoax.LibrarySpec{
 		{Op: autoax.OpAdd(8), Count: 12},
 		{Op: autoax.OpAdd(9), Count: 12},
@@ -350,15 +351,11 @@ func benchEvaluateAll(b *testing.B, parallelism int) {
 	cfgs := space.RandomConfigs(16, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, parallelism, nil); err != nil {
+		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkEvaluateAllSequential is the single-evaluator baseline for the
-// batch the sharded path is measured against.
-func BenchmarkEvaluateAllSequential(b *testing.B) { benchEvaluateAll(b, 1) }
 
 // BenchmarkEvaluateAllCached measures a precise-evaluation batch in which
 // configurations repeat — the DSE steady state (train/test overlap,
@@ -393,15 +390,11 @@ func BenchmarkEvaluateAllCached(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, 4, nil); err != nil {
+		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkEvaluateAllSharded4 fans the same batch out over 4 per-worker
-// evaluator shards (the paper's dominant wall-clock cost, parallelized).
-func BenchmarkEvaluateAllSharded4(b *testing.B) { benchEvaluateAll(b, 4) }
 
 // BenchmarkModelEstimate measures one model-based configuration estimate —
 // the paper's "0.01 s per configuration" counterpart (random forest, both

@@ -34,11 +34,11 @@
 //	-lib FILE                 library JSON path for the library command
 //	-graph FILE               wire-format accelerator JSON; replaces the
 //	                          app name for pipeline and submit
-//	-parallel N               precise-evaluation workers and exhaustive
-//	                          enumeration shards (default 0 = all cores;
-//	                          results are identical at any setting)
 //	-engine NAME              search engine for the model-based DSE step
 //	                          (hillclimb, nsga2, random; default hillclimb)
+//
+// Every batch runs on GOMAXPROCS goroutines; set the GOMAXPROCS
+// environment variable to narrow it.  Results are identical at any width.
 package main
 
 import (
@@ -81,7 +81,6 @@ func main() {
 	out := flag.String("out", "results", "CSV output directory (empty to disable)")
 	libPath := flag.String("lib", "library.json", "library file for the library command")
 	graphPath := flag.String("graph", "", "wire-format accelerator JSON file (pipeline and submit)")
-	parallel := flag.Int("parallel", 0, "precise-evaluation workers and exhaustive enumeration shards (0 = all cores, 1 = sequential; results are identical)")
 	engine := flag.String("engine", "", "search engine for the model-based DSE step (hillclimb, nsga2, random; empty = hillclimb)")
 	flag.Usage = usage
 	flag.Parse()
@@ -90,9 +89,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *parallel < 0 {
-		fatal(fmt.Errorf("-parallel must be non-negative, got %d", *parallel))
-	}
 	sc, err := expt.ParseScale(*scale)
 	if err != nil {
 		fatal(err)
@@ -107,7 +103,7 @@ func main() {
 	if _, err := dse.SearchEngineByName(*engine); err != nil {
 		fatal(err)
 	}
-	s := expt.Setup{Scale: sc, Seed: *seed, OutDir: *out, Parallelism: *parallel, SearchEngine: *engine}
+	s := expt.Setup{Scale: sc, Seed: *seed, OutDir: *out, SearchEngine: *engine}
 	w := os.Stdout
 
 	start := time.Now()
@@ -193,7 +189,6 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	cacheDir := fs.String("cache-dir", "", "directory for the content-addressed artifact cache (empty = memory only)")
-	evalParallel := fs.Int("eval-parallel", 0, "default per-job precise-evaluation workers for requests that leave parallelism unset (0 = all cores)")
 	cacheMemMB := fs.Int64("cache-mem-mb", 0, "in-memory artifact cache budget in MiB; LRU entries are evicted beyond it (0 = unbounded)")
 	cacheDiskMB := fs.Int64("cache-disk-mb", 0, "on-disk artifact cache budget in MiB; least-recently-used files are deleted beyond it (0 = unbounded; needs -cache-dir)")
 	cacheDiskTTL := fs.Duration("cache-disk-ttl", 0, "on-disk artifact expiry: cache files idle longer than this are deleted (0 = never; needs -cache-dir)")
@@ -218,7 +213,6 @@ func runServe(args []string) error {
 	srv, err := axserver.New(axserver.Options{
 		Workers:         *workers,
 		CacheDir:        *cacheDir,
-		EvalParallelism: *evalParallel,
 		MemCacheBytes:   *cacheMemMB << 20,
 		DiskCacheBytes:  *cacheDiskMB << 20,
 		DiskCacheTTL:    *cacheDiskTTL,
@@ -411,7 +405,6 @@ func runPipelineGraph(s expt.Setup, path string) error {
 		TrainConfigs: b.train,
 		TestConfigs:  b.test,
 		SearchEvals:  b.evals,
-		Parallelism:  s.Parallelism,
 		Seed:         s.Seed,
 		SearchEngine: s.SearchEngine,
 	})
@@ -472,7 +465,6 @@ func runSubmit(s expt.Setup, graphPath string, args []string) error {
 		TestConfigs:  b.test,
 		SearchEvals:  b.evals,
 		Seed:         s.Seed,
-		Parallelism:  s.Parallelism,
 		Search:       axserver.SearchSpec{Engine: s.SearchEngine},
 	}
 	// The library request must cover the accelerator's operation mix, so
@@ -725,12 +717,15 @@ commands:
                                         structural Verilog (e.g. export mul8)
   serve [-addr :8080] [-workers N] [-cache-dir DIR] [-cache-mem-mb N]
         [-cache-disk-mb N] [-cache-disk-ttl D] [-progcache-dir DIR]
-        [-progcache-mb N] [-progcache-ttl D] [-eval-parallel N]
-        [-journal-dir DIR] [-max-queue N] [-max-queue-mb N]
-        [-drain-timeout D] [-pprof ADDR] [-log-level L]
-        [-log-format text|json]
+        [-progcache-mb N] [-progcache-ttl D] [-journal-dir DIR]
+        [-max-queue N] [-max-queue-mb N] [-drain-timeout D]
+        [-pprof ADDR] [-log-level L] [-log-format text|json]
                                         run the asynchronous HTTP job service
   version                               print the version
+
+Precise evaluation, exhaustive enumeration, library builds and model fits
+run on GOMAXPROCS goroutines (all cores unless the GOMAXPROCS environment
+variable says otherwise); results are identical at any width.
 
 flags:
 `)

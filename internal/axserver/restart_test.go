@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -123,6 +124,61 @@ func TestCrashRestartReplaysPipeline(t *testing.T) {
 		t.Fatalf("restarted server reused job ID %s", next.ID)
 	}
 	awaitTerminal(t, s2, next.ID)
+}
+
+// TestReplayIgnoresParallelismField: journals written before requests
+// lost their "parallelism" field still replay.  Submit records whose
+// request JSON carries "parallelism":2 decode leniently on replay, run to
+// success, and land under the same content keys as live requests.
+func TestReplayIgnoresParallelismField(t *testing.T) {
+	journalDir := t.TempDir()
+	eval := EvaluateRequest{
+		App:     "sobel",
+		Library: tinyLibrary(1),
+		Images:  ImageSpec{Count: 2, Width: 32, Height: 24, Seed: 5},
+		Configs: [][]int{{0, 0, 0, 0, 0}, {1, 0, 1, 0, 1}},
+	}
+	pipe := tinyPipeline(11)
+	j, _, _, err := openJournal(journalDir)
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
+	created := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for i, rec := range []struct {
+		kind string
+		req  any
+	}{{"evaluate", eval}, {"pipeline", pipe}} {
+		id := fmt.Sprintf("job-%06d", i+1)
+		if err := j.appendSubmit(i+1, id, rec.kind, created, withField(t, rec.req, "parallelism", 2)); err != nil {
+			t.Fatalf("appendSubmit %s: %v", id, err)
+		}
+	}
+	j.close()
+
+	s, err := New(Options{Workers: 1, JournalDir: journalDir})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	for _, id := range []string{"job-000001", "job-000002"} {
+		final := awaitTerminal(t, s, id)
+		if final.State != JobSucceeded || !final.Replayed {
+			t.Fatalf("%s: state %s (replayed %v), error %q", id, final.State, final.Replayed, final.Error)
+		}
+	}
+	// The replayed jobs filled the cache under the live requests' keys.
+	for _, submit := range []func() (JobInfo, error){
+		func() (JobInfo, error) { return s.SubmitEvaluate(eval) },
+		func() (JobInfo, error) { return s.SubmitPipeline(pipe) },
+	} {
+		info, err := submit()
+		if err != nil {
+			t.Fatalf("live submit: %v", err)
+		}
+		if final := awaitTerminal(t, s, info.ID); final.State != JobSucceeded || !final.Cached {
+			t.Fatalf("%s %s: state %s, cached %v", final.Kind, info.ID, final.State, final.Cached)
+		}
+	}
 }
 
 // awaitTerminal polls the manager until the job is terminal.

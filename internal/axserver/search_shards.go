@@ -211,7 +211,6 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 		Evaluations: shard.Evaluations,
 		Stagnation:  shard.Stagnation,
 		Population:  shard.Population,
-		Parallelism: s.evalParallelism(0),
 		Seed:        shard.Seed,
 	})
 	if err != nil {
@@ -278,7 +277,7 @@ func (s *Server) sharedModels(ctx context.Context, key string, build func(contex
 // buildShardModels deterministically rebuilds the trained estimators for
 // a shard's model context by running the pipeline's model stages (reduce,
 // samples, train) over the cached library.  Determinism note: sample
-// evaluation is order-stable at any parallelism and engine fits are
+// evaluation is order-stable at any GOMAXPROCS and engine fits are
 // seeded, so two workers with the same context build models with
 // identical predictions — the property the fleet's bit-identity contract
 // rests on.
@@ -299,7 +298,6 @@ func (s *Server) buildShardModels(ctx context.Context, req SearchShardRequest, a
 	pipe, err := core.NewPipeline(app, lib, images, core.Config{
 		TrainConfigs: req.TrainConfigs,
 		TestConfigs:  req.TestConfigs,
-		Parallelism:  s.evalParallelism(0),
 		ProgramCache: s.programs,
 		Seed:         req.Seed,
 		Engine:       spec,

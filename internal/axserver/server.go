@@ -46,7 +46,11 @@ import (
 	"autoax/internal/store"
 )
 
-// Options configures a Server.
+// Options configures a Server.  Workers bounds how many jobs run at once;
+// within a job every batch — library characterization, precise
+// evaluation, model fits, search scoring — runs on GOMAXPROCS goroutines,
+// with results bit-identical at any GOMAXPROCS.  Concurrent jobs share
+// the cores through the runtime scheduler.
 type Options struct {
 	// Workers bounds concurrent job execution (default GOMAXPROCS).
 	Workers int
@@ -56,16 +60,6 @@ type Options struct {
 	// JobRetention caps the terminal jobs kept in memory (0 means
 	// DefaultJobRetention); queued and running jobs are never evicted.
 	JobRetention int
-	// EvalParallelism is the default per-shard evaluator worker count for
-	// jobs whose request leaves Parallelism unset.  0 means all cores
-	// (GOMAXPROCS), like library builds and train-stage fits:
-	// acl.BuildContext characterizes, and the forest trees, the QoR/HW
-	// model pair and the AutoEngine bake-off fit, over GOMAXPROCS
-	// goroutines.  Results are bit-identical at any parallelism, and the
-	// runtime caps running goroutines at GOMAXPROCS however many jobs run
-	// at once; set it explicitly to bound the evaluator clones (and their
-	// scratch) each job holds.
-	EvalParallelism int
 	// MemCacheBytes bounds the in-memory artifact cache: beyond this many
 	// bytes, least-recently-used entries are evicted (they remain
 	// reachable through the disk tier when CacheDir is set).  0 keeps the
@@ -190,9 +184,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.JobRetention < 0 {
 		return nil, fmt.Errorf("axserver: job retention must be non-negative, got %d", opts.JobRetention)
-	}
-	if opts.EvalParallelism < 0 {
-		return nil, fmt.Errorf("axserver: eval parallelism must be non-negative, got %d", opts.EvalParallelism)
 	}
 	if opts.MaxQueue < 0 {
 		return nil, fmt.Errorf("axserver: max queue must be non-negative, got %d", opts.MaxQueue)
@@ -474,37 +465,6 @@ func validateKernels(kernels int) error {
 	return nil
 }
 
-// maxParallelism caps the per-job evaluator shards one request may demand
-// — far above any machine this serves on, small enough that a request
-// cannot ask for an absurd goroutine fan-out.
-const maxParallelism = 256
-
-// validateParallelism bounds the request knob (0 means server default).
-func validateParallelism(p int) error {
-	if p < 0 {
-		return fmt.Errorf("parallelism must be non-negative, got %d", p)
-	}
-	if p > maxParallelism {
-		return fmt.Errorf("parallelism %d exceeds the limit of %d", p, maxParallelism)
-	}
-	return nil
-}
-
-// evalParallelism resolves a request's Parallelism against the server
-// default: an explicit request value wins, then Options.EvalParallelism.
-// With both unset a job evaluates on every core (GOMAXPROCS), so a lone
-// job does not leave cores idle; concurrent jobs share the cores through
-// the runtime scheduler.
-func (s *Server) evalParallelism(req int) int {
-	if req > 0 {
-		return req
-	}
-	if s.opts.EvalParallelism > 0 {
-		return s.opts.EvalParallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // normalized applies the execution path's defaulting so equivalent
 // requests hash to the same content key.
 func (r EvaluateRequest) normalized() EvaluateRequest {
@@ -726,9 +686,6 @@ func (s *Server) evaluateRun(req EvaluateRequest) (runFunc, error) {
 		return nil, fmt.Errorf("evaluate request carries %d configurations, limit is %d per job",
 			len(req.Configs), maxEvalConfigs)
 	}
-	if err := validateParallelism(req.Parallelism); err != nil {
-		return nil, err
-	}
 	return func(ctx context.Context) (any, bool, error) {
 		return s.runEvaluate(ctx, req, app)
 	}, nil
@@ -865,7 +822,7 @@ func (s *Server) computeEvaluate(ctx context.Context, req EvaluateRequest, app *
 		var done atomic.Int64
 		onDone = func() { report("evaluate", done.Add(1), total) }
 	}
-	res, err := dse.EvaluateAll(ctx, ev, space, req.Configs, s.evalParallelism(req.Parallelism), onDone)
+	res, err := dse.EvaluateAll(ctx, ev, space, req.Configs, onDone)
 	if err != nil {
 		return zero, err
 	}
@@ -899,7 +856,6 @@ func pipelineKey(req PipelineRequest, app *accel.ImageApp) (string, error) {
 	canon := req.normalized()
 	canon.Library = LibraryRequest{}                         // represented by its canonical key
 	canon.App, canon.Kernels, canon.Accelerator = "", 0, nil // represented by the canonical app hash
-	canon.Parallelism = 0                                    // execution knob: same results at any setting
 	return requestKey(libKey, app.CanonicalHash(), canon)
 }
 
@@ -913,7 +869,6 @@ func evaluateKey(req EvaluateRequest, app *accel.ImageApp) (string, error) {
 	canon := req.normalized()
 	canon.Library = LibraryRequest{}
 	canon.App, canon.Kernels, canon.Accelerator = "", 0, nil
-	canon.Parallelism = 0
 	return requestKey(libKey, app.CanonicalHash(), canon)
 }
 
@@ -936,9 +891,6 @@ func (s *Server) pipelineRun(req PipelineRequest) (runFunc, error) {
 		return nil, err
 	}
 	if err := validateImages(req.Images); err != nil {
-		return nil, err
-	}
-	if err := validateParallelism(req.Parallelism); err != nil {
 		return nil, err
 	}
 	if _, err := pipelineKey(req, app); err != nil {
@@ -1000,7 +952,6 @@ func (s *Server) computePipeline(ctx context.Context, req PipelineRequest, app *
 		Stagnation:   req.Stagnation,
 		SearchEngine: req.Search.Engine,
 		SearchSeed:   req.Search.Seed,
-		Parallelism:  s.evalParallelism(req.Parallelism),
 		ProgramCache: s.programs,
 		Seed:         req.Seed,
 		AutoEngine:   req.AutoEngine,

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -403,12 +404,9 @@ func TestEvaluateEndpoint(t *testing.T) {
 
 	// An equivalent repeated evaluation is served from the result cache —
 	// even when defaulted fields are spelled differently (kernels is
-	// irrelevant for sobel, images.seed 5 is explicit both times) and the
-	// execution-only parallelism knob differs (results are identical at
-	// any setting, so it is excluded from the content key).
+	// irrelevant for sobel, images.seed 5 is explicit both times).
 	again0 := req
 	again0.Kernels = 3
-	again0.Parallelism = 2
 	var again JobInfo
 	if code := postJSON(t, ts.URL+"/v1/evaluate", again0, &again); code != http.StatusAccepted {
 		t.Fatalf("resubmit evaluate: status %d", code)
@@ -425,11 +423,10 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 }
 
-// TestEvalParallelismResultsIdentical: a default-configured server
-// evaluates each job on every core, and its evaluate and pipeline answers
-// are byte-identical to a server pinned to one evaluation goroutine.
+// TestEvalParallelismResultsIdentical: a job evaluates on GOMAXPROCS
+// goroutines, and its evaluate and pipeline answers are byte-identical at
+// GOMAXPROCS 1 and 4.
 func TestEvalParallelismResultsIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	eval := EvaluateRequest{
 		App:     "sobel",
 		Library: tinyLibrary(1),
@@ -439,15 +436,9 @@ func TestEvalParallelismResultsIdentical(t *testing.T) {
 			{4, 3, 0, 1, 4}, {5, 4, 1, 0, 5}, {6, 5, 2, 3, 0}, {7, 6, 3, 4, 1},
 		},
 	}
-	answers := func(opts Options) (evaluate, pipeline []byte) {
-		s, ts := testServer(t, opts)
-		want := runtime.GOMAXPROCS(0)
-		if opts.EvalParallelism > 0 {
-			want = opts.EvalParallelism
-		}
-		if got := s.evalParallelism(0); got != want {
-			t.Fatalf("EvalParallelism %d: default evaluation parallelism %d, want %d", opts.EvalParallelism, got, want)
-		}
+	answers := func(procs int) (evaluate, pipeline []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, ts := testServer(t, Options{})
 		var out [2][]byte
 		for i, sub := range []struct {
 			path string
@@ -465,13 +456,103 @@ func TestEvalParallelismResultsIdentical(t *testing.T) {
 		}
 		return out[0], out[1]
 	}
-	eAll, pAll := answers(Options{})
-	eOne, pOne := answers(Options{EvalParallelism: 1})
-	if !bytes.Equal(eAll, eOne) {
-		t.Errorf("evaluate results differ:\nall cores %s\none       %s", eAll, eOne)
+	eOne, pOne := answers(1)
+	eFour, pFour := answers(4)
+	if !bytes.Equal(eOne, eFour) {
+		t.Errorf("evaluate results differ:\nGOMAXPROCS 1 %s\nGOMAXPROCS 4 %s", eOne, eFour)
 	}
-	if !bytes.Equal(pAll, pOne) {
-		t.Errorf("pipeline results differ:\nall cores %s\none       %s", pAll, pOne)
+	if !bytes.Equal(pOne, pFour) {
+		t.Errorf("pipeline results differ:\nGOMAXPROCS 1 %s\nGOMAXPROCS 4 %s", pOne, pFour)
+	}
+}
+
+// TestContentKeysGolden pins the content keys of one fixed pipeline and
+// one fixed evaluate request.  The durable artifact cache and the journal
+// address results by these keys, so a change to the request types or to
+// their canonicalization must not rotate them.  The values predate the
+// removal of the request "parallelism" field, which was omitted when zero
+// and zeroed before hashing.
+func TestContentKeysGolden(t *testing.T) {
+	pipe := tinyPipeline(11)
+	app, err := pipe.resolveApp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := pipelineKey(pipe.normalized(), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "89b80587a5e3dd287cffd9331f2b72cfc77b2c79c5fc720a40f07f3ebcc17987"; pk != want {
+		t.Errorf("pipelineKey = %s, want %s", pk, want)
+	}
+	eval := EvaluateRequest{
+		App:     "sobel",
+		Library: tinyLibrary(1),
+		Images:  ImageSpec{Count: 2, Width: 32, Height: 24, Seed: 5},
+		Configs: [][]int{{0, 0, 0, 0, 0}, {1, 0, 1, 0, 1}},
+	}
+	if app, err = eval.resolveApp(); err != nil {
+		t.Fatal(err)
+	}
+	ek, err := evaluateKey(eval.normalized(), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "3609a08524ec580201f2a751a110d842c57b93bf2fbf6180100007351baded5e"; ek != want {
+		t.Errorf("evaluateKey = %s, want %s", ek, want)
+	}
+}
+
+// withField returns req's JSON encoding with one extra top-level field.
+func withField(t *testing.T, req any, name string, value any) []byte {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	m[name] = value
+	if b, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRequestParallelismFieldRejected: requests have no "parallelism"
+// field any more, and the strict request decoder answers 400 naming it
+// rather than silently ignoring a knob that no longer exists.
+func TestRequestParallelismFieldRejected(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	eval := EvaluateRequest{
+		App:     "sobel",
+		Library: tinyLibrary(1),
+		Images:  ImageSpec{Count: 2, Width: 32, Height: 24, Seed: 5},
+		Configs: [][]int{{0, 0, 0, 0, 0}},
+	}
+	for _, sub := range []struct {
+		path string
+		body any
+	}{{"/v1/evaluate", eval}, {"/v1/pipelines", tinyPipeline(11)}} {
+		resp, err := http.Post(ts.URL+sub.path, "application/json",
+			bytes.NewReader(withField(t, sub.body, "parallelism", 2)))
+		if err != nil {
+			t.Fatalf("POST %s: %v", sub.path, err)
+		}
+		var env errorBody
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode error body: %v", sub.path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", sub.path, resp.StatusCode)
+		}
+		if !strings.Contains(env.Error, `unknown field "parallelism"`) {
+			t.Errorf("%s: error %q does not name the unknown field", sub.path, env.Error)
+		}
 	}
 }
 

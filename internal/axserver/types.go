@@ -125,12 +125,6 @@ type EvaluateRequest struct {
 	Library     LibraryRequest `json:"library"`
 	Images      ImageSpec      `json:"images"`
 	Configs     [][]int        `json:"configs"`
-	// Parallelism bounds the per-shard evaluator workers used inside this
-	// job (0 = the server's default, itself defaulting to GOMAXPROCS; 1 =
-	// sequential).  An execution knob only: results are identical at every
-	// setting, so it does not participate in the content-addressed cache
-	// key.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // EvalResult is the precise evaluation of one configuration.
@@ -187,11 +181,6 @@ type PipelineRequest struct {
 	// serialized in the normalized request, so it folds into the pipeline
 	// cache key.
 	Search SearchSpec `json:"search"`
-	// Parallelism bounds the per-shard evaluator workers for the run's
-	// precise-evaluation batches (0 = server default, 1 = sequential).
-	// Execution knob only — excluded from the content-addressed cache key
-	// because results are identical at every setting.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // FrontEntry is one configuration of the final Pareto front with its

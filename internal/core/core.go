@@ -34,7 +34,11 @@ import (
 	"autoax/internal/pmf"
 )
 
-// Config sets the methodology's budget knobs.
+// Config sets the methodology's budget knobs.  Like library builds, every
+// parallel stage runs on GOMAXPROCS goroutines with bit-identical results:
+// the precise-evaluation batches (Step 2 samples, Step 3 re-evaluation),
+// train's model fits (forest trees, the QoR/HW pair, the AutoEngine
+// bake-off) and explore's independent hill climbs (see climbEvals).
 type Config struct {
 	// TrainConfigs / TestConfigs: random configurations precisely
 	// evaluated for model fitting and validation (paper: 1500/1500 for
@@ -61,15 +65,6 @@ type Config struct {
 	// SearchSeed seeds the engine's random streams.  0 derives Seed+300,
 	// the historical explore seed, so default runs are unchanged.
 	SearchSeed int64
-	// Parallelism bounds the per-shard evaluator workers used for the
-	// precise-evaluation batches (Step 2 sample generation and Step 3
-	// re-evaluation).  0 means all cores (runtime.GOMAXPROCS), 1 forces
-	// the sequential path; results are identical either way.  The train
-	// and explore stages do not use it: like library builds, their work
-	// runs on GOMAXPROCS goroutines with bit-identical results — train's
-	// model fits (forest trees, the QoR/HW pair, the AutoEngine bake-off)
-	// and explore's independent hill climbs (see climbEvals).
-	Parallelism int
 	// ProgramCache is the precise evaluator's persistent compiled-program
 	// directory (see accel.OpenProgramDir); nil keeps the in-memory cache
 	// only.  A restarted pipeline decodes the persisted programs instead
@@ -190,12 +185,12 @@ func (p *Pipeline) GenerateSamplesContext(ctx context.Context) error {
 	onDone := func() { r.step(1) }
 	var err error
 	p.TrainCfgs = p.Space.RandomConfigs(p.Opt.TrainConfigs, p.Opt.Seed+100)
-	p.TrainRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, p.TrainCfgs, p.Opt.Parallelism, onDone)
+	p.TrainRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, p.TrainCfgs, onDone)
 	if err != nil {
 		return err
 	}
 	p.TestCfgs = p.Space.RandomConfigs(p.Opt.TestConfigs, p.Opt.Seed+200)
-	p.TestRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, p.TestCfgs, p.Opt.Parallelism, onDone)
+	p.TestRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, p.TestCfgs, onDone)
 	return err
 }
 
@@ -246,7 +241,7 @@ func (p *Pipeline) TrainContext(ctx context.Context) error {
 // The engines are fitted concurrently on up to GOMAXPROCS goroutines, each
 // with its own seed; scores are collected by engine index and the winner
 // is chosen in registry order, so the selection is the same at any
-// parallelism.  An engine whose fit fails or panics loses the bake-off.
+// GOMAXPROCS.  An engine whose fit fails or panics loses the bake-off.
 func (p *Pipeline) selectEngine(ctx context.Context, r *stageRun) (ml.EngineSpec, error) {
 	cut := len(p.TrainCfgs) * 7 / 10
 	if cut < 2 || len(p.TrainCfgs)-cut < 2 {
@@ -321,7 +316,6 @@ func (p *Pipeline) ExploreContext(ctx context.Context) error {
 	opt := dse.SearchOptions{
 		Evaluations: p.Opt.SearchEvals,
 		Stagnation:  p.Opt.Stagnation,
-		Parallelism: p.Opt.Parallelism,
 		Seed:        seed,
 	}
 	climbs := p.Opt.SearchEvals / climbEvals
@@ -397,7 +391,7 @@ func (p *Pipeline) FinalizeContext(ctx context.Context) error {
 	r := p.startStage(StageFinalize, int64(len(cfgs)))
 	defer r.finish()
 	var err error
-	p.FinalRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, cfgs, p.Opt.Parallelism, func() { r.step(1) })
+	p.FinalRes, err = dse.EvaluateAll(ctx, p.Ev, p.Space, cfgs, func() { r.step(1) })
 	if err != nil {
 		return err
 	}

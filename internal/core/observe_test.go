@@ -58,10 +58,10 @@ func TestPipelineObserverStageSequence(t *testing.T) {
 		}
 	}
 
-	// Per stage: first event announces done=0, progress is monotone
-	// (events within one stage arrive from at most one goroutine at a
-	// time here because test Parallelism=0 still shards — so check the
-	// max, not strict ordering), and the final event reports done=total.
+	// Per stage: first event announces done=0, every event stays within
+	// [0, total], and the final event reports done=total.  Steps within
+	// one stage come from up to GOMAXPROCS goroutines at once, so their
+	// events may arrive out of order — check the max, not strict ordering.
 	perStage := map[string][]stageEvent{}
 	for _, e := range rec.events {
 		perStage[e.stage] = append(perStage[e.stage], e)

@@ -151,16 +151,19 @@ func TestRandomSearchBatchMatchesScalar(t *testing.T) {
 }
 
 // TestExhaustiveBatchMatchesScalar pins the batch exhaustive enumeration
-// to the frozen scalar enumeration, sequentially and sharded.
+// to the frozen scalar enumeration, sequentially and sharded (GOMAXPROCS
+// 1 and 3).
 func TestExhaustiveBatchMatchesScalar(t *testing.T) {
 	m := trainedModels(t, 3, 7) // 343 configurations: several partial batches
 	want := refExhaustive(m.Space, m.Estimator())
-	for _, par := range []int{1, 3} {
-		got, err := Exhaustive(m.Space, m.BatchEstimator, par)
+	for _, procs := range []int{1, 3} {
+		var got *pareto.Archive[[]int]
+		var err error
+		withGOMAXPROCS(procs, func() { got, err = Exhaustive(m) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSetEqual(t, fmt.Sprintf("exhaustive batch (par=%d)", par),
+		requireSetEqual(t, fmt.Sprintf("exhaustive batch (GOMAXPROCS=%d)", procs),
 			got.Points(), got.Payloads(), want.Points(), want.Payloads())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,13 @@ import (
 	"autoax/internal/imagedata"
 	"autoax/internal/pareto"
 )
+
+// withGOMAXPROCS runs fn at GOMAXPROCS p (0 keeps the current value) and
+// restores the previous value.
+func withGOMAXPROCS(p int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+	fn()
+}
 
 // syntheticSpace builds a Space of fake characterized circuits with a
 // controlled error/area trade-off: circuit i of op k has WMED i·(k+1) and
@@ -169,7 +177,7 @@ func TestHillClimbBeatsRandomSearch(t *testing.T) {
 	// Table 4's qualitative claim at matched budgets.
 	s := syntheticSpace(5, 10)
 	m := syntheticModels(s)
-	optimal, err := Exhaustive(s, m.BatchEstimator, 0)
+	optimal, err := Exhaustive(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +196,7 @@ func TestHillClimbBeatsRandomSearch(t *testing.T) {
 func TestExhaustiveMatchesBruteForceOnTiny(t *testing.T) {
 	s := syntheticSpace(2, 3)
 	est := syntheticEstimator(s)
-	arch, err := Exhaustive(s, syntheticModels(s).BatchEstimator, 0)
+	arch, err := Exhaustive(syntheticModels(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +216,7 @@ func TestExhaustiveMatchesBruteForceOnTiny(t *testing.T) {
 
 func TestExhaustiveRefusesHugeSpace(t *testing.T) {
 	s := syntheticSpace(17, 30) // 30^17 ≫ limit
-	if _, err := Exhaustive(s, syntheticModels(s).BatchEstimator, 0); err == nil {
+	if _, err := Exhaustive(syntheticModels(s)); err == nil {
 		t.Error("expected size-limit error")
 	}
 }
@@ -264,7 +272,9 @@ func TestSortArchive(t *testing.T) {
 func TestExhaustivePayloadsNotAliased(t *testing.T) {
 	s := syntheticSpace(3, 4)
 	est := syntheticEstimator(s)
-	arch, err := Exhaustive(s, syntheticModels(s).BatchEstimator, 1)
+	var arch *pareto.Archive[[]int]
+	var err error
+	withGOMAXPROCS(1, func() { arch, err = Exhaustive(syntheticModels(s)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +302,8 @@ func TestExhaustivePayloadsNotAliased(t *testing.T) {
 
 // TestExhaustiveParallelMatchesSequential checks the sharded enumeration
 // is bit-identical to the frozen sequential enumeration: same points, same
-// payloads, same equal-point tie-breaks, at every shard count (including
-// ones that split the keyspace unevenly).
+// payloads, same equal-point tie-breaks, at every GOMAXPROCS (including
+// ones that split the keyspace unevenly, and 0: the ambient value).
 func TestExhaustiveParallelMatchesSequential(t *testing.T) {
 	s := syntheticSpace(4, 5) // 625 configurations
 	seq := refExhaustive(s, syntheticEstimator(s))
@@ -307,17 +317,19 @@ func TestExhaustiveParallelMatchesSequential(t *testing.T) {
 		return m
 	}
 	want := archiveMap(seq)
-	for _, par := range []int{1, 2, 3, 8, 0} {
-		got, err := Exhaustive(s, m.BatchEstimator, par)
+	for _, procs := range []int{1, 2, 3, 8, 0} {
+		var got *pareto.Archive[[]int]
+		var err error
+		withGOMAXPROCS(procs, func() { got, err = Exhaustive(m) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Len() != seq.Len() {
-			t.Fatalf("parallelism %d: archive size %d, sequential %d", par, got.Len(), seq.Len())
+			t.Fatalf("GOMAXPROCS %d: archive size %d, sequential %d", procs, got.Len(), seq.Len())
 		}
 		for pt, cfg := range archiveMap(got) {
 			if want[pt] != cfg {
-				t.Errorf("parallelism %d: point %s carries %s, sequential %s", par, pt, cfg, want[pt])
+				t.Errorf("GOMAXPROCS %d: point %s carries %s, sequential %s", procs, pt, cfg, want[pt])
 			}
 		}
 	}
@@ -389,25 +401,31 @@ func realSobelFixture(t *testing.T) (*accel.Evaluator, Space) {
 // TestEvaluateAllParallelMatchesSequential checks the acceptance criterion
 // of the sharded evaluator: per-shard clones produce results identical to
 // the sequential path, order-stable at their input indices, and onDone
-// fires exactly once per configuration at every parallelism.
+// fires exactly once per configuration at every GOMAXPROCS (0: the
+// ambient value).
 func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
 	ev, s := realSobelFixture(t)
 	cfgs := s.RandomConfigs(12, 3)
-	seq, err := EvaluateAll(context.Background(), ev, s, cfgs, 1, nil)
+	var seq []accel.Result
+	var err error
+	withGOMAXPROCS(1, func() { seq, err = EvaluateAll(context.Background(), ev, s, cfgs, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 4, 0} {
+	for _, procs := range []int{1, 2, 4, 0} {
 		var done atomic.Int64
-		got, err := EvaluateAll(context.Background(), ev, s, cfgs, par, func() { done.Add(1) })
+		var got []accel.Result
+		withGOMAXPROCS(procs, func() {
+			got, err = EvaluateAll(context.Background(), ev, s, cfgs, func() { done.Add(1) })
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seq, got) {
-			t.Fatalf("parallelism %d: results differ from sequential\nseq: %+v\ngot: %+v", par, seq, got)
+			t.Fatalf("GOMAXPROCS %d: results differ from sequential\nseq: %+v\ngot: %+v", procs, seq, got)
 		}
 		if n := done.Load(); n != int64(len(cfgs)) {
-			t.Fatalf("parallelism %d: onDone fired %d times, want %d", par, n, len(cfgs))
+			t.Fatalf("GOMAXPROCS %d: onDone fired %d times, want %d", procs, n, len(cfgs))
 		}
 	}
 }
@@ -419,16 +437,18 @@ func TestEvaluateAllParallelCancellation(t *testing.T) {
 	cfgs := s.RandomConfigs(8, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, par := range []int{1, 4} {
-		if _, err := EvaluateAll(ctx, ev, s, cfgs, par, nil); !errors.Is(err, context.Canceled) {
-			t.Errorf("parallelism %d: err = %v, want context.Canceled", par, err)
+	for _, procs := range []int{1, 4} {
+		var err error
+		withGOMAXPROCS(procs, func() { _, err = EvaluateAll(ctx, ev, s, cfgs, nil) })
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("GOMAXPROCS %d: err = %v, want context.Canceled", procs, err)
 		}
 	}
 }
 
 // TestEvaluateAllParallelFirstError checks a failing batch aborts with an
 // error naming the lowest failing index — the one a sequential loop hits
-// — at every parallelism, even when a later configuration also fails.
+// — at every GOMAXPROCS, even when a later configuration also fails.
 func TestEvaluateAllParallelFirstError(t *testing.T) {
 	ev, s := realSobelFixture(t)
 	// Poison the space: an extra circuit of the wrong operation appended
@@ -454,13 +474,14 @@ func TestEvaluateAllParallelFirstError(t *testing.T) {
 		cfgs[i] = make([]int, len(poisoned))
 		cfgs[i][k] = len(poisoned[k]) - 1 // the mismatched circuit
 	}
-	for _, par := range []int{1, 2, 4, 0} {
-		_, err := EvaluateAll(context.Background(), ev, poisoned, cfgs, par, nil)
+	for _, procs := range []int{1, 2, 4, 0} {
+		var err error
+		withGOMAXPROCS(procs, func() { _, err = EvaluateAll(context.Background(), ev, poisoned, cfgs, nil) })
 		if err == nil {
-			t.Fatalf("parallelism %d: poisoned batch succeeded", par)
+			t.Fatalf("GOMAXPROCS %d: poisoned batch succeeded", procs)
 		}
 		if !strings.Contains(err.Error(), fmt.Sprintf("configuration %d", bad)) {
-			t.Errorf("parallelism %d: error %q does not name configuration %d", par, err, bad)
+			t.Errorf("GOMAXPROCS %d: error %q does not name configuration %d", procs, err, bad)
 		}
 	}
 }

@@ -108,8 +108,8 @@ func TestRandomEngineMatchesRandomSearch(t *testing.T) {
 
 // TestNSGA2BitIdentical pins the nsga2 determinism contract: for a fixed
 // (seed, budget, population) the full archive — points and payloads, in
-// storage order — is bit-identical across reruns and every Parallelism
-// setting.
+// storage order — is bit-identical across reruns and every GOMAXPROCS
+// (0: the ambient value).
 func TestNSGA2BitIdentical(t *testing.T) {
 	s := syntheticSpace(4, 8)
 	m := naiveModels(s)
@@ -117,9 +117,10 @@ func TestNSGA2BitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(par int) *pareto.Archive[[]int] {
+	run := func(procs int) *pareto.Archive[[]int] {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		a, err := eng.Run(context.Background(), m, SearchOptions{
-			Evaluations: 4000, Seed: 7, Population: 32, Parallelism: par,
+			Evaluations: 4000, Seed: 7, Population: 32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -130,10 +131,10 @@ func TestNSGA2BitIdentical(t *testing.T) {
 	if want.Len() == 0 {
 		t.Fatal("empty nsga2 archive")
 	}
-	for _, par := range []int{1, 2, 4, 0} {
-		got := run(par)
+	for _, procs := range []int{1, 2, 4, 0} {
+		got := run(procs)
 		if !reflect.DeepEqual(want.Points(), got.Points()) || !reflect.DeepEqual(want.Payloads(), got.Payloads()) {
-			t.Fatalf("parallelism %d: archive differs from the sequential run", par)
+			t.Fatalf("GOMAXPROCS %d: archive differs from the sequential run", procs)
 		}
 	}
 }
@@ -202,16 +203,20 @@ func (panicQoR) Predict([]float64) float64        { panic("boom") }
 func TestNSGA2PanicBecomesError(t *testing.T) {
 	base := runtime.NumGoroutine()
 	m := &Models{QoR: panicQoR{}, HW: &NaiveArea{}, Space: syntheticSpace(3, 6)}
-	for _, par := range []int{1, 4, 0} {
-		arch, err := RunEngine(context.Background(), "nsga2", m, SearchOptions{Evaluations: 500, Seed: 1, Parallelism: par})
+	for _, procs := range []int{1, 4, 0} {
+		var arch *pareto.Archive[[]int]
+		var err error
+		withGOMAXPROCS(procs, func() {
+			arch, err = RunEngine(context.Background(), "nsga2", m, SearchOptions{Evaluations: 500, Seed: 1})
+		})
 		if err == nil {
-			t.Fatalf("parallelism %d: a panicking model returned no error", par)
+			t.Fatalf("GOMAXPROCS %d: a panicking model returned no error", procs)
 		}
 		if got := strings.Count(err.Error(), "boom"); !strings.Contains(err.Error(), "panic") || got != 1 {
-			t.Fatalf("parallelism %d: err = %q, want the panic named once", par, err)
+			t.Fatalf("GOMAXPROCS %d: err = %q, want the panic named once", procs, err)
 		}
 		if arch == nil {
-			t.Fatalf("parallelism %d: partial archive must be non-nil", par)
+			t.Fatalf("GOMAXPROCS %d: partial archive must be non-nil", procs)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -258,7 +263,6 @@ func TestSearchOptionsValidation(t *testing.T) {
 		{"Evaluations", SearchOptions{Evaluations: -1}},
 		{"Stagnation", SearchOptions{Stagnation: -5}},
 		{"Population", SearchOptions{Population: -2}},
-		{"Parallelism", SearchOptions{Parallelism: -1}},
 	}
 	for _, name := range SearchEngines() {
 		for _, tc := range cases {

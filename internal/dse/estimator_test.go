@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"autoax/internal/ml"
+	"autoax/internal/pareto"
 )
 
 // trainedModels fits real random forests on synthetic training data over a
@@ -72,24 +73,26 @@ func TestEstimatorZeroAllocs(t *testing.T) {
 
 // TestExhaustiveEstimatorsMatchesShared checks the enumeration over
 // per-shard estimators equals the frozen single-estimator enumeration
-// point for point, in archive order, at every parallelism.
+// point for point, in archive order, at GOMAXPROCS 2, 4 and 7.
 func TestExhaustiveEstimatorsMatchesShared(t *testing.T) {
 	s := syntheticSpace(3, 5)
 	want := refExhaustive(s, syntheticEstimator(s))
 	m := syntheticModels(s)
-	for _, par := range []int{2, 4, 7} {
-		got, err := Exhaustive(s, m.BatchEstimator, par)
+	for _, procs := range []int{2, 4, 7} {
+		var got *pareto.Archive[[]int]
+		var err error
+		withGOMAXPROCS(procs, func() { got, err = Exhaustive(m) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Len() != want.Len() {
-			t.Fatalf("parallelism %d: %d front points, want %d", par, got.Len(), want.Len())
+			t.Fatalf("GOMAXPROCS %d: %d front points, want %d", procs, got.Len(), want.Len())
 		}
 		wp, gp := want.Points(), got.Points()
 		for i := range wp {
 			for d := range wp[i] {
 				if wp[i][d] != gp[i][d] {
-					t.Fatalf("parallelism %d: point %d differs: %v vs %v", par, i, gp[i], wp[i])
+					t.Fatalf("GOMAXPROCS %d: point %d differs: %v vs %v", procs, i, gp[i], wp[i])
 				}
 			}
 		}

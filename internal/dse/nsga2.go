@@ -25,7 +25,7 @@ import (
 // population from (engine, "init", seed), while generation scoring — the
 // only parallel part — writes estimates by index (estimates are pure
 // functions of the configuration).  A run is therefore bit-identical for
-// a fixed (seed, budget, population) at every Parallelism setting.
+// a fixed (seed, budget, population) at every GOMAXPROCS.
 type nsga2Engine struct{}
 
 func (nsga2Engine) Name() string { return "nsga2" }
@@ -50,14 +50,7 @@ func (nsga2Engine) Run(ctx context.Context, m *Models, opt SearchOptions) (*pare
 		pop = opt.Evaluations
 	}
 
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > pop {
-		workers = pop
-	}
-	ests := make([]BatchEstimator, workers)
+	ests := make([]BatchEstimator, min(runtime.GOMAXPROCS(0), pop))
 	for i := range ests {
 		ests[i] = m.BatchEstimator()
 	}

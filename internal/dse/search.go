@@ -28,11 +28,6 @@ type SearchOptions struct {
 	// Population is the generation size of population engines (nsga2).
 	// 0 means 64.  Point-based engines ignore it.
 	Population int
-	// Parallelism bounds the goroutines population engines use to score
-	// one generation (0 means runtime.GOMAXPROCS, 1 forces sequential
-	// scoring).  It is an execution knob, not a search parameter: results
-	// are bit-identical at every setting.
-	Parallelism int
 	// Seed makes runs reproducible: an engine run is a pure function of
 	// (models, engine name, Seed, budget).
 	Seed int64
@@ -65,8 +60,6 @@ func (o SearchOptions) withDefaults() (SearchOptions, error) {
 		return o, &OptionError{"Stagnation", o.Stagnation}
 	case o.Population < 0:
 		return o, &OptionError{"Population", o.Population}
-	case o.Parallelism < 0:
-		return o, &OptionError{"Parallelism", o.Parallelism}
 	}
 	if o.Stagnation == 0 {
 		o.Stagnation = 50
@@ -152,16 +145,16 @@ const ExhaustiveLimit = 5e7
 // Exhaustive enumerates the whole configuration space — the optimal
 // Pareto front of Table 4, for spaces within ExhaustiveLimit.
 //
-// The linearized odometer keyspace is split into parallelism contiguous
-// ranges (≤ 0 means runtime.GOMAXPROCS), enumerated on par.Each.  Each
-// range gets a private estimator from newEst — pass the method value
-// models.BatchEstimator, since a BatchEstimator is not safe for concurrent
-// use — and a private sub-archive, and the sub-archives are merged in
-// keyspace order.  The result (points and payloads, including which of two
+// The linearized odometer keyspace of m.Space is split into GOMAXPROCS
+// contiguous ranges, enumerated on par.Each.  Each range gets a private
+// m.BatchEstimator() — a BatchEstimator is not safe for concurrent use —
+// and a private sub-archive, and the sub-archives are merged in keyspace
+// order.  The result (points and payloads, including which of two
 // equal-scoring configurations is kept: the enumeration-earlier one) is
-// therefore identical to a sequential enumeration at every parallelism.
+// therefore identical to a sequential enumeration at every GOMAXPROCS.
 // A panic in an estimator is returned as an error.
-func Exhaustive(s Space, newEst func() BatchEstimator, parallelism int) (*pareto.Archive[[]int], error) {
+func Exhaustive(m *Models) (*pareto.Archive[[]int], error) {
+	s := m.Space
 	n := s.NumConfigs()
 	if n > ExhaustiveLimit {
 		return nil, fmt.Errorf("dse: space of %.3g configurations exceeds the exhaustive limit %.3g", n, ExhaustiveLimit)
@@ -170,18 +163,14 @@ func Exhaustive(s Space, newEst func() BatchEstimator, parallelism int) (*pareto
 	if total <= 0 { // an op with an empty library: nothing to enumerate
 		return &pareto.Archive[[]int]{}, nil
 	}
-	shards := parallelism
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	shards = min(shards, total)
+	shards := min(runtime.GOMAXPROCS(0), total)
 	archives := make([]*pareto.Archive[[]int], shards)
 	errs := par.Each(context.Background(), shards, func(w int) error {
 		// 64-bit intermediates: total*w can exceed a 32-bit int for
 		// near-limit spaces at high shard counts.
 		lo := int(int64(total) * int64(w) / int64(shards))
 		hi := int(int64(total) * int64(w+1) / int64(shards))
-		archives[w] = exhaustiveRange(s, newEst(), lo, hi)
+		archives[w] = exhaustiveRange(s, m.BatchEstimator(), lo, hi)
 		return nil
 	})
 	if err := firstError(errs); err != nil {

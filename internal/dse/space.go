@@ -190,31 +190,27 @@ func (s Space) layout(fields ...func(*acl.Circuit) float64) (op []int, values []
 
 // EvaluateAll precisely evaluates every configuration (simulation +
 // synthesis) — the hot loop of paper Steps 2 and 3, embarrassingly
-// parallel per configuration.  Configurations run on par.EachN, at most
-// min(parallelism, GOMAXPROCS) at a time (parallelism ≤ 0 means
-// GOMAXPROCS): each evaluation borrows an evaluator from a pool of that
-// many — ev plus ev.Clone()s, sharing the immutable precomputed state and
-// each owning its scratch — so no evaluator is ever used by two
-// goroutines at once.  Result i is configuration i's at every
-// parallelism.
+// parallel per configuration.  Configurations run on par.Each, at most
+// min(GOMAXPROCS, len(cfgs)) at a time: each evaluation borrows an
+// evaluator from a pool of that many — ev plus ev.Clone()s, sharing the
+// immutable precomputed state and each owning its scratch — so no
+// evaluator is ever used by two goroutines at once.  Result i is
+// configuration i's at every GOMAXPROCS.
 //
 // onDone, when non-nil, is called once after each configuration finishes
 // — concurrently, so it must be safe for concurrent use (an atomic counter
 // feeding a progress display is the intended shape).  It observes the
 // batch without perturbing it.
 //
-// A failing configuration cancels the batch.  par.EachN runs every index
+// A failing configuration cancels the batch.  par.Each runs every index
 // below a failure to completion, so the error returned is the
 // lowest-index one — the one a sequential loop would hit — at every
-// parallelism.  When the caller's context ends first, its bare error is
+// GOMAXPROCS.  When the caller's context ends first, its bare error is
 // returned.
-func EvaluateAll(ctx context.Context, ev *accel.Evaluator, s Space, cfgs [][]int, parallelism int, onDone func()) ([]accel.Result, error) {
-	// More evaluators than cores would only take turns on them.
-	evs := runtime.GOMAXPROCS(0)
-	if parallelism > 0 {
-		evs = min(evs, parallelism)
-	}
-	evs = max(1, min(evs, len(cfgs)))
+func EvaluateAll(ctx context.Context, ev *accel.Evaluator, s Space, cfgs [][]int, onDone func()) ([]accel.Result, error) {
+	// One evaluator per goroutine par.Each starts, so a receive from the
+	// pool never waits.
+	evs := max(1, min(runtime.GOMAXPROCS(0), len(cfgs)))
 	// Clone every evaluator before any evaluation starts: Clone copies the
 	// evaluator struct, so cloning ev while it evaluates would race.
 	pool := make(chan *accel.Evaluator, evs)
@@ -225,8 +221,7 @@ func EvaluateAll(ctx context.Context, ev *accel.Evaluator, s Space, cfgs [][]int
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	out := make([]accel.Result, len(cfgs))
-	// One goroutine per evaluator: a receive from the pool never waits.
-	errs := par.EachN(ctx, len(cfgs), evs, func(i int) error {
+	errs := par.Each(ctx, len(cfgs), func(i int) error {
 		e := <-pool
 		defer func() { pool <- e }()
 		r, err := e.Evaluate(s.Circuits(cfgs[i]))

@@ -132,7 +132,7 @@ func AblationStagnation(w io.Writer, s Setup) error {
 	p := s.params()
 	space := cappedSpace(pipe.Space, p.table4Cap)
 	models := &dse.Models{QoR: pipe.Models.QoR, HW: pipe.Models.HW, Space: space}
-	optimal, err := dse.Exhaustive(space, models.BatchEstimator, s.Parallelism)
+	optimal, err := dse.Exhaustive(models)
 	if err != nil {
 		return err
 	}
@@ -172,7 +172,7 @@ func AblationEngines(w io.Writer, s Setup) error {
 	p := s.params()
 	space := cappedSpace(pipe.Space, p.table4Cap)
 	models := &dse.Models{QoR: pipe.Models.QoR, HW: pipe.Models.HW, Space: space}
-	optimal, err := dse.Exhaustive(space, models.BatchEstimator, s.Parallelism)
+	optimal, err := dse.Exhaustive(models)
 	if err != nil {
 		return err
 	}
@@ -183,7 +183,7 @@ func AblationEngines(w io.Writer, s Setup) error {
 	var csv [][]string
 	for _, name := range dse.SearchEngines() {
 		arch, err := dse.RunEngine(context.Background(), name, models,
-			dse.SearchOptions{Evaluations: budget, Seed: s.Seed + 10, Parallelism: s.Parallelism})
+			dse.SearchOptions{Evaluations: budget, Seed: s.Seed + 10})
 		if err != nil {
 			return err
 		}

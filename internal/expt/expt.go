@@ -8,9 +8,6 @@
 //	ScaleTiny  — seconds; used by unit/integration tests
 //	ScaleSmall — minutes; the default for benchmarks and the CLI
 //	ScalePaper — hours; Table-2-magnitude libraries and paper budgets
-//
-// The qualitative shapes reported in EXPERIMENTS.md hold from ScaleSmall
-// upward.
 package expt
 
 import (
@@ -54,10 +51,6 @@ type Setup struct {
 	Scale  Scale
 	Seed   int64
 	OutDir string // CSV destination; empty disables file output
-	// Parallelism bounds the workers used for precise-evaluation batches
-	// and exhaustive enumeration (0 = runtime.GOMAXPROCS, 1 = sequential).
-	// Results are identical at every setting.
-	Parallelism int
 	// SearchEngine names the registered dse engine driving the model-based
 	// searches (pipelines, Table 4, stagnation ablation).  Empty selects
 	// dse.DefaultEngineName — the paper's hill climber.
@@ -195,7 +188,7 @@ func (s Setup) App(name string) (*accel.ImageApp, error) {
 // pipelineConfig returns the core.Config for one app under this setup.
 func (s Setup) pipelineConfig(name string) core.Config {
 	p := s.params()
-	cfg := core.Config{Engine: ml.Engines()[0], Stagnation: 50, Parallelism: s.Parallelism, Seed: s.Seed, SearchEngine: s.SearchEngine}
+	cfg := core.Config{Engine: ml.Engines()[0], Stagnation: 50, Seed: s.Seed, SearchEngine: s.SearchEngine}
 	if name == "sobel" {
 		cfg.TrainConfigs, cfg.TestConfigs, cfg.SearchEvals = p.trainSobel, p.testSobel, p.evalsSobel
 	} else {

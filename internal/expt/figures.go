@@ -175,14 +175,14 @@ func Figure5App(s Setup, name string) ([]FrontSeries, error) {
 		budget = 1
 	}
 	rsCfgs := pipe.Space.RandomConfigs(budget, s.Seed+77)
-	rsRes, err := dse.EvaluateAll(context.Background(), pipe.Ev, pipe.Space, rsCfgs, s.Parallelism, nil)
+	rsRes, err := dse.EvaluateAll(context.Background(), pipe.Ev, pipe.Space, rsCfgs, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	p := s.params()
 	uniCfgs := dse.UniformSelection(pipe.Space, p.uniformLevels)
-	uniRes, err := dse.EvaluateAll(context.Background(), pipe.Ev, pipe.Space, uniCfgs, s.Parallelism, nil)
+	uniRes, err := dse.EvaluateAll(context.Background(), pipe.Ev, pipe.Space, uniCfgs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,7 @@ func Table4Rows(s Setup) ([]Table4Row, error) {
 	space := cappedSpace(pipe.Space, p.table4Cap)
 	models := &dse.Models{QoR: pipe.Models.QoR, HW: pipe.Models.HW, Space: space}
 
-	optimal, err := dse.Exhaustive(space, models.BatchEstimator, s.Parallelism)
+	optimal, err := dse.Exhaustive(models)
 	if err != nil {
 		return nil, err
 	}

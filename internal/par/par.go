@@ -1,4 +1,5 @@
-// Package par runs independent, indexed tasks on every core.  Errors are
+// Package par runs independent, indexed tasks on every core, one
+// goroutine per GOMAXPROCS.  Errors are
 // reported by index and callers store results by index, so the outcome
 // never depends on scheduling: one goroutine or many give the same answer.
 package par
@@ -19,14 +20,11 @@ import (
 // completion — so when a call fails and cancels ctx, every lower index
 // still runs, as in a sequential loop.  Each returns only after every
 // call it started has returned, so no goroutine outlives it.
+//
+// GOMAXPROCS is the only width: a caller that hands each goroutine a
+// scarce resource — an evaluator from a pool, say — sizes the pool
+// min(GOMAXPROCS, n) so that no goroutine claims an index only to wait.
 func Each(ctx context.Context, n int, fn func(i int) error) []error {
-	return EachN(ctx, n, runtime.GOMAXPROCS(0), fn)
-}
-
-// EachN is Each on at most workers goroutines, for calls that each hold
-// one of workers scarce resources — an evaluator from a pool of workers,
-// say — so that no goroutine claims an index only to wait for one.
-func EachN(ctx context.Context, n, workers int, fn func(i int) error) []error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	work := func() {
@@ -38,7 +36,7 @@ func EachN(ctx context.Context, n, workers int, fn func(i int) error) []error {
 			errs[i] = recovered(fn, i)
 		}
 	}
-	workers = min(workers, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		work()
 	} else {

@@ -58,33 +58,33 @@ func TestEachRunsEveryIndex(t *testing.T) {
 	}
 }
 
-// TestEachNBoundsGoroutines: EachN never runs more than workers calls at
-// once, even with more cores, and still runs every index exactly once.
-func TestEachNBoundsGoroutines(t *testing.T) {
-	withGOMAXPROCS(4, func() {
-		for _, workers := range []int{1, 2} {
+// TestEachBoundsGoroutines: Each never runs more than GOMAXPROCS calls at
+// once, and still runs every index exactly once.
+func TestEachBoundsGoroutines(t *testing.T) {
+	for _, p := range []int{1, 2} {
+		withGOMAXPROCS(p, func() {
 			const n = 40
 			var runs [n]atomic.Int32
 			var running, peak atomic.Int32
-			EachN(context.Background(), n, workers, func(i int) error {
+			Each(context.Background(), n, func(i int) error {
 				now := running.Add(1)
-				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+				for q := peak.Load(); now > q && !peak.CompareAndSwap(q, now); q = peak.Load() {
 				}
 				time.Sleep(100 * time.Microsecond)
 				running.Add(-1)
 				runs[i].Add(1)
 				return nil
 			})
-			if p := peak.Load(); p > int32(workers) {
-				t.Fatalf("workers %d: %d calls ran at once", workers, p)
+			if q := peak.Load(); q > int32(p) {
+				t.Fatalf("GOMAXPROCS %d: %d calls ran at once", p, q)
 			}
 			for i := range runs {
 				if got := runs[i].Load(); got != 1 {
-					t.Fatalf("workers %d: index %d ran %d times", workers, i, got)
+					t.Fatalf("GOMAXPROCS %d: index %d ran %d times", p, i, got)
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestEachPanicBecomesError: a panicking call reports its panic at its
