@@ -119,8 +119,8 @@ type (
 	Space = dse.Space
 	// SearchOptions parameterizes the DSE searches.
 	SearchOptions = dse.SearchOptions
-	// SearchEngine is one pluggable DSE strategy from the engine registry
-	// (see SearchEngines / SearchEngineByName).
+	// SearchEngine is one DSE strategy from the fixed engine table (see
+	// SearchEngines / SearchEngineByName).
 	SearchEngine = dse.Engine
 	// SearchOptionError reports a negative SearchOptions field (zero means
 	// default; negatives are rejected).
@@ -216,8 +216,8 @@ type (
 	// FleetCoordinator owns one distributed search: Workers plus Opts in,
 	// a merged archive plus FleetStats out of Search.
 	FleetCoordinator = fleet.Coordinator
-	// FleetOptions tunes timeouts, retries, backoff, worker benching,
-	// straggler re-dispatch and the test-only fault-injection hook.
+	// FleetOptions tunes retries, backoff, worker benching, straggler
+	// re-dispatch and the test-only fault-injection hook.
 	FleetOptions = fleet.Options
 	// FleetStats reports what a fleet search did: dispatch, retry,
 	// reissue, speculative and failure counts.
@@ -418,11 +418,11 @@ func EngineByName(name string) (EngineSpec, error) { return ml.EngineByName(name
 // the paper's hill climber.
 const DefaultSearchEngine = dse.DefaultEngineName
 
-// SearchEngines lists the registered DSE engine names in sorted order
+// SearchEngines lists the DSE engine names in sorted order
 // ("hillclimb", "nsga2", "random").
 var SearchEngines = dse.SearchEngines
 
-// SearchEngineByName resolves a registered engine; the empty string
+// SearchEngineByName resolves an engine by name; the empty string
 // selects DefaultSearchEngine.
 var SearchEngineByName = dse.SearchEngineByName
 

@@ -453,8 +453,8 @@ func BenchmarkHillClimb1k(b *testing.B) {
 
 // BenchmarkNSGA2Gen1k measures a 1000-evaluation NSGA-II run over the
 // Sobel reduced space with trained models — the population engine's
-// generation loop (batched scoring, non-dominated sort, crowding,
-// archive folding) behind the "nsga2" registry entry.
+// generation loop (sharded scoring, non-dominated sort, crowding,
+// archive folding) behind the "nsga2" engine.
 func BenchmarkNSGA2Gen1k(b *testing.B) {
 	s := benchSetup(b)
 	pipe, err := s.Pipeline("sobel")
@@ -471,31 +471,9 @@ func BenchmarkNSGA2Gen1k(b *testing.B) {
 	}
 }
 
-// BenchmarkModelEstimateBatch measures 256-configuration batched
-// estimation through Models.BatchEstimator (one leaf-table AND per tree
-// and operation) — the per-configuration counterpart of
-// BenchmarkModelEstimate for the batched search loops.
-func BenchmarkModelEstimateBatch(b *testing.B) {
-	s := benchSetup(b)
-	pipe, err := s.Pipeline("sobel")
-	if err != nil {
-		b.Fatal(err)
-	}
-	est := pipe.Models.BatchEstimator()
-	const n = 256
-	cfgs := pipe.Space.RandomConfigs(n, 5)
-	qor := make([]float64, n)
-	hw := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est(cfgs, qor, hw)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/config")
-}
-
-// BenchmarkRandomSearch1k measures 1000 evaluations of the batched
-// random-sampling baseline (the registered "random" engine, which draws
-// its own batch estimator per run) over the Sobel reduced space.
+// BenchmarkRandomSearch1k measures 1000 evaluations of the
+// random-sampling baseline (the "random" engine, which draws its own
+// Estimator per run) over the Sobel reduced space.
 func BenchmarkRandomSearch1k(b *testing.B) {
 	s := benchSetup(b)
 	pipe, err := s.Pipeline("sobel")

@@ -98,8 +98,8 @@ func main() {
 	if cmd := flag.Arg(0); *graphPath != "" && cmd != "pipeline" && cmd != "submit" && cmd != "search" {
 		fatal(fmt.Errorf("-graph applies to the pipeline, submit and search commands, not %q", cmd))
 	}
-	// -engine is validated up front against the registry so a typo fails
-	// before any expensive library build.
+	// -engine is validated up front against the engine table so a typo
+	// fails before any expensive library build.
 	if _, err := dse.SearchEngineByName(*engine); err != nil {
 		fatal(err)
 	}

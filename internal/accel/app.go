@@ -199,10 +199,6 @@ type Evaluator struct {
 	progScratch []uint64                        // compiled-program value slots
 	progOut     []uint64                        // compiled-program outputs
 
-	// ActivityBatches bounds the batches used for switching-activity
-	// estimation when computing power/energy.
-	ActivityBatches int
-
 	// Metric scores an approximate output image against the exact
 	// reference (higher = better).  Defaults to SSIM, the paper's QoR;
 	// ssim.PSNR is the drop-in alternative the paper mentions.  A custom
@@ -214,14 +210,18 @@ type Evaluator struct {
 // Clone returns an independent evaluator for concurrent use: it shares the
 // immutable app, images and precomputed state (exact references, packed
 // bit-planes) with the original but owns its own scratch buffers.  Clones
-// inherit the ActivityBatches and Metric settings at clone time.
+// inherit the Metric setting at clone time.
 func (e *Evaluator) Clone() *Evaluator {
-	c := *e // shares c.shared; copies outVals (an array) and the knobs
+	c := *e // shares c.shared; copies outVals (an array) and Metric
 	c.inBuf = make([]uint64, len(e.inBuf))
 	c.progScratch = nil // grown per configuration inside Evaluate
 	c.progOut = nil
 	return &c
 }
+
+// activityBatches bounds the 64-lane batches used for switching-activity
+// estimation when computing power/energy.
+const activityBatches = 16
 
 // NewEvaluator validates the app and precomputes exact references and
 // packed inputs.
@@ -243,7 +243,7 @@ func NewEvaluator(app *ImageApp, images []*imagedata.Image) (*Evaluator, error) 
 		headBits: 8 * len(app.Taps),
 		progs:    newProgramCache(DefaultProgramCacheEntries),
 	}
-	e := &Evaluator{App: app, Images: images, shared: sh, ActivityBatches: 16, Metric: ssim.SSIM}
+	e := &Evaluator{App: app, Images: images, shared: sh, Metric: ssim.SSIM}
 
 	// Exact references, through the shared compiled graph program.
 	gvals := make([]uint64, sh.gp.numVals())
@@ -410,7 +410,7 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 				// Switching-activity batches stay 64-lane: re-slice the
 				// block so the captured sample stream is identical to the
 				// historical per-word batches.
-				for w := 0; si == 0 && ii == 0 && w*64 < lanes && len(activity) < e.ActivityBatches; w++ {
+				for w := 0; si == 0 && ii == 0 && w*64 < lanes && len(activity) < activityBatches; w++ {
 					batch := make([]uint64, totalBits)
 					netlist.ExtractBlockWord(e.inBuf, W, w, batch)
 					bl := lanes - w*64

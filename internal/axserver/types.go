@@ -148,8 +148,8 @@ type EvaluateResult struct {
 // depend on them — so switching engine or seed on an otherwise identical
 // request is a cache miss, never a stale hit.
 type SearchSpec struct {
-	// Engine names a registered dse search engine (hillclimb, random,
-	// nsga2); empty means the default, Algorithm 1's hill climb.
+	// Engine names a dse search engine (hillclimb, random, nsga2);
+	// empty means the default, Algorithm 1's hill climb.
 	Engine string `json:"engine,omitempty"`
 	// Seed drives the engine's random streams.  0 derives the historical
 	// default from the request seed (seed+300), so existing requests keep

@@ -134,13 +134,14 @@ func TestModelsHillClimbNonForest(t *testing.T) {
 	}
 }
 
-// TestRandomSearchBatchMatchesScalar pins the batched "random" engine to
-// the frozen scalar random search with the same seed.
+// TestRandomSearchBatchMatchesScalar pins the "random" engine to the
+// frozen scalar random search with the same seed.
 func TestRandomSearchBatchMatchesScalar(t *testing.T) {
 	m := trainedModels(t, 4, 7)
 	for seed := int64(0); seed < 5; seed++ {
-		// Budgets around the batch size cover partial and full batches.
-		for _, evals := range []int{1, 100, estimateBatchSize, estimateBatchSize + 1, 1000} {
+		// Budgets around ctxCheckStride (1024) cover the checkpoint
+		// boundaries.
+		for _, evals := range []int{1, 100, 1023, 1024, 1025, 2049} {
 			opt := SearchOptions{Evaluations: evals, Seed: seed}
 			want := refRandomSearch(m.Space, m.Estimator(), opt)
 			got := mustRun(t, "random", m, opt)
@@ -150,11 +151,11 @@ func TestRandomSearchBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestExhaustiveBatchMatchesScalar pins the batch exhaustive enumeration
-// to the frozen scalar enumeration, sequentially and sharded (GOMAXPROCS
-// 1 and 3).
+// TestExhaustiveBatchMatchesScalar pins the exhaustive enumeration to the
+// frozen scalar enumeration, sequentially and sharded (GOMAXPROCS 1 and
+// 3).
 func TestExhaustiveBatchMatchesScalar(t *testing.T) {
-	m := trainedModels(t, 3, 7) // 343 configurations: several partial batches
+	m := trainedModels(t, 3, 7) // 343 configurations
 	want := refExhaustive(m.Space, m.Estimator())
 	for _, procs := range []int{1, 3} {
 		var got *pareto.Archive[[]int]
@@ -163,53 +164,7 @@ func TestExhaustiveBatchMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSetEqual(t, fmt.Sprintf("exhaustive batch (GOMAXPROCS=%d)", procs),
+		requireSetEqual(t, fmt.Sprintf("exhaustive (GOMAXPROCS=%d)", procs),
 			got.Points(), got.Payloads(), want.Points(), want.Payloads())
-	}
-}
-
-// TestBatchEstimatorMatchesEstimator pins batch estimates to scalar
-// estimates element-wise, bit for bit.
-func TestBatchEstimatorMatchesEstimator(t *testing.T) {
-	m := trainedModels(t, 4, 6)
-	est := m.Estimator()
-	batch := m.BatchEstimator()
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{1, 2, 7, 33, 256} {
-		cfgs := make([][]int, n)
-		for i := range cfgs {
-			cfgs[i] = m.Space.RandomConfig(rng)
-		}
-		qor := make([]float64, n)
-		hw := make([]float64, n)
-		batch(cfgs, qor, hw)
-		for i, cfg := range cfgs {
-			q, h := est(cfg)
-			if q != qor[i] || h != hw[i] {
-				t.Fatalf("n=%d cfg %d: batch (%v, %v) != scalar (%v, %v)", n, i, qor[i], hw[i], q, h)
-			}
-		}
-	}
-}
-
-// TestBatchEstimatorZeroAllocs pins the steady-state allocation contract
-// of the batch estimator at a stable batch size.
-func TestBatchEstimatorZeroAllocs(t *testing.T) {
-	m := trainedModels(t, 4, 6)
-	batch := m.BatchEstimator()
-	rng := rand.New(rand.NewSource(18))
-	const n = 64
-	cfgs := make([][]int, n)
-	for i := range cfgs {
-		cfgs[i] = m.Space.RandomConfig(rng)
-	}
-	qor := make([]float64, n)
-	hw := make([]float64, n)
-	batch(cfgs, qor, hw) // warm the internal feature buffers
-	allocs := testing.AllocsPerRun(100, func() {
-		batch(cfgs, qor, hw)
-	})
-	if allocs != 0 {
-		t.Fatalf("batch estimator allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -48,7 +48,7 @@ func (p *fullPredictor) Reject() { p.cfg[p.k] = p.old }
 // hillClimb runs Algorithm 1 — stochastic hill climbing whose accept test
 // is insertion into the Pareto archive, with random restarts after
 // opt.Stagnation consecutive rejections — and is the body of the
-// registered "hillclimb" engine.  The context is checked every
+// "hillclimb" engine.  The context is checked every
 // ctxCheckStride estimator evaluations.
 //
 // It takes the same rng draws, makes the same estimates and builds the

@@ -89,7 +89,7 @@ func syntheticModels(s Space) *Models {
 	return &Models{QoR: syntheticQoR{norm}, HW: &NaiveArea{}, Space: s}
 }
 
-// mustRun runs a registered engine and fails the test on error.
+// mustRun runs a named engine and fails the test on error.
 func mustRun(t *testing.T, engine string, m *Models, opt SearchOptions) *pareto.Archive[[]int] {
 	t.Helper()
 	a, err := RunEngine(context.Background(), engine, m, opt)

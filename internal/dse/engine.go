@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
-	"sync"
 
 	"autoax/internal/pareto"
 )
@@ -22,7 +20,7 @@ import (
 // SearchOptions fields are zero-means-default (see SearchOptions);
 // negative values surface as *OptionError from Run.
 type Engine interface {
-	// Name returns the engine's registry name.
+	// Name returns the engine's name in the engine table.
 	Name() string
 	// Run explores m.Space and returns the archive of non-dominated
 	// (point, configuration) pairs under the model estimators.  On
@@ -34,52 +32,30 @@ type Engine interface {
 // Algorithm 1 restart hill climb.
 const DefaultEngineName = "hillclimb"
 
-var (
-	enginesMu sync.RWMutex
-	engines   = map[string]Engine{}
-)
+// engines is the fixed engine table, sorted by name.
+var engines = []Engine{hillclimbEngine{}, nsga2Engine{}, randomEngine{}}
 
-// RegisterEngine adds an engine to the registry under e.Name().  It is
-// meant for init-time registration and panics on an empty or duplicate
-// name.
-func RegisterEngine(e Engine) {
-	name := e.Name()
-	enginesMu.Lock()
-	defer enginesMu.Unlock()
-	if name == "" {
-		panic("dse: RegisterEngine with empty name")
-	}
-	if _, dup := engines[name]; dup {
-		panic("dse: RegisterEngine duplicate name " + name)
-	}
-	engines[name] = e
-}
-
-// SearchEngines returns the registered engine names, sorted.
+// SearchEngines returns the engine names, sorted.
 func SearchEngines() []string {
-	enginesMu.RLock()
-	defer enginesMu.RUnlock()
-	names := make([]string, 0, len(engines))
-	for name := range engines {
-		names = append(names, name)
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.Name()
 	}
-	sort.Strings(names)
 	return names
 }
 
-// SearchEngineByName resolves a registry name to its engine; the empty
+// SearchEngineByName resolves an engine name to its engine; the empty
 // string resolves to DefaultEngineName.
 func SearchEngineByName(name string) (Engine, error) {
 	if name == "" {
 		name = DefaultEngineName
 	}
-	enginesMu.RLock()
-	e, ok := engines[name]
-	enginesMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("dse: unknown search engine %q (have %v)", name, SearchEngines())
+	for _, e := range engines {
+		if e.Name() == name {
+			return e, nil
+		}
 	}
-	return e, nil
+	return nil, fmt.Errorf("dse: unknown search engine %q (have %v)", name, SearchEngines())
 }
 
 // RunEngine resolves name (empty means DefaultEngineName) and runs it.
@@ -114,12 +90,6 @@ func DeriveSeed(engine, stream string, seed int64) int64 {
 	return int64(z)
 }
 
-func init() {
-	RegisterEngine(hillclimbEngine{})
-	RegisterEngine(randomEngine{})
-	RegisterEngine(nsga2Engine{})
-}
-
 // hillclimbEngine is Algorithm 1 behind the Engine seam (Models.hillClimb).
 type hillclimbEngine struct{}
 
@@ -130,12 +100,12 @@ func (hillclimbEngine) Run(ctx context.Context, m *Models, opt SearchOptions) (*
 }
 
 // randomEngine is the paper's RS baseline behind the Engine seam: uniform
-// random configurations batch-estimated and filtered through the archive,
-// drawn from rand seeded directly with opt.Seed.
+// random configurations estimated one at a time and filtered through the
+// archive, drawn from rand seeded directly with opt.Seed.
 type randomEngine struct{}
 
 func (randomEngine) Name() string { return "random" }
 
 func (randomEngine) Run(ctx context.Context, m *Models, opt SearchOptions) (*pareto.Archive[[]int], error) {
-	return randomSearch(ctx, m.Space, m.BatchEstimator(), opt)
+	return randomSearch(ctx, m.Space, m.Estimator(), opt)
 }

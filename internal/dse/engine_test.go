@@ -61,8 +61,8 @@ func TestSearchEngineRegistry(t *testing.T) {
 }
 
 // TestHillClimbEngineMatchesPreSeam pins the refactor's acceptance
-// criterion: across random spaces and seeds, the registered "hillclimb"
-// engine produces archives set-equal to the pre-seam pre-PR5 reference
+// criterion: across random spaces and seeds, the "hillclimb" engine
+// produces archives set-equal to the pre-seam pre-PR5 reference
 // implementation (refHillClimb) — the seam changed dispatch, not behavior.
 func TestHillClimbEngineMatchesPreSeam(t *testing.T) {
 	eng, err := SearchEngineByName("hillclimb")

@@ -6,9 +6,8 @@ import "autoax/internal/obs"
 // per iteration, so counters are accumulated in plain locals (climbStats)
 // and flushed to the process registry only at the climb's context
 // checkpoints and on return — the hot path itself performs no atomic
-// operations for metrics.  Precise evaluation and batch estimation record
-// directly: one atomic add against milliseconds (evaluation) or a whole
-// batch (estimation) of work.
+// operations for metrics.  Precise evaluation records directly: one
+// atomic add against milliseconds of work.
 var (
 	climbIterations = obs.Default().Counter("autoax_dse_climb_iterations_total")
 	climbProposals  = obs.Default().Counter("autoax_dse_climb_proposals_total")
@@ -16,7 +15,6 @@ var (
 	climbInserts    = obs.Default().Counter("autoax_dse_climb_inserts_total")
 	climbEvictions  = obs.Default().Counter("autoax_dse_climb_evictions_total")
 	climbRestarts   = obs.Default().Counter("autoax_dse_climb_restarts_total")
-	batchEstimates  = obs.Default().Counter("autoax_dse_batch_estimates_total")
 	preciseEvals    = obs.Default().Counter("autoax_dse_precise_evals_total")
 
 	// NSGA-II engine internals, mirroring the climb instrumentation:

@@ -96,27 +96,6 @@ func (m *Models) Estimator() Estimator {
 	return func(cfg []int) (float64, float64) { return qor.Reset(cfg), hw.Reset(cfg) }
 }
 
-// BatchEstimator estimates a whole batch of configurations at once,
-// writing (QoR, hw) for cfgs[j] to qor[j], hw[j] (both length ≥
-// len(cfgs)).  Estimates are bit-identical to len(cfgs) Estimator calls.
-// Steady-state calls perform zero allocations; like Estimator, the
-// closure is NOT safe for concurrent use, so draw one per goroutine.
-type BatchEstimator func(cfgs [][]int, qor, hw []float64)
-
-// BatchEstimator returns the batched counterpart of Estimator.
-func (m *Models) BatchEstimator() BatchEstimator {
-	qp, hp := m.scorers()
-	return func(cfgs [][]int, qor, hw []float64) {
-		if len(cfgs) == 0 {
-			return
-		}
-		batchEstimates.Inc()
-		for j, cfg := range cfgs {
-			qor[j], hw[j] = qp.Reset(cfg), hp.Reset(cfg)
-		}
-	}
-}
-
 // BuildTrainingData converts precisely evaluated configurations into the
 // two supervised learning problems: WMED features → SSIM and
 // area/power/delay features → synthesized area.

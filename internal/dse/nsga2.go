@@ -16,7 +16,7 @@ import (
 // non-dominated sort + crowding distance; surveyed for approximate-circuit
 // DSE in AxOSyn): each generation breeds Population offspring by binary
 // tournament, uniform crossover and per-operation mutation, scores the
-// whole generation through the batched estimator seam, folds every scored
+// whole generation through per-shard Estimators, folds every scored
 // point through the staircase archive, and keeps the best Population of
 // parents∪offspring by (rank, crowding).
 //
@@ -50,9 +50,9 @@ func (nsga2Engine) Run(ctx context.Context, m *Models, opt SearchOptions) (*pare
 		pop = opt.Evaluations
 	}
 
-	ests := make([]BatchEstimator, min(runtime.GOMAXPROCS(0), pop))
+	ests := make([]Estimator, min(runtime.GOMAXPROCS(0), pop))
 	for i := range ests {
-		ests[i] = m.BatchEstimator()
+		ests[i] = m.Estimator()
 	}
 
 	initRng := rand.New(rand.NewSource(DeriveSeed("nsga2", "init", opt.Seed)))
@@ -189,7 +189,7 @@ func newNsga2Pop(pop, n int) *nsga2Pop {
 // results are identical at any estimator count.  It returns the first
 // error in range order — a panic in an estimator, or the context ending
 // before a range started.
-func nsga2Score(ctx context.Context, ests []BatchEstimator, p *nsga2Pop, k int) error {
+func nsga2Score(ctx context.Context, ests []Estimator, p *nsga2Pop, k int) error {
 	shards := min(len(ests), k)
 	return firstError(par.Each(ctx, shards, func(w int) error {
 		nsga2ScoreRange(ests[w], p, k*w/shards, k*(w+1)/shards)
@@ -197,17 +197,10 @@ func nsga2Score(ctx context.Context, ests []BatchEstimator, p *nsga2Pop, k int) 
 	}))
 }
 
-func nsga2ScoreRange(est BatchEstimator, p *nsga2Pop, lo, hi int) {
-	for lo < hi {
-		n := hi - lo
-		if n > estimateBatchSize {
-			n = estimateBatchSize
-		}
-		est(p.cfgs[lo:lo+n], p.o0[lo:lo+n], p.o1[lo:lo+n])
-		for i := lo; i < lo+n; i++ {
-			p.o0[i] = -p.o0[i] // QoR is higher-better; minimize −QoR
-		}
-		lo += n
+func nsga2ScoreRange(est Estimator, p *nsga2Pop, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		q, h := est(p.cfgs[i])
+		p.o0[i], p.o1[i] = -q, h // QoR is higher-better; minimize −QoR
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 )
 
 // The frozen scalar oracles of the search paths.  Each is the plain
-// one-configuration-at-a-time loop over an Estimator that the batched
-// engines replaced; the engines must stay set-equal to them.  They are
+// one-configuration-at-a-time loop over an Estimator, without the
+// engines' buffer reuse, sharding and checkpoints; the engines must stay
+// set-equal to them.  They are
 // test-only so the production code keeps one way to search and enumerate.
 
 // refRandomSearch is the frozen scalar RS baseline: uniform random

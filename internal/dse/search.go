@@ -76,67 +76,44 @@ func (o SearchOptions) withDefaults() (SearchOptions, error) {
 // point converts an estimate to the minimized objective vector (−QoR, hw).
 func point(qor, hw float64) pareto.Point { return pareto.Point{-qor, hw} }
 
-// ctxCheckStride is how many estimator evaluations the hill climb runs
-// between context checks — cheap relative to an estimator call yet
-// frequent enough that cancellation lands within microseconds.
+// ctxCheckStride is how many estimator evaluations the hill climb and the
+// random search run between context checks — cheap relative to an
+// estimator call yet frequent enough that cancellation lands within
+// microseconds.
 const ctxCheckStride = 1024
 
-// estimateBatchSize is how many configurations the batched search loops
-// estimate per BatchEstimator call: large enough to amortize the batch
-// dispatch, small enough that the batch buffers stay cache-resident.
-const estimateBatchSize = 256
-
-// randomSearch is the paper's RS baseline and the body of the registered
-// "random" engine: uniform random configurations, drawn and estimated
-// estimateBatchSize at a time, filtered through the Pareto archive in draw
-// order.  Only payloads the archive accepts are copied out of the batch
-// buffer.  Cancellation and progress are checked between batches, which
-// consumes no rng draws.
-func randomSearch(ctx context.Context, s Space, est BatchEstimator, opt SearchOptions) (*pareto.Archive[[]int], error) {
+// randomSearch is the paper's RS baseline and the body of the "random"
+// engine: uniform random configurations, each drawn, estimated and offered
+// to the Pareto archive in draw order.  The draw is made into a reused
+// buffer and only configurations the archive accepts are copied out.
+// Cancellation and progress are checked every ctxCheckStride estimates,
+// which consumes no rng draws.
+func randomSearch(ctx context.Context, s Space, est Estimator, opt SearchOptions) (*pareto.Archive[[]int], error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return &pareto.Archive[[]int]{}, err
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	archive := &pareto.Archive[[]int]{}
-	cfgs, qor, hw := batchBuffers(len(s))
-	for done := 0; done < opt.Evaluations; {
-		if done > 0 {
+	cfg := make([]int, len(s))
+	for evals := 0; evals < opt.Evaluations; evals++ {
+		if evals > 0 && evals%ctxCheckStride == 0 {
 			if opt.Progress != nil {
-				opt.Progress(done, opt.Evaluations)
+				opt.Progress(evals, opt.Evaluations)
 			}
 			if err := ctx.Err(); err != nil {
 				return archive, err
 			}
 		}
-		n := min(opt.Evaluations-done, estimateBatchSize)
-		for j := 0; j < n; j++ {
-			s.RandomConfigInto(rng, cfgs[j])
+		s.RandomConfigInto(rng, cfg)
+		if pt := point(est(cfg)); !archive.Covered(pt) {
+			archive.Insert(pt, append([]int(nil), cfg...))
 		}
-		est(cfgs[:n], qor, hw)
-		for j := 0; j < n; j++ {
-			if pt := point(qor[j], hw[j]); !archive.Covered(pt) {
-				archive.Insert(pt, append([]int(nil), cfgs[j]...))
-			}
-		}
-		done += n
 	}
 	if opt.Progress != nil {
 		opt.Progress(opt.Evaluations, opt.Evaluations)
 	}
 	return archive, nil
-}
-
-// batchBuffers returns estimateBatchSize configuration slots of ops
-// operations over one flat buffer, plus the QoR and hw result slices a
-// BatchEstimator call fills.
-func batchBuffers(ops int) (cfgs [][]int, qor, hw []float64) {
-	buf := make([]int, estimateBatchSize*ops)
-	cfgs = make([][]int, estimateBatchSize)
-	for j := range cfgs {
-		cfgs[j] = buf[j*ops : (j+1)*ops]
-	}
-	return cfgs, make([]float64, estimateBatchSize), make([]float64, estimateBatchSize)
 }
 
 // ExhaustiveLimit caps the space size Exhaustive will enumerate.
@@ -147,8 +124,8 @@ const ExhaustiveLimit = 5e7
 //
 // The linearized odometer keyspace of m.Space is split into GOMAXPROCS
 // contiguous ranges, enumerated on par.Each.  Each range gets a private
-// m.BatchEstimator() — a BatchEstimator is not safe for concurrent use —
-// and a private sub-archive, and the sub-archives are merged in keyspace
+// m.Estimator() — an Estimator is not safe for concurrent use — and a
+// private sub-archive, and the sub-archives are merged in keyspace
 // order.  The result (points and payloads, including which of two
 // equal-scoring configurations is kept: the enumeration-earlier one) is
 // therefore identical to a sequential enumeration at every GOMAXPROCS.
@@ -170,7 +147,7 @@ func Exhaustive(m *Models) (*pareto.Archive[[]int], error) {
 		// near-limit spaces at high shard counts.
 		lo := int(int64(total) * int64(w) / int64(shards))
 		hi := int(int64(total) * int64(w+1) / int64(shards))
-		archives[w] = exhaustiveRange(s, m.BatchEstimator(), lo, hi)
+		archives[w] = exhaustiveRange(s, m.Estimator(), lo, hi)
 		return nil
 	})
 	if err := firstError(errs); err != nil {
@@ -193,39 +170,28 @@ func Exhaustive(m *Models) (*pareto.Archive[[]int], error) {
 
 // exhaustiveRange enumerates linear odometer indices [lo, hi) of the
 // configuration space (index 0 is the fastest-counting digit) into a fresh
-// archive.  The odometer fills a reusable buffer of estimateBatchSize
-// configurations, the whole buffer is estimated in one call, and the
-// results are filtered through the archive in enumeration order.
-// Accepted configurations are archived as copies — the archive must never
-// alias the reused buffer.
-func exhaustiveRange(s Space, est BatchEstimator, lo, hi int) *pareto.Archive[[]int] {
+// archive, estimating the odometer in place and offering each estimate to
+// the archive in enumeration order.  Accepted configurations are archived
+// as copies — the archive must never alias the odometer.
+func exhaustiveRange(s Space, est Estimator, lo, hi int) *pareto.Archive[[]int] {
 	archive := &pareto.Archive[[]int]{}
-	cfgs, qor, hw := batchBuffers(len(s))
 	cur := make([]int, len(s))
 	rem := lo
 	for i := range cur {
 		cur[i] = rem % len(s[i])
 		rem /= len(s[i])
 	}
-	for idx := lo; idx < hi; {
-		n := min(hi-idx, estimateBatchSize)
-		for j := 0; j < n; j++ {
-			copy(cfgs[j], cur)
-			for i := 0; i < len(cur); i++ { // odometer increment
-				cur[i]++
-				if cur[i] < len(s[i]) {
-					break
-				}
-				cur[i] = 0
-			}
+	for idx := lo; idx < hi; idx++ {
+		if pt := point(est(cur)); !archive.Covered(pt) {
+			archive.Insert(pt, append([]int(nil), cur...))
 		}
-		est(cfgs[:n], qor, hw)
-		for j := 0; j < n; j++ {
-			if pt := point(qor[j], hw[j]); !archive.Covered(pt) {
-				archive.Insert(pt, append([]int(nil), cfgs[j]...))
+		for i := range cur { // odometer increment
+			cur[i]++
+			if cur[i] < len(s[i]) {
+				break
 			}
+			cur[i] = 0
 		}
-		idx += n
 	}
 	return archive
 }

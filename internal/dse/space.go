@@ -61,7 +61,7 @@ func (s Space) RandomConfig(rng *rand.Rand) []int {
 }
 
 // RandomConfigInto is RandomConfig writing into dst (length len(s)) — the
-// allocation-free variant used by the batched search loops.  It consumes
+// allocation-free variant used by the random search and nsga2.  It consumes
 // exactly the same rng draws as RandomConfig.
 func (s Space) RandomConfigInto(rng *rand.Rand, dst []int) []int {
 	dst = dst[:len(s)]

@@ -161,7 +161,7 @@ func AblationStagnation(w io.Writer, s Setup) error {
 	return s.writeCSV("ablation_stagnation.csv", []string{"k", "pareto", "from_avg", "from_max"}, csv)
 }
 
-// AblationEngines compares every registered search engine on the capped
+// AblationEngines compares every search engine on the capped
 // Sobel space at the largest Table 4 budget: front size and distance from
 // the exhaustive optimum, all engines seeing identical models and seed.
 func AblationEngines(w io.Writer, s Setup) error {

@@ -12,8 +12,8 @@ package expt
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -51,8 +51,8 @@ type Setup struct {
 	Scale  Scale
 	Seed   int64
 	OutDir string // CSV destination; empty disables file output
-	// SearchEngine names the registered dse engine driving the model-based
-	// searches (pipelines, Table 4, stagnation ablation).  Empty selects
+	// SearchEngine names the dse engine driving the model-based searches
+	// (pipelines, Table 4, stagnation ablation).  Empty selects
 	// dse.DefaultEngineName — the paper's hill climber.
 	SearchEngine string
 }
@@ -239,29 +239,10 @@ func (s Setup) writeCSV(name string, header []string, rows [][]string) error {
 		return err
 	}
 	defer f.Close()
-	write := func(fields []string) error {
-		for i, v := range fields {
-			if i > 0 {
-				if _, err := io.WriteString(f, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(f, v); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(f, "\n")
+	if err := csv.NewWriter(f).WriteAll(append([][]string{header}, rows...)); err != nil {
 		return err
 	}
-	if err := write(header); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := write(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Close()
 }
 
 func ftoa(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }

@@ -30,9 +30,6 @@ const (
 // duration fields are zero-means-default; negative values disable the
 // mechanism where that is meaningful.
 type Options struct {
-	// ShardTimeout bounds each dispatch attempt.  0 means no per-attempt
-	// bound (the Search context still governs end to end).
-	ShardTimeout time.Duration
 	// Retries is the number of re-dispatches allowed per shard after its
 	// first failed attempt.  0 means DefaultRetries; negative means a
 	// single attempt per shard.
@@ -309,17 +306,12 @@ func (c *Coordinator) runWorker(ctx context.Context, w Worker, states []*shardSt
 }
 
 // runAttempt executes one dispatch attempt: fault injection first, then
-// the worker, under the per-attempt timeout when configured.
+// the worker.
 func (c *Coordinator) runAttempt(ctx context.Context, w Worker, spec ShardSpec, idx, attempt int) (*ShardResult, error) {
 	if c.Opts.FaultInject != nil {
 		if err := c.Opts.FaultInject(w.Name(), idx, attempt); err != nil {
 			return nil, err
 		}
-	}
-	if c.Opts.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Opts.ShardTimeout)
-		defer cancel()
 	}
 	span := obs.Default().StartSpanIn(shardLatency)
 	res, err := w.RunShard(ctx, spec)

@@ -40,7 +40,7 @@ type ShardSpec struct {
 	// (acl.CanonicalKey); workers resolve it against their own cache and
 	// reject shards for libraries they have never built.
 	LibraryHash string `json:"libraryHash"`
-	// Engine is the dse engine registry name; empty means the default.
+	// Engine is the dse engine name; empty means the default.
 	Engine string `json:"engine,omitempty"`
 	// Seed is the engine seed for this shard, normally derived by
 	// Partition via dse.DeriveSeed so sibling shards draw decorrelated
@@ -78,7 +78,7 @@ func (s ShardSpec) Validate() error {
 }
 
 // normalized validates the spec and resolves the empty engine name to the
-// registry default, so seed derivation and cache keys never depend on the
+// default engine, so seed derivation and cache keys never depend on the
 // spelling.
 func (s ShardSpec) normalized() (ShardSpec, error) {
 	if err := s.Validate(); err != nil {
@@ -152,7 +152,7 @@ type Slice struct {
 // double-counting an evaluation) and the seed
 // dse.DeriveSeed(engine, "fleet/shard/i", seed), so sibling shards explore
 // decorrelated streams while remaining individually reproducible.  engine
-// must be the registry name spelled out (never empty), and
+// must be the engine name spelled out (never empty), and
 // 0 < n <= total.
 func Split(engine string, seed int64, total, n int) []Slice {
 	out := make([]Slice, n)

@@ -75,7 +75,7 @@ func TestRandomForestFitParallelDeterministic(t *testing.T) {
 }
 
 // TestCompiledForestMatchesPredict pins the full table estimate (Reset,
-// the per-configuration path of Estimator and BatchEstimator)
+// the per-configuration path of Estimator)
 // bit-identical to the tree-walking RandomForest.Predict on a fitted
 // forest, at random configurations and at every training point.  (It
 // keeps the name of the compiled forest the tables replaced.)
