@@ -451,6 +451,28 @@ func BenchmarkHillClimb1k(b *testing.B) {
 	}
 }
 
+// BenchmarkHillClimb50k measures one 5·10⁴-estimate hill climb over the
+// Sobel reduced space with trained models: the budget of one of
+// core.Pipeline.ExploreContext's independent climbs, so the unit a
+// pipeline job with 10⁵ estimates runs twice.  Most of its moves are
+// rejected from a parent that many moves share, the pattern
+// ml.TableScorer's per-parent rest masks serve.
+func BenchmarkHillClimb50k(b *testing.B) {
+	s := benchSetup(b)
+	pipe, err := s.Pipeline("sobel")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dse.RunEngine(ctx, "hillclimb", pipe.Models,
+			dse.SearchOptions{Evaluations: 50000, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNSGA2Gen1k measures a 1000-evaluation NSGA-II run over the
 // Sobel reduced space with trained models — the population engine's
 // generation loop (sharded scoring, non-dominated sort, crowding,

@@ -10,9 +10,13 @@ import (
 )
 
 // scorer is one model as the estimators and the incremental hill climb
-// call it: Reset scores a configuration from scratch, Move re-scores it
-// with operation k re-assigned to circuit c, and Accept/Reject resolve
-// the move.  ml.TableScorer implements it for forests.
+// call it: Reset scores a configuration from scratch and makes it the
+// current point, Move scores the current point with operation k
+// re-assigned to circuit c, Accept makes that the current point and
+// Reject drops it.  ml.TableScorer implements it for forests: a Move
+// costs one AND per tree that tests operation k, against rest masks it
+// builds once per (current point, k), and a Reject restores nothing but
+// the row and the score.
 type scorer interface {
 	Reset(cfg []int) float64
 	Move(k, c int) float64
@@ -56,10 +60,12 @@ func (p *fullPredictor) Reject() { p.cfg[p.k] = p.old }
 // (the frozen refHillClimb oracle), but avoids that loop's per-iteration
 // costs: the one-operation neighbour move re-assigns the parent in place
 // (undoing it on reject), forest-backed models score through
-// ml.TableScorer (only the trees that test the moved operation are
-// re-reached in the leaf tables, with undo-on-reject), the candidate
-// configuration is materialized only when the archive accepts it, and no
-// per-iteration allocations are performed outside archive growth.
+// ml.TableScorer (the parent's rest masks for the moved operation are
+// ANDed with the new circuit's masks, one AND per tree, and reused by
+// every later move of that operation from the same parent; a reject
+// restores only the row and the score), the candidate configuration is
+// materialized only when the archive accepts it, and no per-iteration
+// allocations are performed outside archive growth.
 func (m *Models) hillClimb(ctx context.Context, opt SearchOptions) (*pareto.Archive[[]int], error) {
 	opt, err := opt.withDefaults()
 	if err != nil {

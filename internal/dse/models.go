@@ -86,11 +86,13 @@ func newScorer(lt *ml.LeafTables, r ml.Regressor, features func([]int, []float64
 }
 
 // Estimator returns the fast configuration estimator backed by the models.
-// The estimator owns its scorers' state — one call performs zero
-// allocations — so it is NOT safe for concurrent use; call Estimator()
-// once per goroutine.  Random-forest models score through leaf tables
-// built once per Models (see ml.LeafTables): one AND per tree and
-// operation instead of a walk of each of 100 trees.
+// The estimator owns its scorers' state, so it is NOT safe for
+// concurrent use; call Estimator() once per goroutine.  Random-forest
+// models score through leaf tables built once per Models (see
+// ml.LeafTables): one AND per tree and operation instead of a walk of
+// each of 100 trees, and no allocation per call.  Other engines score
+// through their own Predict, which may allocate (KNN, MLP and the
+// feature scaler do on every call).
 func (m *Models) Estimator() Estimator {
 	qor, hw := m.scorers()
 	return func(cfg []int) (float64, float64) { return qor.Reset(cfg), hw.Reset(cfg) }

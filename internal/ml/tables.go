@@ -250,38 +250,70 @@ func (lt *LeafTables) checkChoice(g, c int) {
 
 // TableScorer scores choice vectors over leaf tables: Reset scores one
 // from scratch, one AND per tree, and Move re-scores it with one group's
-// choice replaced — the access pattern of Algorithm 1's hill climb.  It
-// caches the leaf every tree reaches.  A Move of group g re-reaches only
-// the trees that test g and whose cached leaf the new choice's mask
-// excludes: while the mask keeps the leaf, the AND with the unchanged
-// groups' masks still has that one bit.  Reject restores them.  Every
-// score is bit-identical to RandomForest.Predict on the features the
-// choices select.  After warm-up no method allocates.  Not safe for
+// choice replaced — the access pattern of Algorithm 1's hill climb, which
+// tries many moves from one parent and accepts few.
+//
+// For a group g, a tree's rest mask is the AND of its masks for every
+// group but g at the current point.  The first Move of g after a Reset
+// or an Accept builds g's rest masks; every later Move of g from the
+// same point reuses them.  A Move then makes one pass over the trees in
+// tree order: a tree that tests g reaches the lowest set bit of its rest
+// mask ANDed with the new choice's row, found without a data-dependent
+// branch, and a tree that does not test g keeps its cached leaf value.
+// Move leaves the current point alone, so Reject only restores the row
+// and the score; Accept adopts the Move's leaf values and drops the
+// other groups' rest masks, which depended on g's old choice.
+//
+// Every score is bit-identical to RandomForest.Predict on the features
+// the choices select.  After warm-up no method allocates.  Not safe for
 // concurrent use; draw one per goroutine (the tables are shared).
 type TableScorer struct {
 	lt    *LeafTables
-	rows  []int     // rows[g]: offset of the current choice's row in group g's block
-	leaf  []int     // per tree: the leaf reached at the current point
-	value []float64 // per tree: that leaf's value
-	undo  []leafUndo
-	group int // the pending Move's group, or -1
-	row   int // the pending Move's group's previous row
+	rows  []int        // rows[g]: offset of the current choice's row in group g's block
+	value []float64    // per tree: the value of the leaf reached at the current point
+	next  []float64    // per tree: the value of the leaf reached at the pending Move's point
+	steps [][]moveStep // steps[g]: one per tree, in tree order
+	rest  []uint64     // rest masks, group by group, each group's testers in tree order
+	fresh []bool       // fresh[g]: group g's rest masks are those of the current point
+	group int          // the pending Move's group, or -1
+	row   int          // the pending Move's group's previous row
 	score float64
 	prev  float64 // the score before the pending Move
 }
 
-// leafUndo is one tree's leaf before the pending Move.
-type leafUndo struct{ tree, leaf int }
+// moveStep is one tree's part in a Move of one group.  A tree that does
+// not test the group has width 0; otherwise word j of its rest mask is
+// rest[rest+j], word j of its mask for choice c is words[off+c*stride+j]
+// and values[leaf] is its leaf 0.
+type moveStep struct {
+	off, rest, leaf, width int
+}
 
 // NewScorer returns a scorer over the tables.
 func (lt *LeafTables) NewScorer() *TableScorer {
-	return &TableScorer{
+	nGroups, nTrees := len(lt.choices), len(lt.trees)
+	s := &TableScorer{
 		lt:    lt,
-		rows:  make([]int, len(lt.choices)),
-		leaf:  make([]int, len(lt.trees)),
-		value: make([]float64, len(lt.trees)),
+		rows:  make([]int, nGroups),
+		value: make([]float64, nTrees),
+		next:  make([]float64, nTrees),
+		steps: make([][]moveStep, nGroups),
+		fresh: make([]bool, nGroups),
 		group: -1,
 	}
+	flat := make([]moveStep, nGroups*nTrees)
+	rest := 0
+	for g, ts := range lt.testers {
+		steps := flat[g*nTrees : (g+1)*nTrees]
+		for _, u := range ts {
+			tr := &lt.trees[u.tree]
+			steps[u.tree] = moveStep{off: u.off, rest: rest, leaf: tr.leaf, width: tr.width}
+			rest += tr.width
+		}
+		s.steps[g] = steps
+	}
+	s.rest = make([]uint64, rest)
+	return s
 }
 
 // Reset scores choice from scratch (choice[g] is group g's choice) and
@@ -293,8 +325,9 @@ func (s *TableScorer) Reset(choice []int) float64 {
 		s.rows[g] = c * lt.strides[g]
 	}
 	for t := range lt.trees {
-		s.setLeaf(t, s.reach(t))
+		s.value[t] = lt.values[lt.trees[t].leaf+s.reach(t)]
 	}
+	clear(s.fresh)
 	s.group = -1
 	s.score = s.sum()
 	return s.score
@@ -306,38 +339,95 @@ func (s *TableScorer) Reset(choice []int) float64 {
 func (s *TableScorer) Move(g, c int) float64 {
 	lt := s.lt
 	lt.checkChoice(g, c)
+	if !s.fresh[g] {
+		s.restMasks(g)
+	}
 	s.group, s.row = g, s.rows[g]
 	row := c * lt.strides[g]
 	s.rows[g] = row
-	s.undo = s.undo[:0]
-	for _, ts := range lt.testers[g] {
-		l := s.leaf[ts.tree]
-		if lt.words[ts.off+row+l/64]&(1<<(l%64)) != 0 {
-			continue // the new choice keeps the tree's leaf
+	words, values, rest, next := lt.words, lt.values, s.rest, s.next
+	var v float64
+	for t, st := range s.steps[g] {
+		var x float64
+		switch st.width {
+		case 0:
+			x = s.value[t]
+		case 1:
+			x = values[st.leaf+bits.TrailingZeros64(rest[st.rest]&words[st.off+row])]
+		case 2:
+			// The leaf is bit t0 of word 0, or bit t1 of word 1 when word
+			// 0 is empty (t0 = 64).
+			m := words[st.off+row : st.off+row+2]
+			t0 := bits.TrailingZeros64(rest[st.rest] & m[0])
+			t1 := bits.TrailingZeros64(rest[st.rest+1] & m[1])
+			x = values[st.leaf+t0+(t0>>6)*t1]
+		default:
+			x = values[st.leaf+lowestBit(rest[st.rest:st.rest+st.width], words[st.off+row:])]
 		}
-		s.undo = append(s.undo, leafUndo{ts.tree, l})
-		s.setLeaf(ts.tree, s.reach(ts.tree))
+		next[t] = x
+		v += x
 	}
 	s.prev = s.score
-	if len(s.undo) > 0 {
-		s.score = s.sum()
-	}
+	s.score = v / lt.nTrees
 	return s.score
 }
 
 // Accept commits the last Move.
-func (s *TableScorer) Accept() { s.group = -1 }
+func (s *TableScorer) Accept() {
+	if g := s.group; g >= 0 {
+		s.value, s.next = s.next, s.value
+		// Every other group's rest masks hold g's old choice; g's own
+		// never did.
+		clear(s.fresh)
+		s.fresh[g] = true
+	}
+	s.group = -1
+}
 
 // Reject rolls the last Move back.
 func (s *TableScorer) Reject() {
 	if s.group >= 0 {
-		for _, u := range s.undo {
-			s.setLeaf(u.tree, u.leaf)
-		}
 		s.rows[s.group] = s.row
 		s.score = s.prev
 	}
 	s.group = -1
+}
+
+// restMasks builds group g's rest masks at the current point.
+func (s *TableScorer) restMasks(g int) {
+	lt := s.lt
+	steps := s.steps[g]
+	for _, u := range lt.testers[g] {
+		tr := &lt.trees[u.tree]
+		st := steps[u.tree]
+		r := s.rest[st.rest : st.rest+st.width]
+		for j := range r {
+			r[j] = ^uint64(0)
+		}
+		for _, tm := range tr.terms {
+			if tm.group == g {
+				continue
+			}
+			w := lt.words[tm.off+s.rows[tm.group]:]
+			for j := range r {
+				r[j] &= w[j]
+			}
+		}
+	}
+	s.fresh[g] = true
+}
+
+// lowestBit returns the index of the lowest set bit of rest AND row,
+// word by word, without a data-dependent branch: t counts the zero bits
+// below it, and empty stays 1 while every word so far was empty.
+func lowestBit(rest, row []uint64) int {
+	t, empty := 0, 1
+	for j, r := range rest {
+		z := bits.TrailingZeros64(r & row[j])
+		t += empty * z
+		empty &= z >> 6
+	}
+	return t
 }
 
 // reach returns the leaf tree t reaches at the current point: the lowest
@@ -356,11 +446,6 @@ func (s *TableScorer) reach(t int) int {
 		}
 	}
 	panic("ml: leaf tables: no leaf reached")
-}
-
-func (s *TableScorer) setLeaf(t, l int) {
-	s.leaf[t] = l
-	s.value[t] = s.lt.values[s.lt.trees[t].leaf+l]
 }
 
 // sum adds the cached leaf values in tree order and divides once, as

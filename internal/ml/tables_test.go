@@ -279,6 +279,117 @@ func fittedTableCase(seed int64, nGroups, perGroup, choices, samples, trees int)
 	return c, train
 }
 
+// checkClimbPattern drives a scorer the way the hill climb does and
+// compares every score with RandomForest.Predict bit for bit: runs of 50
+// Moves from one parent, each accepted with probability 1/50 and
+// otherwise rejected, bursts of Moves of one group, Moves to the current
+// choice, a Move of the same group and one of another group right after
+// every Accept, and a Reset between runs.  It returns the number of
+// Accepts made.
+func checkClimbPattern(c tableCase, lt *LeafTables, nGroups int, seed int64) (int, error) {
+	rng := rand.New(rand.NewSource(seed))
+	s := lt.NewScorer()
+	accepts := 0
+	var choice []int
+	// move scores choice with group g moved to v, then rejects the Move
+	// unless accept is set.
+	move := func(what string, g, v int, accept bool) error {
+		old := choice[g]
+		choice[g] = v
+		got := s.Move(g, v)
+		if want := c.rf.Predict(c.features(choice)); math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("%s: Move(%d, %d) at %v: scorer %v, Predict %v", what, g, v, choice, got, want)
+		}
+		if accept {
+			s.Accept()
+			accepts++
+			return nil
+		}
+		s.Reject()
+		choice[g] = old
+		return nil
+	}
+	for run := 0; run < 8; run++ {
+		choice = c.randomChoice(rng, nGroups)
+		got, want := s.Reset(choice), c.rf.Predict(c.features(choice))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			return accepts, fmt.Errorf("run %d: Reset at %v: scorer %v, Predict %v", run, choice, got, want)
+		}
+		for step := 0; step < 50; step++ {
+			what := fmt.Sprintf("run %d, step %d", run, step)
+			g := rng.Intn(nGroups)
+			burst := 1
+			if rng.Intn(4) == 0 {
+				burst = 2 + rng.Intn(4)
+			}
+			for ; burst > 0; burst-- {
+				v := rng.Intn(len(c.values[c.firstFeature(g)]))
+				if rng.Intn(10) == 0 {
+					v = choice[g]
+				}
+				accept := rng.Intn(50) == 0
+				if err := move(what, g, v, accept); err != nil {
+					return accepts, err
+				}
+				if !accept {
+					continue
+				}
+				h := g
+				if nGroups > 1 {
+					h = (g + 1 + rng.Intn(nGroups-1)) % nGroups
+				}
+				for _, k := range []int{g, h} {
+					if err := move(what+" after Accept", k, rng.Intn(len(c.values[c.firstFeature(k)])), false); err != nil {
+						return accepts, err
+					}
+				}
+			}
+		}
+	}
+	return accepts, nil
+}
+
+// TestLeafTablesClimbPattern pins the table scorer to
+// RandomForest.Predict, bit for bit, under the hill climb's access
+// pattern (see checkClimbPattern): over the generated layouts and
+// forests of TestLeafTablesOracle, and over fitted forests shaped like
+// the Sobel models, 100 trees of one to three mask words over five
+// groups.
+func TestLeafTablesClimbPattern(t *testing.T) {
+	type namedCase struct {
+		name    string
+		c       tableCase
+		nGroups int
+	}
+	var cases []namedCase
+	for seed := int64(1); seed <= 150; seed++ {
+		c, nGroups := genTableCase(seed)
+		cases = append(cases, namedCase{fmt.Sprintf("generated seed %d", seed), c, nGroups})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		c, _ := fittedTableCase(seed+200, 5, 3, 8+4*int(seed), 200, 100)
+		cases = append(cases, namedCase{fmt.Sprintf("fitted seed %d", seed), c, 5})
+	}
+	accepts, wide := 0, false
+	for i, nc := range cases {
+		lt, err := nc.c.rf.LeafTables(nc.c.group, nc.c.values)
+		if err != nil {
+			t.Fatalf("%s: %v", nc.name, err)
+		}
+		for _, tr := range lt.trees {
+			wide = wide || (tr.width == 2 && len(tr.terms) == 5)
+		}
+		n, err := checkClimbPattern(nc.c, lt, nc.nGroups, int64(i))
+		if err != nil {
+			t.Fatalf("%s: %v", nc.name, err)
+		}
+		accepts += n
+	}
+	if accepts < 100 || !wide {
+		t.Fatalf("sequences made %d Accepts (want ≥ 100), two-word trees testing five groups %v", accepts, wide)
+	}
+}
+
 // TestIncrementalPredictorMatchesPredict drives seeded Reset/Move/
 // Accept/Reject sequences on fitted forests, the hill climb's use of the
 // table scorer, and demands every score equal RandomForest.Predict bit
