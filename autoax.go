@@ -108,8 +108,8 @@ type (
 	// ProgramDir is an open compiled-program directory, shared by every
 	// evaluator and pipeline over it (see OpenProgramDir).
 	ProgramDir = accel.ProgramDir
-	// ProgramCacheStats reports compiled-program cache effectiveness,
-	// including the disk tier's hit/self-heal counters.
+	// ProgramCacheStats counts an evaluator's compiles (Misses) and its
+	// program-directory loads (Hits) and self-heals.
 	ProgramCacheStats = accel.ProgramCacheStats
 	// Pipeline runs the three-step autoAx methodology.
 	Pipeline = core.Pipeline
@@ -385,10 +385,10 @@ func NewEvaluator(app *ImageApp, images []*Image) (*Evaluator, error) {
 
 // OpenProgramDir opens a persistent compiled-program directory; open it
 // once per directory and share the handle.  A zero-Dir config returns
-// nil, the in-memory cache only.  Programs are written best-effort by a
-// background writer, off the evaluation path: call the handle's Flush
-// before the process exits, or before another handle opens the
-// directory, so every queued program reaches the disk.
+// nil: evaluators then compile every configuration.  Programs are
+// written best-effort by a background writer, off the evaluation path:
+// call the handle's Flush before the process exits, or before another
+// handle opens the directory, so every queued program reaches the disk.
 func OpenProgramDir(cfg ProgramCacheConfig) (*ProgramDir, error) {
 	return accel.OpenProgramDir(cfg)
 }

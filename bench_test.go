@@ -357,45 +357,6 @@ func BenchmarkEvaluateAll(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateAllCached measures a precise-evaluation batch in which
-// configurations repeat — the DSE steady state (train/test overlap,
-// Pareto-set re-evaluation, duplicate draws in small spaces) — so the
-// shared compiled-program cache amortizes Flatten+Simplify+Compile
-// across the batch instead of redoing it per configuration.
-func BenchmarkEvaluateAllCached(b *testing.B) {
-	lib, err := autoax.BuildLibrary([]autoax.LibrarySpec{
-		{Op: autoax.OpAdd(8), Count: 12},
-		{Op: autoax.OpAdd(9), Count: 12},
-		{Op: autoax.OpSub(10), Count: 10},
-	}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	app := apps.Sobel()
-	ev, err := accel.NewEvaluator(app, imagedata.BenchmarkSet(2, 64, 48, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ops := app.Graph.OpNodes()
-	space := make(dse.Space, len(ops))
-	for i, id := range ops {
-		space[i] = lib.For(app.Graph.Nodes[id].Op)
-	}
-	// 4 distinct configurations repeated 4× each: 16 evaluations, 4
-	// synthesis runs once the cache is warm.
-	distinct := space.RandomConfigs(4, 3)
-	var cfgs [][]int
-	for r := 0; r < 4; r++ {
-		cfgs = append(cfgs, distinct...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dse.EvaluateAll(context.Background(), ev, space, cfgs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkModelEstimate measures one model-based configuration estimate —
 // the paper's "0.01 s per configuration" counterpart (random forest, both
 // models).

@@ -192,7 +192,7 @@ func runServe(args []string) error {
 	cacheMemMB := fs.Int64("cache-mem-mb", 0, "in-memory artifact cache budget in MiB; LRU entries are evicted beyond it (0 = unbounded)")
 	cacheDiskMB := fs.Int64("cache-disk-mb", 0, "on-disk artifact cache budget in MiB; least-recently-used files are deleted beyond it (0 = unbounded; needs -cache-dir)")
 	cacheDiskTTL := fs.Duration("cache-disk-ttl", 0, "on-disk artifact expiry: cache files idle longer than this are deleted (0 = never; needs -cache-dir)")
-	progCacheDir := fs.String("progcache-dir", "", "directory persisting compiled accelerator programs across restarts; writes are best-effort, happen off the request path and are flushed on shutdown (empty = memory only)")
+	progCacheDir := fs.String("progcache-dir", "", "directory persisting compiled accelerator programs across restarts; writes are best-effort, happen off the request path and are flushed on shutdown (empty = compile every configuration)")
 	progCacheMB := fs.Int64("progcache-mb", 0, "compiled-program directory budget in MiB; least-recently-used entries are deleted beyond it (0 = default 256 MiB; needs -progcache-dir)")
 	progCacheTTL := fs.Duration("progcache-ttl", 0, "compiled-program expiry: entries idle longer than this are deleted (0 = never; needs -progcache-dir)")
 	journalDir := fs.String("journal-dir", "", "directory for the write-ahead job journal: accepted jobs survive a crash and replay on restart under their original IDs (empty = jobs die with the process)")

@@ -5,6 +5,7 @@ import (
 
 	"autoax/internal/imagedata"
 	"autoax/internal/netlist"
+	"autoax/internal/obs"
 	"autoax/internal/pmf"
 	"autoax/internal/ssim"
 )
@@ -173,10 +174,7 @@ type evalShared struct {
 
 	headBits int // number of tap bit-planes
 
-	// progs caches Flatten+Simplify+Compile per configuration, keyed by
-	// the structural hashes of the selected circuits; shared by all
-	// clones (internally synchronized, per-key singleflight).
-	progs *programCache
+	progs *programStore // program directory and compile counters
 }
 
 // Evaluator performs precise (simulation + synthesis) evaluation of
@@ -198,12 +196,14 @@ type Evaluator struct {
 	outVals     [netlist.BlockWords * 64]uint64 // unpacked output lanes
 	progScratch []uint64                        // compiled-program value slots
 	progOut     []uint64                        // compiled-program outputs
+	outImgs     []*imagedata.Image              // approximate output per image
 
 	// Metric scores an approximate output image against the exact
 	// reference (higher = better).  Defaults to SSIM, the paper's QoR;
 	// ssim.PSNR is the drop-in alternative the paper mentions.  A custom
 	// Metric must be safe for concurrent use when clones evaluate in
-	// parallel (pure functions like SSIM and PSNR are).
+	// parallel (pure functions like SSIM and PSNR are), and must not
+	// retain approx: the evaluator reuses that image for the next output.
 	Metric func(exact, approx *imagedata.Image) float64
 }
 
@@ -216,6 +216,10 @@ func (e *Evaluator) Clone() *Evaluator {
 	c.inBuf = make([]uint64, len(e.inBuf))
 	c.progScratch = nil // grown per configuration inside Evaluate
 	c.progOut = nil
+	c.outImgs = make([]*imagedata.Image, len(e.outImgs))
+	for i, im := range e.outImgs {
+		c.outImgs[i] = imagedata.New(im.W, im.H)
+	}
 	return &c
 }
 
@@ -241,7 +245,7 @@ func NewEvaluator(app *ImageApp, images []*imagedata.Image) (*Evaluator, error) 
 	sh := &evalShared{
 		gp:       compileGraph(app.Graph),
 		headBits: 8 * len(app.Taps),
-		progs:    newProgramCache(DefaultProgramCacheEntries),
+		progs:    &programStore{},
 	}
 	e := &Evaluator{App: app, Images: images, shared: sh, Metric: ssim.SSIM}
 
@@ -260,7 +264,9 @@ func NewEvaluator(app *ImageApp, images []*imagedata.Image) (*Evaluator, error) 
 	vals := make([]uint64, W*64)
 	sh.planes = make([][][]uint64, len(images))
 	sh.laneCount = make([][]int, len(images))
+	e.outImgs = make([]*imagedata.Image, len(images))
 	for ii, im := range images {
+		e.outImgs[ii] = imagedata.New(im.W, im.H)
 		total := im.W * im.H
 		nb := (total + W*64 - 1) / (W * 64)
 		sh.planes[ii] = make([][]uint64, nb)
@@ -309,11 +315,11 @@ func NewEvaluator(app *ImageApp, images []*imagedata.Image) (*Evaluator, error) 
 	return e, nil
 }
 
-// NewEvaluatorWithCache is NewEvaluator with a persistent compiled-
-// program tier: synthesized artifacts are also written to dir, and a
-// fresh evaluator (e.g. after a server restart) over the same circuits
-// decodes them instead of re-running Flatten+Simplify+Compile.  A nil
-// dir degrades to the in-memory cache only.
+// NewEvaluatorWithCache is NewEvaluator over a program directory:
+// compiled artifacts are also written to dir, and a fresh evaluator
+// (e.g. after a server restart) over the same circuits decodes them
+// instead of re-running Flatten+Simplify+Compile.  A nil dir compiles
+// every configuration, like NewEvaluator.
 func NewEvaluatorWithCache(app *ImageApp, images []*imagedata.Image, dir *ProgramDir) (*Evaluator, error) {
 	e, err := NewEvaluator(app, images)
 	if err != nil {
@@ -323,16 +329,16 @@ func NewEvaluatorWithCache(app *ImageApp, images []*imagedata.Image, dir *Progra
 	return e, nil
 }
 
-// Precompile synthesizes (or loads from the persistent tier) cfg's
-// compiled artifact without evaluating it, warming both cache tiers.
+// Precompile compiles cfg, or loads it from the program directory,
+// without evaluating it: with a directory it warms the directory.
 func (e *Evaluator) Precompile(cfg Configuration) error {
 	_, err := e.compiled(cfg)
 	return err
 }
 
 // Synthesize flattens and simplifies cfg's netlist: the accelerator-level
-// synthesis step.  It always synthesizes fresh; Evaluate goes through the
-// shared compiled-program cache instead.
+// synthesis step.  It always synthesizes fresh; Evaluate first tries the
+// program directory, when there is one.
 func (e *Evaluator) Synthesize(cfg Configuration) (*netlist.Netlist, error) {
 	flat, err := Flatten(e.App.Graph, cfg)
 	if err != nil {
@@ -341,30 +347,49 @@ func (e *Evaluator) Synthesize(cfg Configuration) (*netlist.Netlist, error) {
 	return netlist.Simplify(flat), nil
 }
 
-// ProgramCacheStats snapshots the shared compiled-program cache counters.
-func (e *Evaluator) ProgramCacheStats() ProgramCacheStats { return e.shared.progs.stats() }
+// ProgramCacheStats snapshots the counters shared with the clones.
+func (e *Evaluator) ProgramCacheStats() ProgramCacheStats {
+	ps := e.shared.progs
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.st
+}
 
-// compiled returns cfg's simplified netlist and compiled program, served
-// from the shared program cache when possible.  Cached artifacts are
-// read-only and shared across clones; configurations selecting
-// structurally identical circuits (even under different names) share one
-// entry, so re-evaluating a Pareto set or overlapping batches amortizes
-// Flatten+Simplify+Compile instead of redoing it per call.
+// compiled returns cfg's simplified netlist and compiled program: loaded
+// from the program directory when it holds them, compiled (and queued for
+// the directory) otherwise.  Structurally identical circuits share one
+// directory entry, even under different names.
 func (e *Evaluator) compiled(cfg Configuration) (compiledConfig, error) {
-	build := func() (compiledConfig, error) {
-		simp, err := e.Synthesize(cfg)
-		if err != nil {
-			return compiledConfig{}, err
-		}
-		return compiledConfig{simp: simp, prog: netlist.Compile(simp)}, nil
-	}
-	pc := e.shared.progs
-	// Key the tuple only for configurations the graph accepts — keying
-	// would index nil or mismatched circuits otherwise.
+	// Check first: keying indexes every circuit of the tuple.
 	if err := CheckConfiguration(e.App.Graph, cfg); err != nil {
 		return compiledConfig{}, err
 	}
-	return pc.get(pc.configKey(cfg), build)
+	ps := e.shared.progs
+	var key string
+	if ps.disk != nil {
+		key = ps.configKey(cfg)
+		art, ok, healed := ps.disk.load(key)
+		if healed {
+			ps.count(&ps.st.SelfHeals, progDiskSelfHeals)
+		}
+		if ok {
+			ps.count(&ps.st.Hits, progHits)
+			return art, nil
+		}
+	}
+	ps.count(&ps.st.Misses, progMisses)
+	span := obs.Default().StartSpanIn(progCompile)
+	simp, err := e.Synthesize(cfg)
+	if err != nil {
+		span.Finish()
+		return compiledConfig{}, err
+	}
+	art := compiledConfig{simp: simp, prog: netlist.Compile(simp)}
+	span.Finish()
+	if ps.disk != nil {
+		ps.disk.store(key, art)
+	}
+	return art, nil
 }
 
 // Evaluate performs the full precise analysis of one configuration:
@@ -396,8 +421,7 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 	var activityLanes []int
 	for si := range e.App.Sims {
 		copy(e.inBuf[headWords:], sh.simPlanes[si])
-		for ii, im := range e.Images {
-			out := imagedata.New(im.W, im.H)
+		for ii, out := range e.outImgs {
 			for b, plane := range sh.planes[ii] {
 				copy(e.inBuf[:headWords], plane)
 				res := prog.EvalBlock(e.inBuf, e.progScratch, e.progOut)

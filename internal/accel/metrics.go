@@ -2,19 +2,18 @@ package accel
 
 import "autoax/internal/obs"
 
-// Process-wide mirrors of the compiled-program cache counters.  Each
-// Evaluator's cache keeps its own exact stats (ProgramCacheStats); these
-// aggregate across every cache in the process so the /v1/metrics snapshot
-// covers the compiled-program tier without enumerating evaluators.
+// Process-wide mirrors of the compiled-program counters.  Each
+// Evaluator keeps its own exact stats (ProgramCacheStats); these
+// aggregate across every evaluator in the process so the /v1/metrics
+// snapshot covers compiles and the program directory without
+// enumerating evaluators.
 var (
-	progHits      = obs.Default().Counter("autoax_progcache_hits_total")
-	progMisses    = obs.Default().Counter("autoax_progcache_misses_total")
-	progCoalesced = obs.Default().Counter("autoax_progcache_coalesced_total")
-	progEvictions = obs.Default().Counter("autoax_progcache_evictions_total")
+	// progHits counts programs loaded from a program directory, the only
+	// way an evaluation skips a compile; progMisses counts compiles.
+	progHits   = obs.Default().Counter("autoax_progcache_hits_total")
+	progMisses = obs.Default().Counter("autoax_progcache_misses_total")
 
-	// Persistent (disk) tier of the compiled-program cache.
-	progDiskHits      = obs.Default().Counter("autoax_progcache_disk_hits_total")
-	progDiskMisses    = obs.Default().Counter("autoax_progcache_disk_misses_total")
+	// Program directory upkeep.
 	progDiskSelfHeals = obs.Default().Counter("autoax_progcache_disk_selfheals_total")
 	progDiskEvictions = obs.Default().Counter("autoax_progcache_disk_evictions_total")
 	progDiskExpired   = obs.Default().Counter("autoax_progcache_disk_expired_total")
@@ -23,8 +22,7 @@ var (
 	progDiskDropped  = obs.Default().Counter("autoax_progcache_disk_dropped_total")
 	progKeyEvictions = obs.Default().Counter("autoax_progcache_key_evictions_total")
 
-	// progCompile records the wall time of each cache-miss build
-	// (Flatten+Simplify+Compile), the dominant cost the cache exists to
-	// avoid.
+	// progCompile records the wall time of each compile
+	// (Flatten+Simplify+Compile), the cost a program directory saves.
 	progCompile = obs.Default().Histogram("autoax_progcache_compile_us", obs.DefaultLatencyBuckets)
 )

@@ -12,8 +12,8 @@ import (
 	"autoax/internal/store"
 )
 
-// ProgramCacheConfig configures the persistent tier of the
-// compiled-program cache.  With a Dir set, every synthesized artifact
+// ProgramCacheConfig configures an evaluator's compiled-program
+// directory.  With a Dir set, every synthesized artifact
 // (simplified netlist plus its compiled program) is also written to disk,
 // best-effort and by a background writer, and a fresh Evaluator over the
 // same circuits serves its builds from the files instead of re-running
@@ -88,7 +88,7 @@ const progDiskQueue = 64
 
 // OpenProgramDir opens (creating if needed) and inventories cfg.Dir,
 // trimming it to the byte budget and TTL.  A zero-Dir config returns a
-// nil handle: evaluators keep the in-memory cache only.
+// nil handle: evaluators compile every configuration.
 func OpenProgramDir(cfg ProgramCacheConfig) (*ProgramDir, error) {
 	if cfg.Dir == "" {
 		return nil, nil

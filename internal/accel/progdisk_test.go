@@ -13,9 +13,10 @@ import (
 	"autoax/internal/imagedata"
 )
 
-// diskFixture is cacheFixture over an evaluator with a persistent
-// program tier rooted at dir.  The tier is flushed at cleanup, so no
-// queued write outlives the test's temp directory.
+// diskFixture builds an evaluator over a program directory rooted at
+// dir, plus the tiny app's exact configuration.  The directory is
+// flushed at cleanup, so no queued write outlives the test's temp
+// directory.
 func diskFixture(t *testing.T, dir string) (*Evaluator, Configuration) {
 	t.Helper()
 	app := tinyApp()
@@ -68,8 +69,8 @@ func TestProgramDiskWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	st1 := ev1.ProgramCacheStats()
-	if st1.Misses != 1 || st1.DiskMisses != 1 || st1.DiskHits != 0 {
-		t.Fatalf("cold stats %+v, want 1 miss, 1 disk miss", st1)
+	if st1.Misses != 1 || st1.Hits != 0 {
+		t.Fatalf("cold stats %+v, want 1 miss and no hit", st1)
 	}
 	flush(ev1)
 	if n := entryFiles(t, dir); len(n) != 1 {
@@ -89,8 +90,8 @@ func TestProgramDiskWarmRestart(t *testing.T) {
 	if st2.Misses != 0 {
 		t.Fatalf("warm restart executed %d builds, want 0 (stats %+v)", st2.Misses, st2)
 	}
-	if st2.DiskHits != 1 || st2.SelfHeals != 0 {
-		t.Fatalf("warm stats %+v, want exactly 1 disk hit and no self-heals", st2)
+	if st2.Hits != 1 || st2.SelfHeals != 0 {
+		t.Fatalf("warm stats %+v, want exactly 1 hit and no self-heals", st2)
 	}
 }
 
@@ -165,7 +166,7 @@ func TestProgramDiskCorruptSelfHeal(t *testing.T) {
 		t.Fatalf("self-healed result %+v != original %+v", got, want)
 	}
 	st := ev2.ProgramCacheStats()
-	if st.SelfHeals != 1 || st.Misses != 1 || st.DiskHits != 0 {
+	if st.SelfHeals != 1 || st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("stats %+v, want 1 self-heal and 1 rebuild", st)
 	}
 	// The rebuild re-persisted a valid entry: a third evaluator hits.
@@ -174,8 +175,8 @@ func TestProgramDiskCorruptSelfHeal(t *testing.T) {
 	if _, err := ev3.Evaluate(cfg3); err != nil {
 		t.Fatal(err)
 	}
-	if st := ev3.ProgramCacheStats(); st.DiskHits != 1 || st.Misses != 0 {
-		t.Fatalf("post-heal stats %+v, want a clean disk hit", st)
+	if st := ev3.ProgramCacheStats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("post-heal stats %+v, want a clean hit", st)
 	}
 }
 
@@ -197,8 +198,8 @@ func TestProgramDiskPrecompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ev.ProgramCacheStats()
-	if st.Misses != 1 || st.DiskMisses != 1 || st.SelfHeals != 0 {
-		t.Fatalf("stats %+v, want 1 build, 1 disk miss, no self-heal of the stray", st)
+	if st.Misses != 1 || st.Hits != 0 || st.SelfHeals != 0 {
+		t.Fatalf("stats %+v, want 1 build, no hit, no self-heal of the stray", st)
 	}
 	flush(ev)
 	if _, err := os.Stat(stray); err != nil {
@@ -208,7 +209,7 @@ func TestProgramDiskPrecompile(t *testing.T) {
 	if err := ev2.Precompile(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if st := ev2.ProgramCacheStats(); st.DiskHits != 1 || st.Misses != 0 {
+	if st := ev2.ProgramCacheStats(); st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("stats %+v, want Precompile served from disk", st)
 	}
 }
@@ -334,21 +335,14 @@ func TestProgramDiskWriteBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := newProgramCache(progDiskQueue)
-	pc.disk = fresh
 	for _, k := range keys {
-		got, err := pc.get(k, func() (compiledConfig, error) {
-			return compiledConfig{}, fmt.Errorf("built accepted key %s", k)
-		})
-		if err != nil {
-			t.Fatal(err)
+		got, ok, healed := fresh.load(k)
+		if !ok || healed {
+			t.Fatalf("accepted key %s: ok=%v healed=%v on a fresh handle, want a clean load", k, ok, healed)
 		}
 		if _, b := encodeArtifact(nil, got); !bytes.Equal(b, image) {
 			t.Fatalf("key %s decoded to a different artifact", k)
 		}
-	}
-	if st := pc.stats(); st.Misses != 0 || st.DiskHits != progDiskQueue {
-		t.Fatalf("fresh-handle stats %+v, want %d disk hits and no misses", st, progDiskQueue)
 	}
 
 	// Probes answer from the handle's inventory: an entry that appeared
@@ -382,7 +376,7 @@ func TestProgramDiskWriteBehind(t *testing.T) {
 	if got != want {
 		t.Fatalf("rebuilt result %+v, want %+v", got, want)
 	}
-	if st := ev2.ProgramCacheStats(); st.Misses != 1 || st.DiskMisses != 1 || st.DiskHits != 0 {
+	if st := ev2.ProgramCacheStats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("stats %+v, want the dropped write to rebuild once", st)
 	}
 
@@ -430,16 +424,16 @@ func TestCircuitKeysBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := newProgramCache(4)
+	ps := &programStore{}
 	base := cfg[0]
 	for i := 0; i < circuitKeyCap+10; i++ {
 		c := *base // distinct pointer per iteration, same structure
-		pc.configKey(Configuration{&c})
-		if n := len(pc.circuitKeys); n > circuitKeyCap {
+		ps.configKey(Configuration{&c})
+		if n := len(ps.circuitKeys); n > circuitKeyCap {
 			t.Fatalf("memo grew to %d entries, cap %d", n, circuitKeyCap)
 		}
 	}
-	if st := pc.stats(); st.KeyEvictions < circuitKeyCap {
+	if st := ps.st; st.KeyEvictions < circuitKeyCap {
 		t.Fatalf("stats %+v, want at least one full memo reset counted", st)
 	}
 }

@@ -52,11 +52,9 @@ func TestMetricsEndpointJSON(t *testing.T) {
 		"autoax_cache_misses_total",
 		"autoax_cache_coalesced_total",
 		"autoax_cache_evictions_total",
-		// Cache tier 3: the compiled-program cache.
+		// Compiled programs: directory loads and compiles.
 		"autoax_progcache_hits_total",
 		"autoax_progcache_misses_total",
-		"autoax_progcache_coalesced_total",
-		"autoax_progcache_evictions_total",
 		// Search internals.
 		"autoax_dse_climb_iterations_total",
 		"autoax_dse_precise_evals_total",

@@ -59,7 +59,7 @@ func runPipelineOn(t *testing.T, opts Options, seed int64) []byte {
 // as a whole rather than once per job.
 func TestServerProgramDirRoundTrip(t *testing.T) {
 	misses := obs.Default().Counter("autoax_progcache_misses_total")
-	diskHits := obs.Default().Counter("autoax_progcache_disk_hits_total")
+	hits := obs.Default().Counter("autoax_progcache_hits_total")
 
 	dir := t.TempDir()
 	before := misses.Value()
@@ -72,12 +72,12 @@ func TestServerProgramDirRoundTrip(t *testing.T) {
 		t.Fatal("cold run persisted no programs")
 	}
 
-	before, beforeHits := misses.Value(), diskHits.Value()
+	before, beforeHits := misses.Value(), hits.Value()
 	got := runPipelineOn(t, Options{Workers: 1, ProgramCacheDir: dir}, 11)
 	if c := misses.Value() - before; c != 0 {
 		t.Fatalf("warm restart compiled %d configurations, want 0", c)
 	}
-	if diskHits.Value() == beforeHits {
+	if hits.Value() == beforeHits {
 		t.Fatal("warm restart served nothing from the program directory")
 	}
 	if !bytes.Equal(got, want) {

@@ -80,7 +80,7 @@ type Options struct {
 	// shard-model builds decode previously synthesized configurations
 	// instead of recompiling them.  Writes are best-effort and happen
 	// off the request path; Close flushes the ones still queued.  Empty
-	// keeps programs in memory only.
+	// compiles every configuration.
 	ProgramCacheDir string
 	// ProgramCacheBytes bounds the program directory's total bytes by
 	// LRU eviction; 0 means accel.DefaultProgramDiskBytes.  Ignored

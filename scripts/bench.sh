@@ -15,7 +15,7 @@
 # The trajectory benchmarks cover both paper inner loops: precise
 # configuration analysis (NetlistEvalBlockWide, Characterize,
 # CharacterizeHighError, UnpackBitsBlock, Simplify, Synthesize,
-# PreciseEvaluation, SSIM) and model-based estimation (ModelEstimate,
+# PreciseEvaluation, EvaluateAll, SSIM) and model-based estimation (ModelEstimate,
 # ModelTables for the per-job leaf-table build, and the search engines
 # HillClimb1k, RandomSearch1k and NSGA2Gen1k, and HillClimb50k, one
 # climb of a pipeline job's 10⁵-estimate explore stage), plus
@@ -27,7 +27,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAllCached|BenchmarkProgramDiskCacheWarm|BenchmarkProgramDiskColdFill|BenchmarkHillClimb1k|BenchmarkHillClimb50k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelTables|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
+FILTER=${BENCH_FILTER:-'^(BenchmarkNetlistEvalBlockWide|BenchmarkCharacterize|BenchmarkCharacterizeHighError|BenchmarkUnpackBitsBlock|BenchmarkLibraryBuild|BenchmarkPreciseEvaluation|BenchmarkEvaluateAll|BenchmarkProgramDiskCacheWarm|BenchmarkProgramDiskColdFill|BenchmarkHillClimb1k|BenchmarkHillClimb50k|BenchmarkHillClimb1kObserved|BenchmarkNSGA2Gen1k|BenchmarkRandomSearch1k|BenchmarkModelEstimate|BenchmarkModelTables|BenchmarkSSIM|BenchmarkSimplify|BenchmarkSynthesize|BenchmarkProfile|BenchmarkRandomForestFit|BenchmarkMLPFit|BenchmarkAutoEngineTrain|BenchmarkObsCounter|BenchmarkObsHistogram)$'}
 COUNT=${BENCH_COUNT:-3}
 
 # Every tracked benchmark lives in the root package.
