@@ -27,7 +27,7 @@ import (
 // Program.  Bump it whenever the instruction set, the slot layout, or
 // either codec changes shape — persisted entries from other versions
 // must read as clean misses.
-const ProgramFormatVersion = 2
+const ProgramFormatVersion = 3
 
 var errCorrupt = errors.New("netlist: corrupt encoded program")
 

@@ -96,27 +96,3 @@ func TestFusionFiresOnAdder(t *testing.T) {
 		t.Fatalf("no fused opcode emitted for the RCA carry chain")
 	}
 }
-
-// TestFusionInvFold pins the Inv-folding rewrites: a single-use gate
-// followed by Inv collapses to the complemented opcode, and Inv∘Inv
-// cancels entirely.
-func TestFusionInvFold(t *testing.T) {
-	n := &Netlist{Name: "inv", NumInputs: 2}
-	n.Gates = []Gate{
-		{Kind: cell.And2, A: 0, B: 1}, // slot 2
-		{Kind: cell.Inv, A: 2},        // slot 3 → folds to Nand2
-		{Kind: cell.Inv, A: 3},        // slot 4 → Inv∘Inv? (3 is single-use)
-		{Kind: cell.Buf, A: 4},        // slot 5 → elided
-	}
-	n.Outputs = []Signal{5}
-	p := Compile(n)
-	// And2+Inv+Inv+Buf must collapse to a single instruction.
-	if p.NumGates() != 1 {
-		t.Fatalf("inv/buf chain: got %d instructions, want 1 (ops %v)", p.NumGates(), p.op)
-	}
-	in := make([]uint64, 2*BlockWords)
-	in[0], in[BlockWords] = 0xF0F0, 0xFF00
-	if out := p.EvalBlock(in, nil, nil); out[0] != 0xF0F0&0xFF00 {
-		t.Fatalf("inv/buf chain misfolded: got %x want %x", out[0], 0xF0F0&0xFF00)
-	}
-}

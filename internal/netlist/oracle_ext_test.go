@@ -9,6 +9,7 @@ import (
 	"autoax/internal/acl"
 	"autoax/internal/approxgen"
 	"autoax/internal/apps"
+	"autoax/internal/cell"
 	"autoax/internal/netlist"
 )
 
@@ -71,6 +72,88 @@ func TestConfigurationOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSimplifyCanonicalForm pins the shape of Simplify output that keeps
+// compiled programs short, since netlist.Compile lowers gate for gate:
+// no Buf, no gate reading a constant rail, no gate outside the outputs'
+// cone, and no Inv over a single-fanout gate it could fold into.  It
+// checks every simplified library circuit, a simplified mutant of each
+// generated circuit (library builds fill past the structured families
+// with approxgen mutants, whose Bufs, constant ties and bypassed gates
+// the generated circuits here lack), and the simplified flattening of
+// random Sobel and Gaussian-filter configurations.
+func TestSimplifyCanonicalForm(t *testing.T) {
+	raw, lib := oracleLibrary()
+	for op, cs := range lib {
+		for i, c := range cs {
+			if err := canonicalFormError(c.Netlist); err != nil {
+				t.Fatalf("repro: go test ./internal/netlist -run TestSimplifyCanonicalForm (%s circuit %d, %s): %v", op, i, c.Name, err)
+			}
+		}
+	}
+	for i, v := range raw {
+		m := approxgen.Mutate(v.N, 1+i%6, int64(i))
+		if err := canonicalFormError(netlist.Simplify(m)); err != nil {
+			t.Fatalf("repro: go test ./internal/netlist -run TestSimplifyCanonicalForm (mutant %s): %v", m.Name, err)
+		}
+	}
+	for _, app := range []*accel.ImageApp{apps.Sobel(), apps.GenericGF(apps.GenericGFKernels(2))} {
+		for seed := int64(0); seed < 30; seed++ {
+			flat, err := accel.Flatten(app.Graph, randomConfiguration(app.Graph, lib, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := canonicalFormError(netlist.Simplify(flat)); err != nil {
+				t.Fatalf("repro: go test ./internal/netlist -run TestSimplifyCanonicalForm (%s, randomConfiguration seed %d): %v", app.Name, seed, err)
+			}
+		}
+	}
+}
+
+// canonicalFormError reports the first gate of n that breaks the
+// canonical form TestSimplifyCanonicalForm pins.
+func canonicalFormError(n *netlist.Netlist) error {
+	fanout := make([]int, n.NumNodes())
+	live := make([]bool, n.NumNodes())
+	for _, o := range n.Outputs {
+		if o >= 0 {
+			fanout[o]++
+			live[o] = true
+		}
+	}
+	operands := func(g netlist.Gate) []netlist.Signal {
+		return []netlist.Signal{g.A, g.B, g.C}[:cell.Arity(g.Kind)]
+	}
+	for _, g := range n.Gates {
+		for _, s := range operands(g) {
+			if s >= 0 {
+				fanout[s]++
+			}
+		}
+	}
+	for i := len(n.Gates) - 1; i >= 0; i-- {
+		g := n.Gates[i]
+		if !live[n.NumInputs+i] {
+			return fmt.Errorf("gate %d (%s) is outside the outputs' cone", i, g.Kind)
+		}
+		if g.Kind == cell.Buf {
+			return fmt.Errorf("gate %d is a BUF", i)
+		}
+		for _, s := range operands(g) {
+			if s < 0 {
+				return fmt.Errorf("gate %d (%s) reads constant rail %d", i, g.Kind, s)
+			}
+			live[s] = true
+		}
+		if g.Kind == cell.Inv && int(g.A) >= n.NumInputs && fanout[g.A] == 1 {
+			switch k := n.Gates[int(g.A)-n.NumInputs].Kind; k {
+			case cell.And2, cell.Or2, cell.Nand2, cell.Nor2, cell.Xor2, cell.Xnor2, cell.Inv:
+				return fmt.Errorf("gate %d is an INV over single-fanout %s gate %d", i, k, int(g.A)-n.NumInputs)
+			}
+		}
+	}
+	return nil
 }
 
 // randomConfiguration picks one library circuit per operation node.

@@ -22,14 +22,12 @@ func slotStore(base unsafe.Pointer, s uintptr, v uint64) {
 	*(*uint64)(unsafe.Add(base, s*8)) = v
 }
 
-// opcode is a specialized instruction of a compiled Program.  The set
-// mirrors the cell kinds plus the residual forms constant-operand folding
-// produces: a gate with a constant-rail operand always reduces to a
-// constant, a unary op, or a smaller binary op, so no instruction ever
-// carries a constant operand at run time.  The three-input forms past
-// opConst1 come from the fusion pass, which merges a single-use gate into
-// its consumer, so e.g. a full adder's sum chain XOR(XOR(a,b),cin) becomes
-// one opXor3 instruction.
+// opcode is an instruction of a compiled Program.  The two-input and
+// unary opcodes up to opOrN2 are declared in cell.Kind order, so gate i
+// lowers to opcode(g.Kind).  The three-input forms past opOrN2 come from
+// the fusion pass, which merges a single-use gate into its consumer, so
+// e.g. a full adder's sum chain XOR(XOR(a,b),cin) becomes one opXor3
+// instruction.
 type opcode uint8
 
 const (
@@ -44,8 +42,6 @@ const (
 	opMux2
 	opAndN2
 	opOrN2
-	opConst0
-	opConst1
 
 	// Fused three-input forms: inner gate over (a, b), outer combines
 	// with c.  Emitted only by the fusion pass.
@@ -67,22 +63,25 @@ const (
 // unrolled kernel.
 const BlockWords = 8
 
-// Program is a netlist lowered into a contiguous, constant-resolved
-// instruction stream for fast repeated simulation.  Opcodes and operand
-// slots are stored struct-of-arrays (independent sequential streams the
-// hardware prefetcher tracks perfectly); constant rails — and gates
-// constant propagation proves constant — are folded into specialized
-// opcodes at compile time, so evaluation has no per-operand branches.
+// Program is a netlist lowered into a contiguous instruction stream for
+// fast repeated simulation.  Opcodes and operand slots are stored
+// struct-of-arrays (independent sequential streams the hardware
+// prefetcher tracks perfectly), and output slots are pre-resolved, so
+// evaluation has no per-operand branches.  Constant operands and outputs
+// read two rail slots past the nodes, which EvalBlock fills with all-0
+// and all-1 words before the instruction loop.
 //
-// Compile also fuses the stream (see fuse): single-use gate pairs become
-// three-input opcodes, Bufs and folded Invs vanish and dead stores are
-// dropped, so the program is usually shorter than the gate list and
-// intermediate gate values need not land anywhere.  Only the outputs are defined, and
-// they are bit-identical to the source netlist's.  Switching activity,
-// which needs every gate's value, comes from Netlist.AnalyzeActivity
-// instead.  Value slots keep the netlist's numbering (input i is slot i,
-// gate g is slot NumInputs+g), and two slots past the nodes hold the
-// constant rails.
+// Compile lowers gate for gate and then fuses single-use gate pairs into
+// three-input opcodes (see fuse), so intermediate values of fused pairs
+// need not land anywhere.  Compile does no logic optimization of its
+// own: Simplify runs before every compile on the evaluation and
+// characterization paths (library circuits are stored simplified) and
+// leaves no constant operand, Buf, foldable Inv or dead gate, and that is
+// what keeps programs short.  Only the outputs are defined, and they are
+// bit-identical to the source netlist's.  Switching activity, which
+// needs every gate's value, comes from Netlist.AnalyzeActivity instead.
+// Value slots keep the netlist's numbering (input i is slot i, gate g is
+// slot NumInputs+g).
 //
 // A Program is immutable after Compile and safe for concurrent use as long
 // as every goroutine supplies its own scratch and output buffers —
@@ -116,53 +115,11 @@ func (p *Program) NumSlots() int { return p.numSlots }
 func (p *Program) rail0() int32 { return int32(p.numSlots - 2) }
 func (p *Program) rail1() int32 { return int32(p.numSlots - 1) }
 
-// operand is a compile-time resolved gate input: either a value slot or a
-// known constant.
-type operand struct {
-	slot  int32
-	konst int8 // -1 variable, 0 or 1 constant
-}
-
-func (o operand) isConst() bool { return o.konst >= 0 }
-
-// word returns the packed 64-lane word of a constant operand.
-func (o operand) word() uint64 {
-	if o.konst == 1 {
-		return ^uint64(0)
-	}
-	return 0
-}
-
-// gateFn gives the packed-word function of each two-input cell kind, used
-// by the compiler to classify the residual function when one operand is a
-// known constant (probing with the variable at all-0 and all-1 decides
-// among buf, inv, const0 and const1 — bitwise functions admit nothing
-// else).
-var gateFn = map[cell.Kind]func(a, b uint64) uint64{
-	cell.And2:  func(a, b uint64) uint64 { return a & b },
-	cell.Or2:   func(a, b uint64) uint64 { return a | b },
-	cell.Nand2: func(a, b uint64) uint64 { return ^(a & b) },
-	cell.Nor2:  func(a, b uint64) uint64 { return ^(a | b) },
-	cell.Xor2:  func(a, b uint64) uint64 { return a ^ b },
-	cell.Xnor2: func(a, b uint64) uint64 { return ^(a ^ b) },
-	cell.AndN2: func(a, b uint64) uint64 { return a &^ b },
-	cell.OrN2:  func(a, b uint64) uint64 { return a | ^b },
-}
-
-var binaryOpcode = map[cell.Kind]opcode{
-	cell.And2:  opAnd2,
-	cell.Or2:   opOr2,
-	cell.Nand2: opNand2,
-	cell.Nor2:  opNor2,
-	cell.Xor2:  opXor2,
-	cell.Xnor2: opXnor2,
-	cell.AndN2: opAndN2,
-	cell.OrN2:  opOrN2,
-}
-
-// Compile lowers a netlist into a fused Program.  The netlist must be
-// valid (see Validate); Compile panics on malformed gates.  The program's
-// outputs are bit-identical to the netlist's on every lane.
+// Compile lowers a netlist into a fused Program: gate i becomes
+// instruction i with opcode(g.Kind), a Const0/Const1 operand or output
+// reads its rail slot, and fuse then merges single-use gate pairs.  The
+// netlist must be valid (see Validate).  The program's outputs are
+// bit-identical to the netlist's on every lane.
 func Compile(n *Netlist) *Program {
 	p := &Program{
 		numInputs: n.NumInputs,
@@ -175,159 +132,33 @@ func Compile(n *Netlist) *Program {
 		dst:       make([]int32, len(n.Gates)),
 		outs:      make([]int32, len(n.Outputs)),
 	}
-	// konst tracks nodes proven constant at compile time (-1 unknown).
-	konst := make([]int8, n.NumNodes())
-	for i := range konst {
-		konst[i] = -1
-	}
-	resolve := func(s Signal) operand {
+	slot := func(s Signal) int32 {
 		switch s {
 		case Const0:
-			return operand{slot: p.rail0(), konst: 0}
+			return p.rail0()
 		case Const1:
-			return operand{slot: p.rail1(), konst: 1}
+			return p.rail1()
 		}
-		return operand{slot: s, konst: konst[s]}
+		return int32(s)
 	}
-	base := n.NumInputs
 	for i, g := range n.Gates {
-		var code opcode
-		var oa, ob, oc operand
-		oa = resolve(g.A)
-		switch cell.Arity(g.Kind) {
-		case 1:
-			code, oa = compileUnary(g.Kind, oa)
-		case 2:
-			ob = resolve(g.B)
-			code, oa, ob = compileBinary(g.Kind, oa, ob)
-		case 3:
-			ob, oc = resolve(g.B), resolve(g.C)
-			code, oa, ob, oc = compileMux(oa, ob, oc)
-		}
-		p.op[i] = code
-		p.dst[i] = int32(base + i)
+		p.op[i] = opcode(g.Kind)
+		p.dst[i] = int32(n.NumInputs + i)
 		// Unused operand positions point at the zero rail so the uniform
 		// operand loads in EvalBlock are always in bounds.
-		p.a[i], p.b[i], p.c[i] = p.rail0(), p.rail0(), p.rail0()
-		switch code {
-		case opConst0:
-			konst[base+i] = 0
-		case opConst1:
-			konst[base+i] = 1
-		case opBuf, opInv:
-			p.a[i] = oa.slot
-		case opMux2:
-			p.a[i], p.b[i], p.c[i] = oa.slot, ob.slot, oc.slot
-		default:
-			p.a[i], p.b[i] = oa.slot, ob.slot
+		p.a[i], p.b[i], p.c[i] = slot(g.A), p.rail0(), p.rail0()
+		switch cell.Arity(g.Kind) {
+		case 2:
+			p.b[i] = slot(g.B)
+		case 3:
+			p.b[i], p.c[i] = slot(g.B), slot(g.C)
 		}
 	}
 	for i, o := range n.Outputs {
-		p.outs[i] = resolve(o).slot
+		p.outs[i] = slot(o)
 	}
 	p.fuse()
 	return p
-}
-
-// compileUnary folds Buf/Inv over a possibly-constant operand.
-func compileUnary(k cell.Kind, a operand) (opcode, operand) {
-	inv := k == cell.Inv
-	if !inv && k != cell.Buf {
-		panic(fmt.Sprintf("netlist: unknown unary gate kind %v", k))
-	}
-	if a.isConst() {
-		v := a.konst
-		if inv {
-			v = 1 - v
-		}
-		return constOpcode(v == 1), a
-	}
-	if inv {
-		return opInv, a
-	}
-	return opBuf, a
-}
-
-// compileBinary folds a two-input gate: both operands constant folds to a
-// constant; one constant operand reduces (by probing the gate function) to
-// buf, inv or a constant of the remaining operand; otherwise the gate maps
-// to its direct opcode.  The returned operands are ordered (a, b) for the
-// returned opcode.
-func compileBinary(k cell.Kind, a, b operand) (opcode, operand, operand) {
-	fn, ok := gateFn[k]
-	if !ok {
-		panic(fmt.Sprintf("netlist: unknown gate kind %v", k))
-	}
-	switch {
-	case a.isConst() && b.isConst():
-		return constOpcode(fn(a.word(), b.word()) != 0), a, b
-	case a.isConst():
-		return residual(fn(a.word(), 0), fn(a.word(), ^uint64(0)), b)
-	case b.isConst():
-		return residual(fn(0, b.word()), fn(^uint64(0), b.word()), a)
-	}
-	return binaryOpcode[k], a, b
-}
-
-// residual classifies f restricted to one variable from its values at the
-// all-zero and all-one words, returning the reduced opcode with the
-// variable in operand position a.
-func residual(r0, r1 uint64, v operand) (opcode, operand, operand) {
-	switch {
-	case r0 == 0 && r1 == ^uint64(0):
-		return opBuf, v, v
-	case r0 == ^uint64(0) && r1 == 0:
-		return opInv, v, v
-	case r0 == 0:
-		return opConst0, v, v
-	default:
-		return opConst1, v, v
-	}
-}
-
-// compileMux folds Mux2(sel=a, b, c) = (b &^ sel) | (c & sel) over
-// constant operands; with one constant data input it reduces to a
-// two-input gate of (other, sel).
-func compileMux(sel, b, c operand) (opcode, operand, operand, operand) {
-	if sel.isConst() {
-		picked := b
-		if sel.konst == 1 {
-			picked = c
-		}
-		code, _ := compileUnary(cell.Buf, picked)
-		return code, picked, b, c
-	}
-	switch {
-	case b.isConst() && c.isConst():
-		switch {
-		case b.konst == 0 && c.konst == 0:
-			return opConst0, sel, b, c
-		case b.konst == 1 && c.konst == 1:
-			return opConst1, sel, b, c
-		case b.konst == 0: // c = 1: output follows sel
-			return opBuf, sel, b, c
-		default: // b = 1, c = 0: output is ¬sel
-			return opInv, sel, b, c
-		}
-	case b.isConst():
-		if b.konst == 0 { // c & sel
-			return opAnd2, c, sel, c
-		}
-		return opOrN2, c, sel, c // c | ¬sel
-	case c.isConst():
-		if c.konst == 0 { // b &^ sel
-			return opAndN2, b, sel, c
-		}
-		return opOr2, b, sel, c // b | sel
-	}
-	return opMux2, sel, b, c
-}
-
-func constOpcode(one bool) opcode {
-	if one {
-		return opConst1
-	}
-	return opConst0
 }
 
 // EvalBlock evaluates BlockWords×64 parallel vectors in one
@@ -426,11 +257,6 @@ func (p *Program) evalBlock(vals []uint64) {
 		case opOrN2:
 			v0, v1, v2, v3 = a0|^b0, a1|^b1, a2|^b2, a3|^b3
 			v4, v5, v6, v7 = a4|^b4, a5|^b5, a6|^b6, a7|^b7
-		case opConst0:
-			// zero values already
-		case opConst1:
-			m := ^uint64(0)
-			v0, v1, v2, v3, v4, v5, v6, v7 = m, m, m, m, m, m, m, m
 		default:
 			c0, c1, c2, c3 := slotLoad(vp, co), slotLoad(vp, co+1), slotLoad(vp, co+2), slotLoad(vp, co+3)
 			c4, c5, c6, c7 := slotLoad(vp, co+4), slotLoad(vp, co+5), slotLoad(vp, co+6), slotLoad(vp, co+7)

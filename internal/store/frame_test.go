@@ -20,7 +20,7 @@ var (
 		version uint32
 	}{
 		{"testdata/journal.frame", journalMagic, 1},
-		{"testdata/tiny.prog", progMagic, 2},
+		{"testdata/tiny.prog", progMagic, 3},
 	}
 )
 
@@ -38,7 +38,7 @@ func readTestdata(t testing.TB, name string) []byte {
 func TestFrameGolden(t *testing.T) {
 	pins := map[string][2]string{ // header, FNV-1a trailer
 		"testdata/journal.frame": {"61786a6c010000009000000000000000", "0077c95fc1b08921"},
-		"testdata/tiny.prog":     {"61787067020000002904000000000000", "5c9643f77fdd8ba7"},
+		"testdata/tiny.prog":     {"61787067030000002904000000000000", "2eba140a1d86d0c4"},
 	}
 	for _, k := range frameKinds {
 		buf := readTestdata(t, k.file)

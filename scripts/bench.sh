@@ -9,8 +9,10 @@
 #
 # Environment:
 #   BENCH_COUNT   repetitions per benchmark (default 3; fastest run kept)
-#   BENCH_FILTER  -bench regexp override (default: the benchmarks tracked
-#                 in BENCH_PR4.json)
+#   BENCH_FILTER  -bench regexp override (default: the 25 root-package
+#                 benchmarks in FILTER below, which are the rows the next
+#                 paragraph names plus LibraryBuild, ProgramDiskCacheWarm,
+#                 ProgramDiskColdFill and Profile)
 #
 # The trajectory benchmarks cover both paper inner loops: precise
 # configuration analysis (NetlistEvalBlockWide, Characterize,
