@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"slices"
 
 	"autoax/internal/imagedata"
 	"autoax/internal/netlist"
@@ -223,8 +224,10 @@ func (e *Evaluator) Clone() *Evaluator {
 	return &c
 }
 
-// activityBatches bounds the 64-lane batches used for switching-activity
-// estimation when computing power/energy.
+// activityBatches bounds the 64-lane words used for switching-activity
+// estimation when computing power/energy.  Evaluate captures whole
+// EvalBlock input blocks, so it is a multiple of netlist.BlockWords: the
+// first image's first two blocks.
 const activityBatches = 16
 
 // NewEvaluator validates the app and precomputes exact references and
@@ -396,8 +399,9 @@ func (e *Evaluator) compiled(cfg Configuration) (compiledConfig, error) {
 // synthesis for hardware cost, then block-packed simulation of the
 // compiled program over every (simulation, image) pair for QoR —
 // netlist.BlockWords×64 pixels per instruction-decode pass.  The first
-// image's leading 64-lane batches feed the switching-activity analysis
-// of the simplified netlist for power and energy.
+// image's leading input blocks, activityBatches words in all, feed the
+// switching-activity analysis of the simplified netlist for power and
+// energy.
 func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 	art, err := e.compiled(cfg)
 	if err != nil {
@@ -414,7 +418,6 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 
 	sh := e.shared
 	headWords := sh.headBits * W
-	totalBits := len(e.inBuf) / W
 	outW := prog.NumOutputs()
 	var ssimTotal float64
 	var activity [][]uint64
@@ -431,18 +434,9 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 				for l := 0; l < lanes; l++ {
 					out.Pix[base+l] = uint8(e.outVals[l])
 				}
-				// Switching-activity batches stay 64-lane: re-slice the
-				// block so the captured sample stream is identical to the
-				// historical per-word batches.
-				for w := 0; si == 0 && ii == 0 && w*64 < lanes && len(activity) < activityBatches; w++ {
-					batch := make([]uint64, totalBits)
-					netlist.ExtractBlockWord(e.inBuf, W, w, batch)
-					bl := lanes - w*64
-					if bl > 64 {
-						bl = 64
-					}
-					activity = append(activity, batch)
-					activityLanes = append(activityLanes, bl)
+				if si == 0 && ii == 0 && b < activityBatches/W {
+					activity = append(activity, slices.Clone(e.inBuf))
+					activityLanes = append(activityLanes, lanes)
 				}
 			}
 			ssimTotal += e.Metric(sh.exact[si][ii], out)

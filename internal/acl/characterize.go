@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"autoax/internal/netlist"
 	"autoax/internal/obs"
@@ -69,10 +70,10 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 
 	// The sweep runs on the compiled program, W packed words (W×64
 	// operand pairs) per instruction-decode pass.  Lane values, the
-	// output signature sequence and the captured activity batches are
-	// bit-identical to the historical one-word-at-a-time evaluation: the
-	// w-major signature fold and the per-64-lane activity extraction are
-	// both invariant under the block width.
+	// output signature sequence and the activity counts are bit-identical
+	// to the historical one-word-at-a-time evaluation: the w-major
+	// signature fold and the per-word lane masks of the captured blocks
+	// are both invariant under the block width.
 	const W = netlist.BlockWords
 	prog := netlist.Compile(simp)
 	outW := len(simp.Outputs)
@@ -170,17 +171,13 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 				}
 			}
 		}
-		// Activity batches stay 64-lane: re-slice the block planes so the
-		// captured sample stream matches the historical per-word batches.
-		for w := 0; w*64 < lanes && len(activity) < opts.ActivityBatches; w++ {
-			batch := make([]uint64, wa+wb)
-			netlist.ExtractBlockWord(planes, W, w, batch)
-			bl := lanes - w*64
-			if bl > 64 {
-				bl = 64
-			}
-			activity = append(activity, batch)
-			activityLanes = append(activityLanes, bl)
+		// Activity takes whole blocks.  ActivityBatches counts 64-lane
+		// words, and every block but the sweep's last is full, so the
+		// block that reaches the cap keeps the lanes of the words still
+		// wanted: a cap that is not a multiple of W counts the same words.
+		if want := opts.ActivityBatches - len(activity)*W; want > 0 {
+			activity = append(activity, slices.Clone(planes))
+			activityLanes = append(activityLanes, min(lanes, min(want, W)*64))
 		}
 	}
 	ft := float64(total)

@@ -120,9 +120,13 @@ func oracleCharacterize(nl *netlist.Netlist, op Op, family string, opts Options)
 				sumRel += fd / float64(den)
 			}
 		}
+		// Each captured 64-lane word goes to AnalyzeActivity as a block
+		// of its own: word 0 holds it, the lane count masks the rest.
 		for w := 0; w*64 < lanes && len(activity) < opts.ActivityBatches; w++ {
-			batch := make([]uint64, wa+wb)
-			netlist.ExtractBlockWord(planes, W, w, batch)
+			batch := make([]uint64, (wa+wb)*W)
+			for k := 0; k < wa+wb; k++ {
+				batch[k*W] = planes[k*W+w]
+			}
 			bl := lanes - w*64
 			if bl > 64 {
 				bl = 64

@@ -556,6 +556,49 @@ func TestRequestParallelismFieldRejected(t *testing.T) {
 	}
 }
 
+// TestRequestNegativeLibraryOptionRejected: a negative characterization
+// knob is refused with a 400 naming the field, by Key and at submit on
+// /v1/libraries and on /v1/evaluate and /v1/pipelines, which embed the
+// library request.
+// Every submission fails validation before a job exists, so the job list
+// stays empty and no build starts.
+func TestRequestNegativeLibraryOptionRejected(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	for _, field := range []string{"exhaustiveBits", "samples", "activityBatches"} {
+		var lib LibraryRequest
+		if err := json.Unmarshal(withField(t, tinyLibrary(1), field, -1), &lib); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lib.Key(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Key with %s -1: error %v does not name the field", field, err)
+		}
+		eval := EvaluateRequest{
+			App:     "sobel",
+			Library: lib,
+			Images:  ImageSpec{Count: 2, Width: 32, Height: 24, Seed: 5},
+			Configs: [][]int{{0, 0, 0, 0, 0}},
+		}
+		pipe := tinyPipeline(11)
+		pipe.Library = lib
+		for _, sub := range []struct {
+			path string
+			body any
+		}{{"/v1/libraries", lib}, {"/v1/evaluate", eval}, {"/v1/pipelines", pipe}} {
+			var env errorBody
+			if code := postJSON(t, ts.URL+sub.path, sub.body, &env); code != http.StatusBadRequest {
+				t.Errorf("%s with %s -1: status %d, want 400", sub.path, field, code)
+			}
+			if !strings.Contains(env.Error, field) {
+				t.Errorf("%s with %s -1: error %q does not name the field", sub.path, field, env.Error)
+			}
+		}
+	}
+	var jobs []JobInfo
+	if code := getJSON(t, ts.URL+"/v1/jobs", &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Fatalf("GET /v1/jobs: status %d, %d jobs; want 200 and none", code, len(jobs))
+	}
+}
+
 // TestJobRetention checks terminal jobs are evicted beyond the cap while
 // the newest survive.
 func TestJobRetention(t *testing.T) {

@@ -55,6 +55,17 @@ func (r LibraryRequest) buildInputs() ([]acl.BuildSpec, int64, acl.Options, erro
 		}
 		specs[i] = acl.BuildSpec{Op: op, Count: s.Count}
 	}
+	// Zero takes the acl default; a negative knob would run the sweep
+	// for 2^64 pairs (samples) or zero every circuit's power and energy
+	// (activityBatches).
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"exhaustiveBits", r.ExhaustiveBits}, {"samples", r.Samples}, {"activityBatches", r.ActivityBatches}} {
+		if f.v < 0 {
+			return nil, 0, acl.Options{}, fmt.Errorf("library request: %s must not be negative, got %d", f.name, f.v)
+		}
+	}
 	seed := r.Seed
 	if seed == 0 {
 		seed = 1

@@ -173,15 +173,10 @@ func FuzzDecodeNetlist(f *testing.F) {
 		for i := range in {
 			in[i] = uint64(i+1) * 0x9E3779B97F4A7C15
 		}
-		samples := make([][]uint64, BlockWords)
-		for j := range samples {
-			samples[j] = make([]uint64, n.NumInputs)
-			ExtractBlockWord(in, BlockWords, j, samples[j])
-		}
-		n.AnalyzeActivity(samples, nil)
+		n.AnalyzeActivity([][]uint64{in}, []int{BlockWords * 64})
 		got := Compile(n).EvalBlock(in, nil, nil)
-		for w, word := range samples {
-			want := n.Eval(word, nil, nil)
+		for w := 0; w < BlockWords; w++ {
+			want := n.Eval(blockWord(in, w), nil, nil)
 			for j := range want {
 				if got[j*BlockWords+w] != want[j] {
 					t.Fatalf("output %d word %d: program %x, interpreter %x", j, w, got[j*BlockWords+w], want[j])

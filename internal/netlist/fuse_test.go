@@ -61,10 +61,8 @@ func TestFusedMatchesInterpreter(t *testing.T) {
 			in[i] = rng.Uint64()
 		}
 		got := p.EvalBlock(in, nil, nil)
-		word := make([]uint64, n.NumInputs)
 		for w := 0; w < W; w++ {
-			ExtractBlockWord(in, W, w, word)
-			ref := n.Eval(word, nil, nil)
+			ref := n.Eval(blockWord(in, w), nil, nil)
 			for j := range ref {
 				if got[j*W+w] != ref[j] {
 					t.Fatalf("trial %d: output %d word %d: interp %x program %x", trial, j, w, ref[j], got[j*W+w])

@@ -116,43 +116,67 @@ func oracleAnalyzeActivity(n *Netlist, samples [][]uint64, laneCounts []int) Cos
 	return c
 }
 
-// TestActivityOracle pins the block-pass AnalyzeActivity bit for bit to
-// the frozen per-batch oracle: on random netlists with constant rails,
-// Mux2 and dead gates, at 1, 16 and 32 batches, with and without a short
-// last batch.
+// blockWord returns word w of every plane of an EvalBlock input block:
+// one 64-lane word per primary input, the layout Eval takes.
+func blockWord(block []uint64, w int) []uint64 {
+	word := make([]uint64, len(block)/BlockWords)
+	for i := range word {
+		word[i] = block[i*BlockWords+w]
+	}
+	return word
+}
+
+// TestActivityOracle pins the block-form AnalyzeActivity bit for bit to
+// the frozen per-batch oracle, over random netlists (Buf, Mux2, constant
+// rails, dead gates) and ripple-carry adders.  Each case draws random
+// input blocks; the oracle takes the same words one 64-lane batch at a
+// time.  Sweep cases fill every block but a partial last one and cap the
+// capture at 1 to 40 words the way characterization does: whole blocks,
+// the block that reaches the cap trimmed to the words still wanted.  The
+// other cases capture every block, each with a random lane count, so
+// partial words and partial blocks appear anywhere.  Lanes past a
+// block's count hold random bits that the lane masks must drop.
 func TestActivityOracle(t *testing.T) {
+	const W = BlockWords
 	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 150; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		n := randomNetlist(rng, 1+rng.Intn(8), rng.Intn(80))
 		if trial%10 == 0 {
 			n = rcAdder(1 + rng.Intn(8))
 		}
-		for _, batches := range []int{1, 16, 32} {
-			samples := make([][]uint64, batches)
-			for j := range samples {
-				samples[j] = make([]uint64, n.NumInputs)
-				for i := range samples[j] {
-					samples[j][i] = rng.Uint64()
-				}
+		sweep, wordCap := 1+rng.Intn(6*W*64), 1+rng.Intn(40)
+		if trial%2 == 1 {
+			wordCap = math.MaxInt
+		}
+		var blocks, samples [][]uint64
+		var lanes, laneCounts []int
+		for base := 0; base < sweep; base += W * 64 {
+			block := make([]uint64, n.NumInputs*W)
+			for i := range block {
+				block[i] = rng.Uint64()
 			}
-			var lanes []int
+			bl := min(sweep-base, W*64)
 			if trial%2 == 1 {
-				lanes = make([]int, batches)
-				for j := range lanes {
-					lanes[j] = 64
-				}
-				lanes[batches-1] = 1 + rng.Intn(63)
+				bl = 1 + rng.Intn(W*64)
 			}
-			got := n.AnalyzeActivity(samples, lanes)
-			want := oracleAnalyzeActivity(n, samples, lanes)
-			if math.Float64bits(got.Power) != math.Float64bits(want.Power) ||
-				math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
-				t.Fatalf("repro: go test ./internal/netlist -run TestActivityOracle (trial %d, %d batches): power %v energy %v, oracle %v %v",
-					trial, batches, got.Power, got.Energy, want.Power, want.Energy)
+			for w := 0; w*64 < bl && len(samples) < wordCap; w++ {
+				samples = append(samples, blockWord(block, w))
+				laneCounts = append(laneCounts, min(bl-w*64, 64))
 			}
-			if got != want {
-				t.Fatalf("trial %d, %d batches: cost %+v, oracle %+v", trial, batches, got, want)
+			if want := wordCap - len(blocks)*W; want > 0 {
+				blocks = append(blocks, block)
+				lanes = append(lanes, min(bl, min(want, W)*64))
 			}
+		}
+		got := n.AnalyzeActivity(blocks, lanes)
+		want := oracleAnalyzeActivity(n, samples, laneCounts)
+		if math.Float64bits(got.Power) != math.Float64bits(want.Power) ||
+			math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
+			t.Fatalf("repro: go test ./internal/netlist -run TestActivityOracle (trial %d, cap %d words, lanes %v): power %v energy %v, oracle %v %v",
+				trial, wordCap, lanes, got.Power, got.Energy, want.Power, want.Energy)
+		}
+		if got != want {
+			t.Fatalf("trial %d, cap %d words, lanes %v: cost %+v, oracle %+v", trial, wordCap, lanes, got, want)
 		}
 	}
 }

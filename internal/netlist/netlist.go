@@ -209,124 +209,51 @@ func (n *Netlist) Analyze() Cost {
 	return c
 }
 
-// activityPool recycles AnalyzeActivity's node-value blocks.
+// activityPool recycles AnalyzeActivity's value block and per-gate ones
+// counts.
 var activityPool slicePool[uint64]
 
 // AnalyzeActivity extends Analyze with switching-based power and energy.
-// samples supplies packed input words: samples[j] is one batch of 64 input
-// vectors (samples[j][i] packs the lanes of primary input i); laneCounts[j]
-// says how many of the 64 lanes in batch j are valid (nil means all).
-// Switching activity per gate is estimated as α = 2p(1−p) where p is the
-// observed probability of the gate output being 1 — the standard static
-// activity approximation.
+// blocks supplies input blocks in the Program.EvalBlock layout: each holds
+// NumInputs×BlockWords words, input i's planes at
+// [i*BlockWords, (i+1)*BlockWords), and lanes[k] says how many of block
+// k's BlockWords×64 lanes are valid, counted from lane 0.  Switching
+// activity per gate is estimated as α = 2p(1−p) where p is the observed
+// probability of the gate output being 1 — the standard static activity
+// approximation.
 //
-// The netlist is interpreted in one block pass over all B batches: node
-// k's word for batch j sits at vals[k*B+j], and the two constant rails sit
-// past the nodes.  Each gate's ones are counted under the batch lane masks
-// as soon as its row is computed.
-func (n *Netlist) AnalyzeActivity(samples [][]uint64, laneCounts []int) Cost {
+// The netlist is lowered gate for gate without fusion, so once a block
+// runs through the Program kernel, slot NumInputs+i holds gate i's words;
+// their ones are counted under the block's per-word lane masks.
+func (n *Netlist) AnalyzeActivity(blocks [][]uint64, lanes []int) Cost {
 	c := n.Analyze()
-	B := len(samples)
-	if B == 0 {
+	if len(blocks) == 0 {
 		return c
 	}
-	nodes := n.NumNodes()
-	vals := activityPool.get((nodes + 2) * B)
-	defer activityPool.put(vals)
-	for j, in := range samples {
-		if len(in) != n.NumInputs {
-			panic(fmt.Sprintf("netlist %q: AnalyzeActivity batch %d has %d input words, want %d", n.Name, j, len(in), n.NumInputs))
-		}
-		for i, v := range in {
-			vals[i*B+j] = v
-		}
-	}
-	for j := (nodes + 1) * B; j < len(vals); j++ {
-		vals[j] = ^uint64(0) // the Const1 rail; the Const0 rail stays zero
-	}
-	row := func(s Signal) []uint64 {
-		switch s {
-		case Const0:
-			s = Signal(nodes)
-		case Const1:
-			s = Signal(nodes + 1)
-		}
-		return vals[int(s)*B : int(s)*B+B]
-	}
-	masks := make([]uint64, B)
+	const W = BlockWords
+	prog := lower(n)
+	slots := prog.NumSlots() * W
+	buf := activityPool.get(slots + len(n.Gates))
+	defer activityPool.put(buf)
+	vals, ones := buf[:slots], buf[slots:]
 	var total int64
-	for j := range masks {
-		lanes := 64
-		if laneCounts != nil {
-			lanes = laneCounts[j]
+	for k, in := range blocks {
+		var masks [W]uint64
+		for w := range masks {
+			masks[w] = ^uint64(0) >> uint(64-min(max(lanes[k]-w*64, 0), 64))
 		}
-		masks[j] = ^uint64(0)
-		if lanes < 64 {
-			masks[j] = (uint64(1) << uint(lanes)) - 1
+		total += int64(lanes[k])
+		prog.run(in, vals)
+		for i := range ones {
+			for w, v := range vals[(n.NumInputs+i)*W:][:W] {
+				ones[i] += uint64(bits.OnesCount64(v & masks[w]))
+			}
 		}
-		total += int64(lanes)
 	}
 
 	var switchEnergy float64 // fJ per cycle
 	for i, g := range n.Gates {
-		dst := row(Signal(n.NumInputs + i))
-		a := row(g.A)
-		var b []uint64
-		if cell.Arity(g.Kind) >= 2 {
-			b = row(g.B)
-		}
-		switch g.Kind {
-		case cell.Buf:
-			copy(dst, a)
-		case cell.Inv:
-			for j := range dst {
-				dst[j] = ^a[j]
-			}
-		case cell.And2:
-			for j := range dst {
-				dst[j] = a[j] & b[j]
-			}
-		case cell.Or2:
-			for j := range dst {
-				dst[j] = a[j] | b[j]
-			}
-		case cell.Nand2:
-			for j := range dst {
-				dst[j] = ^(a[j] & b[j])
-			}
-		case cell.Nor2:
-			for j := range dst {
-				dst[j] = ^(a[j] | b[j])
-			}
-		case cell.Xor2:
-			for j := range dst {
-				dst[j] = a[j] ^ b[j]
-			}
-		case cell.Xnor2:
-			for j := range dst {
-				dst[j] = ^(a[j] ^ b[j])
-			}
-		case cell.Mux2:
-			hi := row(g.C) // a is the select line
-			for j := range dst {
-				dst[j] = (b[j] &^ a[j]) | (hi[j] & a[j])
-			}
-		case cell.AndN2:
-			for j := range dst {
-				dst[j] = a[j] &^ b[j]
-			}
-		case cell.OrN2:
-			for j := range dst {
-				dst[j] = a[j] | ^b[j]
-			}
-		default:
-			panic(fmt.Sprintf("netlist: unknown gate kind %v", g.Kind))
-		}
-		var ones int64
-		for j, v := range dst {
-			ones += int64(bits.OnesCount64(v & masks[j]))
-		}
-		p := float64(ones) / float64(total)
+		p := float64(ones[i]) / float64(total)
 		alpha := 2 * p * (1 - p)
 		switchEnergy += alpha * cell.Energy(g.Kind)
 	}

@@ -257,15 +257,11 @@ func TestAnalyzeCriticalPath(t *testing.T) {
 func TestAnalyzeActivityEnergyBounds(t *testing.T) {
 	n := buildMajority()
 	rng := rand.New(rand.NewSource(3))
-	samples := make([][]uint64, 8)
-	for j := range samples {
-		in := make([]uint64, 3)
-		for k := range in {
-			in[k] = rng.Uint64()
-		}
-		samples[j] = in
+	block := make([]uint64, 3*BlockWords)
+	for k := range block {
+		block[k] = rng.Uint64()
 	}
-	c := n.AnalyzeActivity(samples, nil)
+	c := n.AnalyzeActivity([][]uint64{block}, []int{BlockWords * 64})
 	if c.Energy <= 0 {
 		t.Errorf("energy = %f, want > 0", c.Energy)
 	}

@@ -37,13 +37,29 @@ func oracleLibrary() (raw []approxgen.Variant, lib map[acl.Op][]*acl.Circuit) {
 	return raw, lib
 }
 
+// oracleMutant is the approxgen mutant of raw circuit i that the oracle
+// and canonical-form tests check.  Library builds fill past the
+// structured families with such mutants, whose Bufs, constant ties and
+// bypassed gates the generated circuits of oracleLibrary lack.
+func oracleMutant(i int, v approxgen.Variant) *netlist.Netlist {
+	return approxgen.Mutate(v.N, 1+i%6, int64(i))
+}
+
 // TestLibraryOracle checks every generated library circuit, raw and
-// simplified, against the frozen Builder and Simplify.
+// simplified, and a mutant of each, raw and simplified, against the
+// frozen Builder and Simplify.
 func TestLibraryOracle(t *testing.T) {
 	raw, lib := oracleLibrary()
 	for i, v := range raw {
 		if err := netlist.CheckOracles(v.N); err != nil {
 			t.Fatalf("repro: go test ./internal/netlist -run TestLibraryOracle (raw circuit %d, %s): %v", i, v.N.Name, err)
+		}
+		m := oracleMutant(i, v)
+		if err := netlist.CheckOracles(m); err != nil {
+			t.Fatalf("repro: go test ./internal/netlist -run TestLibraryOracle (mutant %s): %v", m.Name, err)
+		}
+		if err := netlist.CheckOracles(netlist.Simplify(m)); err != nil {
+			t.Fatalf("repro: go test ./internal/netlist -run TestLibraryOracle (simplified mutant %s): %v", m.Name, err)
 		}
 	}
 	for op, cs := range lib {
@@ -79,9 +95,7 @@ func TestConfigurationOracle(t *testing.T) {
 // no Buf, no gate reading a constant rail, no gate outside the outputs'
 // cone, and no Inv over a single-fanout gate it could fold into.  It
 // checks every simplified library circuit, a simplified mutant of each
-// generated circuit (library builds fill past the structured families
-// with approxgen mutants, whose Bufs, constant ties and bypassed gates
-// the generated circuits here lack), and the simplified flattening of
+// generated circuit (see oracleMutant), and the simplified flattening of
 // random Sobel and Gaussian-filter configurations.
 func TestSimplifyCanonicalForm(t *testing.T) {
 	raw, lib := oracleLibrary()
@@ -93,7 +107,7 @@ func TestSimplifyCanonicalForm(t *testing.T) {
 		}
 	}
 	for i, v := range raw {
-		m := approxgen.Mutate(v.N, 1+i%6, int64(i))
+		m := oracleMutant(i, v)
 		if err := canonicalFormError(netlist.Simplify(m)); err != nil {
 			t.Fatalf("repro: go test ./internal/netlist -run TestSimplifyCanonicalForm (mutant %s): %v", m.Name, err)
 		}

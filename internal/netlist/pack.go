@@ -138,18 +138,6 @@ func PackCounterBlock(base uint64, bit uint, lanes int, dst []uint64) {
 	}
 }
 
-// ExtractBlockWord copies word w of every bit-plane out of the block
-// layout (planes[k*words+w], as built by PackBitsBlock) into dst — one
-// 64-lane plane per operand bit, the historical single-word layout.
-// Activity-sample capture uses it to keep the recorded sample stream
-// bit-identical to pre-block evaluation.  dst must have length
-// len(planes)/words.
-func ExtractBlockWord(planes []uint64, words, w int, dst []uint64) {
-	for k := range dst {
-		dst[k] = planes[k*words+w]
-	}
-}
-
 // UnpackBitsBlock reverses PackBitsBlock: it extracts count per-lane
 // integers from block planes laid out as planes[k*words+w] into dst.
 // dst must have length ≥ count.

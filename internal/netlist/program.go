@@ -9,11 +9,11 @@ import (
 
 // slotLoad / slotStore access value slot s of a buffer through its base
 // pointer without a bounds check.  Safety rests on one local invariant,
-// established by Compile (or DecodeProgram) and checked by EvalBlock
-// before the loop: every operand and destination slot is < NumSlots, and
-// the buffer holds NumSlots×BlockWords elements.  The instruction loop is
-// the hottest code in the repository; the three checks these helpers
-// avoid per gate are worth ~10% end to end.
+// established by lower (or DecodeProgram) and pinned by run before the
+// loop: every operand and destination slot is < NumSlots, and the buffer
+// holds NumSlots×BlockWords elements.  The instruction loop is the
+// hottest code in the repository; the three checks these helpers avoid
+// per gate are worth ~10% end to end.
 func slotLoad(base unsafe.Pointer, s uintptr) uint64 {
 	return *(*uint64)(unsafe.Add(base, s*8))
 }
@@ -68,8 +68,8 @@ const BlockWords = 8
 // struct-of-arrays (independent sequential streams the hardware
 // prefetcher tracks perfectly), and output slots are pre-resolved, so
 // evaluation has no per-operand branches.  Constant operands and outputs
-// read two rail slots past the nodes, which EvalBlock fills with all-0
-// and all-1 words before the instruction loop.
+// read two rail slots past the nodes, which run fills with all-0 and
+// all-1 words before the instruction loop.
 //
 // Compile lowers gate for gate and then fuses single-use gate pairs into
 // three-input opcodes (see fuse), so intermediate values of fused pairs
@@ -79,9 +79,9 @@ const BlockWords = 8
 // leaves no constant operand, Buf, foldable Inv or dead gate, and that is
 // what keeps programs short.  Only the outputs are defined, and they are
 // bit-identical to the source netlist's.  Switching activity, which
-// needs every gate's value, comes from Netlist.AnalyzeActivity instead.
-// Value slots keep the netlist's numbering (input i is slot i, gate g is
-// slot NumInputs+g).
+// needs every gate's value, runs the unfused lowering through the same
+// kernel (see Netlist.AnalyzeActivity).  Value slots keep the netlist's
+// numbering (input i is slot i, gate g is slot NumInputs+g).
 //
 // A Program is immutable after Compile and safe for concurrent use as long
 // as every goroutine supplies its own scratch and output buffers —
@@ -115,12 +115,22 @@ func (p *Program) NumSlots() int { return p.numSlots }
 func (p *Program) rail0() int32 { return int32(p.numSlots - 2) }
 func (p *Program) rail1() int32 { return int32(p.numSlots - 1) }
 
-// Compile lowers a netlist into a fused Program: gate i becomes
-// instruction i with opcode(g.Kind), a Const0/Const1 operand or output
-// reads its rail slot, and fuse then merges single-use gate pairs.  The
-// netlist must be valid (see Validate).  The program's outputs are
-// bit-identical to the netlist's on every lane.
+// Compile lowers a netlist into a fused Program: lower translates it
+// gate for gate, and fuse then merges single-use gate pairs.  The netlist
+// must be valid (see Validate).  The program's outputs are bit-identical
+// to the netlist's on every lane.
 func Compile(n *Netlist) *Program {
+	p := lower(n)
+	p.fuse()
+	return p
+}
+
+// lower translates a netlist gate for gate: gate i becomes instruction i
+// with opcode(g.Kind) and destination slot NumInputs+i, and a
+// Const0/Const1 operand or output reads its rail slot.  Unfused, the
+// stream leaves every gate's value in its slot, which is what
+// AnalyzeActivity counts.
+func lower(n *Netlist) *Program {
 	p := &Program{
 		numInputs: n.NumInputs,
 		numOuts:   len(n.Outputs),
@@ -157,7 +167,6 @@ func Compile(n *Netlist) *Program {
 	for i, o := range n.Outputs {
 		p.outs[i] = slot(o)
 	}
-	p.fuse()
 	return p
 }
 
@@ -172,21 +181,7 @@ func Compile(n *Netlist) *Program {
 // aliases outBuf when it has sufficient capacity.
 func (p *Program) EvalBlock(inputs []uint64, scratch []uint64, outBuf []uint64) []uint64 {
 	const W = BlockWords
-	if len(inputs) != p.numInputs*W {
-		panic(fmt.Sprintf("netlist: Program.EvalBlock got %d input words, want %d", len(inputs), p.numInputs*W))
-	}
-	vals := scratch
-	if len(vals) < p.NumSlots()*W {
-		vals = make([]uint64, p.NumSlots()*W)
-	}
-	vals = vals[:p.NumSlots()*W] // pins the slotLoad/slotStore invariant
-	copy(vals, inputs)
-	r0, r1 := int(p.rail0())*W, int(p.rail1())*W
-	for k := 0; k < W; k++ {
-		vals[r0+k] = 0
-		vals[r1+k] = ^uint64(0)
-	}
-	p.evalBlock(vals)
+	vals := p.run(inputs, scratch)
 	if cap(outBuf) < p.numOuts*W {
 		outBuf = make([]uint64, p.numOuts*W)
 	}
@@ -197,11 +192,35 @@ func (p *Program) EvalBlock(inputs []uint64, scratch []uint64, outBuf []uint64) 
 	return outBuf
 }
 
+// run copies one input block (the EvalBlock layout) and the constant
+// rails into vals, allocated when shorter than NumSlots×BlockWords
+// words, and runs the instruction loop.  It returns vals cut to exactly
+// NumSlots×BlockWords, the length that pins the slotLoad/slotStore
+// invariant; slot s then holds words [s*BlockWords, (s+1)*BlockWords).
+func (p *Program) run(inputs, vals []uint64) []uint64 {
+	const W = BlockWords
+	if len(inputs) != p.numInputs*W {
+		panic(fmt.Sprintf("netlist: program input block has %d words, want %d", len(inputs), p.numInputs*W))
+	}
+	if len(vals) < p.NumSlots()*W {
+		vals = make([]uint64, p.NumSlots()*W)
+	}
+	vals = vals[:p.NumSlots()*W]
+	copy(vals, inputs)
+	r0, r1 := int(p.rail0())*W, int(p.rail1())*W
+	for k := 0; k < W; k++ {
+		vals[r0+k] = 0
+		vals[r1+k] = ^uint64(0)
+	}
+	p.evalBlock(vals)
+	return vals
+}
+
 // evalBlock is the unrolled instruction loop: per instruction decode, one
 // straight-line body computes the BlockWords words of the destination
 // slot.  The eight word operations are independent, so they fill the
 // CPU's execution ports while the single dispatch cost is paid once.  The
-// slotLoad/slotStore invariant is pinned by EvalBlock (len(vals) ==
+// slotLoad/slotStore invariant is pinned by run (len(vals) ==
 // NumSlots×BlockWords and every slot < NumSlots).
 func (p *Program) evalBlock(vals []uint64) {
 	const wi = uintptr(BlockWords)

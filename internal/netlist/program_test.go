@@ -18,7 +18,6 @@ func TestProgramMatchesInterpreter(t *testing.T) {
 			t.Fatalf("trial %d: generated invalid netlist: %v", trial, err)
 		}
 		p := Compile(n)
-		in := make([]uint64, n.NumInputs)
 		blockIn := make([]uint64, n.NumInputs*W)
 		interpVals := make([]uint64, n.NumNodes())
 		blockVals := make([]uint64, p.NumSlots()*W)
@@ -29,8 +28,7 @@ func TestProgramMatchesInterpreter(t *testing.T) {
 			}
 			got := p.EvalBlock(blockIn, blockVals, blockOut)
 			for w := 0; w < W; w++ {
-				ExtractBlockWord(blockIn, W, w, in)
-				want := n.Eval(in, interpVals, nil)
+				want := n.Eval(blockWord(blockIn, w), interpVals, nil)
 				for j := range want {
 					if got[j*W+w] != want[j] {
 						t.Fatalf("trial %d: EvalBlock word %d output %d: got %x want %x",
