@@ -237,9 +237,9 @@ func BenchmarkPreciseEvaluation(b *testing.B) {
 // BenchmarkProgramDiskCacheWarm measures the warm-restart path of the
 // persistent compiled-program tier: each iteration stands up a fresh
 // Evaluator over a pre-populated cache directory (outside the timer) and
-// times serving the Sobel configuration's programs from disk instead of
-// re-running Flatten+Simplify+Compile (compare against
-// BenchmarkPreciseEvaluation's cold compile share).
+// times decoding the Sobel configuration's netlist from disk and
+// compiling it instead of re-running Flatten+Simplify (compare against
+// BenchmarkPreciseEvaluation's cold synthesis share).
 func BenchmarkProgramDiskCacheWarm(b *testing.B) {
 	app := apps.Sobel()
 	images := imagedata.BenchmarkSet(2, 64, 48, 1)
@@ -282,7 +282,7 @@ func BenchmarkProgramDiskCacheWarm(b *testing.B) {
 // persistent compiled-program tier: 300 fresh Sobel configurations
 // through dse.EvaluateAll at GOMAXPROCS, each iteration over a fresh
 // evaluator and a fresh, empty program directory, so every configuration
-// compiles and queues its program for the disk.  The queued writes are
+// synthesizes and queues its netlist for the disk.  The queued writes are
 // flushed outside the timer (compare against the same batch with no
 // directory to see what the tier costs the evaluation path).
 func BenchmarkProgramDiskColdFill(b *testing.B) {

@@ -319,10 +319,10 @@ func NewEvaluator(app *ImageApp, images []*imagedata.Image) (*Evaluator, error) 
 }
 
 // NewEvaluatorWithCache is NewEvaluator over a program directory:
-// compiled artifacts are also written to dir, and a fresh evaluator
-// (e.g. after a server restart) over the same circuits decodes them
-// instead of re-running Flatten+Simplify+Compile.  A nil dir compiles
-// every configuration, like NewEvaluator.
+// simplified netlists are also written to dir, and a fresh evaluator
+// (e.g. after a server restart) over the same circuits decodes and
+// compiles them instead of re-running Flatten+Simplify.  A nil dir
+// synthesizes every configuration, like NewEvaluator.
 func NewEvaluatorWithCache(app *ImageApp, images []*imagedata.Image, dir *ProgramDir) (*Evaluator, error) {
 	e, err := NewEvaluator(app, images)
 	if err != nil {
@@ -335,7 +335,7 @@ func NewEvaluatorWithCache(app *ImageApp, images []*imagedata.Image, dir *Progra
 // Precompile compiles cfg, or loads it from the program directory,
 // without evaluating it: with a directory it warms the directory.
 func (e *Evaluator) Precompile(cfg Configuration) error {
-	_, err := e.compiled(cfg)
+	_, _, err := e.compiled(cfg)
 	return err
 }
 
@@ -358,26 +358,27 @@ func (e *Evaluator) ProgramCacheStats() ProgramCacheStats {
 	return ps.st
 }
 
-// compiled returns cfg's simplified netlist and compiled program: loaded
-// from the program directory when it holds them, compiled (and queued for
-// the directory) otherwise.  Structurally identical circuits share one
+// compiled returns cfg's simplified netlist and its compiled program.
+// The netlist is loaded from the program directory when it holds it, and
+// synthesized (and queued for the directory) otherwise; either way the
+// program is compiled from it.  Structurally identical circuits share one
 // directory entry, even under different names.
-func (e *Evaluator) compiled(cfg Configuration) (compiledConfig, error) {
+func (e *Evaluator) compiled(cfg Configuration) (*netlist.Netlist, *netlist.Program, error) {
 	// Check first: keying indexes every circuit of the tuple.
 	if err := CheckConfiguration(e.App.Graph, cfg); err != nil {
-		return compiledConfig{}, err
+		return nil, nil, err
 	}
 	ps := e.shared.progs
 	var key string
 	if ps.disk != nil {
 		key = ps.configKey(cfg)
-		art, ok, healed := ps.disk.load(key)
+		simp, ok, healed := ps.disk.load(key)
 		if healed {
 			ps.count(&ps.st.SelfHeals, progDiskSelfHeals)
 		}
 		if ok {
 			ps.count(&ps.st.Hits, progHits)
-			return art, nil
+			return simp, netlist.Compile(simp), nil
 		}
 	}
 	ps.count(&ps.st.Misses, progMisses)
@@ -385,14 +386,14 @@ func (e *Evaluator) compiled(cfg Configuration) (compiledConfig, error) {
 	simp, err := e.Synthesize(cfg)
 	if err != nil {
 		span.Finish()
-		return compiledConfig{}, err
+		return nil, nil, err
 	}
-	art := compiledConfig{simp: simp, prog: netlist.Compile(simp)}
+	prog := netlist.Compile(simp)
 	span.Finish()
 	if ps.disk != nil {
-		ps.disk.store(key, art)
+		ps.disk.store(key, simp)
 	}
-	return art, nil
+	return simp, prog, nil
 }
 
 // Evaluate performs the full precise analysis of one configuration:
@@ -403,11 +404,10 @@ func (e *Evaluator) compiled(cfg Configuration) (compiledConfig, error) {
 // switching-activity analysis of the simplified netlist for power and
 // energy.
 func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
-	art, err := e.compiled(cfg)
+	simp, prog, err := e.compiled(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	simp, prog := art.simp, art.prog
 	const W = netlist.BlockWords
 	if n := prog.NumSlots() * W; len(e.progScratch) < n {
 		e.progScratch = make([]uint64, n)

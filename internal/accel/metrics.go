@@ -8,8 +8,8 @@ import "autoax/internal/obs"
 // snapshot covers compiles and the program directory without
 // enumerating evaluators.
 var (
-	// progHits counts programs loaded from a program directory, the only
-	// way an evaluation skips a compile; progMisses counts compiles.
+	// progHits counts netlists loaded from a program directory, the only
+	// way an evaluation skips synthesis; progMisses counts syntheses.
 	progHits   = obs.Default().Counter("autoax_progcache_hits_total")
 	progMisses = obs.Default().Counter("autoax_progcache_misses_total")
 
@@ -22,7 +22,8 @@ var (
 	progDiskDropped  = obs.Default().Counter("autoax_progcache_disk_dropped_total")
 	progKeyEvictions = obs.Default().Counter("autoax_progcache_key_evictions_total")
 
-	// progCompile records the wall time of each compile
-	// (Flatten+Simplify+Compile), the cost a program directory saves.
+	// progCompile records the wall time of each miss's
+	// Flatten+Simplify+Compile.  A hit's Compile is not timed, so the
+	// histogram stays the per-miss cost.
 	progCompile = obs.Default().Histogram("autoax_progcache_compile_us", obs.DefaultLatencyBuckets)
 )

@@ -5,18 +5,8 @@ import (
 	"sync"
 
 	"autoax/internal/acl"
-	"autoax/internal/netlist"
 	"autoax/internal/obs"
 )
-
-// compiledConfig is one synthesis artifact: the simplified netlist of a
-// configuration (analyzed for cost and switching activity) and its
-// compiled program (run by the simulation sweeps).  Both are immutable
-// after construction; the program takes caller-owned scratch.
-type compiledConfig struct {
-	simp *netlist.Netlist
-	prog *netlist.Program
-}
 
 // programStore is an Evaluator's optional ProgramDir plus the counters
 // of how its programs were obtained, shared by every clone of the
@@ -42,13 +32,14 @@ const circuitKeyCap = 4096
 
 // ProgramCacheStats reports how an evaluator obtained its compiled
 // programs.  Every Evaluate and Precompile counts exactly once, as a hit
-// (decoded from the evaluator's ProgramDir) or a miss (compiled).
+// (netlist decoded from the evaluator's ProgramDir, then compiled) or a
+// miss (synthesized, then compiled).
 // Directory writes are best-effort and happen off the request path, so a
 // warm restart over a directory reports Misses == 0 only when the earlier
 // run flushed its handle (ProgramDir.Flush) and dropped none of its writes.
 type ProgramCacheStats struct {
-	Hits      int64 // programs loaded from the ProgramDir
-	Misses    int64 // programs compiled
+	Hits      int64 // netlists loaded from the ProgramDir
+	Misses    int64 // configurations synthesized
 	SelfHeals int64 // corrupt or foreign directory entries deleted on load
 	// KeyEvictions counts structural-key memo entries dropped at the
 	// circuitKeyCap bound.

@@ -13,12 +13,12 @@ import (
 )
 
 // ProgramCacheConfig configures an evaluator's compiled-program
-// directory.  With a Dir set, every synthesized artifact
-// (simplified netlist plus its compiled program) is also written to disk,
-// best-effort and by a background writer, and a fresh Evaluator over the
-// same circuits serves its builds from the files instead of re-running
-// Flatten+Simplify+Compile — the warm-restart path of a long-running
-// search service.
+// directory.  With a Dir set, every synthesized configuration's
+// simplified netlist is also written to disk, best-effort and by a
+// background writer, and a fresh Evaluator over the same circuits decodes
+// the netlist from the file and compiles it instead of re-running
+// Flatten+Simplify — the warm-restart path of a long-running search
+// service.
 type ProgramCacheConfig struct {
 	// Dir is the cache directory; empty disables the disk tier.
 	Dir string
@@ -42,7 +42,7 @@ const progDiskSuffix = ".prog"
 // payload is parsed.
 var progDiskMagic = [4]byte{'a', 'x', 'p', 'g'}
 
-// progDiskName maps a cache key to its entry file.  The program codec
+// progDiskName maps a cache key to its entry file.  The entry format
 // version participates in the hash, so a format rotation turns every
 // old entry into a clean miss under a different name — stale files age
 // out through the byte budget or TTL instead of surfacing as decode
@@ -53,15 +53,15 @@ func progDiskName(key string) string {
 }
 
 // ProgramDir is an open compiled-program directory: a store.Dir of
-// progDiskSuffix entry files, each one artifact in a store frame.  Open
-// it once per directory and process and share the handle across
-// evaluators — the byte budget and TTL hold per handle, so two handles
-// over one directory would each enforce the budget alone, and a handle
-// answers probes from its own inventory, so it never sees entries another
-// handle writes.
+// progDiskSuffix entry files, each one simplified netlist in a store
+// frame.  Open it once per directory and process and share the handle
+// across evaluators — the byte budget and TTL hold per handle, so two
+// handles over one directory would each enforce the budget alone, and a
+// handle answers probes from its own inventory, so it never sees entries
+// another handle writes.
 //
 // Writes are best-effort and happen off the evaluation path: store
-// queues an artifact for a background writer and returns, dropping the
+// queues a netlist for a background writer and returns, dropping the
 // write when progDiskQueue writes are already pending.  Call Flush before
 // reading the directory behind the handle's back or before exiting.
 // Safe for concurrent use.
@@ -74,11 +74,11 @@ type ProgramDir struct {
 	idle    sync.Cond      // on mu; broadcast when the drain goroutine stops
 }
 
-// pendingWrite is one queued store: the artifact is immutable, so the
-// writer encodes it later without a copy.
+// pendingWrite is one queued store: the simplified netlist is immutable,
+// so the writer encodes it later without a copy.
 type pendingWrite struct {
-	key string
-	art compiledConfig
+	key  string
+	simp *netlist.Netlist
 }
 
 // progDiskQueue bounds a ProgramDir's pending writes.  A full queue means
@@ -115,86 +115,76 @@ func OpenProgramDir(cfg ProgramCacheConfig) (*ProgramDir, error) {
 	return p, nil
 }
 
-// encodeArtifact serializes art as one entry file image — a store frame
-// whose payload is the chained binary encodings of the simplified
-// netlist and its compiled program — reusing buf's storage.  The payload
-// is staged at the front of the buffer and framed right after itself, so
-// it returns the grown buffer, for the next call, and the image, which
-// aliases its tail.
-func encodeArtifact(buf []byte, art compiledConfig) (grown, image []byte) {
-	payload := art.prog.AppendBinary(art.simp.AppendBinary(buf[:0]))
+// encodeArtifact serializes simp as one entry file image — a store frame
+// whose payload is the netlist's binary encoding — reusing buf's storage.
+// The payload is staged at the front of the buffer and framed right after
+// itself, so it returns the grown buffer, for the next call, and the
+// image, which aliases its tail.
+func encodeArtifact(buf []byte, simp *netlist.Netlist) (grown, image []byte) {
+	payload := simp.AppendBinary(buf[:0])
 	grown = store.AppendFrame(payload, progDiskMagic, netlist.ProgramFormatVersion, payload)
 	return grown, grown[len(payload):]
 }
 
 // decodeArtifact parses and validates an entry file image; any header,
 // checksum or codec mismatch fails (the caller self-heals by deleting
-// the file).  The decoded program re-establishes the slot invariants the
-// unsafe evaluation kernel relies on, so a truncated or bit-flipped
-// entry can degrade only into a rebuild, never into a bad program.
-func decodeArtifact(buf []byte) (compiledConfig, error) {
+// the file).  The decoded netlist passes Netlist.Validate, so a truncated
+// or bit-flipped entry can degrade only into a rebuild; the caller
+// compiles what decodes.
+func decodeArtifact(buf []byte) (*netlist.Netlist, error) {
 	payload, n, err := store.ReadFrame(buf, progDiskMagic, netlist.ProgramFormatVersion, math.MaxUint64)
 	if err == nil && n != len(buf) {
 		err = fmt.Errorf("%d trailing bytes", len(buf)-n)
 	}
 	if err != nil {
-		return compiledConfig{}, fmt.Errorf("accel: program cache entry: %w", err)
+		return nil, fmt.Errorf("accel: program cache entry: %w", err)
 	}
 	simp, rest, err := netlist.DecodeNetlist(payload)
 	if err != nil {
-		return compiledConfig{}, err
-	}
-	prog, rest, err := netlist.DecodeProgram(rest)
-	if err != nil {
-		return compiledConfig{}, err
+		return nil, err
 	}
 	if len(rest) != 0 {
-		return compiledConfig{}, fmt.Errorf("accel: program cache entry: %d trailing bytes", len(rest))
+		return nil, fmt.Errorf("accel: program cache entry: %d trailing bytes", len(rest))
 	}
-	if prog.NumInputs() != simp.NumInputs || prog.NumOutputs() != len(simp.Outputs) ||
-		prog.NumSlots() != simp.NumNodes()+2 {
-		// The evaluator packs inputs and sizes scratch from the program
-		// and costs the netlist: both must describe one circuit.
-		return compiledConfig{}, fmt.Errorf("accel: program cache entry: program does not match its netlist")
-	}
-	return compiledConfig{simp: simp, prog: prog}, nil
+	return simp, nil
 }
 
-// load returns the artifact stored for key, or ok=false on a miss.  A
-// name the handle has not inventoried is a miss without a syscall.  A
-// present-but-invalid entry (foreign file, truncation, rotation race,
-// bit rot) is deleted and reported as healed, then as a miss so the
-// caller rebuilds and overwrites it.
-func (p *ProgramDir) load(key string) (art compiledConfig, ok, healed bool) {
+// load returns the simplified netlist stored for key, or ok=false on a
+// miss.  A name the handle has not inventoried is a miss without a
+// syscall.  A present-but-invalid entry (foreign file, truncation,
+// rotation race, bit rot) is deleted and reported as healed, then as a
+// miss so the caller rebuilds and overwrites it.
+func (p *ProgramDir) load(key string) (simp *netlist.Netlist, ok, healed bool) {
 	name := progDiskName(key)
 	if !p.dir.Has(name) {
-		return compiledConfig{}, false, false
+		return nil, false, false
 	}
 	buf, err := p.dir.Read(name)
 	if err != nil {
-		return compiledConfig{}, false, false
+		return nil, false, false
 	}
-	art, err = decodeArtifact(buf)
+	simp, err = decodeArtifact(buf)
 	if err != nil {
 		p.dir.Remove(name)
-		return compiledConfig{}, false, true
+		return nil, false, true
 	}
 	p.dir.Touch(name, int64(len(buf)))
-	return art, true, false
+	return simp, true, false
 }
 
-// store queues key's artifact for the background writer and returns;
-// with progDiskQueue writes already pending it drops the write instead.
+// store queues key's simplified netlist for the background writer and
+// returns; with progDiskQueue writes already pending it drops the write
+// instead.
 // Dropped and failed writes are silent beyond the missing entry and the
 // drop counter: the disk tier is an accelerator, not a source of truth.
-func (p *ProgramDir) store(key string, art compiledConfig) {
+func (p *ProgramDir) store(key string, simp *netlist.Netlist) {
 	p.mu.Lock()
 	if len(p.queue) >= progDiskQueue {
 		p.mu.Unlock()
 		progDiskDropped.Inc()
 		return
 	}
-	p.queue = append(p.queue, pendingWrite{key, art})
+	p.queue = append(p.queue, pendingWrite{key, simp})
 	start := !p.writing
 	p.writing = true
 	p.mu.Unlock()
@@ -203,7 +193,7 @@ func (p *ProgramDir) store(key string, art compiledConfig) {
 	}
 }
 
-// drain writes queued artifacts in order until the queue is empty, then
+// drain writes queued netlists in order until the queue is empty, then
 // marks the writer idle and exits; store starts the next one.  One
 // encode buffer serves every write of a run.
 func (p *ProgramDir) drain() {
@@ -221,7 +211,7 @@ func (p *ProgramDir) drain() {
 		p.queue[0] = pendingWrite{}
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
-		buf, image = encodeArtifact(buf, w.art)
+		buf, image = encodeArtifact(buf, w.simp)
 		_ = p.dir.Write(progDiskName(w.key), image)
 	}
 }

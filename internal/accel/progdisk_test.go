@@ -58,9 +58,9 @@ func entryFiles(t *testing.T, dir string) []string {
 }
 
 // TestProgramDiskWarmRestart pins the tentpole acceptance: a fresh
-// evaluator over a populated program directory compiles nothing — the
-// build count stays zero and the artifact is decoded from disk, with a
-// bit-identical evaluation result.
+// evaluator over a populated program directory synthesizes nothing — the
+// build count stays zero and the netlist is decoded from disk and
+// compiled, with a bit-identical evaluation result.
 func TestProgramDiskWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	ev1, cfg := diskFixture(t, dir)
@@ -106,11 +106,11 @@ func TestProgramDiskGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, cfg := diskFixture(t, t.TempDir())
-	art, err := ev.compiled(cfg)
+	simp, _, err := ev.compiled(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, b := encodeArtifact(nil, art); !bytes.Equal(b, golden) {
+	if _, b := encodeArtifact(nil, simp); !bytes.Equal(b, golden) {
 		t.Fatalf("artifact bytes changed: %d bytes, golden %d", len(b), len(golden))
 	}
 	if _, err := decodeArtifact(golden); err != nil {
@@ -120,9 +120,8 @@ func TestProgramDiskGoldenBytes(t *testing.T) {
 
 // TestProgramDiskCorruptSelfHeal verifies that a damaged entry is
 // deleted, counted, rebuilt and re-persisted — and that every
-// single-byte corruption of a valid entry is detected by the decoder
-// (the programs feed unsafe kernels, so this is a safety property, not
-// just hygiene).
+// single-byte corruption of a valid entry is detected by the decoder,
+// so a damaged entry never reaches Compile as a different circuit.
 func TestProgramDiskCorruptSelfHeal(t *testing.T) {
 	dir := t.TempDir()
 	ev1, cfg := diskFixture(t, dir)
@@ -219,11 +218,11 @@ func TestProgramDiskPrecompile(t *testing.T) {
 func TestProgramDiskBudgetAndTTL(t *testing.T) {
 	dir := t.TempDir()
 	ev, cfg := diskFixture(t, dir)
-	art, err := ev.compiled(cfg)
+	simp, _, err := ev.compiled(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, image := encodeArtifact(nil, art)
+	_, image := encodeArtifact(nil, simp)
 	size := int64(len(image))
 
 	tier, err := OpenProgramDir(ProgramCacheConfig{Dir: t.TempDir(), MaxBytes: 2 * size})
@@ -231,7 +230,7 @@ func TestProgramDiskBudgetAndTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		tier.store(fmt.Sprintf("key-%d", i), art)
+		tier.store(fmt.Sprintf("key-%d", i), simp)
 	}
 	tier.Flush()
 	if got := tier.dir.Stats().Evictions; got != 2 {
@@ -251,7 +250,7 @@ func TestProgramDiskBudgetAndTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ttlTier.store("k", art)
+	ttlTier.store("k", simp)
 	ttlTier.Flush()
 	old := time.Now().Add(-time.Hour)
 	for _, n := range entryFiles(t, ttlDir) {
@@ -297,11 +296,11 @@ func TestProgramDiskWriteBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := ref.compiled(cfg)
+	simp, _, err := ref.compiled(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, image := encodeArtifact(nil, art)
+	_, image := encodeArtifact(nil, simp)
 
 	dir := t.TempDir()
 	ev, _ := diskFixture(t, dir)
@@ -311,9 +310,9 @@ func TestProgramDiskWriteBehind(t *testing.T) {
 	keys := make([]string, progDiskQueue)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
-		pd.store(keys[i], art)
+		pd.store(keys[i], simp)
 	}
-	pd.store("key-over", art)
+	pd.store("key-over", simp)
 	got, err := ev.Evaluate(cfg) // builds; its write finds the queue full
 	if err != nil {
 		t.Fatal(err)
@@ -394,9 +393,9 @@ func TestProgramDiskWriteBehind(t *testing.T) {
 				k := fmt.Sprintf("c-%d", (7*g+i)%20)
 				switch i % 3 {
 				case 0:
-					shared.store(k, art)
+					shared.store(k, simp)
 				case 1:
-					if a, ok, healed := shared.load(k); healed || ok && a.prog.NumSlots() != art.prog.NumSlots() {
+					if a, ok, healed := shared.load(k); healed || ok && a.NumNodes() != simp.NumNodes() {
 						t.Errorf("load %s: ok=%v healed=%v", k, ok, healed)
 					}
 				default:

@@ -337,3 +337,115 @@ func TestParseStrictness(t *testing.T) {
 		t.Errorf("pristine payload rejected: %v", err)
 	}
 }
+
+// fuzzMaxNodes bounds the graphs the wire fuzz targets flatten: a short
+// payload can declare dozens of 32-bit multipliers, and flattening those
+// would only measure the synthesizer.
+const fuzzMaxNodes = 64
+
+// fuzzCharacterize keeps the exact circuits' characterization to a few
+// Monte-Carlo draws; the fuzz targets check flattening, not error metrics.
+var fuzzCharacterize = acl.Options{ExhaustiveBits: 1, Samples: 64, ActivityBatches: 1}
+
+// checkParsedGraph is what every graph a wire parser accepts must
+// satisfy: it validates, and (within fuzzMaxNodes) flattens under its
+// exact configuration without a panic.
+func checkParsedGraph(t *testing.T, g *accel.Graph) {
+	t.Helper()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("parsed graph does not validate: %v", err)
+	}
+	if len(g.Nodes) > fuzzMaxNodes {
+		return
+	}
+	cfg, err := accel.ExactConfiguration(g, fuzzCharacterize)
+	if err != nil {
+		t.Fatalf("exact configuration of a parsed graph: %v", err)
+	}
+	if _, err := accel.Flatten(g, cfg); err != nil {
+		t.Fatalf("flattening a parsed graph: %v", err)
+	}
+}
+
+// FuzzParseGraphJSON: every graph ParseGraphJSON accepts validates,
+// re-marshals and re-parses to an equal canonical hash, and flattens.
+func FuzzParseGraphJSON(f *testing.F) {
+	for seed := int64(1); seed <= 25; seed++ {
+		b, err := randomGraph(seed).MarshalWire()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, app := range paperApps() {
+		b, err := app.Graph.MarshalWire()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		g, err := accel.ParseGraphJSON(buf)
+		if err != nil {
+			return
+		}
+		b, err := g.MarshalWire()
+		if err != nil {
+			t.Fatalf("parsed graph does not marshal: %v", err)
+		}
+		back, err := accel.ParseGraphJSON(b)
+		if err != nil {
+			t.Fatalf("re-marshalled graph does not parse: %v\n%s", err, b)
+		}
+		if back.CanonicalHash() != g.CanonicalHash() {
+			t.Fatalf("canonical hash changed across a re-marshal:\n%s", b)
+		}
+		checkParsedGraph(t, g)
+	})
+}
+
+// FuzzParseAppJSON: every app ParseAppJSON accepts validates,
+// re-marshals and re-parses to an equal canonical hash, and its graph
+// flattens.
+func FuzzParseAppJSON(f *testing.F) {
+	for _, app := range paperApps() {
+		b, err := app.MarshalWire()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		g := randomGraph(seed)
+		taps := make([]accel.WindowTap, len(g.Inputs))
+		for i := range taps {
+			taps[i] = accel.WindowTap{DX: i%3 - 1, DY: i/3%3 - 1}
+		}
+		b, err := (&accel.ImageApp{Name: "rnd", Graph: g, Taps: taps, Sims: [][]uint64{{}}}).MarshalWire()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		app, err := accel.ParseAppJSON(buf)
+		if err != nil {
+			return
+		}
+		if err := app.Validate(); err != nil {
+			t.Fatalf("parsed app does not validate: %v", err)
+		}
+		b, err := app.MarshalWire()
+		if err != nil {
+			t.Fatalf("parsed app does not marshal: %v", err)
+		}
+		back, err := accel.ParseAppJSON(b)
+		if err != nil {
+			t.Fatalf("re-marshalled app does not parse: %v\n%s", err, b)
+		}
+		if back.CanonicalHash() != app.CanonicalHash() {
+			t.Fatalf("canonical hash changed across a re-marshal:\n%s", b)
+		}
+		checkParsedGraph(t, app.Graph)
+	})
+}

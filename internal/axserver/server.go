@@ -75,12 +75,13 @@ type Options struct {
 	// long-lived fleet worker's artifact store cannot accumulate stale
 	// libraries forever.  0 disables expiry; ignored without a CacheDir.
 	DiskCacheTTL time.Duration
-	// ProgramCacheDir persists compiled accelerator programs (simplified
-	// netlist + instruction streams) across restarts: pipelines and
-	// shard-model builds decode previously synthesized configurations
-	// instead of recompiling them.  Writes are best-effort and happen
-	// off the request path; Close flushes the ones still queued.  Empty
-	// compiles every configuration.
+	// ProgramCacheDir persists the synthesized accelerator netlists
+	// (one simplified netlist per configuration) across restarts:
+	// pipelines and shard-model builds decode and compile previously
+	// synthesized configurations instead of re-synthesizing them.
+	// Writes are best-effort and happen off the request path; Close
+	// flushes the ones still queued.  Empty synthesizes every
+	// configuration.
 	ProgramCacheDir string
 	// ProgramCacheBytes bounds the program directory's total bytes by
 	// LRU eviction; 0 means accel.DefaultProgramDiskBytes.  Ignored

@@ -557,20 +557,27 @@ func TestRequestParallelismFieldRejected(t *testing.T) {
 }
 
 // TestRequestNegativeLibraryOptionRejected: a negative characterization
-// knob is refused with a 400 naming the field, by Key and at submit on
-// /v1/libraries and on /v1/evaluate and /v1/pipelines, which embed the
-// library request.
+// knob, or a samples or exhaustiveBits value past its cap, is refused
+// with a 400 naming the field, by Key and at submit on /v1/libraries and
+// on /v1/evaluate and /v1/pipelines, which embed the library request.
 // Every submission fails validation before a job exists, so the job list
 // stays empty and no build starts.
 func TestRequestNegativeLibraryOptionRejected(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
-	for _, field := range []string{"exhaustiveBits", "samples", "activityBatches"} {
+	for _, c := range []struct {
+		field string
+		value int
+	}{
+		{"exhaustiveBits", -1}, {"samples", -1}, {"activityBatches", -1},
+		{"exhaustiveBits", maxExhaustiveBits + 1}, {"samples", maxLibrarySamples + 1},
+	} {
+		field := c.field
 		var lib LibraryRequest
-		if err := json.Unmarshal(withField(t, tinyLibrary(1), field, -1), &lib); err != nil {
+		if err := json.Unmarshal(withField(t, tinyLibrary(1), field, c.value), &lib); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := lib.Key(); err == nil || !strings.Contains(err.Error(), field) {
-			t.Errorf("Key with %s -1: error %v does not name the field", field, err)
+			t.Errorf("Key with %s %d: error %v does not name the field", field, c.value, err)
 		}
 		eval := EvaluateRequest{
 			App:     "sobel",
@@ -586,10 +593,10 @@ func TestRequestNegativeLibraryOptionRejected(t *testing.T) {
 		}{{"/v1/libraries", lib}, {"/v1/evaluate", eval}, {"/v1/pipelines", pipe}} {
 			var env errorBody
 			if code := postJSON(t, ts.URL+sub.path, sub.body, &env); code != http.StatusBadRequest {
-				t.Errorf("%s with %s -1: status %d, want 400", sub.path, field, code)
+				t.Errorf("%s with %s %d: status %d, want 400", sub.path, field, c.value, code)
 			}
 			if !strings.Contains(env.Error, field) {
-				t.Errorf("%s with %s -1: error %q does not name the field", sub.path, field, env.Error)
+				t.Errorf("%s with %s %d: error %q does not name the field", sub.path, field, c.value, env.Error)
 			}
 		}
 	}

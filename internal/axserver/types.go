@@ -3,6 +3,7 @@ package axserver
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"autoax/internal/accel"
@@ -34,6 +35,16 @@ type LibraryRequest struct {
 // that a single request cannot exhaust the server.
 const maxLibraryCircuits = 200000
 
+// maxLibrarySamples and maxExhaustiveBits cap the per-circuit sweep:
+// acl.BuildContext checks cancellation only between circuits, so one
+// circuit's sweep must stay short enough for job cancellation and
+// deadlines to hold.  Every default fits (mul8 sweeps 16 bits
+// exhaustively, wider ops are sampled).
+const (
+	maxLibrarySamples = 1 << 24
+	maxExhaustiveBits = 24
+)
+
 // buildInputs converts the wire request into the acl build inputs.
 func (r LibraryRequest) buildInputs() ([]acl.BuildSpec, int64, acl.Options, error) {
 	if len(r.Specs) == 0 {
@@ -57,13 +68,21 @@ func (r LibraryRequest) buildInputs() ([]acl.BuildSpec, int64, acl.Options, erro
 	}
 	// Zero takes the acl default; a negative knob would run the sweep
 	// for 2^64 pairs (samples) or zero every circuit's power and energy
-	// (activityBatches).
+	// (activityBatches).  activityBatches needs no upper cap: it only
+	// selects among the sweep's own blocks.
 	for _, f := range []struct {
-		name string
-		v    int
-	}{{"exhaustiveBits", r.ExhaustiveBits}, {"samples", r.Samples}, {"activityBatches", r.ActivityBatches}} {
+		name   string
+		v, max int
+	}{
+		{"exhaustiveBits", r.ExhaustiveBits, maxExhaustiveBits},
+		{"samples", r.Samples, maxLibrarySamples},
+		{"activityBatches", r.ActivityBatches, math.MaxInt},
+	} {
 		if f.v < 0 {
 			return nil, 0, acl.Options{}, fmt.Errorf("library request: %s must not be negative, got %d", f.name, f.v)
+		}
+		if f.v > f.max {
+			return nil, 0, acl.Options{}, fmt.Errorf("library request: %s must be at most %d, got %d", f.name, f.max, f.v)
 		}
 	}
 	seed := r.Seed

@@ -66,10 +66,10 @@ type Config struct {
 	// the historical explore seed, so default runs are unchanged.
 	SearchSeed int64
 	// ProgramCache is the precise evaluator's persistent compiled-program
-	// directory (see accel.OpenProgramDir); nil compiles every
-	// configuration.  A restarted pipeline decodes the persisted programs
-	// instead of recompiling; pipelines over one directory share one
-	// handle.
+	// directory (see accel.OpenProgramDir); nil synthesizes every
+	// configuration.  A restarted pipeline decodes and compiles the
+	// persisted simplified netlists instead of re-synthesizing; pipelines
+	// over one directory share one handle.
 	ProgramCache *accel.ProgramDir
 	// Seed drives every random choice.
 	Seed int64

@@ -7,70 +7,6 @@ import (
 	"autoax/internal/mat"
 )
 
-// ridgeSolve fits centred, standardized ridge regression and returns the
-// raw-space weights and intercept.
-func ridgeSolve(x [][]float64, y []float64, lambda float64) (w []float64, b float64, err error) {
-	s := FitScaler(x)
-	xs := s.Transform(x)
-	var ymean float64
-	for _, v := range y {
-		ymean += v
-	}
-	ymean /= float64(len(y))
-	d := len(x[0])
-	xm := mat.FromRows(xs)
-	g := xm.Gram()
-	for j := 0; j < d; j++ {
-		g.Set(j, j, g.At(j, j)+lambda)
-	}
-	xty := make([]float64, d)
-	for i, row := range xs {
-		dy := y[i] - ymean
-		for j, v := range row {
-			xty[j] += v * dy
-		}
-	}
-	ws, err := mat.SolveLU(g, xty)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Undo standardization: w_raw[j] = ws[j]/std[j]; b = ymean − Σ w_raw·mean.
-	w = make([]float64, d)
-	b = ymean
-	for j := range w {
-		w[j] = ws[j] / s.Std[j]
-		b -= w[j] * s.Mean[j]
-	}
-	return w, b, nil
-}
-
-// Ridge is linear regression with L2 regularization (internally
-// standardized, like scikit-learn's Ridge with its solver defaults).
-type Ridge struct {
-	Lambda float64
-	w      []float64
-	b      float64
-}
-
-// NewRidge returns a ridge regressor with the given regularization.
-func NewRidge(lambda float64) *Ridge { return &Ridge{Lambda: lambda} }
-
-// Fit implements Regressor.
-func (r *Ridge) Fit(x [][]float64, y []float64) error {
-	if err := checkXY(x, y); err != nil {
-		return err
-	}
-	w, b, err := ridgeSolve(x, y, r.Lambda)
-	if err != nil {
-		return err
-	}
-	r.w, r.b = w, b
-	return nil
-}
-
-// Predict implements Regressor.
-func (r *Ridge) Predict(x []float64) float64 { return mat.Dot(r.w, x) + r.b }
-
 // BayesianRidge implements evidence-approximation Bayesian linear
 // regression: the noise precision α and weight precision λ are re-estimated
 // from the data (MacKay fixed-point updates), after which the model is a

@@ -181,24 +181,16 @@ func (b *Builder) AndNot(a, c Signal) Signal { return b.emit(cell.AndN2, a, c, 0
 // OrNot emits a OR NOT c.
 func (b *Builder) OrNot(a, c Signal) Signal { return b.emit(cell.OrN2, a, c, 0) }
 
-// AndMany reduces signals with a balanced AND tree; empty input yields Const1.
-func (b *Builder) AndMany(ss ...Signal) Signal { return b.reduce(b.And, Const1, ss) }
-
 // OrMany reduces signals with a balanced OR tree; empty input yields Const0.
-func (b *Builder) OrMany(ss ...Signal) Signal { return b.reduce(b.Or, Const0, ss) }
-
-// XorMany reduces signals with a balanced XOR tree; empty input yields Const0.
-func (b *Builder) XorMany(ss ...Signal) Signal { return b.reduce(b.Xor, Const0, ss) }
-
-func (b *Builder) reduce(op func(Signal, Signal) Signal, empty Signal, ss []Signal) Signal {
+func (b *Builder) OrMany(ss ...Signal) Signal {
 	switch len(ss) {
 	case 0:
-		return empty
+		return Const0
 	case 1:
 		return ss[0]
 	}
 	mid := len(ss) / 2
-	return op(b.reduce(op, empty, ss[:mid]), b.reduce(op, empty, ss[mid:]))
+	return b.Or(b.OrMany(ss[:mid]...), b.OrMany(ss[mid:]...))
 }
 
 // FullAdder emits a full adder and returns (sum, carry).

@@ -9,9 +9,10 @@ import (
 
 // slotLoad / slotStore access value slot s of a buffer through its base
 // pointer without a bounds check.  Safety rests on one local invariant,
-// established by lower (or DecodeProgram) and pinned by run before the
-// loop: every operand and destination slot is < NumSlots, and the buffer
-// holds NumSlots×BlockWords elements.  The instruction loop is the
+// established by lower (Compile, through lower, is the only producer of
+// Program values) and pinned by run before the loop: every operand and
+// destination slot is < NumSlots, and the buffer holds
+// NumSlots×BlockWords elements.  The instruction loop is the
 // hottest code in the repository; the three checks these helpers avoid
 // per gate are worth ~10% end to end.
 func slotLoad(base unsafe.Pointer, s uintptr) uint64 {

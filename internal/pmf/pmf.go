@@ -49,9 +49,6 @@ func newForm(wa, wb int, dense bool) *PMF {
 	return p
 }
 
-// Widths returns the operand widths.
-func (p *PMF) Widths() (wa, wb int) { return p.wa, p.wb }
-
 func (p *PMF) key(a, b uint64) uint64 { return a<<uint(p.wb) | b }
 
 // Add accumulates weight w on the operand pair (a, b).

@@ -9,7 +9,7 @@ import (
 )
 
 // The two frame kinds persisted today: write-ahead journal records and
-// compiled-program artifacts.  testdata holds one of each, as the journal
+// program-directory entries (one simplified netlist each).  testdata holds one of each, as the journal
 // and the program directory write them.
 var (
 	journalMagic = [4]byte{'a', 'x', 'j', 'l'}
@@ -20,7 +20,7 @@ var (
 		version uint32
 	}{
 		{"testdata/journal.frame", journalMagic, 1},
-		{"testdata/tiny.prog", progMagic, 3},
+		{"testdata/tiny.prog", progMagic, 4},
 	}
 )
 
@@ -38,7 +38,7 @@ func readTestdata(t testing.TB, name string) []byte {
 func TestFrameGolden(t *testing.T) {
 	pins := map[string][2]string{ // header, FNV-1a trailer
 		"testdata/journal.frame": {"61786a6c010000009000000000000000", "0077c95fc1b08921"},
-		"testdata/tiny.prog":     {"61787067030000002904000000000000", "2eba140a1d86d0c4"},
+		"testdata/tiny.prog":     {"61787067040000000802000000000000", "eff7d9dfc73aaf3b"},
 	}
 	for _, k := range frameKinds {
 		buf := readTestdata(t, k.file)
