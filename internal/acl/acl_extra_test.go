@@ -1,12 +1,15 @@
 package acl
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"autoax/internal/approxgen"
 	"autoax/internal/arith"
+	"autoax/internal/netlist"
 	"autoax/internal/pmf"
 )
 
@@ -82,6 +85,100 @@ func TestLoadRejectsCorruptJSON(t *testing.T) {
 	if _, err := Load(strings.NewReader(bad2)); err == nil {
 		t.Error("expected missing-netlist error")
 	}
+	// Circuits whose key or netlist disagrees with their op: each must be
+	// rejected with an error naming the circuit.
+	for name, b := range misshapenLibraries(t) {
+		_, err := LoadBytes(b)
+		if err == nil {
+			t.Errorf("%s: loaded", name)
+		} else if !strings.Contains(err.Error(), "/t41") && !strings.Contains(err.Error(), "[0]") {
+			t.Errorf("%s: error %q does not name the circuit", name, err)
+		}
+	}
+}
+
+// misshapenLibraries returns serialized libraries of one otherwise valid
+// add4 circuit ("t41") that Load must reject: a circuit filed under
+// another op's key, under an unsupported op, or with a netlist whose input
+// or output count does not match its op; plus a null circuit.
+func misshapenLibraries(t testing.TB) map[string][]byte {
+	t.Helper()
+	good, err := Characterize(approxgen.TruncAdder(4, 1), Op{Add, 4}, "t", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good.Name = "t41"
+	encode := func(key string, edit func(c *Circuit)) []byte {
+		c := *good
+		c.Netlist = good.Netlist.Clone()
+		if edit != nil {
+			edit(&c)
+		}
+		b, err := json.Marshal(&Library{Circuits: map[string][]*Circuit{key: {&c}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	return map[string][]byte{
+		"wrong key":       encode("add8", nil),
+		"padded key":      encode("add04", nil),
+		"unknown kind":    encode("Kind(7)4", func(c *Circuit) { c.Op.Kind = 7 }),
+		"width too large": encode("add40", func(c *Circuit) { c.Op.Width = 40 }),
+		"extra input":     encode("add4", func(c *Circuit) { c.Netlist.NumInputs++ }),
+		"missing output": encode("add4", func(c *Circuit) {
+			c.Netlist.Outputs = c.Netlist.Outputs[:len(c.Netlist.Outputs)-1]
+		}),
+		"extra output": encode("add4", func(c *Circuit) {
+			c.Netlist.Outputs = append(c.Netlist.Outputs, c.Netlist.Outputs[0])
+		}),
+		"null circuit": []byte(`{"circuits":{"add4":[null]}}`),
+	}
+}
+
+// FuzzLoadBytes feeds arbitrary bytes to the library decoder the server
+// runs on every stored library.  Whatever LoadBytes accepts must
+// re-marshal to bytes that reload and re-marshal identically, and every
+// circuit's netlist must compile.
+func FuzzLoadBytes(f *testing.F) {
+	lib, err := Build([]BuildSpec{{Op{Add, 4}, 3}, {Op{Mul, 3}, 2}}, 1, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := json.Marshal(lib)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	for _, b := range misshapenLibraries(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		lib, err := LoadBytes(b)
+		if err != nil {
+			return
+		}
+		once, err := json.Marshal(lib)
+		if err != nil {
+			t.Fatalf("accepted library does not marshal: %v", err)
+		}
+		again, err := LoadBytes(once)
+		if err != nil {
+			t.Fatalf("re-marshalled library does not load: %v", err)
+		}
+		twice, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("reload changed the library:\n%s\n%s", once, twice)
+		}
+		for _, cs := range lib.Circuits {
+			for _, c := range cs {
+				netlist.Compile(c.Netlist)
+			}
+		}
+	})
 }
 
 func TestCharacterizeMultiplierMetrics(t *testing.T) {

@@ -17,6 +17,11 @@ import (
 // Library groups characterized circuits per operation instance (e.g. all
 // 8-bit adders).  It is the reproduction's counterpart of the paper's
 // merged EvoApprox + QuAd + BAM library (Table 2).
+//
+// A library handed out by a shared tier (the HTTP server keeps one decoded
+// value per stored library for all of its jobs) is read-only: callers
+// must not mutate its map, slices, circuits or netlists.  Per-use state
+// such as WMED belongs on a copy of the circuit.
 type Library struct {
 	// Circuits maps Op.String() to the characterized circuits available
 	// for that operation instance, sorted by ascending area.
@@ -212,7 +217,10 @@ func (l *Library) SaveFile(path string) error {
 	return l.Save(f)
 }
 
-// Load reads a library from JSON.
+// Load reads a library from JSON.  Every circuit must sit under its own
+// op's key (a supported kind and width), carry a well-formed netlist, and
+// have the op's interface: wa+wb inputs and OutWidth outputs — the shape
+// Characterize checks before it builds a circuit.
 func Load(r io.Reader) (*Library, error) {
 	var l Library
 	if err := json.NewDecoder(r).Decode(&l); err != nil {
@@ -222,12 +230,30 @@ func Load(r io.Reader) (*Library, error) {
 		l.Circuits = make(map[string][]*Circuit)
 	}
 	for key, cs := range l.Circuits {
-		for _, c := range cs {
-			if c.Netlist == nil {
+		for i, c := range cs {
+			if c == nil {
+				return nil, fmt.Errorf("acl: circuit %s[%d] is null", key, i)
+			}
+			if c.Op.String() != key {
+				return nil, fmt.Errorf("acl: circuit %s/%s has op %s", key, c.Name, c.Op)
+			}
+			if _, err := ParseOp(key); err != nil {
+				return nil, fmt.Errorf("acl: circuit %s/%s: %w", key, c.Name, err)
+			}
+			nl := c.Netlist
+			if nl == nil {
 				return nil, fmt.Errorf("acl: circuit %s/%s has no netlist", key, c.Name)
 			}
-			if err := c.Netlist.Validate(); err != nil {
+			if err := nl.Validate(); err != nil {
 				return nil, fmt.Errorf("acl: circuit %s/%s: %w", key, c.Name, err)
+			}
+			if wa, wb := c.Op.InWidths(); nl.NumInputs != wa+wb {
+				return nil, fmt.Errorf("acl: circuit %s/%s has %d inputs, op %s needs %d",
+					key, c.Name, nl.NumInputs, c.Op, wa+wb)
+			}
+			if len(nl.Outputs) != c.Op.OutWidth() {
+				return nil, fmt.Errorf("acl: circuit %s/%s has %d outputs, op %s needs %d",
+					key, c.Name, len(nl.Outputs), c.Op, c.Op.OutWidth())
 			}
 		}
 	}

@@ -16,6 +16,9 @@ var (
 	jobQueueWait  = obs.Default().Histogram("autoax_job_queue_wait_us", obs.DefaultLatencyBuckets)
 	jobExec       = obs.Default().Histogram("autoax_job_exec_us", obs.DefaultLatencyBuckets)
 	cacheSelfHeal = obs.Default().Counter("autoax_cache_selfheal_total")
+	// libraryDecodes counts stored libraries decoded from their bytes;
+	// decodeLibrary serves repeats from its memo without counting.
+	libraryDecodes = obs.Default().Counter("autoax_library_decodes_total")
 )
 
 func jobsSubmitted(kind string) *obs.Counter {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"autoax/internal/accel"
-	"autoax/internal/acl"
 	"autoax/internal/core"
 	"autoax/internal/dse"
 	"autoax/internal/fleet"
@@ -283,7 +282,7 @@ func (s *Server) sharedModels(ctx context.Context, key string, build func(contex
 // rests on.
 func (s *Server) buildShardModels(ctx context.Context, req SearchShardRequest, app *accel.ImageApp, libBytes []byte) (*dse.Models, error) {
 	req = req.normalizedModel()
-	lib, err := acl.LoadBytes(libBytes)
+	lib, err := s.decodeLibrary(req.Shard.LibraryHash, libBytes)
 	if err != nil {
 		return nil, fmt.Errorf("loading library %s: %w", req.Shard.LibraryHash, err)
 	}

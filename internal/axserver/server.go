@@ -25,6 +25,7 @@
 package axserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -143,6 +144,13 @@ type Server struct {
 	modelMu     sync.Mutex
 	models      store.LRU[string, *dse.Models]
 	modelFlight store.Flight[string, *dse.Models]
+
+	// libs memoizes decoded libraries by canonical key (see
+	// decodeLibrary), at a cost of 1 each under libraryMemoEntries;
+	// libFlight coalesces concurrent first decodes of one key.
+	libMu     sync.Mutex
+	libs      store.LRU[string, decodedLibrary]
+	libFlight store.Flight[string, decodedLibrary]
 }
 
 // New validates the options and starts the worker pool.
@@ -215,6 +223,7 @@ func New(opts Options) (*Server, error) {
 		shardSem:   make(chan struct{}, opts.Workers),
 	}
 	s.models.Budget = modelCacheEntries
+	s.libs.Budget = libraryMemoEntries
 	if opts.JournalDir != "" {
 		jr, incomplete, maxSeq, err := openJournal(opts.JournalDir)
 		if err != nil {
@@ -531,7 +540,10 @@ func requestKey(libKey, appHash string, rest any) (string, error) {
 // when an identical build exists and coalesced with any identical build
 // already in flight.  On a miss the library is built (checking ctx between
 // circuit characterizations), stored under its canonical key, and
-// returned; cached reports whether a computation was avoided.
+// returned; cached reports whether a computation was avoided.  Stored
+// bytes are decoded through decodeLibrary, so the returned library may be
+// shared with every other job over the same key: callers must not mutate
+// it.
 func (s *Server) resolveLibrary(ctx context.Context, req LibraryRequest) (lib *acl.Library, key string, cached bool, err error) {
 	specs, seed, opts, err := req.buildInputs()
 	if err != nil {
@@ -541,11 +553,68 @@ func (s *Server) resolveLibrary(ctx context.Context, req LibraryRequest) (lib *a
 	lib, cached, err = cachedArtifact(s, ctx, libraryKeyspace+key,
 		func() (*acl.Library, error) { return acl.BuildContext(ctx, specs, seed, opts) },
 		func(l *acl.Library) ([]byte, error) { return json.Marshal(l) },
-		acl.LoadBytes)
+		func(b []byte) (*acl.Library, error) { return s.decodeLibrary(key, b) })
 	if err != nil {
 		return nil, "", false, err
 	}
 	return lib, key, cached, nil
+}
+
+// libraryMemoEntries bounds the decoded-library memo.  A decoded library
+// is a few MB at most at bench scale, and a server typically serves one
+// or two libraries at a time, so the cap is small.
+const libraryMemoEntries = 4
+
+// decodedLibrary is one memo entry: a library and the bytes it was
+// decoded from.
+type decodedLibrary struct {
+	bytes []byte
+	lib   *acl.Library
+}
+
+// decodeLibrary returns the library serialized in b, the stored bytes of
+// canonical key.  The decoded value is memoized per key and served again
+// only for bytes equal to the ones it was decoded from (the memory tier
+// hands out the same slice, so the check is cheap); concurrent first
+// decodes of a key share one.  Decode errors are not memoized, so a
+// corrupt entry still self-heals.  Every decode counts in
+// libraryDecodes.  The result is shared read-only by every caller.
+func (s *Server) decodeLibrary(key string, b []byte) (*acl.Library, error) {
+	memo := func() (*acl.Library, bool) {
+		s.libMu.Lock()
+		e, ok := s.libs.Get(key)
+		s.libMu.Unlock()
+		return e.lib, ok && bytes.Equal(e.bytes, b)
+	}
+	if lib, ok := memo(); ok {
+		return lib, nil
+	}
+	// The wait is not bounded by a job context: a decode is bounded by
+	// the size of b, and a cancelled wait must not read as corrupt bytes.
+	e, _, err := s.libFlight.Do(context.Background(), key, func() (decodedLibrary, error) {
+		if lib, ok := memo(); ok {
+			return decodedLibrary{b, lib}, nil
+		}
+		libraryDecodes.Inc()
+		lib, err := acl.LoadBytes(b)
+		if err != nil {
+			return decodedLibrary{}, err
+		}
+		e := decodedLibrary{b, lib}
+		s.libMu.Lock()
+		s.libs.Put(key, e, 1)
+		s.libMu.Unlock()
+		return e, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(e.bytes, b) {
+		// A concurrent caller decoded other bytes for this key.
+		libraryDecodes.Inc()
+		return acl.LoadBytes(b)
+	}
+	return e.lib, nil
 }
 
 // LibraryBytes returns the serialized cached library for a canonical key.

@@ -148,9 +148,6 @@ func (b *Builder) emit(k cell.Kind, a, bb, c Signal) Signal {
 	return Signal(b.n.NumNodes() - 1)
 }
 
-// Buf emits a buffer (rarely needed; folding elides it).
-func (b *Builder) Buf(a Signal) Signal { return b.emit(cell.Buf, a, 0, 0) }
-
 // Not emits an inverter.
 func (b *Builder) Not(a Signal) Signal { return b.emit(cell.Inv, a, 0, 0) }
 
@@ -291,6 +288,8 @@ func foldGate(k cell.Kind, a, b, c Signal, nl *Netlist) (Signal, bool) {
 	}
 	switch k {
 	case cell.Buf:
+		// Instantiate copies a sub-netlist gate for gate, and a loaded
+		// library netlist may hold Buf gates.
 		return a, true
 	case cell.Inv:
 		if n, ok := notOf(a); ok {
