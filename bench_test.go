@@ -89,9 +89,9 @@ func BenchmarkFigure5(b *testing.B) { benchDriver(b, expt.Figure5) }
 // Substrate micro-benchmarks.
 
 // BenchmarkNetlistEvalBlockWide measures the one simulation kernel:
-// netlist.BlockWords×64 vectors per call through the compiled (3-input-
-// fused) exact 8×8 Dadda multiplier — the sweep path acl.Characterize
-// and the evaluator's QoR pass run on.
+// netlist.BlockWords×64 vectors per call through the compiled exact 8×8
+// Dadda multiplier, one instruction per gate — the sweep path
+// acl.Characterize and the evaluator's QoR pass run on.
 func BenchmarkNetlistEvalBlockWide(b *testing.B) {
 	nl := arith.NewDaddaMultiplier(8)
 	prog := netlist.Compile(nl)

@@ -46,11 +46,11 @@ func TestGraphValidate(t *testing.T) {
 
 func TestEvalExactTiny(t *testing.T) {
 	app := tinyApp()
-	got := app.Graph.EvalExact([]uint64{100, 60}, nil)
+	got := app.Graph.EvalExact([]uint64{100, 60})
 	if got[0] != 80 {
 		t.Errorf("out = %d, want 80", got[0])
 	}
-	got = app.Graph.EvalExact([]uint64{255, 255}, nil)
+	got = app.Graph.EvalExact([]uint64{255, 255})
 	if got[0] != 255 {
 		t.Errorf("out = %d, want 255", got[0])
 	}
@@ -67,11 +67,11 @@ func TestEvalExactNodeSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// |50 - 200| = 150.
-	if got := g.EvalExact([]uint64{50}, nil); got[0] != 150 {
+	if got := g.EvalExact([]uint64{50}); got[0] != 150 {
 		t.Errorf("abs diff = %d, want 150", got[0])
 	}
 	// |250 - 200| = 50.
-	if got := g.EvalExact([]uint64{250}, nil); got[0] != 50 {
+	if got := g.EvalExact([]uint64{250}); got[0] != 50 {
 		t.Errorf("abs diff = %d, want 50", got[0])
 	}
 }
@@ -82,7 +82,7 @@ func TestShiftAndTruncSemantics(t *testing.T) {
 	sl := g.ShiftL("sl", x, 2)
 	tr := g.Trunc("tr", sl, 6)
 	g.Output(g.ShiftR("sr", tr, 1))
-	v := g.EvalExact([]uint64{0b10110110}, nil)
+	v := g.EvalExact([]uint64{0b10110110})
 	// x<<2 = 10'1101_1000; trunc6 = 01_1000; >>1 = 0_1100.
 	if v[0] != 0b01100 {
 		t.Errorf("got %b", v[0])
@@ -102,7 +102,7 @@ func TestExactConfigurationMatchesSoftwareModel(t *testing.T) {
 	f := flat.WordFunc(8, 8)
 	for a := uint64(0); a < 256; a += 7 {
 		for b := uint64(0); b < 256; b += 11 {
-			want := app.Graph.EvalExact([]uint64{a, b}, nil)[0]
+			want := app.Graph.EvalExact([]uint64{a, b})[0]
 			if got := f(a, b); got != want {
 				t.Fatalf("flat(%d,%d) = %d, want %d", a, b, got, want)
 			}

@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"slices"
 
 	"autoax/internal/imagedata"
 	"autoax/internal/netlist"
@@ -197,6 +196,7 @@ type Evaluator struct {
 	outVals     [netlist.BlockWords * 64]uint64 // unpacked output lanes
 	progScratch []uint64                        // compiled-program value slots
 	progOut     []uint64                        // compiled-program outputs
+	ones        []uint64                        // per-gate activity counts
 	outImgs     []*imagedata.Image              // approximate output per image
 
 	// Metric scores an approximate output image against the exact
@@ -217,6 +217,7 @@ func (e *Evaluator) Clone() *Evaluator {
 	c.inBuf = make([]uint64, len(e.inBuf))
 	c.progScratch = nil // grown per configuration inside Evaluate
 	c.progOut = nil
+	c.ones = nil
 	c.outImgs = make([]*imagedata.Image, len(e.outImgs))
 	for i, im := range e.outImgs {
 		c.outImgs[i] = imagedata.New(im.W, im.H)
@@ -225,9 +226,10 @@ func (e *Evaluator) Clone() *Evaluator {
 }
 
 // activityBatches bounds the 64-lane words used for switching-activity
-// estimation when computing power/energy.  Evaluate captures whole
-// EvalBlock input blocks, so it is a multiple of netlist.BlockWords: the
-// first image's first two blocks.
+// estimation when computing power/energy.  Evaluate counts whole
+// EvalBlock passes, so it is a multiple of netlist.BlockWords: the first
+// simulation's first image's first two blocks (fewer when that image is
+// smaller).
 const activityBatches = 16
 
 // NewEvaluator validates the app and precomputes exact references and
@@ -399,10 +401,10 @@ func (e *Evaluator) compiled(cfg Configuration) (*netlist.Netlist, *netlist.Prog
 // Evaluate performs the full precise analysis of one configuration:
 // synthesis for hardware cost, then block-packed simulation of the
 // compiled program over every (simulation, image) pair for QoR —
-// netlist.BlockWords×64 pixels per instruction-decode pass.  The first
-// image's leading input blocks, activityBatches words in all, feed the
-// switching-activity analysis of the simplified netlist for power and
-// energy.
+// netlist.BlockWords×64 pixels per instruction-decode pass.  Power and
+// energy come from the gate values of the first simulation's first
+// image's leading passes, activityBatches words in all: each is counted
+// from the evaluator's scratch right after the pass that produced it.
 func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 	simp, prog, err := e.compiled(cfg)
 	if err != nil {
@@ -415,13 +417,17 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 	if n := prog.NumOutputs() * W; len(e.progOut) < n {
 		e.progOut = make([]uint64, n)
 	}
+	if n := len(simp.Gates); len(e.ones) < n {
+		e.ones = make([]uint64, n)
+	}
+	ones := e.ones[:len(simp.Gates)]
+	clear(ones)
 
 	sh := e.shared
 	headWords := sh.headBits * W
 	outW := prog.NumOutputs()
 	var ssimTotal float64
-	var activity [][]uint64
-	var activityLanes []int
+	activityLanes := 0
 	for si := range e.App.Sims {
 		copy(e.inBuf[headWords:], sh.simPlanes[si])
 		for ii, out := range e.outImgs {
@@ -429,20 +435,20 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 				copy(e.inBuf[:headWords], plane)
 				res := prog.EvalBlock(e.inBuf, e.progScratch, e.progOut)
 				lanes := sh.laneCount[ii][b]
+				if si == 0 && ii == 0 && b < activityBatches/W {
+					prog.CountOnes(e.progScratch, lanes, ones)
+					activityLanes += lanes
+				}
 				netlist.UnpackBitsBlock(res, outW, W, lanes, e.outVals[:])
 				base := b * W * 64
 				for l := 0; l < lanes; l++ {
 					out.Pix[base+l] = uint8(e.outVals[l])
 				}
-				if si == 0 && ii == 0 && b < activityBatches/W {
-					activity = append(activity, slices.Clone(e.inBuf))
-					activityLanes = append(activityLanes, lanes)
-				}
 			}
 			ssimTotal += e.Metric(sh.exact[si][ii], out)
 		}
 	}
-	cost := simp.AnalyzeActivity(activity, activityLanes)
+	cost := simp.ActivityCost(ones, activityLanes)
 	return Result{
 		SSIM:   ssimTotal / float64(len(e.App.Sims)*len(e.Images)),
 		Area:   cost.Area,

@@ -88,7 +88,7 @@ func TestFlattenShiftDropsBits(t *testing.T) {
 	}
 	f := flat.WordFunc(8)
 	for v := uint64(0); v < 256; v++ {
-		want := g.EvalExact([]uint64{v}, nil)[0]
+		want := g.EvalExact([]uint64{v})[0]
 		if got := f(v); got != want {
 			t.Fatalf("shift(%d) = %d, want %d", v, got, want)
 		}

@@ -165,9 +165,10 @@ func (g *Graph) OpCounts() map[acl.Op]int {
 // widths, width consistency of the derived (wiring) nodes, and the
 // input/output registrations.  Graphs built through the builder methods
 // satisfy them by construction; graphs decoded from the wire format must
-// pass Validate before they reach EvalExact or Flatten, which assume these
-// invariants instead of re-checking them (a NodeInput missing from Inputs,
-// for example, would otherwise panic EvalExact with an index out of range).
+// pass Validate before they reach the compiled exact model (gprog) or
+// Flatten, which assume these invariants instead of re-checking them (a
+// NodeInput missing from Inputs, for example, would get netlist input
+// bits from Flatten but no pixels in the exact model).
 func (g *Graph) Validate() error {
 	var inputs []int
 	for i, n := range g.Nodes {
@@ -202,9 +203,9 @@ func (g *Graph) Validate() error {
 						n.Name, g.Nodes[a].Name, g.Nodes[a].Width, n.Op, n.Op.Width)
 				}
 			}
-			// EvalExact trusts the declared width when masking and Flatten
-			// sizes the instantiated bus by it, so it must be the true
-			// operation output width.
+			// gprog masks by the declared width and Flatten sizes the
+			// instantiated bus by it, so it must be the true operation
+			// output width.
 			if n.Width != n.Op.OutWidth() {
 				return fmt.Errorf("accel: op node %s declares width %d, op %s produces %d",
 					n.Name, n.Width, n.Op, n.Op.OutWidth())
@@ -244,11 +245,10 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("accel: node %s has unknown kind %d", n.Name, n.Kind)
 		}
 	}
-	// Inputs must list exactly the NodeInput nodes in node order: EvalExact
-	// binds the k-th value of its input vector to the k-th NodeInput it
-	// encounters, so any other registration would silently misbind (missing
-	// registrations previously panicked inside EvalExact instead of failing
-	// validation here).
+	// Inputs must list exactly the NodeInput nodes in node order: the
+	// exact model (gprog) and the evaluator's input planes bind values in
+	// Inputs order, while Flatten numbers netlist input bits in node
+	// order, so any other registration would silently misbind the two.
 	if len(g.Inputs) != len(inputs) {
 		return fmt.Errorf("accel: graph %s registers %d inputs but has %d input nodes",
 			g.Name, len(g.Inputs), len(inputs))
@@ -270,54 +270,4 @@ func (g *Graph) Validate() error {
 		seenOut[o] = true
 	}
 	return nil
-}
-
-// EvalExact runs the exact software model: in holds one value per external
-// input (in Inputs order), and the result holds one value per output.
-// scratch, when non-nil and long enough, avoids an allocation.
-func (g *Graph) EvalExact(in []uint64, scratch []uint64) []uint64 {
-	if len(in) != len(g.Inputs) {
-		panic(fmt.Sprintf("accel %s: EvalExact got %d inputs, want %d", g.Name, len(in), len(g.Inputs)))
-	}
-	vals := scratch
-	if len(vals) < len(g.Nodes) {
-		vals = make([]uint64, len(g.Nodes))
-	}
-	nextIn := 0
-	for i, n := range g.Nodes {
-		switch n.Kind {
-		case NodeInput:
-			vals[i] = in[nextIn] & (uint64(1)<<uint(n.Width) - 1)
-			nextIn++
-		case NodeConst:
-			vals[i] = n.Const & (uint64(1)<<uint(n.Width) - 1)
-		case NodeOp:
-			vals[i] = n.Op.Exact(vals[n.Args[0]], vals[n.Args[1]])
-		case NodeShiftL:
-			vals[i] = vals[n.Args[0]] << uint(n.Shift)
-		case NodeShiftR:
-			vals[i] = vals[n.Args[0]] >> uint(n.Shift)
-		case NodeTrunc:
-			vals[i] = vals[n.Args[0]] & (uint64(1)<<uint(n.Width) - 1)
-		case NodeAbs:
-			w := uint(n.Width)
-			v := vals[n.Args[0]]
-			if v>>(w-1) != 0 { // negative two's complement
-				v = (^v + 1) & (uint64(1)<<w - 1)
-			}
-			vals[i] = v
-		case NodeClamp:
-			v := vals[n.Args[0]]
-			limit := uint64(1)<<uint(n.Width) - 1
-			if v > limit {
-				v = limit
-			}
-			vals[i] = v
-		}
-	}
-	out := make([]uint64, len(g.Outputs))
-	for i, o := range g.Outputs {
-		out[i] = vals[o]
-	}
-	return out
 }

@@ -16,7 +16,8 @@ const gprogLanes = 64
 // concurrent use with per-goroutine value buffers.
 //
 // The value buffer is node-major: node i owns vals[i*64 : (i+1)*64].
-// Lane values are bit-identical to Graph.EvalExact on the same inputs.
+// Lane values are bit-identical to the frozen node-by-node model
+// (Graph.EvalExact, test-only) on the same inputs.
 type gprog struct {
 	kind  []NodeKind
 	a, b  []int32

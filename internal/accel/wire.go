@@ -24,7 +24,8 @@ import (
 //     registration.
 //   - Decoding is strict: unknown fields, unknown node kinds, unsupported
 //     versions and structurally invalid graphs are all rejected at parse
-//     time, before a wire graph can reach EvalExact or Flatten.
+//     time, before a wire graph can reach the compiled exact model
+//     (gprog) or Flatten.
 //   - The canonical hash strips every name, so two structurally identical
 //     graphs hash identically regardless of how their nodes are labeled,
 //     while any structural difference (widths, ops, wiring, taps, sims)

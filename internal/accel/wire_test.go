@@ -39,8 +39,8 @@ func sameEval(t *testing.T, name string, a, b *accel.Graph, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < n; k++ {
 		in := randomInputs(a, rng)
-		ra := a.EvalExact(in, nil)
-		rb := b.EvalExact(in, nil)
+		ra := a.EvalExact(in)
+		rb := b.EvalExact(in)
 		for i := range ra {
 			if ra[i] != rb[i] {
 				t.Fatalf("%s: output %d differs on input %v: %d vs %d", name, i, in, ra[i], rb[i])
@@ -215,8 +215,8 @@ func TestCanonicalHashNameInvariance(t *testing.T) {
 	}
 }
 
-// TestValidateInputRegistration covers the EvalExact panic path turned
-// validation error: a NodeInput missing from (or misordered in) Inputs.
+// TestValidateInputRegistration covers the misbinding Validate turns into
+// an error: a NodeInput missing from (or misordered in) Inputs.
 func TestValidateInputRegistration(t *testing.T) {
 	mk := func() *accel.Graph {
 		g := accel.NewGraph("g")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"slices"
 
 	"autoax/internal/netlist"
 	"autoax/internal/obs"
@@ -72,7 +71,7 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 	// operand pairs) per instruction-decode pass.  Lane values, the
 	// output signature sequence and the activity counts are bit-identical
 	// to the historical one-word-at-a-time evaluation: the w-major
-	// signature fold and the per-word lane masks of the captured blocks
+	// signature fold and the per-word lane masks of the counted passes
 	// are both invariant under the block width.
 	const W = netlist.BlockWords
 	prog := netlist.Compile(simp)
@@ -101,8 +100,8 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 		errCount              uint64
 		sig                   uint64 = fnvOffset
 	)
-	var activity [][]uint64
-	var activityLanes []int
+	ones := make([]uint64, len(simp.Gates))
+	activityBlocks, activityLanes := 0, 0
 
 	for base := uint64(0); base < total; base += W * 64 {
 		lanes := W * 64
@@ -171,13 +170,16 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 				}
 			}
 		}
-		// Activity takes whole blocks.  ActivityBatches counts 64-lane
-		// words, and every block but the sweep's last is full, so the
-		// block that reaches the cap keeps the lanes of the words still
-		// wanted: a cap that is not a multiple of W counts the same words.
-		if want := opts.ActivityBatches - len(activity)*W; want > 0 {
-			activity = append(activity, slices.Clone(planes))
-			activityLanes = append(activityLanes, min(lanes, min(want, W)*64))
+		// Activity counts the gate values this pass left in scratch, a
+		// whole block at a time.  ActivityBatches counts 64-lane words,
+		// and every block but the sweep's last is full, so the block that
+		// reaches the cap keeps the lanes of the words still wanted: a
+		// cap that is not a multiple of W counts the same words.
+		if want := opts.ActivityBatches - activityBlocks*W; want > 0 {
+			counted := min(lanes, min(want, W)*64)
+			prog.CountOnes(scratch, counted, ones)
+			activityBlocks++
+			activityLanes += counted
 		}
 	}
 	ft := float64(total)
@@ -188,7 +190,7 @@ func Characterize(nl *netlist.Netlist, op Op, family string, opts Options) (*Cir
 	c.WCE = wce
 	c.Sig = sig
 
-	cost := simp.AnalyzeActivity(activity, activityLanes)
+	cost := simp.ActivityCost(ones, activityLanes)
 	c.Area = cost.Area
 	c.Delay = cost.Delay
 	c.Power = cost.Power

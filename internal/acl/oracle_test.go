@@ -120,8 +120,8 @@ func oracleCharacterize(nl *netlist.Netlist, op Op, family string, opts Options)
 				sumRel += fd / float64(den)
 			}
 		}
-		// Each captured 64-lane word goes to AnalyzeActivity as a block
-		// of its own: word 0 holds it, the lane count masks the rest.
+		// Each captured 64-lane word is an activity block of its own:
+		// word 0 holds it, the lane count masks the rest.
 		for w := 0; w*64 < lanes && len(activity) < opts.ActivityBatches; w++ {
 			batch := make([]uint64, (wa+wb)*W)
 			for k := 0; k < wa+wb; k++ {
@@ -143,7 +143,16 @@ func oracleCharacterize(nl *netlist.Netlist, op Op, family string, opts Options)
 	c.WCE = wce
 	c.Sig = sig
 
-	cost := simp.AnalyzeActivity(activity, activityLanes)
+	// The captured words rerun one block each, and their gate values
+	// are counted from the scratch.
+	ones := make([]uint64, len(simp.Gates))
+	activityTotal := 0
+	for k, batch := range activity {
+		prog.EvalBlock(batch, scratch, outBuf)
+		prog.CountOnes(scratch, activityLanes[k], ones)
+		activityTotal += activityLanes[k]
+	}
+	cost := simp.ActivityCost(ones, activityTotal)
 	c.Area = cost.Area
 	c.Delay = cost.Delay
 	c.Power = cost.Power

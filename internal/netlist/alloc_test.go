@@ -36,13 +36,14 @@ func TestSynthesisAllocs(t *testing.T) {
 	}
 }
 
-// maxActivityAllocs bounds the allocations of one AnalyzeActivity call
-// on the simplified exact Gaussian-filter accelerator over the two input
-// blocks precise evaluation captures.  The call makes 9: the unfused
-// lowering's instruction arrays and the pool round trips of the value
-// block, counts and arrival times.  An allocation per gate or per
+// maxActivityAllocs bounds the allocations of counting switching activity
+// on the simplified exact Gaussian-filter accelerator the way precise
+// evaluation does: two input blocks (the second partial) through
+// EvalBlock into reused scratch, CountOnes on each, then ActivityCost.
+// Counting a block makes none; ActivityCost makes one, Analyze's pool
+// round trip of the arrival times.  An allocation per block, gate or
 // 64-lane word would break the bound.
-const maxActivityAllocs = 12
+const maxActivityAllocs = 1
 
 func TestActivityAllocs(t *testing.T) {
 	app := apps.GenericGF(apps.GenericGFKernels(2))
@@ -55,6 +56,7 @@ func TestActivityAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	simp := netlist.Simplify(flat)
+	prog := netlist.Compile(simp)
 	blocks := make([][]uint64, 2)
 	for k := range blocks {
 		blocks[k] = make([]uint64, simp.NumInputs*netlist.BlockWords)
@@ -63,11 +65,22 @@ func TestActivityAllocs(t *testing.T) {
 		}
 	}
 	lanes := []int{netlist.BlockWords * 64, 100}
-	allocs := testing.AllocsPerRun(20, func() {
-		simp.AnalyzeActivity(blocks, lanes)
+	scratch := make([]uint64, prog.NumSlots()*netlist.BlockWords)
+	out := make([]uint64, prog.NumOutputs()*netlist.BlockWords)
+	ones := make([]uint64, len(simp.Gates))
+	count := testing.AllocsPerRun(20, func() {
+		for k, in := range blocks {
+			prog.EvalBlock(in, scratch, out)
+			prog.CountOnes(scratch, lanes[k], ones)
+		}
 	})
-	t.Logf("AnalyzeActivity: %.0f allocations", allocs)
-	if allocs > maxActivityAllocs {
-		t.Fatalf("AnalyzeActivity made %.0f allocations, bound %d", allocs, maxActivityAllocs)
+	// ones holds 21 passes' counts: AllocsPerRun runs once to warm up.
+	cost := testing.AllocsPerRun(20, func() {
+		simp.ActivityCost(ones, 21*(lanes[0]+lanes[1]))
+	})
+	t.Logf("EvalBlock+CountOnes: %.0f allocations per 2 blocks; ActivityCost: %.0f", count, cost)
+	if count != 0 || count+cost > maxActivityAllocs {
+		t.Fatalf("counting made %.0f allocations per 2 blocks (want 0) and ActivityCost %.0f, bound %d in all",
+			count, cost, maxActivityAllocs)
 	}
 }

@@ -112,7 +112,7 @@ func FuzzDecodeNetlist(f *testing.F) {
 		for i := range in {
 			in[i] = uint64(i+1) * 0x9E3779B97F4A7C15
 		}
-		n.AnalyzeActivity([][]uint64{in}, []int{BlockWords * 64})
+		blockActivity(n, [][]uint64{in}, []int{BlockWords * 64})
 		got := Compile(n).EvalBlock(in, nil, nil)
 		for w := 0; w < BlockWords; w++ {
 			want := n.Eval(blockWord(in, w), nil, nil)

@@ -16,7 +16,7 @@ import (
 // of length ≥ NumNodes, avoids an allocation and afterwards holds every
 // node's word.  The returned slice holds one packed word per output and
 // aliases outBuf when outBuf has sufficient capacity.  Program.EvalBlock
-// and AnalyzeActivity are pinned against it.
+// and the activity count (CountOnes, ActivityCost) are pinned against it.
 func (n *Netlist) Eval(inputs []uint64, scratch []uint64, outBuf []uint64) []uint64 {
 	if len(inputs) != n.NumInputs {
 		panic(fmt.Sprintf("netlist %q: Eval got %d input words, want %d", n.Name, len(inputs), n.NumInputs))
@@ -126,8 +126,25 @@ func blockWord(block []uint64, w int) []uint64 {
 	return word
 }
 
-// TestActivityOracle pins the block-form AnalyzeActivity bit for bit to
-// the frozen per-batch oracle, over random netlists (Buf, Mux2, constant
+// blockActivity is switching activity the way production counts it: each
+// block runs through one compiled program, CountOnes reads its gate
+// values from the scratch under the block's lane count, and ActivityCost
+// turns the summed counts into Cost.
+func blockActivity(n *Netlist, blocks [][]uint64, lanes []int) Cost {
+	p := Compile(n)
+	scratch := make([]uint64, p.NumSlots()*BlockWords)
+	ones := make([]uint64, len(n.Gates))
+	total := 0
+	for k, in := range blocks {
+		p.EvalBlock(in, scratch, nil)
+		p.CountOnes(scratch, lanes[k], ones)
+		total += lanes[k]
+	}
+	return n.ActivityCost(ones, total)
+}
+
+// TestActivityOracle pins the block-form activity count (EvalBlock, then
+// CountOnes and ActivityCost) bit for bit to the frozen per-batch oracle, over random netlists (Buf, Mux2, constant
 // rails, dead gates) and ripple-carry adders.  Each case draws random
 // input blocks; the oracle takes the same words one 64-lane batch at a
 // time.  Sweep cases fill every block but a partial last one and cap the
@@ -168,7 +185,7 @@ func TestActivityOracle(t *testing.T) {
 				lanes = append(lanes, min(bl, min(want, W)*64))
 			}
 		}
-		got := n.AnalyzeActivity(blocks, lanes)
+		got := blockActivity(n, blocks, lanes)
 		want := oracleAnalyzeActivity(n, samples, laneCounts)
 		if math.Float64bits(got.Power) != math.Float64bits(want.Power) ||
 			math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {

@@ -5,25 +5,24 @@
 // internal/cell) over primary inputs and two constant rails.  The package
 // offers three capabilities the methodology depends on:
 //
-//   - fast functional simulation: Compile lowers a netlist into one fused
-//     Program, and its one kernel, EvalBlock, evaluates BlockWords×64
-//     independent input vectors per pass using bit-parallel words, which
-//     makes exhaustive 8-bit circuit characterization and image-sized QoR
-//     simulation tractable on one CPU;
+//   - fast functional simulation: Compile lowers a netlist gate for gate
+//     into a Program, and its one kernel, EvalBlock, evaluates
+//     BlockWords×64 independent input vectors per pass using bit-parallel
+//     words, which makes exhaustive 8-bit circuit characterization and
+//     image-sized QoR simulation tractable on one CPU;
 //   - synthesis-style optimization (Simplify): constant propagation, Boolean
 //     identity rewriting, structural hashing and dead-cone elimination —
 //     the stand-in for the paper's Synopsys Design Compiler runs, and the
 //     mechanism that reproduces the paper's observation that a high-error
 //     downstream component lets synthesis strip upstream logic;
 //   - cost analysis: area, critical-path delay, leakage, and switching-
-//     activity-based energy per operation, the activity coming from one
-//     block pass of the netlist itself over all sample batches.
+//     activity-based energy per operation, the activity counted from the
+//     gate values of the simulation blocks the caller already ran.
 package netlist
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"autoax/internal/cell"
 )
@@ -151,7 +150,7 @@ func (n *Netlist) WordFunc(inWidths ...int) func(args ...uint64) uint64 {
 }
 
 // Cost aggregates the hardware metrics of a netlist under the 45 nm-style
-// cell model.  Energy is only populated by AnalyzeActivity.
+// cell model.  Power and Energy are only populated by ActivityCost.
 type Cost struct {
 	Area      float64 // µm², sum of cell areas
 	Delay     float64 // ns, critical combinational path
@@ -209,51 +208,21 @@ func (n *Netlist) Analyze() Cost {
 	return c
 }
 
-// activityPool recycles AnalyzeActivity's value block and per-gate ones
-// counts.
-var activityPool slicePool[uint64]
-
-// AnalyzeActivity extends Analyze with switching-based power and energy.
-// blocks supplies input blocks in the Program.EvalBlock layout: each holds
-// NumInputs×BlockWords words, input i's planes at
-// [i*BlockWords, (i+1)*BlockWords), and lanes[k] says how many of block
-// k's BlockWords×64 lanes are valid, counted from lane 0.  Switching
-// activity per gate is estimated as α = 2p(1−p) where p is the observed
-// probability of the gate output being 1 — the standard static activity
-// approximation.
-//
-// The netlist is lowered gate for gate without fusion, so once a block
-// runs through the Program kernel, slot NumInputs+i holds gate i's words;
-// their ones are counted under the block's per-word lane masks.
-func (n *Netlist) AnalyzeActivity(blocks [][]uint64, lanes []int) Cost {
+// ActivityCost extends Analyze with switching-based power and energy.
+// ones[i] holds gate i's ones over lanes simulated lanes, as
+// Program.CountOnes accumulates them over the blocks the caller ran.
+// Switching activity per gate is estimated as α = 2p(1−p) where p is the
+// observed probability of the gate output being 1 — the standard static
+// activity approximation — and summed in gate order.  With no lanes it
+// is Analyze.
+func (n *Netlist) ActivityCost(ones []uint64, lanes int) Cost {
 	c := n.Analyze()
-	if len(blocks) == 0 {
+	if lanes == 0 {
 		return c
 	}
-	const W = BlockWords
-	prog := lower(n)
-	slots := prog.NumSlots() * W
-	buf := activityPool.get(slots + len(n.Gates))
-	defer activityPool.put(buf)
-	vals, ones := buf[:slots], buf[slots:]
-	var total int64
-	for k, in := range blocks {
-		var masks [W]uint64
-		for w := range masks {
-			masks[w] = ^uint64(0) >> uint(64-min(max(lanes[k]-w*64, 0), 64))
-		}
-		total += int64(lanes[k])
-		prog.run(in, vals)
-		for i := range ones {
-			for w, v := range vals[(n.NumInputs+i)*W:][:W] {
-				ones[i] += uint64(bits.OnesCount64(v & masks[w]))
-			}
-		}
-	}
-
 	var switchEnergy float64 // fJ per cycle
 	for i, g := range n.Gates {
-		p := float64(ones[i]) / float64(total)
+		p := float64(ones[i]) / float64(lanes)
 		alpha := 2 * p * (1 - p)
 		switchEnergy += alpha * cell.Energy(g.Kind)
 	}

@@ -261,7 +261,7 @@ func TestAnalyzeActivityEnergyBounds(t *testing.T) {
 	for k := range block {
 		block[k] = rng.Uint64()
 	}
-	c := n.AnalyzeActivity([][]uint64{block}, []int{BlockWords * 64})
+	c := blockActivity(n, [][]uint64{block}, []int{BlockWords * 64})
 	if c.Energy <= 0 {
 		t.Errorf("energy = %f, want > 0", c.Energy)
 	}

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"autoax/internal/cell"
@@ -9,12 +10,11 @@ import (
 
 // slotLoad / slotStore access value slot s of a buffer through its base
 // pointer without a bounds check.  Safety rests on one local invariant,
-// established by lower (Compile, through lower, is the only producer of
-// Program values) and pinned by run before the loop: every operand and
-// destination slot is < NumSlots, and the buffer holds
-// NumSlots×BlockWords elements.  The instruction loop is the
-// hottest code in the repository; the three checks these helpers avoid
-// per gate are worth ~10% end to end.
+// established by Compile (the only producer of Program values) and pinned
+// by EvalBlock before the loop: every operand and destination slot is
+// < NumSlots, and the buffer holds NumSlots×BlockWords elements.  The
+// instruction loop is the hottest code in the repository; the three
+// checks these helpers avoid per gate are worth ~10% end to end.
 func slotLoad(base unsafe.Pointer, s uintptr) uint64 {
 	return *(*uint64)(unsafe.Add(base, s*8))
 }
@@ -23,12 +23,8 @@ func slotStore(base unsafe.Pointer, s uintptr, v uint64) {
 	*(*uint64)(unsafe.Add(base, s*8)) = v
 }
 
-// opcode is an instruction of a compiled Program.  The two-input and
-// unary opcodes up to opOrN2 are declared in cell.Kind order, so gate i
-// lowers to opcode(g.Kind).  The three-input forms past opOrN2 come from
-// the fusion pass, which merges a single-use gate into its consumer, so
-// e.g. a full adder's sum chain XOR(XOR(a,b),cin) becomes one opXor3
-// instruction.
+// opcode is an instruction of a compiled Program: one per cell kind,
+// declared in cell.Kind order, so gate i lowers to opcode(g.Kind).
 type opcode uint8
 
 const (
@@ -43,20 +39,6 @@ const (
 	opMux2
 	opAndN2
 	opOrN2
-
-	// Fused three-input forms: inner gate over (a, b), outer combines
-	// with c.  Emitted only by the fusion pass.
-	opXor3    // (a^b)^c  — full-adder sum chain
-	opXnor3   // ^((a^b)^c)
-	opAnd3    // (a&b)&c
-	opOr3     // (a|b)|c
-	opAndOr3  // (a&b)|c  — full-adder carry fold
-	opOrAnd3  // (a|b)&c
-	opXorAnd3 // (a^b)&c — carry propagate·cin
-	opXorOr3  // (a^b)|c
-	opAndXor3 // (a&b)^c
-
-	opcodeCount // sentinel: every valid opcode is < opcodeCount
 )
 
 // BlockWords is the block width of EvalBlock: every value slot holds 8
@@ -69,20 +51,17 @@ const BlockWords = 8
 // struct-of-arrays (independent sequential streams the hardware
 // prefetcher tracks perfectly), and output slots are pre-resolved, so
 // evaluation has no per-operand branches.  Constant operands and outputs
-// read two rail slots past the nodes, which run fills with all-0 and
-// all-1 words before the instruction loop.
+// read two rail slots past the nodes, which EvalBlock fills with all-0
+// and all-1 words before the instruction loop.
 //
-// Compile lowers gate for gate and then fuses single-use gate pairs into
-// three-input opcodes (see fuse), so intermediate values of fused pairs
-// need not land anywhere.  Compile does no logic optimization of its
-// own: Simplify runs before every compile on the evaluation and
-// characterization paths (library circuits are stored simplified) and
-// leaves no constant operand, Buf, foldable Inv or dead gate, and that is
-// what keeps programs short.  Only the outputs are defined, and they are
-// bit-identical to the source netlist's.  Switching activity, which
-// needs every gate's value, runs the unfused lowering through the same
-// kernel (see Netlist.AnalyzeActivity).  Value slots keep the netlist's
-// numbering (input i is slot i, gate g is slot NumInputs+g).
+// Value slots keep the netlist's numbering: input i is slot i and gate i,
+// lowered to instruction i, writes slot NumInputs+i.  So after EvalBlock
+// the caller's scratch holds every gate's value, and switching activity
+// is counted from the pass that simulated the lanes (see CountOnes).
+// Compile does no logic optimization of its own: Simplify runs before
+// every compile on the evaluation and characterization paths (library
+// circuits are stored simplified) and leaves no constant operand, Buf,
+// foldable Inv or dead gate, and that is what keeps programs short.
 //
 // A Program is immutable after Compile and safe for concurrent use as long
 // as every goroutine supplies its own scratch and output buffers —
@@ -94,7 +73,6 @@ type Program struct {
 
 	op      []opcode
 	a, b, c []int32 // operand slots; unused operands point at the zero rail
-	dst     []int32 // destination slots
 	outs    []int32 // pre-resolved output slots (may be the rail slots)
 }
 
@@ -104,10 +82,6 @@ func (p *Program) NumInputs() int { return p.numInputs }
 // NumOutputs returns the number of outputs.
 func (p *Program) NumOutputs() int { return p.numOuts }
 
-// NumGates returns the instruction count, at most the source netlist's
-// gate count.
-func (p *Program) NumGates() int { return len(p.op) }
-
 // NumSlots returns the value slots per block word: one per source-netlist
 // node plus the two constant-rail slots.
 func (p *Program) NumSlots() int { return p.numSlots }
@@ -116,22 +90,11 @@ func (p *Program) NumSlots() int { return p.numSlots }
 func (p *Program) rail0() int32 { return int32(p.numSlots - 2) }
 func (p *Program) rail1() int32 { return int32(p.numSlots - 1) }
 
-// Compile lowers a netlist into a fused Program: lower translates it
-// gate for gate, and fuse then merges single-use gate pairs.  The netlist
-// must be valid (see Validate).  The program's outputs are bit-identical
-// to the netlist's on every lane.
+// Compile lowers a valid netlist (see Validate) gate for gate: gate i
+// becomes instruction i with opcode(g.Kind) and destination slot
+// NumInputs+i, and a Const0/Const1 operand or output reads its rail slot.
+// The program's outputs are bit-identical to the netlist's on every lane.
 func Compile(n *Netlist) *Program {
-	p := lower(n)
-	p.fuse()
-	return p
-}
-
-// lower translates a netlist gate for gate: gate i becomes instruction i
-// with opcode(g.Kind) and destination slot NumInputs+i, and a
-// Const0/Const1 operand or output reads its rail slot.  Unfused, the
-// stream leaves every gate's value in its slot, which is what
-// AnalyzeActivity counts.
-func lower(n *Netlist) *Program {
 	p := &Program{
 		numInputs: n.NumInputs,
 		numOuts:   len(n.Outputs),
@@ -140,7 +103,6 @@ func lower(n *Netlist) *Program {
 		a:         make([]int32, len(n.Gates)),
 		b:         make([]int32, len(n.Gates)),
 		c:         make([]int32, len(n.Gates)),
-		dst:       make([]int32, len(n.Gates)),
 		outs:      make([]int32, len(n.Outputs)),
 	}
 	slot := func(s Signal) int32 {
@@ -154,7 +116,6 @@ func lower(n *Netlist) *Program {
 	}
 	for i, g := range n.Gates {
 		p.op[i] = opcode(g.Kind)
-		p.dst[i] = int32(n.NumInputs + i)
 		// Unused operand positions point at the zero rail so the uniform
 		// operand loads in EvalBlock are always in bounds.
 		p.a[i], p.b[i], p.c[i] = slot(g.A), p.rail0(), p.rail0()
@@ -178,11 +139,29 @@ func lower(n *Netlist) *Program {
 // produces.  Decoding one instruction drives BlockWords independent word
 // operations, so image-sized batches amortize dispatch and expose
 // instruction-level parallelism.  scratch, when of length
-// ≥ NumSlots()*BlockWords, avoids an allocation; the returned slice
-// aliases outBuf when it has sufficient capacity.
+// ≥ NumSlots()*BlockWords, avoids an allocation and afterwards holds
+// every node's words (slot s at [s*BlockWords, (s+1)*BlockWords)), which
+// CountOnes reads; the returned slice aliases outBuf when it has
+// sufficient capacity.
 func (p *Program) EvalBlock(inputs []uint64, scratch []uint64, outBuf []uint64) []uint64 {
 	const W = BlockWords
-	vals := p.run(inputs, scratch)
+	if len(inputs) != p.numInputs*W {
+		panic(fmt.Sprintf("netlist: program input block has %d words, want %d", len(inputs), p.numInputs*W))
+	}
+	vals := scratch
+	if len(vals) < p.numSlots*W {
+		vals = make([]uint64, p.numSlots*W)
+	}
+	// Exactly NumSlots×BlockWords: the length that pins the
+	// slotLoad/slotStore invariant.
+	vals = vals[:p.numSlots*W]
+	copy(vals, inputs)
+	r0, r1 := int(p.rail0())*W, int(p.rail1())*W
+	for k := 0; k < W; k++ {
+		vals[r0+k] = 0
+		vals[r1+k] = ^uint64(0)
+	}
+	p.evalBlock(vals)
 	if cap(outBuf) < p.numOuts*W {
 		outBuf = make([]uint64, p.numOuts*W)
 	}
@@ -193,46 +172,44 @@ func (p *Program) EvalBlock(inputs []uint64, scratch []uint64, outBuf []uint64) 
 	return outBuf
 }
 
-// run copies one input block (the EvalBlock layout) and the constant
-// rails into vals, allocated when shorter than NumSlots×BlockWords
-// words, and runs the instruction loop.  It returns vals cut to exactly
-// NumSlots×BlockWords, the length that pins the slotLoad/slotStore
-// invariant; slot s then holds words [s*BlockWords, (s+1)*BlockWords).
-func (p *Program) run(inputs, vals []uint64) []uint64 {
+// CountOnes adds to ones[i] the set bits of gate i's words in scratch,
+// as EvalBlock left them, over the block's first lanes lanes: each word
+// is masked to its valid lanes, counted from lane 0.  Summed over blocks,
+// ones and the lane total are what Netlist.ActivityCost turns into
+// switching power.  ones holds one count per gate.
+func (p *Program) CountOnes(scratch []uint64, lanes int, ones []uint64) {
 	const W = BlockWords
-	if len(inputs) != p.numInputs*W {
-		panic(fmt.Sprintf("netlist: program input block has %d words, want %d", len(inputs), p.numInputs*W))
+	var masks [W]uint64
+	for w := range masks {
+		masks[w] = ^uint64(0) >> uint(64-min(max(lanes-w*64, 0), 64))
 	}
-	if len(vals) < p.NumSlots()*W {
-		vals = make([]uint64, p.NumSlots()*W)
+	gates := scratch[p.numInputs*W : (p.numInputs+len(p.op))*W]
+	ones = ones[:len(p.op)]
+	for i := range ones {
+		n := 0
+		for w, v := range gates[i*W : i*W+W] {
+			n += bits.OnesCount64(v & masks[w])
+		}
+		ones[i] += uint64(n)
 	}
-	vals = vals[:p.NumSlots()*W]
-	copy(vals, inputs)
-	r0, r1 := int(p.rail0())*W, int(p.rail1())*W
-	for k := 0; k < W; k++ {
-		vals[r0+k] = 0
-		vals[r1+k] = ^uint64(0)
-	}
-	p.evalBlock(vals)
-	return vals
 }
 
 // evalBlock is the unrolled instruction loop: per instruction decode, one
 // straight-line body computes the BlockWords words of the destination
-// slot.  The eight word operations are independent, so they fill the
-// CPU's execution ports while the single dispatch cost is paid once.  The
-// slotLoad/slotStore invariant is pinned by run (len(vals) ==
-// NumSlots×BlockWords and every slot < NumSlots).
+// slot, NumInputs+i for instruction i.  The eight word operations are
+// independent, so they fill the CPU's execution ports while the single
+// dispatch cost is paid once.  The slotLoad/slotStore invariant is pinned
+// by EvalBlock (len(vals) == NumSlots×BlockWords and every slot <
+// NumSlots).
 func (p *Program) evalBlock(vals []uint64) {
 	const wi = uintptr(BlockWords)
 	vp := unsafe.Pointer(&vals[0])
 	code := p.op
-	pa, pb, pc, pd := p.a[:len(code)], p.b[:len(code)], p.c[:len(code)], p.dst[:len(code)]
-	for i := 0; i < len(code); i++ {
+	pa, pb, pc := p.a[:len(code)], p.b[:len(code)], p.c[:len(code)]
+	do := uintptr(p.numInputs) * wi
+	for i := 0; i < len(code); i, do = i+1, do+wi {
 		ao := uintptr(pa[i]) * wi
 		bo := uintptr(pb[i]) * wi
-		co := uintptr(pc[i]) * wi
-		do := uintptr(pd[i]) * wi
 		op := code[i]
 		a0, a1, a2, a3 := slotLoad(vp, ao), slotLoad(vp, ao+1), slotLoad(vp, ao+2), slotLoad(vp, ao+3)
 		a4, a5, a6, a7 := slotLoad(vp, ao+4), slotLoad(vp, ao+5), slotLoad(vp, ao+6), slotLoad(vp, ao+7)
@@ -263,6 +240,7 @@ func (p *Program) evalBlock(vals []uint64) {
 			v0, v1, v2, v3 = ^(a0 ^ b0), ^(a1 ^ b1), ^(a2 ^ b2), ^(a3 ^ b3)
 			v4, v5, v6, v7 = ^(a4 ^ b4), ^(a5 ^ b5), ^(a6 ^ b6), ^(a7 ^ b7)
 		case opMux2:
+			co := uintptr(pc[i]) * wi
 			v0 = (b0 &^ a0) | (slotLoad(vp, co) & a0)
 			v1 = (b1 &^ a1) | (slotLoad(vp, co+1) & a1)
 			v2 = (b2 &^ a2) | (slotLoad(vp, co+2) & a2)
@@ -277,38 +255,6 @@ func (p *Program) evalBlock(vals []uint64) {
 		case opOrN2:
 			v0, v1, v2, v3 = a0|^b0, a1|^b1, a2|^b2, a3|^b3
 			v4, v5, v6, v7 = a4|^b4, a5|^b5, a6|^b6, a7|^b7
-		default:
-			c0, c1, c2, c3 := slotLoad(vp, co), slotLoad(vp, co+1), slotLoad(vp, co+2), slotLoad(vp, co+3)
-			c4, c5, c6, c7 := slotLoad(vp, co+4), slotLoad(vp, co+5), slotLoad(vp, co+6), slotLoad(vp, co+7)
-			switch op {
-			case opXor3:
-				v0, v1, v2, v3 = a0^b0^c0, a1^b1^c1, a2^b2^c2, a3^b3^c3
-				v4, v5, v6, v7 = a4^b4^c4, a5^b5^c5, a6^b6^c6, a7^b7^c7
-			case opXnor3:
-				v0, v1, v2, v3 = ^(a0 ^ b0 ^ c0), ^(a1 ^ b1 ^ c1), ^(a2 ^ b2 ^ c2), ^(a3 ^ b3 ^ c3)
-				v4, v5, v6, v7 = ^(a4 ^ b4 ^ c4), ^(a5 ^ b5 ^ c5), ^(a6 ^ b6 ^ c6), ^(a7 ^ b7 ^ c7)
-			case opAnd3:
-				v0, v1, v2, v3 = a0&b0&c0, a1&b1&c1, a2&b2&c2, a3&b3&c3
-				v4, v5, v6, v7 = a4&b4&c4, a5&b5&c5, a6&b6&c6, a7&b7&c7
-			case opOr3:
-				v0, v1, v2, v3 = a0|b0|c0, a1|b1|c1, a2|b2|c2, a3|b3|c3
-				v4, v5, v6, v7 = a4|b4|c4, a5|b5|c5, a6|b6|c6, a7|b7|c7
-			case opAndOr3:
-				v0, v1, v2, v3 = a0&b0|c0, a1&b1|c1, a2&b2|c2, a3&b3|c3
-				v4, v5, v6, v7 = a4&b4|c4, a5&b5|c5, a6&b6|c6, a7&b7|c7
-			case opOrAnd3:
-				v0, v1, v2, v3 = (a0|b0)&c0, (a1|b1)&c1, (a2|b2)&c2, (a3|b3)&c3
-				v4, v5, v6, v7 = (a4|b4)&c4, (a5|b5)&c5, (a6|b6)&c6, (a7|b7)&c7
-			case opXorAnd3:
-				v0, v1, v2, v3 = (a0^b0)&c0, (a1^b1)&c1, (a2^b2)&c2, (a3^b3)&c3
-				v4, v5, v6, v7 = (a4^b4)&c4, (a5^b5)&c5, (a6^b6)&c6, (a7^b7)&c7
-			case opXorOr3:
-				v0, v1, v2, v3 = (a0^b0)|c0, (a1^b1)|c1, (a2^b2)|c2, (a3^b3)|c3
-				v4, v5, v6, v7 = (a4^b4)|c4, (a5^b5)|c5, (a6^b6)|c6, (a7^b7)|c7
-			case opAndXor3:
-				v0, v1, v2, v3 = a0&b0^c0, a1&b1^c1, a2&b2^c2, a3&b3^c3
-				v4, v5, v6, v7 = a4&b4^c4, a5&b5^c5, a6&b6^c6, a7&b7^c7
-			}
 		}
 		slotStore(vp, do, v0)
 		slotStore(vp, do+1, v1)

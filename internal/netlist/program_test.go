@@ -3,21 +3,56 @@ package netlist
 import (
 	"math/rand"
 	"testing"
+
+	"autoax/internal/cell"
 )
 
+// rcAdder hand-builds an n-bit ripple-carry adder from classic full
+// adders (p = a⊕b; sum = p⊕cin; cout = (a∧b) ∨ (p∧cin)): long chains of
+// single-use gate pairs.
+func rcAdder(n int) *Netlist {
+	nl := &Netlist{Name: "rca", NumInputs: 2 * n}
+	emit := func(k cell.Kind, a, b Signal) Signal {
+		nl.Gates = append(nl.Gates, Gate{Kind: k, A: a, B: b})
+		return Signal(nl.NumInputs + len(nl.Gates) - 1)
+	}
+	cin := Signal(Const0)
+	for i := 0; i < n; i++ {
+		a, b := Signal(i), Signal(n+i)
+		p := emit(cell.Xor2, a, b)
+		sum := emit(cell.Xor2, p, cin)
+		g := emit(cell.And2, a, b)
+		pc := emit(cell.And2, p, cin)
+		cout := emit(cell.Or2, g, pc)
+		nl.Outputs = append(nl.Outputs, sum)
+		cin = cout
+	}
+	nl.Outputs = append(nl.Outputs, cin)
+	return nl
+}
+
 // TestProgramMatchesInterpreter pins Program.EvalBlock bit-identical to
-// the reference interpreter on every output word, over random netlists
-// including constant rails, Mux2 and dead gates, with the scratch and
-// output buffers reused across calls.
+// the reference interpreter on every output word and, through the
+// scratch, on every gate's word, over ripple-carry adders and random
+// netlists including constant rails, Mux2 and dead gates, with the
+// scratch and output buffers reused across calls.
 func TestProgramMatchesInterpreter(t *testing.T) {
 	const W = BlockWords
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
-		n := randomNetlist(rng, 1+rng.Intn(8), rng.Intn(60))
+		var n *Netlist
+		if trial%5 == 0 {
+			n = rcAdder(1 + rng.Intn(8))
+		} else {
+			n = randomNetlist(rng, 1+rng.Intn(8), rng.Intn(60))
+		}
 		if err := n.Validate(); err != nil {
 			t.Fatalf("trial %d: generated invalid netlist: %v", trial, err)
 		}
 		p := Compile(n)
+		if p.NumSlots() != n.NumNodes()+2 {
+			t.Fatalf("trial %d: NumSlots %d, want %d", trial, p.NumSlots(), n.NumNodes()+2)
+		}
 		blockIn := make([]uint64, n.NumInputs*W)
 		interpVals := make([]uint64, n.NumNodes())
 		blockVals := make([]uint64, p.NumSlots()*W)
@@ -33,6 +68,12 @@ func TestProgramMatchesInterpreter(t *testing.T) {
 					if got[j*W+w] != want[j] {
 						t.Fatalf("trial %d: EvalBlock word %d output %d: got %x want %x",
 							trial, w, j, got[j*W+w], want[j])
+					}
+				}
+				for s := n.NumInputs; s < n.NumNodes(); s++ {
+					if blockVals[s*W+w] != interpVals[s] {
+						t.Fatalf("trial %d: scratch word %d gate %d: got %x want %x",
+							trial, w, s-n.NumInputs, blockVals[s*W+w], interpVals[s])
 					}
 				}
 			}
