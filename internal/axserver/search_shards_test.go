@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"autoax/internal/core"
 	"autoax/internal/dse"
 	"autoax/internal/fleet"
 )
@@ -357,4 +358,48 @@ func TestSharedModelsWaiterOutlivesCancelledLeader(t *testing.T) {
 	if err != nil || m != want {
 		t.Fatalf("memo: got (%p, %v)", m, err)
 	}
+}
+
+// TestModelKeyGolden pins the content key of one fixed shard model
+// context.  Fleet workers memoize trained models by this key, so a
+// change to the shard request or to its canonicalization must not rotate
+// it.  Fields outside the model context (protocol version, shard spec)
+// must not move it, and neither may an inline spelling of the
+// accelerator or an explicit spelling of the defaults.
+func TestModelKeyGolden(t *testing.T) {
+	const want = "4e1ad097ada480b2e155e5790963fe86d43ace68b694fa176d8dcc31ff27c303"
+	req := tinyShardReq(goldenLibraryHash)
+	if got := shardModelKey(t, req); got != want {
+		t.Errorf("model key = %s, want %s", got, want)
+	}
+	other := req
+	other.Version = 0
+	other.Shard = fleet.ShardSpec{LibraryHash: goldenLibraryHash, Engine: "random", Seed: 9, Evaluations: 7}
+	other.App, other.Accelerator = "", inlineSobel(t, true)
+	other.Engine = core.DefaultConfig().Engine.Name
+	if got := shardModelKey(t, other); got != want {
+		t.Errorf("model key of an equivalent spelling = %s, want %s", got, want)
+	}
+	other.Seed++
+	if shardModelKey(t, other) == want {
+		t.Error("a different model seed kept the model key")
+	}
+}
+
+// goldenLibraryHash is the library hash of the pinned model context.
+const goldenLibraryHash = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+
+// shardModelKey returns the key the shard endpoint memoizes req's
+// trained models under.
+func shardModelKey(t *testing.T, req SearchShardRequest) string {
+	t.Helper()
+	app, err := resolveAppRef(req.App, req.Kernels, req.Accelerator)
+	if err != nil {
+		t.Fatalf("resolveAppRef: %v", err)
+	}
+	k, err := req.modelKey(app.CanonicalHash())
+	if err != nil {
+		t.Fatalf("modelKey: %v", err)
+	}
+	return k
 }

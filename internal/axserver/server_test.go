@@ -16,6 +16,8 @@ import (
 	"autoax/internal/accel"
 	"autoax/internal/acl"
 	"autoax/internal/apps"
+	"autoax/internal/core"
+	"autoax/internal/dse"
 	"autoax/internal/fleet"
 	"autoax/internal/pmf"
 )
@@ -466,6 +468,23 @@ func TestEvalParallelismResultsIdentical(t *testing.T) {
 	}
 }
 
+// goldenEvaluate is the evaluate request whose content key
+// TestContentKeysGolden pins.
+func goldenEvaluate() EvaluateRequest {
+	return EvaluateRequest{
+		App:     "sobel",
+		Library: tinyLibrary(1),
+		Images:  ImageSpec{Count: 2, Width: 32, Height: 24, Seed: 5},
+		Configs: [][]int{{0, 0, 0, 0, 0}, {1, 0, 1, 0, 1}},
+	}
+}
+
+// Golden content keys of tinyPipeline(11) and goldenEvaluate().
+const (
+	goldenPipelineKey = "89b80587a5e3dd287cffd9331f2b72cfc77b2c79c5fc720a40f07f3ebcc17987"
+	goldenEvaluateKey = "3609a08524ec580201f2a751a110d842c57b93bf2fbf6180100007351baded5e"
+)
+
 // TestContentKeysGolden pins the content keys of one fixed pipeline and
 // one fixed evaluate request.  The durable artifact cache and the journal
 // address results by these keys, so a change to the request types or to
@@ -473,34 +492,64 @@ func TestEvalParallelismResultsIdentical(t *testing.T) {
 // removal of the request "parallelism" field, which was omitted when zero
 // and zeroed before hashing.
 func TestContentKeysGolden(t *testing.T) {
+	if pk := pipelineContentKey(t, tinyPipeline(11)); pk != goldenPipelineKey {
+		t.Errorf("pipeline key = %s, want %s", pk, goldenPipelineKey)
+	}
+	if ek := evaluateContentKey(t, goldenEvaluate()); ek != goldenEvaluateKey {
+		t.Errorf("evaluate key = %s, want %s", ek, goldenEvaluateKey)
+	}
+}
+
+// TestContentKeysGoldenInline spells the golden requests' accelerator
+// inline, with every node renamed, and the defaults they rely on
+// explicitly: both must hash to the named spelling's golden keys.
+func TestContentKeysGoldenInline(t *testing.T) {
 	pipe := tinyPipeline(11)
-	app, err := pipe.resolveApp()
+	pipe.App, pipe.Accelerator = "", inlineSobel(t, true)
+	if pk := pipelineContentKey(t, pipe); pk != goldenPipelineKey {
+		t.Errorf("inline pipeline key = %s, want %s", pk, goldenPipelineKey)
+	}
+	d := core.DefaultConfig()
+	pipe.Stagnation, pipe.Engine = d.Stagnation, d.Engine.Name
+	pipe.Search = SearchSpec{Engine: dse.DefaultEngineName, Seed: 11 + 300}
+	if pk := pipelineContentKey(t, pipe); pk != goldenPipelineKey {
+		t.Errorf("inline pipeline key with explicit defaults = %s, want %s", pk, goldenPipelineKey)
+	}
+	eval := goldenEvaluate()
+	eval.App, eval.Accelerator = "", inlineSobel(t, true)
+	if ek := evaluateContentKey(t, eval); ek != goldenEvaluateKey {
+		t.Errorf("inline evaluate key = %s, want %s", ek, goldenEvaluateKey)
+	}
+}
+
+// pipelineContentKey returns the content key the submit path files req
+// under.
+func pipelineContentKey(t *testing.T, req PipelineRequest) string {
+	t.Helper()
+	app, err := req.resolveApp()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resolveApp: %v", err)
 	}
-	pk, err := pipelineKey(pipe.normalized(), app)
+	k, err := pipelineKey(req.normalized(), app)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("pipelineKey: %v", err)
 	}
-	if want := "89b80587a5e3dd287cffd9331f2b72cfc77b2c79c5fc720a40f07f3ebcc17987"; pk != want {
-		t.Errorf("pipelineKey = %s, want %s", pk, want)
-	}
-	eval := EvaluateRequest{
-		App:     "sobel",
-		Library: tinyLibrary(1),
-		Images:  ImageSpec{Count: 2, Width: 32, Height: 24, Seed: 5},
-		Configs: [][]int{{0, 0, 0, 0, 0}, {1, 0, 1, 0, 1}},
-	}
-	if app, err = eval.resolveApp(); err != nil {
-		t.Fatal(err)
-	}
-	ek, err := evaluateKey(eval.normalized(), app)
+	return k
+}
+
+// evaluateContentKey returns the content key the submit path files req
+// under.
+func evaluateContentKey(t *testing.T, req EvaluateRequest) string {
+	t.Helper()
+	app, err := req.resolveApp()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resolveApp: %v", err)
 	}
-	if want := "3609a08524ec580201f2a751a110d842c57b93bf2fbf6180100007351baded5e"; ek != want {
-		t.Errorf("evaluateKey = %s, want %s", ek, want)
+	k, err := evaluateKey(req.normalized(), app)
+	if err != nil {
+		t.Fatalf("evaluateKey: %v", err)
 	}
+	return k
 }
 
 // withField returns req's JSON encoding with one extra top-level field.
