@@ -562,7 +562,7 @@ func runSearch(s expt.Setup, graphPath string, args []string) error {
 		libReq.Specs = append(libReq.Specs, axserver.SpecRequest{Op: op.String(), Count: b.libCount})
 	}
 	// The shared model context every shard carries: workers with the same
-	// context rebuild bit-identical estimators (see axserver.shardModels).
+	// context rebuild bit-identical estimators (see axserver.buildShardModels).
 	shared := axserver.SearchShardRequest{
 		App:          name,
 		Accelerator:  wire,

@@ -12,6 +12,17 @@ const ActivityBatches = activityBatches
 // walker is the oracle that program, Flatten and the wire format are
 // checked against.  The graph must pass Validate.
 func (g *Graph) EvalExact(in []uint64) []uint64 {
+	vals := g.EvalExactNodes(in)
+	out := make([]uint64, len(g.Outputs))
+	for i, o := range g.Outputs {
+		out[i] = vals[o]
+	}
+	return out
+}
+
+// EvalExactNodes is EvalExact returning the value of every node, in node
+// order: the operands it shows are the ones Profile counts.
+func (g *Graph) EvalExactNodes(in []uint64) []uint64 {
 	if len(in) != len(g.Inputs) {
 		panic(fmt.Sprintf("accel %s: EvalExact got %d inputs, want %d", g.Name, len(in), len(g.Inputs)))
 	}
@@ -48,9 +59,5 @@ func (g *Graph) EvalExact(in []uint64) []uint64 {
 			vals[i] = v
 		}
 	}
-	out := make([]uint64, len(g.Outputs))
-	for i, o := range g.Outputs {
-		out[i] = vals[o]
-	}
-	return out
+	return vals
 }

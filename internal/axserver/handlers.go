@@ -23,10 +23,10 @@ func (s *Server) Handler() http.Handler {
 	route := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, instrument(pattern, h))
 	}
-	route("POST /v1/libraries", s.handleSubmitLibrary)
+	route("POST /v1/libraries", libraryJobs.handler(s))
 	route("GET /v1/libraries/{key}", s.handleGetLibrary)
-	route("POST /v1/evaluate", s.handleSubmitEvaluate)
-	route("POST /v1/pipelines", s.handleSubmitPipeline)
+	route("POST /v1/evaluate", evaluateJobs.handler(s))
+	route("POST /v1/pipelines", pipelineJobs.handler(s))
 	route("POST /v1/search/shards", s.handleSearchShard)
 	route("GET /v1/jobs", s.handleListJobs)
 	route("GET /v1/jobs/{id}", s.handleGetJob)
@@ -97,15 +97,6 @@ func submitResponse(w http.ResponseWriter, info JobInfo, err error) {
 	}
 }
 
-func (s *Server) handleSubmitLibrary(w http.ResponseWriter, r *http.Request) {
-	var req LibraryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	info, err := s.SubmitLibrary(req)
-	submitResponse(w, info, err)
-}
-
 func (s *Server) handleGetLibrary(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	b, ok := s.LibraryBytes(key)
@@ -116,24 +107,6 @@ func (s *Server) handleGetLibrary(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
-}
-
-func (s *Server) handleSubmitEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	info, err := s.SubmitEvaluate(req)
-	submitResponse(w, info, err)
-}
-
-func (s *Server) handleSubmitPipeline(w http.ResponseWriter, r *http.Request) {
-	var req PipelineRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	info, err := s.SubmitPipeline(req)
-	submitResponse(w, info, err)
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {

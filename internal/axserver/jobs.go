@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"autoax/internal/core"
 )
 
 // runFunc executes one job under its cancellation context.  It returns the
@@ -44,7 +46,7 @@ type Job struct {
 	progressTotal atomic.Int64
 }
 
-// setProgress is the job's ProgressFunc.  Stage transitions come from the
+// setProgress is the job's stage observer.  Stage transitions come from the
 // single goroutine driving the run, so storing the new stage then its
 // counters is race-free across stages; within a stage, concurrent
 // reporters advance progress with a CAS-max loop so a late small value
@@ -135,27 +137,26 @@ func (m *Manager) evictLocked() {
 	}
 }
 
+// newJob returns a queued job.  Its run context is a child of base that
+// carries the job's progress as the stage observer of the work it runs.
+func newJob(base context.Context, info JobInfo, seq int, run runFunc) *Job {
+	ctx, cancel := context.WithCancel(base)
+	j := &Job{info: info, seq: seq, run: run, cancel: cancel, done: make(chan struct{})}
+	j.ctx = context.WithValue(ctx, observerKey{}, core.StageObserver(j.setProgress))
+	return j
+}
+
 // Create registers a new queued job of the given kind.  The base context
 // is the server's lifetime: shutting the server down cancels every job.
 func (m *Manager) Create(base context.Context, kind string, run runFunc) *Job {
-	ctx, cancel := context.WithCancel(base)
 	m.mu.Lock()
 	m.seq++
-	j := &Job{
-		info: JobInfo{
-			ID:      fmt.Sprintf("job-%06d", m.seq),
-			Kind:    kind,
-			State:   JobQueued,
-			Created: m.clock(),
-		},
-		seq:    m.seq,
-		run:    run,
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	// The run context carries the job's progress reporter so the work can
-	// publish stage/progress without widening the runFunc signature.
-	j.ctx = withProgress(ctx, j.setProgress)
+	j := newJob(base, JobInfo{
+		ID:      fmt.Sprintf("job-%06d", m.seq),
+		Kind:    kind,
+		State:   JobQueued,
+		Created: m.clock(),
+	}, m.seq, run)
 	m.jobs[j.info.ID] = j
 	m.mu.Unlock()
 	jobsSubmitted(kind).Inc()
@@ -179,7 +180,6 @@ func (m *Manager) advanceSeq(n int) {
 // job across the restart reconnect to the same resource.  The sequence
 // counter is fast-forwarded past seq.
 func (m *Manager) CreateReplay(base context.Context, id string, seq int, kind string, created time.Time, run runFunc) *Job {
-	ctx, cancel := context.WithCancel(base)
 	m.mu.Lock()
 	if seq > m.seq {
 		m.seq = seq
@@ -187,20 +187,13 @@ func (m *Manager) CreateReplay(base context.Context, id string, seq int, kind st
 	if created.IsZero() {
 		created = m.clock()
 	}
-	j := &Job{
-		info: JobInfo{
-			ID:       id,
-			Kind:     kind,
-			State:    JobQueued,
-			Created:  created,
-			Replayed: true,
-		},
-		seq:    seq,
-		run:    run,
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	j.ctx = withProgress(ctx, j.setProgress)
+	j := newJob(base, JobInfo{
+		ID:       id,
+		Kind:     kind,
+		State:    JobQueued,
+		Created:  created,
+		Replayed: true,
+	}, seq, run)
 	m.jobs[j.info.ID] = j
 	m.mu.Unlock()
 	m.logger.Info("job.replay", "job", id, "kind", kind)

@@ -2,10 +2,15 @@ package axserver
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"autoax/internal/apps"
+	"autoax/internal/store"
 )
 
 // journalPath returns dir's journal file.
@@ -231,4 +236,56 @@ func TestJournalGoldenFrame(t *testing.T) {
 	if err != nil || n != len(golden) || got.ID != rec.ID || got.Seq != rec.Seq || !got.Created.Equal(rec.Created) || string(got.Req) != string(rec.Req) {
 		t.Fatalf("golden frame decoded to (%+v, %d, %v)", got, n, err)
 	}
+}
+
+// FuzzJournalRecord feeds arbitrary bytes to the journal parser, both as
+// a journal file and as the payload of one well-framed record, and every
+// submit record it accepts through the job-kind table: decoding and
+// validating a record must yield a runFunc or an error, never a panic or
+// both.  Nothing runs.  The seeds are the payloads of real submit records
+// of all three kinds.
+func FuzzJournalRecord(f *testing.F) {
+	sobel, err := apps.Sobel().Wire()
+	if err != nil {
+		f.Fatal(err)
+	}
+	inline := goldenEvaluate()
+	inline.App, inline.Accelerator = "", sobel
+	s := &Server{} // validation reads no server state
+	for i, sub := range []struct {
+		kind string
+		req  any
+	}{
+		{"library", tinyLibrary(1)},
+		{"evaluate", goldenEvaluate()},
+		{"evaluate", inline},
+		{"pipeline", tinyPipeline(11)},
+	} {
+		req, err := json.Marshal(sub.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		rec := journalRecord{Type: journalTypeSubmit, Seq: i + 1,
+			ID: fmt.Sprintf("job-%06d", i+1), Kind: sub.kind, Req: req}
+		if _, err := s.recordRun(rec); err != nil {
+			f.Fatalf("seed %s record: %v", sub.kind, err)
+		}
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		recs, _ := parseJournal(b)
+		framed, _ := parseJournal(store.AppendFrame(nil, journalMagic, JournalFormatVersion, b))
+		for _, rec := range append(recs, framed...) {
+			if rec.Type != journalTypeSubmit {
+				continue
+			}
+			if run, err := s.recordRun(rec); (run == nil) == (err == nil) {
+				t.Fatalf("%s record: runFunc %v, error %v", rec.Kind, run != nil, err)
+			}
+		}
+	})
 }

@@ -6,10 +6,8 @@ import (
 	"net/http"
 
 	"autoax/internal/accel"
-	"autoax/internal/core"
 	"autoax/internal/dse"
 	"autoax/internal/fleet"
-	"autoax/internal/ml"
 )
 
 // Shard-endpoint error codes (errorBody.Code): the typed 4xx contract a
@@ -83,37 +81,37 @@ func shardErr(status int, code string, format string, args ...any) *shardError {
 	return &shardError{status: status, code: code, err: fmt.Errorf(format, args...)}
 }
 
-// normalizedModel applies the pipeline's model-context defaulting so
-// equivalent spellings share one memoized model build.
-func (r SearchShardRequest) normalizedModel() SearchShardRequest {
-	r.Kernels = normalizeKernels(r.App, r.Kernels)
-	r.Images = r.Images.normalized()
-	d := core.DefaultConfig()
-	if r.TrainConfigs <= 0 {
-		r.TrainConfigs = d.TrainConfigs
+// pipeline returns the pipeline request whose train stage builds r's
+// models: the shard's model context, defaulted and built through the
+// same code as a pipeline job's.
+func (r SearchShardRequest) pipeline() PipelineRequest {
+	return PipelineRequest{
+		App:          r.App,
+		Kernels:      r.Kernels,
+		Accelerator:  r.Accelerator,
+		Images:       r.Images,
+		TrainConfigs: r.TrainConfigs,
+		TestConfigs:  r.TestConfigs,
+		Engine:       r.Engine,
+		Seed:         r.Seed,
 	}
-	if r.TestConfigs <= 0 {
-		r.TestConfigs = d.TestConfigs
-	}
-	if r.Engine == "" {
-		r.Engine = d.Engine.Name
-	}
-	if r.Seed == 0 {
-		r.Seed = d.Seed
-	}
-	return r
 }
 
-// modelKey content-addresses the model context: the library hash, the
-// accelerator's canonical hash, and the normalized training fields.  The
-// shard spec and protocol version are excluded — every shard over the
-// same context shares one model build.
-func (r SearchShardRequest) modelKey(appHash string) (string, error) {
-	canon := r.normalizedModel()
-	canon.App, canon.Kernels, canon.Accelerator = "", 0, nil
-	canon.Version = 0
-	canon.Shard = fleet.ShardSpec{}
-	return requestKey(r.Shard.LibraryHash, appHash, canon)
+func (r SearchShardRequest) target() target { return r.pipeline().target() }
+
+// canonical content-addresses the model context: the library hash and
+// the defaulted training fields.  The shard spec and protocol version
+// are left out, so every shard over the same context shares one model
+// build.
+func (r SearchShardRequest) canonical() (string, any, error) {
+	p := r.pipeline().normalized()
+	return r.Shard.LibraryHash, SearchShardRequest{
+		Images:       p.Images,
+		TrainConfigs: p.TrainConfigs,
+		TestConfigs:  p.TestConfigs,
+		Engine:       p.Engine,
+		Seed:         p.Seed,
+	}, nil
 }
 
 // handleSearchShard is POST /v1/search/shards: validate with typed codes,
@@ -168,20 +166,9 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 			"no library %s in this worker's cache; build it first (POST /v1/libraries)",
 			shard.LibraryHash)
 	}
-	if err := validateKernels(req.Kernels); err != nil {
-		return zero, &shardError{http.StatusBadRequest, codeBadRequest, err}
-	}
-	app, err := resolveAppRef(req.App, req.Kernels, req.Accelerator)
+	app, modelKey, err := prepare(req)
 	if err != nil {
 		return zero, &shardError{http.StatusBadRequest, codeBadRequest, err}
-	}
-	if err := validateImages(req.Images.normalized()); err != nil {
-		return zero, &shardError{http.StatusBadRequest, codeBadRequest, err}
-	}
-	if req.Engine != "" {
-		if _, err := ml.EngineByName(req.Engine); err != nil {
-			return zero, &shardError{http.StatusBadRequest, codeBadRequest, err}
-		}
 	}
 
 	// Bound concurrent shard executions to the worker-pool size; shards
@@ -194,7 +181,9 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 		return zero, &shardError{http.StatusServiceUnavailable, codeBadRequest, ctx.Err()}
 	}
 
-	m, err := s.shardModels(ctx, req, app, libBytes)
+	m, err := s.sharedModels(ctx, modelKey, func(ctx context.Context) (*dse.Models, error) {
+		return s.buildShardModels(ctx, req, app, libBytes)
+	})
 	if err != nil {
 		if ctx.Err() != nil {
 			return zero, &shardError{http.StatusServiceUnavailable, codeBadRequest, ctx.Err()}
@@ -234,23 +223,12 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 // one or two model contexts at a time, so the cap is small.
 const modelCacheEntries = 4
 
-// shardModels returns the trained models for a shard request's model
-// context, memoized and singleflighted: concurrent shards over the same
-// context share one build, later shards reuse it.  Failed builds are not
+// sharedModels returns the trained models of a shard's model context,
+// memoized and singleflighted: concurrent shards over the same context
+// share one build, later shards reuse it, and failed builds are not
 // memoized, so a retry recomputes instead of replaying the error forever.
-func (s *Server) shardModels(ctx context.Context, req SearchShardRequest, app *accel.ImageApp, libBytes []byte) (*dse.Models, error) {
-	key, err := req.modelKey(app.CanonicalHash())
-	if err != nil {
-		return nil, err
-	}
-	return s.sharedModels(ctx, key, func(ctx context.Context) (*dse.Models, error) {
-		return s.buildShardModels(ctx, req, app, libBytes)
-	})
-}
-
-// sharedModels is shardModels' memo behind a store.Flight: the first
-// caller for key (the leader) serves the memo or runs build under its own
-// ctx, and later callers wait for it.  A waiter whose leader failed — its
+// The first caller for key (the leader) serves the memo or runs build
+// under its own ctx, and later callers wait for it.  A waiter whose leader failed — its
 // context ended, its build failed or panicked — retries, becoming the
 // leader if no one else has, so one cancelled coordinator cannot fail the
 // shards of another.
@@ -281,26 +259,11 @@ func (s *Server) sharedModels(ctx context.Context, key string, build func(contex
 // identical predictions — the property the fleet's bit-identity contract
 // rests on.
 func (s *Server) buildShardModels(ctx context.Context, req SearchShardRequest, app *accel.ImageApp, libBytes []byte) (*dse.Models, error) {
-	req = req.normalizedModel()
 	lib, err := s.decodeLibrary(req.Shard.LibraryHash, libBytes)
 	if err != nil {
 		return nil, fmt.Errorf("loading library %s: %w", req.Shard.LibraryHash, err)
 	}
-	images, err := buildImages(req.Images)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := ml.EngineByName(req.Engine)
-	if err != nil {
-		return nil, err
-	}
-	pipe, err := core.NewPipeline(app, lib, images, core.Config{
-		TrainConfigs: req.TrainConfigs,
-		TestConfigs:  req.TestConfigs,
-		ProgramCache: s.programs,
-		Seed:         req.Seed,
-		Engine:       spec,
-	})
+	pipe, err := s.newPipeline(ctx, req.pipeline().normalized(), app, lib)
 	if err != nil {
 		return nil, err
 	}

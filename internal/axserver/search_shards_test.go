@@ -393,13 +393,9 @@ const goldenLibraryHash = "0123456789abcdef0123456789abcdef0123456789abcdef01234
 // trained models under.
 func shardModelKey(t *testing.T, req SearchShardRequest) string {
 	t.Helper()
-	app, err := resolveAppRef(req.App, req.Kernels, req.Accelerator)
+	_, k, err := prepare(req)
 	if err != nil {
-		t.Fatalf("resolveAppRef: %v", err)
-	}
-	k, err := req.modelKey(app.CanonicalHash())
-	if err != nil {
-		t.Fatalf("modelKey: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
 	return k
 }

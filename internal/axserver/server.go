@@ -38,11 +38,9 @@ import (
 
 	"autoax/internal/accel"
 	"autoax/internal/acl"
-	"autoax/internal/apps"
 	"autoax/internal/core"
 	"autoax/internal/dse"
 	"autoax/internal/fleet"
-	"autoax/internal/imagedata"
 	"autoax/internal/ml"
 	"autoax/internal/store"
 )
@@ -138,7 +136,7 @@ type Server struct {
 
 	// Fleet shard execution (POST /v1/search/shards): shardSem bounds
 	// concurrent synchronous shard runs to the worker-pool size, and
-	// models memoizes trained model contexts (see shardModels), built
+	// models memoizes trained model contexts (see sharedModels), built
 	// through modelFlight, at a cost of 1 each under modelCacheEntries.
 	shardSem    chan struct{}
 	modelMu     sync.Mutex
@@ -270,7 +268,7 @@ func (s *Server) journalTerminal(id string, state JobState) {
 // validation change across versions) surfaces as a failed job rather
 // than silently disappearing.
 func (s *Server) replay(rec journalRecord) {
-	run, err := s.runForRequest(rec.Kind, rec.Req)
+	run, err := s.recordRun(rec)
 	if err != nil {
 		replayErr := fmt.Errorf("replaying journaled %s job: %w", rec.Kind, err)
 		run = func(context.Context) (any, bool, error) { return nil, false, replayErr }
@@ -278,34 +276,6 @@ func (s *Server) replay(rec journalRecord) {
 	j := s.manager.CreateReplay(s.base, rec.ID, rec.Seq, rec.Kind, rec.Created, run)
 	s.pool.EnqueueReplay(j, int64(len(rec.Req)))
 	s.journal.replayed.Add(1)
-}
-
-// runForRequest rebuilds a job's runFunc from its journaled kind and raw
-// request, re-validating through the same factories live submissions
-// use.
-func (s *Server) runForRequest(kind string, raw []byte) (runFunc, error) {
-	switch kind {
-	case "library":
-		var req LibraryRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, err
-		}
-		return s.libraryRun(req)
-	case "evaluate":
-		var req EvaluateRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, err
-		}
-		return s.evaluateRun(req)
-	case "pipeline":
-		var req PipelineRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, err
-		}
-		return s.pipelineRun(req)
-	default:
-		return nil, fmt.Errorf("unknown job kind %q", kind)
-	}
 }
 
 // Close cancels every job and waits for the workers to exit.  With a
@@ -445,97 +415,6 @@ const (
 	pipelineKeyspace = "pipeline/2/"
 )
 
-// defaultGFKernels is the generic Gaussian filter's default coefficient-
-// set count, applied by normalizeKernels for both request execution and
-// content hashing so the two can never diverge.
-const defaultGFKernels = 2
-
-// maxKernels caps the generic-GF coefficient sets one request may ask for
-// (the paper uses 50) so a single submission cannot exhaust memory.
-const maxKernels = 64
-
-// normalizeKernels applies the case studies' defaulting: kernels only
-// matter for the generic Gaussian filter, where zero means
-// defaultGFKernels.
-func normalizeKernels(app string, kernels int) int {
-	if app != "genericgf" {
-		return 0
-	}
-	if kernels <= 0 {
-		return defaultGFKernels
-	}
-	return kernels
-}
-
-// validateKernels bounds the kernel count before any allocation happens.
-func validateKernels(kernels int) error {
-	if kernels > maxKernels {
-		return fmt.Errorf("kernels %d exceeds the limit of %d", kernels, maxKernels)
-	}
-	return nil
-}
-
-// normalized applies the execution path's defaulting so equivalent
-// requests hash to the same content key.
-func (r EvaluateRequest) normalized() EvaluateRequest {
-	r.Kernels = normalizeKernels(r.App, r.Kernels)
-	r.Images = r.Images.normalized()
-	return r
-}
-
-// normalized applies the execution path's defaulting (core.DefaultConfig
-// budgets, default engine, seed 1) so equivalent requests hash to the same
-// content key.
-func (r PipelineRequest) normalized() PipelineRequest {
-	r.Kernels = normalizeKernels(r.App, r.Kernels)
-	r.Images = r.Images.normalized()
-	d := core.DefaultConfig()
-	if r.TrainConfigs <= 0 {
-		r.TrainConfigs = d.TrainConfigs
-	}
-	if r.TestConfigs <= 0 {
-		r.TestConfigs = d.TestConfigs
-	}
-	if r.SearchEvals <= 0 {
-		r.SearchEvals = d.SearchEvals
-	}
-	if r.Stagnation <= 0 {
-		r.Stagnation = d.Stagnation
-	}
-	if r.Seed == 0 {
-		r.Seed = d.Seed
-	}
-	if r.Engine == "" {
-		r.Engine = d.Engine.Name
-	}
-	if r.Search.Engine == "" {
-		r.Search.Engine = dse.DefaultEngineName
-	}
-	if r.Search.Seed == 0 {
-		// The execution path derives seed+300 (the historical explore
-		// seed) from an unset search seed; normalizing the derivation here
-		// makes the explicit spelling hash to the same key.
-		r.Search.Seed = r.Seed + 300
-	}
-	return r
-}
-
-// requestKey content-addresses a job request: the canonical hash of the
-// library's canonical key, the accelerator's canonical hash, and the rest
-// of the request (with the library and accelerator fields zeroed by the
-// caller, so equivalent spellings collide).
-func requestKey(libKey, appHash string, rest any) (string, error) {
-	b, err := json.Marshal(struct {
-		LibKey  string `json:"libKey"`
-		AppHash string `json:"appHash"`
-		Rest    any    `json:"rest"`
-	}{libKey, appHash, rest})
-	if err != nil {
-		return "", err
-	}
-	return acl.HashBytes(b), nil
-}
-
 // resolveLibrary returns the library for a request, served from the cache
 // when an identical build exists and coalesced with any identical build
 // already in flight.  On a miss the library is built (checking ctx between
@@ -643,89 +522,17 @@ func (s *Server) libraryRun(req LibraryRequest) (runFunc, error) {
 
 // SubmitLibrary enqueues a library-build job.
 func (s *Server) SubmitLibrary(req LibraryRequest) (JobInfo, error) {
-	run, err := s.libraryRun(req)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return s.submit("library", req, run)
+	return libraryJobs.submit(s, req)
 }
 
-// Inline-accelerator limits: a request-supplied graph is untrusted, so its
-// size is bounded before any evaluation work is queued.  The caps sit far
-// above the paper's case studies (≤ ~60 nodes, ≤ 50 simulations) while
-// keeping a single request from monopolizing a worker with an enormous
-// netlist or simulation sweep.
-const (
-	maxAccelNodes = 1024
-	maxAccelSims  = 64
-)
-
-// resolveAppRef materializes the accelerator a request addresses: exactly
-// one of name (a built-in case study) or spec (an inline wire-format
-// accelerator) must be set.  Inline specs are strictly validated —
-// structure, widths, input registration, window binding and size caps —
-// before they can reach a worker.
-func resolveAppRef(name string, kernels int, spec *accel.WireApp) (*accel.ImageApp, error) {
-	switch {
-	case spec != nil && name != "":
-		return nil, fmt.Errorf("request sets both app %q and an inline accelerator; use one", name)
-	case spec == nil && name == "":
-		return nil, fmt.Errorf("request needs an app name (sobel, fixedgf, genericgf) or an inline accelerator")
-	case spec != nil:
-		if n := len(spec.Graph.Nodes); n > maxAccelNodes {
-			return nil, fmt.Errorf("inline accelerator has %d nodes, limit is %d", n, maxAccelNodes)
-		}
-		if n := len(spec.Sims); n > maxAccelSims {
-			return nil, fmt.Errorf("inline accelerator has %d simulations, limit is %d", n, maxAccelSims)
-		}
-		app, err := spec.App()
-		if err != nil {
-			return nil, fmt.Errorf("inline accelerator: %w", err)
-		}
-		return app, nil
-	default:
-		return apps.New(name, normalizeKernels(name, kernels))
-	}
+// SubmitEvaluate enqueues a precise-evaluation job.
+func (s *Server) SubmitEvaluate(req EvaluateRequest) (JobInfo, error) {
+	return evaluateJobs.submit(s, req)
 }
 
-// Image-set limits: per-dimension bounds small enough that their product
-// cannot overflow int64, plus a total pixel budget (~28× the paper's full
-// 24-image 384×256 set) so a single job cannot exhaust memory.
-const (
-	maxImageCount  = 4096
-	maxImageDim    = 8192
-	maxImagePixels = 1 << 26
-)
-
-// validateImages rejects impossible or abusive image specs without
-// materializing any pixels — cheap enough for the HTTP submission path.
-func validateImages(spec ImageSpec) error {
-	if spec.Count <= 0 || spec.Width <= 0 || spec.Height <= 0 {
-		return fmt.Errorf("images need positive count/width/height, got %d/%d/%d",
-			spec.Count, spec.Width, spec.Height)
-	}
-	// Bound each dimension before forming the product so the budget check
-	// cannot be bypassed by overflow.
-	if spec.Count > maxImageCount || spec.Width > maxImageDim || spec.Height > maxImageDim {
-		return fmt.Errorf("image spec %d/%d/%d exceeds the per-dimension limits %d/%d/%d",
-			spec.Count, spec.Width, spec.Height, maxImageCount, maxImageDim, maxImageDim)
-	}
-	if px := int64(spec.Count) * int64(spec.Width) * int64(spec.Height); px > maxImagePixels {
-		return fmt.Errorf("image set of %d pixels exceeds the %d-pixel limit", px, int64(maxImagePixels))
-	}
-	return nil
-}
-
-// buildImages materializes the deterministic benchmark image set.
-func buildImages(spec ImageSpec) ([]*imagedata.Image, error) {
-	if err := validateImages(spec); err != nil {
-		return nil, err
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return imagedata.BenchmarkSet(spec.Count, spec.Width, spec.Height, seed), nil
+// SubmitPipeline enqueues a full methodology run.
+func (s *Server) SubmitPipeline(req PipelineRequest) (JobInfo, error) {
+	return pipelineJobs.submit(s, req)
 }
 
 // maxEvalConfigs caps the configurations one evaluate job may carry, so a
@@ -733,20 +540,12 @@ func buildImages(spec ImageSpec) ([]*imagedata.Image, error) {
 // are split across jobs (which then interleave fairly in the FIFO queue).
 const maxEvalConfigs = 10000
 
-// evaluateRun validates an evaluate request and returns its runFunc —
-// the shared factory behind live submissions and journal replay.
+// evaluateRun validates an evaluate request and returns its runFunc.  The
+// configuration space is the full (unreduced) library per operation node,
+// indices in stored area-sorted order.
 func (s *Server) evaluateRun(req EvaluateRequest) (runFunc, error) {
-	if err := validateKernels(req.Kernels); err != nil {
-		return nil, err
-	}
-	app, err := req.resolveApp()
+	app, key, err := prepare(req)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := req.Library.Key(); err != nil {
-		return nil, err
-	}
-	if err := validateImages(req.Images); err != nil {
 		return nil, err
 	}
 	if len(req.Configs) == 0 {
@@ -756,18 +555,24 @@ func (s *Server) evaluateRun(req EvaluateRequest) (runFunc, error) {
 		return nil, fmt.Errorf("evaluate request carries %d configurations, limit is %d per job",
 			len(req.Configs), maxEvalConfigs)
 	}
-	return func(ctx context.Context) (any, bool, error) {
-		return s.runEvaluate(ctx, req, app)
-	}, nil
+	return cachedRun(s, evaluateKeyspace+key, func(ctx context.Context) (EvaluateResult, error) {
+		return s.computeEvaluate(ctx, req, app)
+	}), nil
 }
 
-// SubmitEvaluate enqueues a precise-evaluation job.
-func (s *Server) SubmitEvaluate(req EvaluateRequest) (JobInfo, error) {
-	run, err := s.evaluateRun(req)
+// pipelineRun validates a pipeline request and returns its runFunc.
+func (s *Server) pipelineRun(req PipelineRequest) (runFunc, error) {
+	app, key, err := prepare(req)
 	if err != nil {
-		return JobInfo{}, err
+		return nil, err
 	}
-	return s.submit("evaluate", req, run)
+	if _, err := dse.SearchEngineByName(req.Search.Engine); err != nil {
+		return nil, err
+	}
+	req = req.normalized()
+	return cachedRun(s, pipelineKeyspace+key, func(ctx context.Context) (PipelineResult, error) {
+		return s.computePipeline(ctx, req, app)
+	}), nil
 }
 
 // cachedArtifact is the shared content-addressed execution protocol: the
@@ -809,49 +614,10 @@ func cachedArtifact[T any](s *Server, ctx context.Context, key string,
 	return zero, false, fmt.Errorf("axserver: artifact %s: stored bytes corrupt after recompute", key)
 }
 
-// runCached adapts cachedArtifact to a job's (result, cached, error)
-// shape for JSON-encoded result payloads.
-func runCached[T any](s *Server, ctx context.Context, key string, compute func() (T, error)) (any, bool, error) {
-	res, cached, err := cachedArtifact(s, ctx, key, compute,
-		func(v T) ([]byte, error) { return json.Marshal(v) },
-		func(b []byte) (T, error) {
-			var v T
-			err := json.Unmarshal(b, &v)
-			return v, err
-		})
-	if err != nil {
-		return nil, false, err
-	}
-	return res, cached, nil
-}
-
-// runEvaluate executes an evaluate job: the configuration space is the
-// full (unreduced) library per operation node, indices in stored
-// area-sorted order.  Identical repeated requests are served from the
-// content-addressed result cache; identical concurrent requests share one
-// computation.
-func (s *Server) runEvaluate(ctx context.Context, req EvaluateRequest, app *accel.ImageApp) (any, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	req = req.normalized()
-	resKey, err := evaluateKey(req, app)
-	if err != nil {
-		return nil, false, err
-	}
-	return runCached(s, ctx, evaluateKeyspace+resKey, func() (EvaluateResult, error) {
-		return s.computeEvaluate(ctx, req, app)
-	})
-}
-
-// computeEvaluate performs the actual evaluation work of runEvaluate over
-// the request's resolved accelerator.
+// computeEvaluate evaluates an evaluate request's configurations over its
+// resolved accelerator.
 func (s *Server) computeEvaluate(ctx context.Context, req EvaluateRequest, app *accel.ImageApp) (EvaluateResult, error) {
 	var zero EvaluateResult
-	images, err := buildImages(req.Images)
-	if err != nil {
-		return zero, err
-	}
 	lib, key, _, err := s.resolveLibrary(ctx, req.Library)
 	if err != nil {
 		return zero, err
@@ -859,7 +625,7 @@ func (s *Server) computeEvaluate(ctx context.Context, req EvaluateRequest, app *
 	if err := ctx.Err(); err != nil {
 		return zero, err
 	}
-	ev, err := accel.NewEvaluator(app, images)
+	ev, err := accel.NewEvaluator(app, buildImages(req.Images))
 	if err != nil {
 		return zero, err
 	}
@@ -886,11 +652,11 @@ func (s *Server) computeEvaluate(ctx context.Context, req EvaluateRequest, app *
 	}
 	// Live progress: one "evaluate" stage counting finished configurations.
 	var onDone func()
-	if report := ProgressReporter(ctx); report != nil {
+	if observe := stageObserver(ctx); observe != nil {
 		total := int64(len(req.Configs))
-		report("evaluate", 0, total)
+		observe("evaluate", 0, total)
 		var done atomic.Int64
-		onDone = func() { report("evaluate", done.Add(1), total) }
+		onDone = func() { observe("evaluate", done.Add(1), total) }
 	}
 	res, err := dse.EvaluateAll(ctx, ev, space, req.Configs, onDone)
 	if err != nil {
@@ -904,137 +670,17 @@ func (s *Server) computeEvaluate(ctx context.Context, req EvaluateRequest, app *
 	return EvaluateResult{LibraryKey: key, Results: out}, nil
 }
 
-// resolveApp materializes the accelerator an evaluate request addresses.
-func (r EvaluateRequest) resolveApp() (*accel.ImageApp, error) {
-	return resolveAppRef(r.App, r.Kernels, r.Accelerator)
-}
-
-// resolveApp materializes the accelerator a pipeline request addresses.
-func (r PipelineRequest) resolveApp() (*accel.ImageApp, error) {
-	return resolveAppRef(r.App, r.Kernels, r.Accelerator)
-}
-
-// pipelineKey content-addresses a full pipeline request after defaulting.
-// The accelerator — named or inline — is represented by the canonical
-// hash of app (the request's accelerator, materialized once by the
-// caller), so equivalent descriptions share one cache entry.
-func pipelineKey(req PipelineRequest, app *accel.ImageApp) (string, error) {
-	libKey, err := req.Library.Key()
-	if err != nil {
-		return "", err
-	}
-	canon := req.normalized()
-	canon.Library = LibraryRequest{}                         // represented by its canonical key
-	canon.App, canon.Kernels, canon.Accelerator = "", 0, nil // represented by the canonical app hash
-	return requestKey(libKey, app.CanonicalHash(), canon)
-}
-
-// evaluateKey content-addresses a full evaluate request after defaulting;
-// see pipelineKey for the accelerator-hash folding.
-func evaluateKey(req EvaluateRequest, app *accel.ImageApp) (string, error) {
-	libKey, err := req.Library.Key()
-	if err != nil {
-		return "", err
-	}
-	canon := req.normalized()
-	canon.Library = LibraryRequest{}
-	canon.App, canon.Kernels, canon.Accelerator = "", 0, nil
-	return requestKey(libKey, app.CanonicalHash(), canon)
-}
-
-// pipelineRun validates a pipeline request and returns its runFunc —
-// the shared factory behind live submissions and journal replay.
-func (s *Server) pipelineRun(req PipelineRequest) (runFunc, error) {
-	if err := validateKernels(req.Kernels); err != nil {
-		return nil, err
-	}
-	app, err := req.resolveApp()
-	if err != nil {
-		return nil, err
-	}
-	if req.Engine != "" {
-		if _, err := ml.EngineByName(req.Engine); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := dse.SearchEngineByName(req.Search.Engine); err != nil {
-		return nil, err
-	}
-	if err := validateImages(req.Images); err != nil {
-		return nil, err
-	}
-	if _, err := pipelineKey(req, app); err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context) (any, bool, error) {
-		return s.runPipeline(ctx, req, app)
-	}, nil
-}
-
-// SubmitPipeline enqueues a full methodology run.
-func (s *Server) SubmitPipeline(req PipelineRequest) (JobInfo, error) {
-	run, err := s.pipelineRun(req)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return s.submit("pipeline", req, run)
-}
-
-// runPipeline executes a pipeline job, serving identical repeated requests
-// from the content-addressed cache and coalescing identical concurrent
-// requests onto one computation.
-func (s *Server) runPipeline(ctx context.Context, req PipelineRequest, app *accel.ImageApp) (any, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	req = req.normalized()
-	key, err := pipelineKey(req, app)
-	if err != nil {
-		return nil, false, err
-	}
-	return runCached(s, ctx, pipelineKeyspace+key, func() (PipelineResult, error) {
-		return s.computePipeline(ctx, req, app)
-	})
-}
-
-// computePipeline performs the actual methodology run of runPipeline over
-// the request's resolved accelerator.
+// computePipeline runs the methodology for a normalized pipeline request
+// over its resolved accelerator.
 func (s *Server) computePipeline(ctx context.Context, req PipelineRequest, app *accel.ImageApp) (PipelineResult, error) {
 	var zero PipelineResult
-	images, err := buildImages(req.Images)
-	if err != nil {
-		return zero, err
-	}
 	lib, libKey, _, err := s.resolveLibrary(ctx, req.Library)
 	if err != nil {
 		return zero, err
 	}
-	// normalized() has already applied core.DefaultConfig's defaulting, so
-	// every field maps straight across.
-	spec, err := ml.EngineByName(req.Engine)
+	pipe, err := s.newPipeline(ctx, req, app, lib)
 	if err != nil {
 		return zero, err
-	}
-	cfg := core.Config{
-		TrainConfigs: req.TrainConfigs,
-		TestConfigs:  req.TestConfigs,
-		SearchEvals:  req.SearchEvals,
-		Stagnation:   req.Stagnation,
-		SearchEngine: req.Search.Engine,
-		SearchSeed:   req.Search.Seed,
-		ProgramCache: s.programs,
-		Seed:         req.Seed,
-		AutoEngine:   req.AutoEngine,
-		Engine:       spec,
-	}
-	pipe, err := core.NewPipeline(app, lib, images, cfg)
-	if err != nil {
-		return zero, err
-	}
-	// The job's progress reporter (carried by ctx) plugs straight into the
-	// pipeline's stage observer: same signature, same semantics.
-	if report := ProgressReporter(ctx); report != nil {
-		pipe.Observer = core.StageObserver(report)
 	}
 	if err := pipe.RunContext(ctx); err != nil {
 		return zero, err
@@ -1054,4 +700,33 @@ func (s *Server) computePipeline(ctx context.Context, req PipelineRequest, app *
 		SearchEngine: req.Search.Engine,
 		Front:        front,
 	}, nil
+}
+
+// newPipeline builds the methodology run of a normalized pipeline request
+// over lib, reporting its stages to the observer of the job running
+// under ctx.  Pipeline jobs and shard-model builds both construct their
+// pipeline here, so a shard's models are by construction the ones a
+// pipeline's train stage fits over the same model context.
+func (s *Server) newPipeline(ctx context.Context, req PipelineRequest, app *accel.ImageApp, lib *acl.Library) (*core.Pipeline, error) {
+	spec, err := ml.EngineByName(req.Engine)
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := core.NewPipeline(app, lib, buildImages(req.Images), core.Config{
+		TrainConfigs: req.TrainConfigs,
+		TestConfigs:  req.TestConfigs,
+		SearchEvals:  req.SearchEvals,
+		Stagnation:   req.Stagnation,
+		SearchEngine: req.Search.Engine,
+		SearchSeed:   req.Search.Seed,
+		ProgramCache: s.programs,
+		Seed:         req.Seed,
+		AutoEngine:   req.AutoEngine,
+		Engine:       spec,
+	})
+	if err != nil {
+		return nil, err
+	}
+	pipe.Observer = stageObserver(ctx)
+	return pipe, nil
 }

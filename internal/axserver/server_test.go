@@ -492,10 +492,10 @@ const (
 // removal of the request "parallelism" field, which was omitted when zero
 // and zeroed before hashing.
 func TestContentKeysGolden(t *testing.T) {
-	if pk := pipelineContentKey(t, tinyPipeline(11)); pk != goldenPipelineKey {
+	if pk := contentKey(t, tinyPipeline(11)); pk != goldenPipelineKey {
 		t.Errorf("pipeline key = %s, want %s", pk, goldenPipelineKey)
 	}
-	if ek := evaluateContentKey(t, goldenEvaluate()); ek != goldenEvaluateKey {
+	if ek := contentKey(t, goldenEvaluate()); ek != goldenEvaluateKey {
 		t.Errorf("evaluate key = %s, want %s", ek, goldenEvaluateKey)
 	}
 }
@@ -506,48 +506,28 @@ func TestContentKeysGolden(t *testing.T) {
 func TestContentKeysGoldenInline(t *testing.T) {
 	pipe := tinyPipeline(11)
 	pipe.App, pipe.Accelerator = "", inlineSobel(t, true)
-	if pk := pipelineContentKey(t, pipe); pk != goldenPipelineKey {
+	if pk := contentKey(t, pipe); pk != goldenPipelineKey {
 		t.Errorf("inline pipeline key = %s, want %s", pk, goldenPipelineKey)
 	}
 	d := core.DefaultConfig()
 	pipe.Stagnation, pipe.Engine = d.Stagnation, d.Engine.Name
 	pipe.Search = SearchSpec{Engine: dse.DefaultEngineName, Seed: 11 + 300}
-	if pk := pipelineContentKey(t, pipe); pk != goldenPipelineKey {
+	if pk := contentKey(t, pipe); pk != goldenPipelineKey {
 		t.Errorf("inline pipeline key with explicit defaults = %s, want %s", pk, goldenPipelineKey)
 	}
 	eval := goldenEvaluate()
 	eval.App, eval.Accelerator = "", inlineSobel(t, true)
-	if ek := evaluateContentKey(t, eval); ek != goldenEvaluateKey {
+	if ek := contentKey(t, eval); ek != goldenEvaluateKey {
 		t.Errorf("inline evaluate key = %s, want %s", ek, goldenEvaluateKey)
 	}
 }
 
-// pipelineContentKey returns the content key the submit path files req
-// under.
-func pipelineContentKey(t *testing.T, req PipelineRequest) string {
+// contentKey returns the content key the submit path files req under.
+func contentKey(t *testing.T, req accelRequest) string {
 	t.Helper()
-	app, err := req.resolveApp()
+	_, k, err := prepare(req)
 	if err != nil {
-		t.Fatalf("resolveApp: %v", err)
-	}
-	k, err := pipelineKey(req.normalized(), app)
-	if err != nil {
-		t.Fatalf("pipelineKey: %v", err)
-	}
-	return k
-}
-
-// evaluateContentKey returns the content key the submit path files req
-// under.
-func evaluateContentKey(t *testing.T, req EvaluateRequest) string {
-	t.Helper()
-	app, err := req.resolveApp()
-	if err != nil {
-		t.Fatalf("resolveApp: %v", err)
-	}
-	k, err := evaluateKey(req.normalized(), app)
-	if err != nil {
-		t.Fatalf("evaluateKey: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
 	return k
 }
@@ -915,14 +895,7 @@ func TestPipelineResultCache(t *testing.T) {
 func TestPipelineCacheSkipsSingleClimbKeyspace(t *testing.T) {
 	s, ts := testServer(t, Options{Workers: 1, CacheDir: t.TempDir()})
 	req := tinyPipeline(6)
-	app, err := req.resolveApp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := pipelineKey(req.normalized(), app)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := contentKey(t, req)
 	planted, err := json.Marshal(PipelineResult{Engine: "planted", SearchEngine: "planted"})
 	if err != nil {
 		t.Fatal(err)
@@ -1045,21 +1018,6 @@ func inlineSobel(t *testing.T, rename bool) *accel.WireApp {
 	return w
 }
 
-// keyOfPipeline resolves a request's accelerator and content-addresses it,
-// as the submit path does.
-func keyOfPipeline(t *testing.T, req PipelineRequest) string {
-	t.Helper()
-	app, err := req.resolveApp()
-	if err != nil {
-		t.Fatalf("resolveApp: %v", err)
-	}
-	k, err := pipelineKey(req, app)
-	if err != nil {
-		t.Fatalf("pipelineKey: %v", err)
-	}
-	return k
-}
-
 // TestInlineAcceleratorKeyMatchesNamedApp checks the acceptance criterion
 // that {"app":"sobel"} and the inline-serialized Sobel graph content-hash
 // to the same cache key — even when the inline copy renames every node.
@@ -1069,8 +1027,8 @@ func TestInlineAcceleratorKeyMatchesNamedApp(t *testing.T) {
 	inline.App = ""
 	inline.Accelerator = inlineSobel(t, true)
 
-	kNamed := keyOfPipeline(t, named)
-	kInline := keyOfPipeline(t, inline)
+	kNamed := contentKey(t, named)
+	kInline := contentKey(t, inline)
 	if kNamed != kInline {
 		t.Fatalf("named and inline-equivalent pipeline requests hash differently:\n%s\n%s", kNamed, kInline)
 	}
@@ -1080,18 +1038,7 @@ func TestInlineAcceleratorKeyMatchesNamedApp(t *testing.T) {
 	eInline := eNamed
 	eInline.App = ""
 	eInline.Accelerator = inlineSobel(t, true)
-	keyOfEvaluate := func(req EvaluateRequest) string {
-		app, err := req.resolveApp()
-		if err != nil {
-			t.Fatalf("resolveApp: %v", err)
-		}
-		k, err := evaluateKey(req, app)
-		if err != nil {
-			t.Fatalf("evaluateKey: %v", err)
-		}
-		return k
-	}
-	if keyOfEvaluate(eNamed) != keyOfEvaluate(eInline) {
+	if contentKey(t, eNamed) != contentKey(t, eInline) {
 		t.Fatalf("named and inline-equivalent evaluate requests hash differently")
 	}
 
@@ -1100,7 +1047,7 @@ func TestInlineAcceleratorKeyMatchesNamedApp(t *testing.T) {
 	other.App = ""
 	other.Accelerator = inlineSobel(t, false)
 	other.Accelerator.Taps[0] = accel.WindowTap{DX: 0, DY: 0}
-	if keyOfPipeline(t, other) == kNamed {
+	if contentKey(t, other) == kNamed {
 		t.Fatalf("structurally different accelerators share a cache key")
 	}
 }

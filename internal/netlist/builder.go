@@ -17,12 +17,13 @@ type Builder struct {
 	// emitted with folding on: each entry is 1 + the gate's index in
 	// n.Gates, 0 marks an empty slot.  The stored gate is the normalized
 	// key, so a probe compares against n.Gates directly.  len(table) is a
-	// power of two kept at least twice the entry count; it is borrowed
-	// from tablePool and returned by Build.
-	table  []int32
-	hashed int // occupied entries of table
-	fold   bool
-	inst   []Signal // Instantiate's sub-netlist signal map, reused
+	// power of two kept at least twice the entry count; it is *tableBuf,
+	// borrowed from tablePool and returned by Build.
+	table    []int32
+	tableBuf *[]int32
+	hashed   int // occupied entries of table
+	fold     bool
+	inst     []Signal // Instantiate's sub-netlist signal map, reused
 }
 
 // minTable is the smallest hash table a Builder allocates.
@@ -68,8 +69,9 @@ func (b *Builder) reserve(entries int) {
 	if size <= len(b.table) {
 		return
 	}
-	old := b.table
-	b.table = tablePool.get(size)
+	old, oldBuf := b.table, b.tableBuf
+	b.tableBuf = tablePool.get(size)
+	b.table = *b.tableBuf
 	mask := uint64(size - 1)
 	for _, e := range old {
 		if e == 0 {
@@ -81,7 +83,7 @@ func (b *Builder) reserve(entries int) {
 		}
 		b.table[i] = e
 	}
-	tablePool.put(old)
+	tablePool.put(oldBuf)
 }
 
 // gateHash mixes a normalized gate into a table index.
@@ -251,8 +253,8 @@ func (b *Builder) Instantiate(sub *Netlist, inputs []Signal) []Signal {
 func (b *Builder) Build() *Netlist {
 	n := b.n
 	b.n = nil
-	tablePool.put(b.table)
-	b.table, b.inst = nil, nil
+	tablePool.put(b.tableBuf)
+	b.table, b.tableBuf, b.inst = nil, nil, nil
 	return n
 }
 

@@ -172,8 +172,9 @@ const NominalClock = 200.0
 // are included; call Simplify first to obtain post-synthesis numbers.
 func (n *Netlist) Analyze() Cost {
 	var c Cost
-	depth := depthPool.get(n.NumNodes())
-	defer depthPool.put(depth)
+	buf := depthPool.get(n.NumNodes())
+	defer depthPool.put(buf)
+	depth := *buf
 	at := func(s Signal) float64 {
 		if s < 0 {
 			return 0

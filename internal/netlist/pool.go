@@ -7,21 +7,26 @@ import "sync"
 // large as the netlist, and precise evaluation synthesizes one
 // accelerator per configuration.
 
-// slicePool recycles zeroed working slices.
+// slicePool recycles zeroed working slices.  It hands out and takes back
+// the pointer it stores, so a round trip allocates nothing once the pool
+// is warm.
 type slicePool[T any] struct{ p sync.Pool }
 
-// get returns a zeroed slice of length n, reusing a pooled one when it is
-// large enough.
-func (p *slicePool[T]) get(n int) []T {
-	if b, _ := p.p.Get().(*[]T); b != nil && cap(*b) >= n {
-		return zeroed(*b, n)
+// get returns a pointer to a zeroed slice of length n, reusing a pooled
+// one when it is large enough.
+func (p *slicePool[T]) get(n int) *[]T {
+	b, _ := p.p.Get().(*[]T)
+	if b == nil {
+		b = new([]T)
 	}
-	return make([]T, n)
+	*b = zeroed(*b, n)
+	return b
 }
 
-func (p *slicePool[T]) put(s []T) {
-	if s != nil {
-		p.p.Put(&s)
+// put returns a slice that get handed out; nil is ignored.
+func (p *slicePool[T]) put(b *[]T) {
+	if b != nil {
+		p.p.Put(b)
 	}
 }
 
