@@ -100,7 +100,8 @@ type (
 	Configuration = accel.Configuration
 	// Result is the precise evaluation of a configuration.
 	Result = accel.Result
-	// Evaluator performs precise QoR/hardware evaluation.
+	// Evaluator performs precise QoR/hardware evaluation: Evaluate
+	// returns SSIM (or the assigned Metric) with the hardware cost.
 	Evaluator = accel.Evaluator
 	// ProgramCacheConfig configures the evaluator's persistent
 	// compiled-program tier (directory, byte budget, TTL).
@@ -145,7 +146,9 @@ type (
 type (
 	// Server is the asynchronous job service behind `autoax serve`.
 	Server = axserver.Server
-	// ServerOptions configures the worker pool and cache directory.
+	// ServerOptions configures the worker pool, caches, journal and
+	// admission limits.  Terminal jobs kept in memory are capped at
+	// axserver.DefaultJobRetention (1000).
 	ServerOptions = axserver.Options
 	// JobInfo is the wire representation of an asynchronous job.
 	JobInfo = axserver.JobInfo
@@ -216,8 +219,9 @@ type (
 	// FleetCoordinator owns one distributed search: Workers plus Opts in,
 	// a merged archive plus FleetStats out of Search.
 	FleetCoordinator = fleet.Coordinator
-	// FleetOptions tunes retries, backoff, worker benching, straggler
-	// re-dispatch and the test-only fault-injection hook.
+	// FleetOptions tunes retries, backoff, worker benching and the
+	// test-only fault-injection hook; straggler re-dispatch always starts
+	// at fleet.DefaultStragglers unfinished shards.
 	FleetOptions = fleet.Options
 	// FleetStats reports what a fleet search did: dispatch, retry,
 	// reissue, speculative and failure counts.

@@ -458,9 +458,3 @@ func (e *Evaluator) Evaluate(cfg Configuration) (Result, error) {
 		Gates:  cost.GateCount,
 	}, nil
 }
-
-// QoR returns only the mean SSIM of cfg (still requires flattening).
-func (e *Evaluator) QoR(cfg Configuration) (float64, error) {
-	r, err := e.Evaluate(cfg)
-	return r.SSIM, err
-}

@@ -253,74 +253,6 @@ func NewDaddaMultiplier(n int) *netlist.Netlist {
 	return b.Build()
 }
 
-// NewConstMultiplier returns an exact multiplierless constant multiplier
-// computing c×x over shift-and-add/sub networks derived from the canonical
-// signed-digit (CSD) form of c — the SPIRAL-tool substitute used by the
-// fixed-coefficient Gaussian filter.  Input: x of n bits; output has
-// n + bitlen(c) bits.
-func NewConstMultiplier(n int, c uint64) *netlist.Netlist {
-	b := netlist.NewBuilder(fmt.Sprintf("cmul%d_x%d", n, c), n)
-	x := b.Inputs()
-	outW := n + bitLen(c)
-	if c == 0 {
-		b.OutputBus(PadBus(nil, outW))
-		return b.Build()
-	}
-	acc := Bus(nil)
-	for _, d := range csdDigits(c) {
-		term := PadBus(nil, d.shift)
-		term = append(term, x...)
-		if acc == nil {
-			acc = term // first digit of CSD is always +1
-			continue
-		}
-		if d.neg {
-			acc = SubBus(b, PadBus(acc, outW), PadBus(term, outW))[:outW]
-		} else {
-			acc = AddBus(b, acc, term, netlist.Const0)
-		}
-	}
-	b.OutputBus(PadBus(acc, outW)[:outW])
-	return b.Build()
-}
-
-type csdDigit struct {
-	shift int
-	neg   bool
-}
-
-// csdDigits returns the canonical signed-digit decomposition of c, most
-// significant digit first so the running accumulator stays non-negative.
-func csdDigits(c uint64) []csdDigit {
-	var ds []csdDigit
-	for i := 0; c != 0; i++ {
-		if c&1 != 0 {
-			if c&3 == 3 { // ...11 → round up: digit −1, carry
-				ds = append(ds, csdDigit{shift: i, neg: true})
-				c++
-			} else {
-				ds = append(ds, csdDigit{shift: i, neg: false})
-				c--
-			}
-		}
-		c >>= 1
-	}
-	// Most significant first; it is always positive by construction.
-	for l, r := 0, len(ds)-1; l < r; l, r = l+1, r-1 {
-		ds[l], ds[r] = ds[r], ds[l]
-	}
-	return ds
-}
-
-func bitLen(c uint64) int {
-	n := 0
-	for c != 0 {
-		n++
-		c >>= 1
-	}
-	return n
-}
-
 // NewAbs returns the absolute-value circuit for an n-bit two's-complement
 // input (bit n−1 is the sign): out = |x| over n−1 bits... the output keeps
 // n bits so the most negative value does not overflow.

@@ -130,58 +130,6 @@ func TestDaddaFasterThanArray(t *testing.T) {
 	}
 }
 
-func TestConstMultiplier(t *testing.T) {
-	for _, c := range []uint64{1, 2, 3, 5, 7, 11, 13, 26, 30, 32, 255} {
-		cm := NewConstMultiplier(8, c)
-		if err := cm.Validate(); err != nil {
-			t.Fatalf("c=%d: %v", c, err)
-		}
-		f := cm.WordFunc(8)
-		for x := uint64(0); x < 256; x++ {
-			if got := f(x); got != c*x {
-				t.Fatalf("cmul %d × %d = %d, want %d", c, x, got, c*x)
-			}
-		}
-	}
-}
-
-func TestConstMultiplierZero(t *testing.T) {
-	cm := NewConstMultiplier(4, 0)
-	f := cm.WordFunc(4)
-	for x := uint64(0); x < 16; x++ {
-		if got := f(x); got != 0 {
-			t.Fatalf("0 × %d = %d", x, got)
-		}
-	}
-}
-
-func TestCSDDigits(t *testing.T) {
-	// Reconstruct the constant from its CSD form; verify digit count is
-	// minimal-ish (no two adjacent nonzero digits).
-	for c := uint64(1); c < 200; c++ {
-		ds := csdDigits(c)
-		var v int64
-		prev := -2
-		for _, d := range ds {
-			if d.shift == prev+1 && prev >= 0 {
-				// CSD property: digits non-adjacent. Digits are MSB-first,
-				// so check after sorting; just verify value here.
-				t.Logf("c=%d has adjacent digits (allowed only transiently)", c)
-			}
-			term := int64(1) << uint(d.shift)
-			if d.neg {
-				v -= term
-			} else {
-				v += term
-			}
-			prev = d.shift
-		}
-		if v != int64(c) {
-			t.Fatalf("CSD of %d reconstructs to %d", c, v)
-		}
-	}
-}
-
 func TestAbs(t *testing.T) {
 	for _, n := range []int{4, 8, 11} {
 		abs := NewAbs(n)

@@ -91,7 +91,8 @@ const DefaultJobRetention = 1000
 // cancellation, and snapshots for the HTTP layer.  Safe for concurrent use.
 type Manager struct {
 	clock func() time.Time
-	// retain caps the terminal jobs kept (≤0 means DefaultJobRetention).
+	// retain caps the terminal jobs kept: DefaultJobRetention, lowered
+	// only by tests.
 	retain int
 	// logger receives the job lifecycle events (job.start, job.done);
 	// never nil — NewManager installs a discard logger.
@@ -118,21 +119,17 @@ func NewManager() *Manager {
 // evictLocked drops the oldest terminal jobs beyond the retention cap.
 // Callers hold m.mu.
 func (m *Manager) evictLocked() {
-	limit := m.retain
-	if limit <= 0 {
-		limit = DefaultJobRetention
-	}
 	var terminal []*Job
 	for _, j := range m.jobs {
 		if j.info.State.Terminal() {
 			terminal = append(terminal, j)
 		}
 	}
-	if len(terminal) <= limit {
+	if len(terminal) <= m.retain {
 		return
 	}
 	sort.Slice(terminal, func(i, k int) bool { return terminal[i].seq < terminal[k].seq })
-	for _, j := range terminal[:len(terminal)-limit] {
+	for _, j := range terminal[:len(terminal)-m.retain] {
 		delete(m.jobs, j.info.ID)
 	}
 }

@@ -72,8 +72,8 @@ func instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 
 // metricsSnapshot is the /v1/metrics payload: the process-wide registry
 // overlaid with this server's own cache and job-state figures.  The
-// overlay happens per request rather than through registered gauge funcs
-// so multiple Server instances in one process (tests, embedded use) never
+// overlay happens per request rather than in the shared registry, so
+// multiple Server instances in one process (tests, embedded use) never
 // fight over registry names.
 func (s *Server) metricsSnapshot() obs.Snapshot {
 	snap := obs.Default().Snapshot()

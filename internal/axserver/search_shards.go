@@ -170,6 +170,12 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 	if err != nil {
 		return zero, &shardError{http.StatusBadRequest, codeBadRequest, err}
 	}
+	// A context that ends (the coordinator hung up, the server stops) is
+	// transient, not a fault of the request: 503 with no code, like a
+	// submission racing shutdown.
+	ended := func() *shardError {
+		return &shardError{http.StatusServiceUnavailable, "", ctx.Err()}
+	}
 
 	// Bound concurrent shard executions to the worker-pool size; shards
 	// bypass the async job queue (they are synchronous by design) but
@@ -178,7 +184,7 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 	case s.shardSem <- struct{}{}:
 		defer func() { <-s.shardSem }()
 	case <-ctx.Done():
-		return zero, &shardError{http.StatusServiceUnavailable, codeBadRequest, ctx.Err()}
+		return zero, ended()
 	}
 
 	m, err := s.sharedModels(ctx, modelKey, func(ctx context.Context) (*dse.Models, error) {
@@ -186,7 +192,7 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			return zero, &shardError{http.StatusServiceUnavailable, codeBadRequest, ctx.Err()}
+			return zero, ended()
 		}
 		return zero, &shardError{http.StatusInternalServerError, "",
 			fmt.Errorf("building shard models: %w", err)}
@@ -203,7 +209,7 @@ func (s *Server) runSearchShard(ctx context.Context, req SearchShardRequest) (Se
 	})
 	if err != nil {
 		if ctx.Err() != nil {
-			return zero, &shardError{http.StatusServiceUnavailable, codeBadRequest, ctx.Err()}
+			return zero, ended()
 		}
 		return zero, &shardError{http.StatusInternalServerError, "",
 			fmt.Errorf("running shard: %w", err)}

@@ -121,6 +121,34 @@ func TestSearchShardValidation(t *testing.T) {
 	}
 }
 
+// TestSearchShardCancelledContext: a shard whose context has ended gets
+// a 503 with no error code — a transient failure to retry elsewhere, not
+// the bad_request a coordinator reads as a fault of the request itself —
+// whether it ends waiting for a shard slot or while building or searching.
+func TestSearchShardCancelledContext(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 1})
+	req := tinyShardReq(buildLibrary(t, ts.URL, tinyLibrary(1)))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	check := func(label string) {
+		t.Helper()
+		_, serr := s.runSearchShard(ctx, req)
+		if serr == nil {
+			t.Fatalf("%s: cancelled shard succeeded", label)
+		}
+		if serr.status != http.StatusServiceUnavailable || serr.code != "" || !errors.Is(serr.err, context.Canceled) {
+			t.Errorf("%s: status %d, code %q, err %v; want 503, no code, context.Canceled",
+				label, serr.status, serr.code, serr.err)
+		}
+	}
+	s.shardSem <- struct{}{} // the only slot is taken: the shard waits
+	check("waiting for a slot")
+	<-s.shardSem
+	for i := 0; i < 4; i++ {
+		check("with a free slot")
+	}
+}
+
 // TestSearchShardCrossWorkerIdentity is the wire half of the fleet
 // determinism contract: two independent servers that each built the same
 // library return bit-identical points for the same shard spec, and the

@@ -56,9 +56,6 @@ type Options struct {
 	// CacheDir persists content-addressed artifacts across restarts;
 	// empty keeps the cache in memory only.
 	CacheDir string
-	// JobRetention caps the terminal jobs kept in memory (0 means
-	// DefaultJobRetention); queued and running jobs are never evicted.
-	JobRetention int
 	// MemCacheBytes bounds the in-memory artifact cache: beyond this many
 	// bytes, least-recently-used entries are evicted (they remain
 	// reachable through the disk tier when CacheDir is set).  0 keeps the
@@ -189,9 +186,6 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.JobRetention < 0 {
-		return nil, fmt.Errorf("axserver: job retention must be non-negative, got %d", opts.JobRetention)
-	}
 	if opts.MaxQueue < 0 {
 		return nil, fmt.Errorf("axserver: max queue must be non-negative, got %d", opts.MaxQueue)
 	}
@@ -205,9 +199,6 @@ func New(opts Options) (*Server, error) {
 	base, cancel := context.WithCancel(context.Background())
 	manager := NewManager()
 	manager.logger = logger
-	if opts.JobRetention > 0 {
-		manager.retain = opts.JobRetention
-	}
 	s := &Server{
 		opts:       opts,
 		cache:      cache,

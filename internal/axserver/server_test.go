@@ -638,7 +638,10 @@ func TestRequestNegativeLibraryOptionRejected(t *testing.T) {
 // TestJobRetention checks terminal jobs are evicted beyond the cap while
 // the newest survive.
 func TestJobRetention(t *testing.T) {
-	_, ts := testServer(t, Options{Workers: 1, JobRetention: 3})
+	s, ts := testServer(t, Options{Workers: 1})
+	s.manager.mu.Lock()
+	s.manager.retain = 3
+	s.manager.mu.Unlock()
 
 	var last JobInfo
 	for i := 0; i < 6; i++ {

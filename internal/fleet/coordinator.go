@@ -10,7 +10,7 @@ import (
 	"autoax/internal/pareto"
 )
 
-// Defaults for the zero values of Options.
+// Defaults for the zero values of Options, and the straggler threshold.
 const (
 	// DefaultRetries is the number of re-dispatches a shard gets after
 	// its first failed attempt before the whole search fails.
@@ -22,7 +22,11 @@ const (
 	// consecutive failed attempts.
 	DefaultMaxWorkerFailures = 3
 	// DefaultStragglers is the unfinished-shard threshold at or below
-	// which idle workers start speculative duplicates.
+	// which idle workers start speculative duplicates: when no shard is
+	// left undispatched, an idle worker duplicates the lowest-indexed
+	// in-flight shard (at most one duplicate per shard).  Determinism
+	// makes the duplicate free — whichever attempt lands first carries
+	// the identical archive.
 	DefaultStragglers = 2
 )
 
@@ -42,13 +46,6 @@ type Options struct {
 	// this many consecutive failed attempts; a success resets the count.
 	// 0 means DefaultMaxWorkerFailures; negative means never bench.
 	MaxWorkerFailures int
-	// Stragglers enables speculative re-dispatch: when at most this many
-	// shards remain unfinished and none are undispatched, an idle worker
-	// duplicates the lowest-indexed in-flight shard (at most one
-	// duplicate per shard).  Determinism makes the duplicate free —
-	// whichever attempt lands first carries the identical archive.
-	// 0 means DefaultStragglers; negative disables.
-	Stragglers int
 	// FaultInject, when non-nil, is consulted at the start of every
 	// dispatch attempt with the worker name, shard index, and 1-based
 	// attempt number; a non-nil return fails the attempt as if the
@@ -136,13 +133,6 @@ func (c *Coordinator) Search(ctx context.Context, specs []ShardSpec) (*pareto.Ar
 	case maxFail < 0:
 		maxFail = 0 // never bench
 	}
-	stragglers := c.Opts.Stragglers
-	switch {
-	case stragglers == 0:
-		stragglers = DefaultStragglers
-	case stragglers < 0:
-		stragglers = 0
-	}
 
 	// searchCtx cancels in-flight attempts the moment the plan completes
 	// or aborts, reaping speculative duplicates and benched-path work.
@@ -168,7 +158,7 @@ func (c *Coordinator) Search(ctx context.Context, specs []ShardSpec) (*pareto.Ar
 		go func(w Worker) {
 			defer wg.Done()
 			benched := c.runWorker(searchCtx, w, states, &mu, &remaining, &stats, abort,
-				retries, backoff, maxFail, stragglers, cancel)
+				retries, backoff, maxFail, cancel)
 			mu.Lock()
 			live--
 			if benched {
@@ -212,7 +202,7 @@ func (c *Coordinator) Search(ctx context.Context, specs []ShardSpec) (*pareto.Ar
 // worker benched itself after maxFail consecutive failures.
 func (c *Coordinator) runWorker(ctx context.Context, w Worker, states []*shardState,
 	mu *sync.Mutex, remaining *int, stats *Stats, abort func(error),
-	retries int, backoff time.Duration, maxFail, stragglers int,
+	retries int, backoff time.Duration, maxFail int,
 	complete func()) bool {
 
 	wm := metricsForWorker(w.Name())
@@ -226,7 +216,7 @@ func (c *Coordinator) runWorker(ctx context.Context, w Worker, states []*shardSt
 			mu.Unlock()
 			return false
 		}
-		idx, speculative, wait := pickShard(states, *remaining, retries, stragglers)
+		idx, speculative, wait := pickShard(states, *remaining, retries)
 		var st *shardState
 		var attempt int
 		if idx >= 0 {
@@ -306,7 +296,9 @@ func (c *Coordinator) runWorker(ctx context.Context, w Worker, states []*shardSt
 }
 
 // runAttempt executes one dispatch attempt: fault injection first, then
-// the worker.
+// the worker.  A result with a point of other than two objectives fails
+// the attempt, so a malformed remote reply is retried like a crash
+// instead of reaching Merge.
 func (c *Coordinator) runAttempt(ctx context.Context, w Worker, spec ShardSpec, idx, attempt int) (*ShardResult, error) {
 	if c.Opts.FaultInject != nil {
 		if err := c.Opts.FaultInject(w.Name(), idx, attempt); err != nil {
@@ -322,16 +314,23 @@ func (c *Coordinator) runAttempt(ctx context.Context, w Worker, spec ShardSpec, 
 	if res == nil {
 		return nil, fmt.Errorf("fleet: worker %s returned no result for shard %d", w.Name(), idx)
 	}
+	for i, p := range res.Points {
+		if len(p.Point) != 2 {
+			return nil, fmt.Errorf("fleet: worker %s returned shard %d point %d of length %d, want 2",
+				w.Name(), idx, i, len(p.Point))
+		}
+	}
 	return res, nil
 }
 
 // pickShard chooses the next shard for an idle worker, with the search
 // mutex held.  Primary assignment is the lowest-indexed shard that is
 // neither done nor in flight and past its backoff gate; when everything
-// unfinished is already running and at most `stragglers` shards remain,
-// the lowest-indexed single-flight shard is duplicated speculatively.
+// unfinished is already running and at most DefaultStragglers shards
+// remain, the lowest-indexed single-flight shard is duplicated
+// speculatively.
 // Returns idx == -1 and a poll interval when nothing is dispatchable yet.
-func pickShard(states []*shardState, remaining, retries, stragglers int) (idx int, speculative bool, wait time.Duration) {
+func pickShard(states []*shardState, remaining, retries int) (idx int, speculative bool, wait time.Duration) {
 	wait = 5 * time.Millisecond
 	now := time.Now()
 	for i, st := range states {
@@ -346,7 +345,7 @@ func pickShard(states []*shardState, remaining, retries, stragglers int) (idx in
 		}
 		return i, false, 0
 	}
-	if stragglers > 0 && remaining <= stragglers {
+	if remaining <= DefaultStragglers {
 		for i, st := range states {
 			if !st.done && st.running == 1 && st.failures <= retries {
 				return i, true, 0

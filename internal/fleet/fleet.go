@@ -124,7 +124,9 @@ func ResultFromArchive(a *pareto.Archive[[]int]) *ShardResult {
 // merges in shard-index order no matter which worker finished first, so
 // the global archive is bit-identical across worker counts, completion
 // orders, and retries.  Nil results (shards the caller dropped) are
-// skipped.
+// skipped.  Every point must be a (QoR, hw) pair, as pareto.Archive
+// panics on any other length; Coordinator.Search fails an attempt whose
+// result breaks this before it reaches Merge.
 func Merge(results []*ShardResult) *pareto.Archive[[]int] {
 	merged := &pareto.Archive[[]int]{}
 	for _, r := range results {

@@ -453,3 +453,97 @@ func TestMergeSetEquality(t *testing.T) {
 		}
 	}
 }
+
+// funcWorker adapts a function to Worker, for workers that misbehave or
+// stall on purpose.
+type funcWorker struct {
+	name string
+	run  func(ctx context.Context, spec ShardSpec) (*ShardResult, error)
+}
+
+func (w *funcWorker) Name() string { return w.name }
+func (w *funcWorker) RunShard(ctx context.Context, spec ShardSpec) (*ShardResult, error) {
+	return w.run(ctx, spec)
+}
+
+// TestFleetMalformedResult: a result carrying a point without exactly two
+// objectives fails its attempt instead of reaching Merge, so a malformed
+// first attempt is retried to the reference archive and a worker that is
+// always malformed fails the search with an error.
+func TestFleetMalformedResult(t *testing.T) {
+	m := testModels()
+	specs := testSpecs(t, "hillclimb", 3)
+	want := sequentialMerge(t, m, specs, identityOrder(len(specs)))
+	local := &LocalWorker{Source: testSource(m)}
+	malformed := func(always bool) Worker {
+		var calls atomic.Int64
+		return &funcWorker{name: "malformed", run: func(ctx context.Context, spec ShardSpec) (*ShardResult, error) {
+			res, err := local.RunShard(ctx, spec)
+			if err != nil {
+				return nil, err
+			}
+			if calls.Add(1) == 1 || always {
+				res.Points[0].Point = res.Points[0].Point[:1]
+			}
+			return res, nil
+		}}
+	}
+
+	co := &Coordinator{
+		Workers: []Worker{malformed(false)},
+		Opts:    Options{RetryBackoff: time.Millisecond},
+	}
+	got, stats, err := co.Search(context.Background(), specs)
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	mustIdentical(t, got, want, "malformed first attempt")
+	if stats.Failures != 1 || stats.Retried != 1 {
+		t.Errorf("stats = %+v, want 1 failure retried once", stats)
+	}
+
+	co = &Coordinator{
+		Workers: []Worker{malformed(true)},
+		Opts:    Options{Retries: 1, RetryBackoff: time.Millisecond, MaxWorkerFailures: -1},
+	}
+	if _, _, err := co.Search(context.Background(), specs); err == nil || !strings.Contains(err.Error(), "length 1") {
+		t.Fatalf("always-malformed worker: err = %v, want one naming the point length", err)
+	}
+}
+
+// TestFleetStragglerSpeculation: with one worker stalled on a shard and
+// another idle, the idle worker duplicates the straggler, and the merged
+// archive equals the sequential shard-by-shard merge.
+func TestFleetStragglerSpeculation(t *testing.T) {
+	m := testModels()
+	specs := testSpecs(t, "random", 3)
+	want := sequentialMerge(t, m, specs, identityOrder(len(specs)))
+	local := &LocalWorker{Source: testSource(m)}
+
+	// The slow worker holds its first shard until the search ends; the
+	// fast one starts only once the slow one holds a shard, so the plan
+	// can finish only through a speculative duplicate.
+	slowStarted := make(chan struct{})
+	var startOnce sync.Once
+	slow := &funcWorker{name: "slow", run: func(ctx context.Context, spec ShardSpec) (*ShardResult, error) {
+		startOnce.Do(func() { close(slowStarted) })
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}}
+	fast := &funcWorker{name: "fast", run: func(ctx context.Context, spec ShardSpec) (*ShardResult, error) {
+		<-slowStarted
+		return local.RunShard(ctx, spec)
+	}}
+	co := &Coordinator{Workers: []Worker{slow, fast}}
+	got, stats, err := co.Search(context.Background(), specs)
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	mustIdentical(t, got, want, "straggler")
+	if stats.Speculative < 1 {
+		t.Errorf("stats.Speculative = %d, want ≥ 1", stats.Speculative)
+	}
+	if stats.Failures != 0 {
+		t.Errorf("stats.Failures = %d: the superseded straggler counted as a failure", stats.Failures)
+	}
+}

@@ -8,13 +8,11 @@
 // (a) realistic operand distributions — neighbouring pixels must be
 // strongly correlated, producing the diagonal ridge of the paper's
 // Figure 3 — and (b) structure for SSIM to measure; both properties hold
-// for the synthetic set.  PNG I/O is provided for running on real data.
+// for the synthetic set.  LoadPNG reads real images in their place.
 package imagedata
 
 import (
 	"fmt"
-	"image"
-	"image/color"
 	"image/png"
 	"math"
 	"math/rand"
@@ -177,46 +175,4 @@ func LoadPNG(path string) (*Image, error) {
 		}
 	}
 	return im, nil
-}
-
-// SavePNG writes the image as an 8-bit grayscale PNG.
-func (im *Image) SavePNG(path string) error {
-	dst := image.NewGray(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			dst.SetGray(x, y, color.Gray{Y: im.At(x, y)})
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return png.Encode(f, dst)
-}
-
-// NeighborCorrelation returns the Pearson correlation between horizontally
-// adjacent pixels — a cheap natural-statistics check (natural images score
-// well above 0.8; white noise scores near 0).
-func NeighborCorrelation(im *Image) float64 {
-	var sx, sy, sxx, syy, sxy, n float64
-	for y := 0; y < im.H; y++ {
-		for x := 0; x+1 < im.W; x++ {
-			a := float64(im.At(x, y))
-			b := float64(im.At(x+1, y))
-			sx += a
-			sy += b
-			sxx += a * a
-			syy += b * b
-			sxy += a * b
-			n++
-		}
-	}
-	cov := sxy/n - sx/n*sy/n
-	va := sxx/n - sx/n*sx/n
-	vb := syy/n - sy/n*sy/n
-	if va <= 0 || vb <= 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
 }

@@ -1,10 +1,40 @@
 package imagedata
 
 import (
+	"image"
+	"image/color"
+	"image/png"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// NeighborCorrelation returns the Pearson correlation between horizontally
+// adjacent pixels — a cheap natural-statistics check (natural images score
+// well above 0.8; white noise scores near 0).
+func NeighborCorrelation(im *Image) float64 {
+	var sx, sy, sxx, syy, sxy, n float64
+	for y := 0; y < im.H; y++ {
+		for x := 0; x+1 < im.W; x++ {
+			a := float64(im.At(x, y))
+			b := float64(im.At(x+1, y))
+			sx += a
+			sy += b
+			sxx += a * a
+			syy += b * b
+			sxy += a * b
+			n++
+		}
+	}
+	cov := sxy/n - sx/n*sy/n
+	va := sxx/n - sx/n*sx/n
+	vb := syy/n - sy/n*sy/n
+	if va <= 0 || vb <= 0 {
+		return 0
+	}
+	return cov / math.Sqrt(va*vb)
+}
 
 func TestSyntheticDeterministic(t *testing.T) {
 	a := Synthetic(64, 48, 5)
@@ -82,7 +112,20 @@ func TestPNGRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.png")
 	im := Synthetic(40, 30, 9)
-	if err := im.SavePNG(path); err != nil {
+	dst := image.NewGray(image.Rect(0, 0, im.W, im.H))
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			dst.SetGray(x, y, color.Gray{Y: im.At(x, y)})
+		}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := png.Encode(f, dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadPNG(path)

@@ -7,6 +7,58 @@ import (
 	"testing/quick"
 )
 
+// Transpose and products that build and check the test systems.
+
+// T returns the transpose as a new matrix.
+func (m *Matrix) T() *Matrix {
+	t := New(m.C, m.R)
+	for i := 0; i < m.R; i++ {
+		for j := 0; j < m.C; j++ {
+			t.Data[j*t.C+i] = m.Data[i*m.C+j]
+		}
+	}
+	return t
+}
+
+// MulVec returns m·x.
+func (m *Matrix) MulVec(x []float64) []float64 {
+	if len(x) != m.C {
+		panic("mat: MulVec dimension mismatch")
+	}
+	y := make([]float64, m.R)
+	for i := 0; i < m.R; i++ {
+		row := m.Row(i)
+		s := 0.0
+		for j, v := range row {
+			s += v * x[j]
+		}
+		y[i] = s
+	}
+	return y
+}
+
+// Mul returns m·b.
+func (m *Matrix) Mul(b *Matrix) *Matrix {
+	if m.C != b.R {
+		panic("mat: Mul dimension mismatch")
+	}
+	out := New(m.R, b.C)
+	for i := 0; i < m.R; i++ {
+		for k := 0; k < m.C; k++ {
+			a := m.Data[i*m.C+k]
+			if a == 0 {
+				continue
+			}
+			brow := b.Data[k*b.C : (k+1)*b.C]
+			orow := out.Data[i*out.C : (i+1)*out.C]
+			for j, v := range brow {
+				orow[j] += a * v
+			}
+		}
+	}
+	return out
+}
+
 func TestSolveLUKnownSystem(t *testing.T) {
 	a := FromRows([][]float64{{2, 1}, {1, 3}})
 	x, err := SolveLU(a, []float64{5, 10})

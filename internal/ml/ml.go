@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -102,34 +101,6 @@ func cmp(a, b, eps float64) int {
 	}
 }
 
-// MSE returns the mean squared error.
-func MSE(pred, real []float64) float64 {
-	var s float64
-	for i := range pred {
-		d := pred[i] - real[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
-// R2 returns the coefficient of determination.
-func R2(pred, real []float64) float64 {
-	var mean float64
-	for _, v := range real {
-		mean += v
-	}
-	mean /= float64(len(real))
-	var ssRes, ssTot float64
-	for i := range real {
-		ssRes += (real[i] - pred[i]) * (real[i] - pred[i])
-		ssTot += (real[i] - mean) * (real[i] - mean)
-	}
-	if ssTot == 0 {
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}
-
 // Pearson returns the linear correlation coefficient.
 func Pearson(a, b []float64) float64 {
 	n := float64(len(a))
@@ -200,23 +171,6 @@ func (s *Scaler) TransformRow(r []float64) []float64 {
 		o[j] = (v - s.Mean[j]) / s.Std[j]
 	}
 	return o
-}
-
-// TrainTestSplit deterministically shuffles indices with the seed and
-// splits the data; trainFrac in (0,1).
-func TrainTestSplit(x [][]float64, y []float64, trainFrac float64, seed int64) (xtr [][]float64, ytr []float64, xte [][]float64, yte []float64) {
-	idx := rand.New(rand.NewSource(seed)).Perm(len(x))
-	cut := int(trainFrac * float64(len(x)))
-	for i, id := range idx {
-		if i < cut {
-			xtr = append(xtr, x[id])
-			ytr = append(ytr, y[id])
-		} else {
-			xte = append(xte, x[id])
-			yte = append(yte, y[id])
-		}
-	}
-	return
 }
 
 // EngineSpec names a constructor so experiments can enumerate the Table 3

@@ -37,6 +37,25 @@ func synthNonlinear(n int, seed int64) ([][]float64, []float64) {
 	return x, y
 }
 
+// R2 returns the coefficient of determination, the fit score of the
+// regression tests.
+func R2(pred, real []float64) float64 {
+	var mean float64
+	for _, v := range real {
+		mean += v
+	}
+	mean /= float64(len(real))
+	var ssRes, ssTot float64
+	for i := range real {
+		ssRes += (real[i] - pred[i]) * (real[i] - pred[i])
+		ssTot += (real[i] - mean) * (real[i] - mean)
+	}
+	if ssTot == 0 {
+		return 0
+	}
+	return 1 - ssRes/ssTot
+}
+
 func fitPredictR2(t *testing.T, r Regressor, x [][]float64, y []float64, xt [][]float64, yt []float64) float64 {
 	t.Helper()
 	if err := r.Fit(x, y); err != nil {
@@ -300,8 +319,8 @@ func TestQuickFidelityMonotoneInvariance(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	real := []float64{1, 2, 5}
-	if got := MSE(pred, real); math.Abs(got-4.0/3) > 1e-12 {
-		t.Errorf("MSE = %f", got)
+	if got := R2(pred, real); math.Abs(got-(1-(4.0/3)/(26.0/9))) > 1e-12 {
+		t.Errorf("R² = %f", got)
 	}
 	if got := R2(real, real); got != 1 {
 		t.Errorf("R² of perfect = %f", got)
@@ -331,21 +350,6 @@ func TestScalerRoundTrip(t *testing.T) {
 			t.Errorf("col %d: mean %g std %g", j, mean, std)
 		}
 	}
-}
-
-func TestTrainTestSplitDeterministic(t *testing.T) {
-	x, y := synthLinear(100, 0, 31)
-	xtr1, _, xte1, _ := TrainTestSplit(x, y, 0.7, 5)
-	xtr2, _, xte2, _ := TrainTestSplit(x, y, 0.7, 5)
-	if len(xtr1) != 70 || len(xte1) != 30 {
-		t.Fatalf("split sizes %d/%d", len(xtr1), len(xte1))
-	}
-	for i := range xtr1 {
-		if &xtr1[i][0] != &xtr2[i][0] {
-			t.Fatal("split not deterministic")
-		}
-	}
-	_ = xte2
 }
 
 func TestEnginesRegistryComplete(t *testing.T) {

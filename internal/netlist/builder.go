@@ -13,16 +13,15 @@ import (
 // synthesis-style cleanup.
 type Builder struct {
 	n *Netlist
-	// table is an open-addressed (linear probing) hash set of the gates
-	// emitted with folding on: each entry is 1 + the gate's index in
+	// table is an open-addressed (linear probing) hash set of the emitted
+	// gates: each entry is 1 + the gate's index in
 	// n.Gates, 0 marks an empty slot.  The stored gate is the normalized
 	// key, so a probe compares against n.Gates directly.  len(table) is a
 	// power of two kept at least twice the entry count; it is *tableBuf,
 	// borrowed from tablePool and returned by Build.
 	table    []int32
 	tableBuf *[]int32
-	hashed   int // occupied entries of table
-	fold     bool
+	hashed   int      // occupied entries of table
 	inst     []Signal // Instantiate's sub-netlist signal map, reused
 }
 
@@ -36,10 +35,7 @@ var tablePool slicePool[int32]
 // NewBuilder returns a builder for a netlist with the given name and number
 // of primary inputs.
 func NewBuilder(name string, numInputs int) *Builder {
-	return &Builder{
-		n:    &Netlist{Name: name, NumInputs: numInputs},
-		fold: true,
-	}
+	return &Builder{n: &Netlist{Name: name, NumInputs: numInputs}}
 }
 
 // Grow reserves room for n more gates: the gate list and the structural
@@ -55,9 +51,7 @@ func (b *Builder) Grow(n int) {
 		copy(gates, b.n.Gates)
 		b.n.Gates = gates
 	}
-	if b.fold || b.table != nil {
-		b.reserve(b.hashed + n)
-	}
+	b.reserve(b.hashed + n)
 }
 
 // reserve makes the hash table hold entries at a load of at most one half.
@@ -94,11 +88,6 @@ func gateHash(g Gate) uint64 {
 	return h ^ h>>29
 }
 
-// SetFolding enables or disables on-the-fly constant folding and structural
-// hashing.  Disabling it is useful when a generator wants the raw structure
-// preserved (e.g. before applying structural mutations).
-func (b *Builder) SetFolding(enabled bool) { b.fold = enabled }
-
 // Input returns the signal of primary input i.
 func (b *Builder) Input(i int) Signal {
 	if i < 0 || i >= b.n.NumInputs {
@@ -116,12 +105,8 @@ func (b *Builder) Inputs() []Signal {
 	return s
 }
 
-// emit appends a gate, applying folding rules when enabled.
+// emit appends a gate unless it folds away or an equal gate exists.
 func (b *Builder) emit(k cell.Kind, a, bb, c Signal) Signal {
-	if !b.fold {
-		b.n.Gates = append(b.n.Gates, Gate{Kind: k, A: a, B: bb, C: c})
-		return Signal(b.n.NumNodes() - 1)
-	}
 	if s, ok := foldGate(k, a, bb, c, b.n); ok {
 		return s
 	}
@@ -198,11 +183,6 @@ func (b *Builder) FullAdder(x, y, cin Signal) (sum, cout Signal) {
 	sum = b.Xor(axy, cin)
 	cout = b.Or(b.And(x, y), b.And(axy, cin))
 	return sum, cout
-}
-
-// HalfAdder emits a half adder and returns (sum, carry).
-func (b *Builder) HalfAdder(x, y Signal) (sum, cout Signal) {
-	return b.Xor(x, y), b.And(x, y)
 }
 
 // Output registers a primary output.

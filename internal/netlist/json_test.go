@@ -31,11 +31,9 @@ func TestNetlistJSONRoundTrip(t *testing.T) {
 
 func TestNetlistJSONConstRails(t *testing.T) {
 	// Constant rails use negative signals; they must survive JSON.
-	b := NewBuilder("c", 1)
-	b.SetFolding(false)
-	b.Output(b.And(b.Input(0), Const1))
-	b.Output(Const0)
-	n := b.Build()
+	n := &Netlist{Name: "c", NumInputs: 1, Gates: []Gate{
+		{Kind: cell.And2, A: 0, B: Const1},
+	}, Outputs: []Signal{1, Const0}}
 	data, err := json.Marshal(n)
 	if err != nil {
 		t.Fatal(err)
@@ -75,13 +73,11 @@ func TestEvaluatorReuse(t *testing.T) {
 }
 
 func TestAnalyzeCellsTally(t *testing.T) {
-	b := NewBuilder("tally", 2)
-	b.SetFolding(false)
-	x, y := b.Input(0), b.Input(1)
-	b.Output(b.And(x, y))
-	b.Output(b.Xor(x, y))
-	b.Output(b.Xor(y, x))
-	n := b.Build()
+	n := &Netlist{Name: "tally", NumInputs: 2, Gates: []Gate{
+		{Kind: cell.And2, A: 0, B: 1},
+		{Kind: cell.Xor2, A: 0, B: 1},
+		{Kind: cell.Xor2, A: 1, B: 0},
+	}, Outputs: []Signal{2, 3, 4}}
 	c := n.Analyze()
 	if c.Cells[cell.And2] != 1 || c.Cells[cell.Xor2] != 2 {
 		t.Errorf("cell tally wrong: %v", c.Cells)

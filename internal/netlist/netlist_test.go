@@ -8,16 +8,16 @@ import (
 	"autoax/internal/cell"
 )
 
-// buildMajority returns MAJ(a,b,c) built without folding so the raw
-// structure is preserved.
+// buildMajority returns MAJ(a,b,c) as the raw sum of products
+// (a&b | a&c) | b&c, gate for gate.
 func buildMajority() *Netlist {
-	b := NewBuilder("maj3", 3)
-	b.SetFolding(false)
-	ab := b.And(b.Input(0), b.Input(1))
-	ac := b.And(b.Input(0), b.Input(2))
-	bc := b.And(b.Input(1), b.Input(2))
-	b.Output(b.Or(b.Or(ab, ac), bc))
-	return b.Build()
+	return &Netlist{Name: "maj3", NumInputs: 3, Gates: []Gate{
+		{Kind: cell.And2, A: 0, B: 1}, // 3: ab
+		{Kind: cell.And2, A: 0, B: 2}, // 4: ac
+		{Kind: cell.And2, A: 1, B: 2}, // 5: bc
+		{Kind: cell.Or2, A: 3, B: 4},  // 6
+		{Kind: cell.Or2, A: 6, B: 5},  // 7
+	}, Outputs: []Signal{7}}
 }
 
 func TestEvalMajority(t *testing.T) {
@@ -79,13 +79,11 @@ func TestEvalAllKinds(t *testing.T) {
 }
 
 func TestConstantRails(t *testing.T) {
-	b := NewBuilder("consts", 1)
-	b.SetFolding(false)
-	x := b.Input(0)
-	b.Output(b.And(x, Const1)) // = x
-	b.Output(b.And(x, Const0)) // = 0
-	b.Output(b.Or(x, Const1))  // = 1
-	n := b.Build()
+	n := &Netlist{Name: "consts", NumInputs: 1, Gates: []Gate{
+		{Kind: cell.And2, A: 0, B: Const1}, // = x
+		{Kind: cell.And2, A: 0, B: Const0}, // = 0
+		{Kind: cell.Or2, A: 0, B: Const1},  // = 1
+	}, Outputs: []Signal{1, 2, 3}}
 	f := n.WordFunc(1)
 	if got := f(1); got != 0b101 {
 		t.Errorf("f(1) = %03b, want 101", got)
@@ -171,14 +169,16 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 
 func TestSimplifyRemovesDeadCone(t *testing.T) {
 	// An adder whose output is overridden by constants must vanish.
-	b := NewBuilder("dead", 4)
-	b.SetFolding(false)
-	s0, c0 := b.HalfAdder(b.Input(0), b.Input(1))
-	s1, _ := b.FullAdder(b.Input(2), b.Input(3), c0)
-	_ = s0
-	_ = s1
-	b.Output(b.And(b.Input(0), Const0)) // constant 0 output
-	n := b.Build()
+	n := &Netlist{Name: "dead", NumInputs: 4, Gates: []Gate{
+		{Kind: cell.Xor2, A: 0, B: 1},      // 4: half-adder sum
+		{Kind: cell.And2, A: 0, B: 1},      // 5: half-adder carry
+		{Kind: cell.Xor2, A: 2, B: 3},      // 6
+		{Kind: cell.Xor2, A: 6, B: 5},      // 7: full-adder sum
+		{Kind: cell.And2, A: 2, B: 3},      // 8
+		{Kind: cell.And2, A: 6, B: 5},      // 9
+		{Kind: cell.Or2, A: 8, B: 9},       // 10: full-adder carry
+		{Kind: cell.And2, A: 0, B: Const0}, // 11: constant 0 output
+	}, Outputs: []Signal{11}}
 	s := Simplify(n)
 	if len(s.Gates) != 0 {
 		t.Errorf("dead cone not eliminated: %d gates remain", len(s.Gates))
@@ -190,11 +190,10 @@ func TestSimplifyRemovesDeadCone(t *testing.T) {
 
 func TestSimplifyConstantPropagation(t *testing.T) {
 	// XOR(AND(x,0), y) should collapse to y.
-	b := NewBuilder("cp", 2)
-	b.SetFolding(false)
-	dead := b.And(b.Input(0), Const0)
-	b.Output(b.Xor(dead, b.Input(1)))
-	n := b.Build()
+	n := &Netlist{Name: "cp", NumInputs: 2, Gates: []Gate{
+		{Kind: cell.And2, A: 0, B: Const0}, // 2
+		{Kind: cell.Xor2, A: 2, B: 1},      // 3
+	}, Outputs: []Signal{3}}
 	s := Simplify(n)
 	if len(s.Gates) != 0 {
 		t.Errorf("expected full collapse, got %d gates", len(s.Gates))
@@ -205,13 +204,11 @@ func TestSimplifyConstantPropagation(t *testing.T) {
 }
 
 func TestSimplifyMergesDuplicates(t *testing.T) {
-	b := NewBuilder("dup", 2)
-	b.SetFolding(false)
-	x, y := b.Input(0), b.Input(1)
-	g1 := b.And(x, y)
-	g2 := b.And(x, y)
-	b.Output(b.Or(g1, g2)) // OR(g,g) = g
-	n := b.Build()
+	n := &Netlist{Name: "dup", NumInputs: 2, Gates: []Gate{
+		{Kind: cell.And2, A: 0, B: 1}, // 2
+		{Kind: cell.And2, A: 0, B: 1}, // 3
+		{Kind: cell.Or2, A: 2, B: 3},  // 4: OR(g,g) = g
+	}, Outputs: []Signal{4}}
 	s := Simplify(n)
 	if len(s.Gates) != 1 {
 		t.Errorf("got %d gates, want 1 (single AND)", len(s.Gates))
@@ -220,11 +217,10 @@ func TestSimplifyMergesDuplicates(t *testing.T) {
 
 func TestSimplifyInverterAbsorption(t *testing.T) {
 	// AND(x, INV(y)) where INV has a single fanout → ANDN2.
-	b := NewBuilder("absorb", 2)
-	b.SetFolding(false)
-	x, y := b.Input(0), b.Input(1)
-	b.Output(b.And(x, b.Not(y)))
-	n := b.Build()
+	n := &Netlist{Name: "absorb", NumInputs: 2, Gates: []Gate{
+		{Kind: cell.Inv, A: 1},        // 2
+		{Kind: cell.And2, A: 0, B: 2}, // 3
+	}, Outputs: []Signal{3}}
 	s := Simplify(n)
 	if err := Equivalent(n, s, 10, 0, 1); err != nil {
 		t.Fatal(err)
@@ -236,14 +232,10 @@ func TestSimplifyInverterAbsorption(t *testing.T) {
 
 func TestAnalyzeCriticalPath(t *testing.T) {
 	// Chain of 4 inverters: delay = 4 × inverter delay.
-	b := NewBuilder("chain", 1)
-	b.SetFolding(false)
-	s := b.Input(0)
-	for i := 0; i < 4; i++ {
-		s = b.Not(s)
-	}
-	b.Output(s)
-	n := b.Build()
+	n := &Netlist{Name: "chain", NumInputs: 1, Gates: []Gate{
+		{Kind: cell.Inv, A: 0}, {Kind: cell.Inv, A: 1},
+		{Kind: cell.Inv, A: 2}, {Kind: cell.Inv, A: 3},
+	}, Outputs: []Signal{4}}
 	c := n.Analyze()
 	want := 4 * cell.Delay(cell.Inv)
 	if diff := c.Delay - want; diff > 1e-12 || diff < -1e-12 {

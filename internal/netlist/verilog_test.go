@@ -45,11 +45,9 @@ func TestWriteVerilogAllKinds(t *testing.T) {
 }
 
 func TestWriteVerilogConstRails(t *testing.T) {
-	b := NewBuilder("c", 1)
-	b.SetFolding(false)
-	b.Output(b.And(b.Input(0), Const1))
-	b.Output(Const0)
-	n := b.Build()
+	n := &Netlist{Name: "c", NumInputs: 1, Gates: []Gate{
+		{Kind: cell.And2, A: 0, B: Const1},
+	}, Outputs: []Signal{1, Const0}}
 	var sb strings.Builder
 	if err := n.WriteVerilog(&sb, "consts"); err != nil {
 		t.Fatal(err)

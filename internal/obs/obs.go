@@ -112,7 +112,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	gaugeFuncs map[string]func() float64
 	clock      func() time.Time
 }
 
@@ -122,7 +121,6 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		gaugeFuncs: make(map[string]func() float64),
 		clock:      time.Now,
 	}
 }
@@ -170,14 +168,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// GaugeFunc registers (or replaces) a gauge computed at snapshot time —
-// the seam for values owned elsewhere, like a cache's resident byte count.
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.mu.Lock()
-	r.gaugeFuncs[name] = fn
-	r.mu.Unlock()
 }
 
 // Histogram returns the histogram registered under name, creating it with
@@ -258,12 +248,12 @@ type Snapshot struct {
 // maxInt64 marks the implicit +Inf bucket bound in snapshots.
 const maxInt64 = int64(^uint64(0) >> 1)
 
-// Snapshot copies every metric's current state, evaluating gauge funcs.
+// Snapshot copies every metric's current state.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)+len(r.gaugeFuncs)),
+		Gauges:     make(map[string]float64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
 	}
 	for name, c := range r.counters {
@@ -271,10 +261,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = float64(g.Value())
-	}
-	fns := make(map[string]func() float64, len(r.gaugeFuncs))
-	for name, fn := range r.gaugeFuncs {
-		fns[name] = fn
 	}
 	for name, h := range r.histograms {
 		hs := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(),
@@ -291,11 +277,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	r.mu.RUnlock()
-	// Gauge funcs run outside the registry lock: they read foreign state
-	// (cache mutexes, pool mutexes) that must not nest under r.mu.
-	for name, fn := range fns {
-		s.Gauges[name] = fn()
-	}
 	return s
 }
 

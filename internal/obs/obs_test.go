@@ -72,15 +72,6 @@ func TestSpanUsesInjectedClock(t *testing.T) {
 	}
 }
 
-func TestGaugeFunc(t *testing.T) {
-	r := NewRegistry()
-	v := 41.0
-	r.GaugeFunc("fn_gauge", func() float64 { v++; return v })
-	if got := r.Snapshot().Gauges["fn_gauge"]; got != 42 {
-		t.Fatalf("gauge func = %v, want 42", got)
-	}
-}
-
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total").Add(3)

@@ -7,6 +7,7 @@
 package pareto
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -29,35 +30,30 @@ func Dominates(a, b Point) bool {
 	return strictly
 }
 
-// Archive maintains a set of mutually non-dominated points with attached
-// payloads.  The zero value is ready to use.
+// Archive maintains a set of mutually non-dominated two-objective points
+// with attached payloads: the pseudo-Pareto set of the paper's Algorithm 1,
+// over (−QoR, hw).  The zero value is ready to use.
 //
-// Two-objective archives (the paper's (−QoR, hw) case and every hot search
-// loop in this repository) are kept on a staircase: Points() is sorted
-// ascending by the first objective, which — because no two archived points
-// can share a first objective without one dominating the other — makes the
-// second objective strictly descending.  Covered is then one binary search
-// plus one comparison, and Insert evicts a single contiguous dominated run.
-// Archives of any other dimensionality fall back to the linear-scan path
-// and keep the historical insertion order (survivors of an eviction retain
-// their relative order).  Callers needing the insertion order of a
-// two-objective archive (e.g. to reproduce a random draw sequence that
-// predates the staircase) use InsertionOrder.
+// The points are kept on a staircase: Points() is sorted ascending by the
+// first objective, which — because no two archived points can share a
+// first objective without one dominating the other — makes the second
+// objective strictly descending.  Covered is then one binary search plus
+// one comparison, and Insert evicts a single contiguous dominated run.
+// Callers needing the insertion order (e.g. to reproduce a random draw
+// sequence that predates the staircase) use InsertionOrder.
 type Archive[T any] struct {
 	pts      []Point
 	payloads []T
 	seqs     []int64 // per-entry insertion counter, parallel to pts
 	nextSeq  int64
-	dim      int // objective count, fixed by the first Insert
 }
 
 // Len returns the archive size.
 func (a *Archive[T]) Len() int { return len(a.pts) }
 
-// Points returns the archived objective vectors (shared storage).  For
-// two-objective archives the slice is sorted ascending by the first
-// objective (descending by the second); otherwise it is in insertion
-// order.  See the Archive doc comment.
+// Points returns the archived objective vectors (shared storage), sorted
+// ascending by the first objective (descending by the second).  See the
+// Archive doc comment.
 func (a *Archive[T]) Points() []Point { return a.pts }
 
 // Payloads returns the archived payloads (shared storage), ordered
@@ -65,10 +61,9 @@ func (a *Archive[T]) Points() []Point { return a.pts }
 func (a *Archive[T]) Payloads() []T { return a.payloads }
 
 // InsertionOrder appends to dst[:0] the current archive indices ordered by
-// insertion time (oldest surviving member first) and returns the slice.
-// For non-2-objective archives this is simply 0..Len()-1; for staircase
-// archives it reconstructs the order the historical linear archive kept,
-// which Algorithm 1's restart draw depends on for reproducibility.
+// insertion time (oldest surviving member first) and returns the slice:
+// the order the historical linear archive kept, which Algorithm 1's
+// restart draw depends on for reproducibility.
 func (a *Archive[T]) InsertionOrder(dst []int) []int {
 	dst = dst[:0]
 	for i := range a.pts {
@@ -81,25 +76,15 @@ func (a *Archive[T]) InsertionOrder(dst []int) []int {
 // Covered reports whether an archived point dominates or equals p — i.e.
 // whether Insert(p, …) would reject it.  It lets hot enumeration loops
 // defer building an expensive payload (such as copying a configuration)
-// until the point is known to be accepted.  On two-objective archives it
-// costs one binary search.
-func (a *Archive[T]) Covered(p Point) bool {
-	if a.dim == 2 && len(p) == 2 {
-		return a.covered2(p)
-	}
-	for _, q := range a.pts {
-		if Dominates(q, p) || equal(q, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// covered2 is Covered on the staircase: the only archived point that can
-// dominate or equal p is the rightmost one with first objective ≤ p[0]
+// until the point is known to be accepted.  The only archived point that
+// can dominate or equal p is the rightmost one with first objective ≤ p[0]
 // (everything left of it has a strictly larger second objective, everything
-// right of it a strictly larger first objective).
-func (a *Archive[T]) covered2(p Point) bool {
+// right of it a strictly larger first objective), so this costs one binary
+// search.  It panics unless p has two objectives.
+func (a *Archive[T]) Covered(p Point) bool {
+	if len(p) != 2 {
+		panic(fmt.Sprintf("pareto: Archive holds two objectives, got a point of length %d", len(p)))
+	}
 	j := sort.Search(len(a.pts), func(i int) bool { return a.pts[i][0] > p[0] }) - 1
 	return j >= 0 && a.pts[j][1] <= p[1]
 }
@@ -107,41 +92,12 @@ func (a *Archive[T]) covered2(p Point) bool {
 // Insert adds (p, payload) if no archived point dominates or equals p,
 // evicting archived points p dominates.  It reports whether the point was
 // inserted — the accept test of the paper's Algorithm 1.  Equal-point ties
-// keep the first-inserted payload, in every dimensionality.
-func (a *Archive[T]) Insert(p Point, payload T) bool {
-	if a.dim == 0 {
-		a.dim = len(p)
-	}
-	if a.dim == 2 && len(p) == 2 {
-		return a.insert2(p, payload)
-	}
-	if a.Covered(p) {
-		return false
-	}
-	keep := 0
-	for i := range a.pts {
-		if !Dominates(p, a.pts[i]) {
-			a.pts[keep] = a.pts[i]
-			a.payloads[keep] = a.payloads[i]
-			a.seqs[keep] = a.seqs[i]
-			keep++
-		}
-	}
-	a.pts = a.pts[:keep]
-	a.payloads = a.payloads[:keep]
-	a.seqs = a.seqs[:keep]
-	a.pts = append(a.pts, append(Point(nil), p...))
-	a.payloads = append(a.payloads, payload)
-	a.seqs = append(a.seqs, a.nextSeq)
-	a.nextSeq++
-	return true
-}
-
-// insert2 is Insert on the staircase.  The run of points p dominates is
+// keep the first-inserted payload.  The run of points p dominates is
 // contiguous: it starts at the first archived point with first objective
 // ≥ p[0] and extends while the (descending) second objective stays ≥ p[1].
-func (a *Archive[T]) insert2(p Point, payload T) bool {
-	if a.covered2(p) {
+// It panics unless p has two objectives.
+func (a *Archive[T]) Insert(p Point, payload T) bool {
+	if a.Covered(p) {
 		return false
 	}
 	lo := sort.Search(len(a.pts), func(i int) bool { return a.pts[i][0] >= p[0] })

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -66,32 +67,56 @@ func randPoint(rng *rand.Rand, dim, grid int) Point {
 // reference with identical random streams and checks every Insert/Covered
 // decision, the archived content, and the insertion-order view.
 func TestArchiveMatchesReference(t *testing.T) {
-	for _, dim := range []int{2, 3} {
-		for trial := 0; trial < 60; trial++ {
-			rng := rand.New(rand.NewSource(int64(dim*1000 + trial)))
-			grid := 3 + rng.Intn(12)
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		grid := 3 + rng.Intn(12)
+		a := &Archive[int]{}
+		ref := &refArchive{}
+		for i := 0; i < 400; i++ {
+			p := randPoint(rng, 2, grid)
+			if got, want := a.Covered(p), ref.covered(p); got != want {
+				t.Fatalf("trial=%d step=%d: Covered(%v)=%v, reference %v", trial, i, p, got, want)
+			}
+			got := a.Insert(p, i)
+			want := ref.insert(p, i)
+			if got != want {
+				t.Fatalf("trial=%d step=%d: Insert(%v)=%v, reference %v", trial, i, p, got, want)
+			}
+			checkArchiveEqual(t, a, ref)
+		}
+	}
+}
+
+// TestArchiveRejectsOtherDims pins that the archive refuses any point
+// without exactly two objectives, naming the length it got.
+func TestArchiveRejectsOtherDims(t *testing.T) {
+	for _, dim := range []int{0, 1, 3} {
+		for name, call := range map[string]func(*Archive[int], Point){
+			"Insert":  func(a *Archive[int], p Point) { a.Insert(p, 0) },
+			"Covered": func(a *Archive[int], p Point) { a.Covered(p) },
+		} {
 			a := &Archive[int]{}
-			ref := &refArchive{}
-			for i := 0; i < 400; i++ {
-				p := randPoint(rng, dim, grid)
-				if got, want := a.Covered(p), ref.covered(p); got != want {
-					t.Fatalf("dim=%d trial=%d step=%d: Covered(%v)=%v, reference %v", dim, trial, i, p, got, want)
-				}
-				got := a.Insert(p, i)
-				want := ref.insert(p, i)
-				if got != want {
-					t.Fatalf("dim=%d trial=%d step=%d: Insert(%v)=%v, reference %v", dim, trial, i, p, got, want)
-				}
-				checkArchiveEqual(t, a, ref, dim)
+			a.Insert(Point{1, 1}, 1)
+			func() {
+				defer func() {
+					want := fmt.Sprintf("length %d", dim)
+					if msg, _ := recover().(string); !strings.Contains(msg, want) {
+						t.Errorf("%s of a %d-objective point: panic %q, want one naming %q", name, dim, msg, want)
+					}
+				}()
+				call(a, make(Point, dim))
+			}()
+			if a.Len() != 1 {
+				t.Errorf("%s of a %d-objective point changed the archive: %v", name, dim, a.Points())
 			}
 		}
 	}
 }
 
 // checkArchiveEqual asserts set-equality of (point, payload) pairs, the
-// staircase ordering invariant for 2-D, and that InsertionOrder
-// reproduces the reference's storage order exactly.
-func checkArchiveEqual(t *testing.T, a *Archive[int], ref *refArchive, dim int) {
+// staircase ordering invariant, and that InsertionOrder reproduces the
+// reference's storage order exactly.
+func checkArchiveEqual(t *testing.T, a *Archive[int], ref *refArchive) {
 	t.Helper()
 	if a.Len() != len(ref.pts) {
 		t.Fatalf("size %d, reference %d", a.Len(), len(ref.pts))
@@ -108,12 +133,10 @@ func checkArchiveEqual(t *testing.T, a *Archive[int], ref *refArchive, dim int) 
 			t.Fatalf("reference entry %v/%d missing from archive", ref.pts[i], ref.payloads[i])
 		}
 	}
-	if dim == 2 {
-		pts := a.Points()
-		for i := 1; i < len(pts); i++ {
-			if !(pts[i-1][0] < pts[i][0]) || !(pts[i-1][1] > pts[i][1]) {
-				t.Fatalf("staircase invariant violated at %d: %v then %v", i, pts[i-1], pts[i])
-			}
+	pts := a.Points()
+	for i := 1; i < len(pts); i++ {
+		if !(pts[i-1][0] < pts[i][0]) || !(pts[i-1][1] > pts[i][1]) {
+			t.Fatalf("staircase invariant violated at %d: %v then %v", i, pts[i-1], pts[i])
 		}
 	}
 	order := a.InsertionOrder(nil)
@@ -188,6 +211,6 @@ func TestArchiveFloatCoords(t *testing.T) {
 				t.Fatalf("trial=%d step=%d: Insert=%v, reference %v", trial, i, got, want)
 			}
 		}
-		checkArchiveEqual(t, a, ref, 2)
+		checkArchiveEqual(t, a, ref)
 	}
 }

@@ -148,18 +148,6 @@ func Uniform(wa, wb int) *PMF {
 	return p
 }
 
-// Marginals returns the two marginal distributions as dense slices indexed
-// by operand value (used for diagnostics and the Figure 3 heat maps).
-func (p *PMF) Marginals() (ma, mb []float64) {
-	ma = make([]float64, 1<<uint(p.wa))
-	mb = make([]float64, 1<<uint(p.wb))
-	p.ForEach(func(a, b uint64, w float64) {
-		ma[a] += w
-		mb[b] += w
-	})
-	return ma, mb
-}
-
 // Downsample buckets the PMF into a bins×bins grid for visualization,
 // normalizing rows to the full operand ranges.
 func (p *PMF) Downsample(bins int) [][]float64 {

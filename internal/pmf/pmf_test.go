@@ -64,19 +64,6 @@ func TestUniform(t *testing.T) {
 	}
 }
 
-func TestMarginals(t *testing.T) {
-	p := New(2, 2)
-	p.Add(1, 3, 0.5)
-	p.Add(1, 0, 0.5)
-	ma, mb := p.Marginals()
-	if ma[1] != 1.0 {
-		t.Errorf("marginal A[1] = %f", ma[1])
-	}
-	if mb[3] != 0.5 || mb[0] != 0.5 {
-		t.Errorf("marginal B = %v", mb)
-	}
-}
-
 func TestDownsample(t *testing.T) {
 	p := New(8, 8)
 	p.Add(0, 0, 1)     // bucket (0,0)
